@@ -1,10 +1,10 @@
-"""On-disk formats for fitted models and score matrices.
+"""On-disk formats for fitted models, corpora and score matrices.
 
-A model bundle is a directory: ``manifest.json`` plus one raw array file
-per named array, little-endian, C-order.  Sparse matrices expand to their
-three component arrays.  A score matrix is a single file: one JSON header
-line, then the raw float64 scores; a ``.csv`` path gets a plain CSV
-instead.
+A bundle (a fitted model, or a corpus under kind ``"corpus"``) is a
+directory: ``manifest.json`` plus one raw array file per named array,
+little-endian, C-order.  Sparse matrices expand to their three component
+arrays.  A score matrix is a single file: one JSON header line, then the
+raw float64 scores; a ``.csv`` path gets a plain CSV instead.
 """
 
 from __future__ import annotations
@@ -61,8 +61,12 @@ def save_model(out_dir, kind: str, manifest: dict, arrays: dict) -> Path:
 
 def _read_array(src: Path, entry: dict) -> np.ndarray:
     dtype = _DTYPE_TAGS[entry["dtype"]]
-    raw = np.frombuffer((src / entry["file"]).read_bytes(), dtype=dtype)
-    return raw.reshape(entry["shape"]).copy()
+    data = (src / entry["file"]).read_bytes()
+    expected = dtype.itemsize * int(np.prod(entry["shape"]))
+    if len(data) != expected:
+        raise ValueError(f"array file {entry['file']} holds {len(data)} bytes; "
+                         f"its manifest entry needs {expected}")
+    return np.frombuffer(data, dtype=dtype).reshape(entry["shape"]).copy()
 
 
 def load_model(in_dir):

@@ -15,9 +15,10 @@ import numpy as np
 
 from . import bundle, config, corpus as corpus_mod, pipeline
 from .ensemble import (combined_scores, cross_validate, train_ensemble,
-                       normalize_weights, uniform_weights, ScoreMatrix)
-from .ldi import build_index, word_topic_matrix
+                       uniform_weights, ScoreMatrix)
+from .ldi import word_topic_matrix
 from .metrics import evaluate_scores
+from .vsm import cosine_scores
 
 
 class UsageError(Exception):
@@ -303,7 +304,7 @@ def _cmd_ldi_inspect(args) -> int:
         row = w[vocab[term]]
         vec = " ".join(f"{v:.4f}" for v in row)
         print(f"{term}: [{vec}]")
-        sims = w @ row / (np.linalg.norm(w, axis=1) * np.linalg.norm(row) + 1e-300)
+        sims = cosine_scores(row[None, :], w)[0]
         order = np.argsort(-sims)
         neighbors = [vocab.terms[j] for j in order if vocab.terms[j] != term]
         print("  nearest: " + ", ".join(neighbors[:args.top]))

@@ -1,16 +1,13 @@
 """Experiment configuration: collection locations, defaults, environment.
 
-The classic test collections are not bundled; point ``LDIKIT_DATA_DIR`` (or
-``--data-dir``) at a directory containing them under their customary file
-names and the lookup helpers below will find them, case-insensitively, in
-any subdirectory.
+The classic test collections are not bundled; point ``LDIKIT_DATA_DIR`` at a
+directory containing them under their customary file names and the lookup
+helpers below will find them, case-insensitively, in any subdirectory.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 DATA_DIR_ENV = "LDIKIT_DATA_DIR"
@@ -84,35 +81,3 @@ def find_collection_files(root, name: str):
             return None
         found.append(hit)
     return tuple(found)
-
-
-def available_collections(root) -> list[str]:
-    return [name for name in STANDARD_FILES
-            if find_collection_files(root, name) is not None]
-
-
-@dataclass
-class ExperimentConfig:
-    """Settings shared across the command-line entry points."""
-
-    data_dir: str | None = None
-    out_dir: str | None = None
-    seeds: list[int] = field(default_factory=lambda: [0])
-    eps: float = 1e-4
-    max_rounds: int = 200
-    topic_counts: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        doc = json.loads(Path(path).read_text())
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**doc)
-
-    def topic_count(self, method: str, collection: str) -> int | None:
-        override = self.topic_counts.get(method, {}).get(collection)
-        if override is not None:
-            return int(override)
-        return default_topic_count(method, collection)

@@ -9,7 +9,6 @@ the same vocabulary, and a judged-relevance map.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import re
@@ -22,7 +21,9 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-FORMAT_VERSION = 1
+from . import bundle
+
+FORMAT_VERSION = 2
 TOKENIZER_VERSION = 1
 
 
@@ -494,99 +495,44 @@ def build_corpus(collection: Collection, stoplist: StopList | None = None) -> Co
     )
 
 
-def query_count_vector(tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:
-    """Dense in-vocabulary count vector for one token list."""
-    vec = np.zeros(len(vocab), dtype=np.int64)
-    for tok in tokens:
-        j = vocab.index.get(tok)
-        if j is not None:
-            vec[j] += 1
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # Corpus bundle persistence
 
 def save_corpus(corpus: Corpus, out_dir) -> Path:
-    """Write a corpus bundle: manifest, vocabulary, count and judgment CSVs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write a corpus bundle: counts, ids and judged pairs as raw arrays.
 
-    (out / "vocabulary.txt").write_text("\n".join(corpus.vocabulary.terms) + "\n")
-
-    def write_counts(path: Path, matrix: sp.csr_matrix, row_ids: np.ndarray,
-                     row_col: str) -> None:
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([row_col, "term", "count"])
-            coo = matrix.tocoo()
-            order = np.lexsort((coo.col, coo.row))
-            for i in order:
-                writer.writerow([int(row_ids[coo.row[i]]), int(coo.col[i]),
-                                 int(coo.data[i])])
-
-    write_counts(out / "counts.csv", corpus.counts.matrix, corpus.doc_ids, "doc")
-    write_counts(out / "queries.csv", corpus.query_counts, corpus.query_ids, "query")
-
-    with (out / "qrels.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query", "doc"])
-        for qid in sorted(corpus.qrels):
-            for did in sorted(corpus.qrels[qid]):
-                writer.writerow([qid, did])
-
+    The vocabulary, name and content checksum go into the manifest.
+    """
+    qrels = np.array([(qid, did) for qid in sorted(corpus.qrels)
+                      for did in sorted(corpus.qrels[qid])],
+                     dtype=np.int64).reshape(-1, 2)
     manifest = {
         "format_version": FORMAT_VERSION,
         "tokenizer_version": TOKENIZER_VERSION,
         "name": corpus.name,
-        "n_docs": corpus.n_docs,
-        "n_queries": corpus.n_queries,
-        "n_terms": corpus.n_terms,
-        "doc_ids": corpus.doc_ids.tolist(),
-        "query_ids": corpus.query_ids.tolist(),
+        "terms": corpus.vocabulary.terms,
         "dropped_judgments": corpus.dropped_judgments,
         "checksum": corpus.checksum(),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1))
-    return out
+    arrays = {"counts": corpus.counts.matrix, "query_counts": corpus.query_counts,
+              "doc_ids": corpus.doc_ids, "query_ids": corpus.query_ids,
+              "qrels": qrels}
+    return bundle.save_model(out_dir, "corpus", manifest, arrays)
 
 
 def load_corpus(in_dir) -> Corpus:
     """Load a corpus bundle written by save_corpus; verifies the checksum."""
-    src = Path(in_dir)
-    manifest = json.loads((src / "manifest.json").read_text())
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported corpus format version {manifest.get('format_version')}"
-        )
-    terms = (src / "vocabulary.txt").read_text().splitlines()
-    doc_ids = np.array(manifest["doc_ids"], dtype=np.int64)
-    query_ids = np.array(manifest["query_ids"], dtype=np.int64)
-
-    def read_counts(path: Path, row_ids: np.ndarray) -> sp.csr_matrix:
-        row_of = {int(r): i for i, r in enumerate(row_ids)}
-        rows, cols, vals = [], [], []
-        with path.open() as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for rec in reader:
-                rows.append(row_of[int(rec[0])])
-                cols.append(int(rec[1]))
-                vals.append(int(rec[2]))
-        return sp.csr_matrix(
-            (np.array(vals, dtype=np.int64), (rows, cols)),
-            shape=(len(row_ids), len(terms)),
-        )
-
-    matrix = read_counts(src / "counts.csv", doc_ids)
-    query_counts = read_counts(src / "queries.csv", query_ids)
-
+    version = json.loads((Path(in_dir) / "manifest.json").read_text()).get(
+        "format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported corpus format version {version}; "
+                         "rebuild the bundle with `ldikit corpus build`")
+    manifest, arrays = bundle.load_model(in_dir)
+    terms = manifest["terms"]
+    matrix = arrays["counts"]
     qrels: dict[int, set[int]] = {}
-    with (src / "qrels.csv").open() as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for rec in reader:
-            qrels.setdefault(int(rec[0]), set()).add(int(rec[1]))
+    for qid, did in arrays["qrels"].tolist():
+        qrels.setdefault(qid, set()).add(did)
 
     # df/cf are derivable from the counts, so the bundle does not store them.
     df = np.asarray((matrix > 0).sum(axis=0)).ravel().astype(np.int64)
@@ -595,19 +541,18 @@ def load_corpus(in_dir) -> Corpus:
                        df=df, cf=cf)
     corpus = Corpus(
         name=manifest["name"],
-        doc_ids=doc_ids,
-        query_ids=query_ids,
+        doc_ids=arrays["doc_ids"],
+        query_ids=arrays["query_ids"],
         vocabulary=vocab,
         counts=TermDocCounts(
             matrix=matrix,
             doc_lengths=np.asarray(matrix.sum(axis=1)).ravel().astype(np.int64),
         ),
-        query_counts=query_counts,
+        query_counts=arrays["query_counts"],
         qrels=qrels,
         dropped_judgments=list(manifest.get("dropped_judgments", [])),
     )
-    stored = manifest.get("checksum")
-    if stored and corpus.checksum() != stored:
+    if corpus.checksum() != manifest["checksum"]:
         raise ValueError("corpus bundle checksum mismatch")
     return corpus
 

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import TermDocCounts, Vocabulary
+from .corpus import TermDocCounts
 from .lda import LdaModel
+from .vsm import cosine_scores
 
 
 def word_topic_matrix(beta: np.ndarray) -> np.ndarray:
@@ -51,30 +52,6 @@ def document_vectors(w: np.ndarray, counts: TermDocCounts):
     return _average_rows(w, counts.matrix)
 
 
-def query_vector(w: np.ndarray, query_counts):
-    """Topic-space vector for one query count vector plus an evidence flag."""
-    vectors, mask = _average_rows(w, np.atleast_2d(np.asarray(query_counts)))
-    return vectors[0], bool(mask[0])
-
-
-def topic_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine between topic vectors; nonnegative entries keep it in [0, 1]."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
-def term_similarity(w: np.ndarray, term_a: int, term_b: int,
-                    metric: str = "cosine") -> float:
-    """Similarity of two vocabulary terms in topic space."""
-    if metric == "cosine":
-        return topic_cosine(w[term_a], w[term_b])
-    if metric == "dot":
-        return float(np.dot(w[term_a], w[term_b]))
-    raise ValueError(f"unknown similarity metric {metric!r}")
-
-
 @dataclass
 class LdiIndex:
     """Precomputed topic-space document vectors ready for query scoring."""
@@ -82,23 +59,20 @@ class LdiIndex:
     w: np.ndarray               # (terms, topics) rows sum to one
     doc_vectors: np.ndarray     # (docs, topics) rows sum to one
     doc_evidence: np.ndarray    # docs with at least one in-vocabulary term
-    metric: str = "cosine"
 
     @property
     def k(self) -> int:
         return self.w.shape[1]
 
 
-def build_index(model: LdaModel, counts: TermDocCounts,
-                metric: str = "cosine") -> LdiIndex:
+def build_index(model: LdaModel, counts: TermDocCounts) -> LdiIndex:
     w = word_topic_matrix(model.beta)
     vectors, evidence = document_vectors(w, counts)
-    return LdiIndex(w=w, doc_vectors=vectors, doc_evidence=evidence,
-                    metric=metric)
+    return LdiIndex(w=w, doc_vectors=vectors, doc_evidence=evidence)
 
 
 def score_ldi(index: LdiIndex, query_counts) -> np.ndarray:
-    """Similarity of each document to each query count row.
+    """Cosine of each document against each query count row in topic space.
 
     Queries or documents without topic evidence score zero against
     everything rather than matching the uniform fallback vector.
@@ -106,14 +80,6 @@ def score_ldi(index: LdiIndex, query_counts) -> np.ndarray:
     single = not sp.issparse(query_counts) and np.ndim(query_counts) == 1
     q_vecs, q_evidence = _average_rows(index.w, query_counts if sp.issparse(query_counts)
                                        else np.atleast_2d(np.asarray(query_counts)))
-    if index.metric == "dot":
-        scores = q_vecs @ index.doc_vectors.T
-    else:
-        qn = np.linalg.norm(q_vecs, axis=1, keepdims=True)
-        dn = np.linalg.norm(index.doc_vectors, axis=1)
-        denom = qn * dn[None, :]
-        raw = q_vecs @ index.doc_vectors.T
-        scores = np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
-    scores = scores * q_evidence[:, None]
-    scores = scores * index.doc_evidence[None, :]
+    scores = cosine_scores(q_vecs, index.doc_vectors, q_evidence,
+                           index.doc_evidence)
     return scores[0] if single else scores

@@ -1,13 +1,13 @@
 """Latent semantic ranking: truncated SVD of the tf-idf term-document matrix.
 
-Factors satisfy a verified residual contract rather than promising a
-particular algorithm: every retained singular triplet must reproduce its
-matrix-vector products to the requested tolerance.
+The factors come from Lanczos iterations (a dense SVD when the requested
+rank reaches the smaller matrix dimension) and carry a verified residual
+contract: every retained singular triplet must reproduce its matrix-vector
+products to the requested tolerance, or the fit fails.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import svds
 
 from .corpus import TermDocCounts
-from .vsm import TfIdfModel, tfidf_query_matrix, train_tfidf
+from .vsm import TfIdfModel, cosine_scores, tfidf_query_matrix, train_tfidf
 
 
 @dataclass
@@ -54,30 +54,14 @@ def _residuals(matrix, u, s, vt) -> np.ndarray:
     return np.maximum(r1, r2) / np.maximum(s, 1e-300)
 
 
-def _randomized_factors(matrix, k, seed, oversample=10, power_iters=4):
-    """Range finding with a Gaussian sketch, QR power iterations, small SVD."""
-    rng = np.random.default_rng(seed)
-    n_docs = matrix.shape[1]
-    width = min(k + oversample, min(matrix.shape))
-    sketch = rng.standard_normal((n_docs, width))
-    q, _ = np.linalg.qr(matrix @ sketch)
-    for _ in range(power_iters):
-        q, _ = np.linalg.qr(matrix.T @ q)
-        q, _ = np.linalg.qr(matrix @ q)
-    small = q.T @ matrix
-    if sp.issparse(small):
-        small = small.toarray()
-    ub, s, vt = np.linalg.svd(np.asarray(small), full_matrices=False)
-    return (q @ ub)[:, :k], s[:k], vt[:k, :]
-
-
-def truncated_svd(matrix, k: int, tol: float = 1e-8, seed: int = 0,
-                  method: str = "lanczos") -> SvdFactors:
+def truncated_svd(matrix, k: int, tol: float = 1e-8,
+                  seed: int = 0) -> SvdFactors:
     """Top-k singular triplets with verified residuals.
 
-    Negligible trailing singular values (matrix rank below k) are trimmed
-    and flagged instead of padded.  Residuals above ``tol`` raise for the
-    Lanczos path and trigger extra power iterations for the randomized one.
+    Lanczos (ARPACK) finds the triplets, or a dense LAPACK SVD when ``k``
+    reaches the smaller matrix dimension.  Negligible trailing singular
+    values (matrix rank below k) are trimmed and flagged instead of padded;
+    a residual above ``tol`` raises.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -88,30 +72,15 @@ def truncated_svd(matrix, k: int, tol: float = 1e-8, seed: int = 0,
     min_dim = min(matrix.shape)
     k_eff = min(k, min_dim)
 
-    if method == "lanczos":
-        if k_eff >= min_dim:
-            dense = matrix.toarray() if sp.issparse(matrix) else matrix
-            u, s, vt = np.linalg.svd(dense, full_matrices=False)
-            u, s, vt = u[:, :k_eff], s[:k_eff], vt[:k_eff, :]
-        else:
-            v0 = np.random.default_rng(seed).standard_normal(min_dim)
-            u, s, vt = svds(matrix, k=k_eff, v0=v0)
-            order = np.argsort(-s)
-            u, s, vt = u[:, order], s[order], vt[order, :]
-    elif method == "randomized":
-        power_iters = 4
-        for attempt in range(4):
-            u, s, vt = _randomized_factors(matrix, k_eff, seed,
-                                           power_iters=power_iters)
-            keep = s > max(s[0] if len(s) else 0.0, 1e-300) * 1e-12
-            if np.all(_residuals(matrix, u[:, keep], s[keep], vt[keep, :]) <= tol):
-                break
-            power_iters *= 2
-        else:
-            warnings.warn("randomized factorization did not reach the "
-                          "residual tolerance; factors kept with a flag")
+    if k_eff >= min_dim:
+        dense = matrix.toarray() if sp.issparse(matrix) else matrix
+        u, s, vt = np.linalg.svd(dense, full_matrices=False)
+        u, s, vt = u[:, :k_eff], s[:k_eff], vt[:k_eff, :]
     else:
-        raise ValueError(f"unknown SVD method {method!r}")
+        v0 = np.random.default_rng(seed).standard_normal(min_dim)
+        u, s, vt = svds(matrix, k=k_eff, v0=v0)
+        order = np.argsort(-s)
+        u, s, vt = u[:, order], s[order], vt[order, :]
 
     keep = s > (s[0] if len(s) else 0.0) * 1e-12
     u, s, vt = u[:, keep], s[keep], vt[keep, :]
@@ -121,7 +90,7 @@ def truncated_svd(matrix, k: int, tol: float = 1e-8, seed: int = 0,
         raise RuntimeError("singular values not in descending order")
     _normalize_signs(u, vt)
     res = _residuals(matrix, u, s, vt)
-    if method == "lanczos" and np.any(res > tol):
+    if np.any(res > tol):
         raise RuntimeError(
             f"SVD residual {res.max():.3e} exceeds tolerance {tol:.3e}")
     return SvdFactors(u=u, s=s, vt=vt, requested_k=k)
@@ -136,48 +105,27 @@ class LsiModel:
 
 
 def train_lsi(counts: TermDocCounts, k: int, seed: int = 0,
-              tol: float = 1e-8, method: str = "lanczos") -> LsiModel:
+              tol: float = 1e-8) -> LsiModel:
     """Factor the unit-normalized tf-idf matrix arranged terms x documents."""
     tfidf = train_tfidf(counts)
-    factors = truncated_svd(tfidf.doc_vectors.T, k, tol=tol, seed=seed,
-                            method=method)
+    factors = truncated_svd(tfidf.doc_vectors.T, k, tol=tol, seed=seed)
     return LsiModel(tfidf=tfidf, factors=factors)
 
 
-def fold_query(factors: SvdFactors, query_vec: np.ndarray) -> np.ndarray:
-    """Map a term-space vector into latent space: inv(S) Ut q."""
-    q = np.asarray(query_vec, dtype=float).ravel()
-    return (factors.u.T @ q) / factors.s
-
-
-def score_latent(factors: SvdFactors, latent_query: np.ndarray) -> np.ndarray:
-    """Cosine between query and documents in the singular-value-scaled space.
-
-    Both sides are scaled by S before the cosine, so a document used as its
-    own query scores exactly 1.
-    """
-    uq = factors.s * np.asarray(latent_query, dtype=float)
-    docs = factors.vt * factors.s[:, None]
-    doc_norms = np.linalg.norm(docs, axis=0)
-    qn = np.linalg.norm(uq)
-    denom = qn * doc_norms
-    raw = uq @ docs
-    return np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
-
-
 def score_lsi(model: LsiModel, query_counts) -> np.ndarray:
-    """Full pipeline for count-vector queries: weight, fold, cosine."""
+    """Weight count-vector queries, fold them in, rank by cosine.
+
+    A query folds into latent space as inv(S) Ut q; queries and documents
+    are both scaled by S before the cosine, so a document used as its own
+    query scores exactly 1.
+    """
     q = tfidf_query_matrix(model.tfidf, np.atleast_2d(query_counts)
                            if not sp.issparse(query_counts) else query_counts)
     q = q.toarray()
     latent = (model.factors.u.T @ q.T) / model.factors.s[:, None]
     docs = model.factors.vt * model.factors.s[:, None]
     uq = latent * model.factors.s[:, None]
-    doc_norms = np.linalg.norm(docs, axis=0)
-    q_norms = np.linalg.norm(uq, axis=0)
-    raw = uq.T @ docs
-    denom = np.outer(q_norms, doc_norms)
-    scores = np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
+    scores = cosine_scores(uq.T, docs.T)
     if not sp.issparse(query_counts) and np.ndim(query_counts) == 1:
         return scores[0]
     return scores

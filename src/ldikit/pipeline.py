@@ -1,14 +1,20 @@
 """Orchestration: train any ranker on a corpus, score its queries, persist.
 
-The four trainable methods share one interface here so the command line and
-the experiment scripts can treat them uniformly.  The topic-space ranker is
+``RANKERS`` is the one place that knows the four methods: per method it says
+how to fit on a corpus, how to score the corpus queries, which arrays and
+scalars go into a model bundle, and how to rebuild the model from them.
+Everything else here is one path for all methods.  The topic-space ranker is
 served by the ``lda`` method: its index derives from the fitted topic-term
 table and the corpus counts at scoring time.
+
+The table's functions look the ranker functions up in this module when they
+run, so replacing ``pipeline.train_lda`` (say) reaches every caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +30,88 @@ from .plsa import (PlsaModel, TemperingSchedule, continue_tempering_by_precision
                    score_plsa, train_plsa)
 from .vsm import TfIdfModel, score_tfidf, train_tfidf
 
-METHODS = ("tfidf", "lsi", "plsi", "lda")
+
+@dataclass(frozen=True)
+class Ranker:
+    """One method's fit, score and bundle round trip."""
+
+    # (corpus, k, seed, options) -> (payload, fit summary for the manifest)
+    fit: Callable
+    # (payload, corpus) -> (queries x documents) scores
+    score: Callable
+    # payload -> (manifest scalars, named arrays)
+    pack: Callable
+    # (manifest, arrays) -> payload
+    unpack: Callable
+    needs_k: bool = True
+
+
+def _fit_plsi(corpus, k, seed, schedule=None, tune_by_precision=False, **_):
+    result = train_plsa(corpus.counts, k=k, seed=seed, schedule=schedule)
+    model = result.model
+    if tune_by_precision:
+        model, _ = continue_tempering_by_precision(result, corpus,
+                                                   schedule=schedule)
+    return model, {"beta_temp": model.beta_temp}
+
+
+def _fit_lda(corpus, k, seed, lda_options=None, **_):
+    result = train_lda(corpus.counts, k=k, seed=seed, options=lda_options)
+    return result.model, {"alpha": result.model.alpha,
+                          "converged": result.converged,
+                          "elbo": result.elbo_trace[-1]}
+
+
+def _unpack_lsi(manifest, arrays) -> LsiModel:
+    # Scoring needs only the idf weights, so the document vectors stay empty.
+    n_docs = int(manifest["n_docs"])
+    empty = sp.csr_matrix((n_docs, len(arrays["idf"])))
+    factors = SvdFactors(u=arrays["u"], s=arrays["s"], vt=arrays["vt"],
+                         requested_k=int(manifest["requested_k"]))
+    return LsiModel(tfidf=TfIdfModel(idf=arrays["idf"], doc_vectors=empty,
+                                     n_docs=n_docs),
+                    factors=factors)
+
+
+RANKERS = {
+    "tfidf": Ranker(
+        fit=lambda corpus, k, seed, **_: (train_tfidf(corpus.counts), None),
+        score=lambda m, corpus: score_tfidf(m, corpus.query_counts),
+        pack=lambda m: ({"n_docs": m.n_docs},
+                        {"idf": m.idf, "doc_vectors": m.doc_vectors}),
+        unpack=lambda manifest, a: TfIdfModel(
+            idf=a["idf"], doc_vectors=a["doc_vectors"].astype(float),
+            n_docs=int(manifest["n_docs"])),
+        needs_k=False),
+    "lsi": Ranker(
+        fit=lambda corpus, k, seed, **_: (train_lsi(corpus.counts, k=k,
+                                                    seed=seed), None),
+        score=lambda m, corpus: score_lsi(m, corpus.query_counts),
+        pack=lambda m: ({"n_docs": m.tfidf.n_docs,
+                         "requested_k": m.factors.requested_k},
+                        {"idf": m.tfidf.idf, "u": m.factors.u,
+                         "s": m.factors.s, "vt": m.factors.vt}),
+        unpack=_unpack_lsi),
+    "plsi": Ranker(
+        fit=_fit_plsi,
+        score=lambda m, corpus: score_plsa(m, corpus.query_counts),
+        pack=lambda m: ({"beta_temp": m.beta_temp},
+                        {"p_dz": m.p_dz, "p_wz": m.p_wz}),
+        unpack=lambda manifest, a: PlsaModel(
+            k=int(manifest["k"]), p_dz=a["p_dz"], p_wz=a["p_wz"],
+            beta_temp=float(manifest["beta_temp"]),
+            seed=manifest.get("seed", 0))),
+    "lda": Ranker(
+        fit=_fit_lda,
+        score=lambda m, corpus: score_ldi(build_index(m, corpus.counts),
+                                          corpus.query_counts),
+        pack=lambda m: ({"alpha": m.alpha}, {"beta": m.beta}),
+        unpack=lambda manifest, a: LdaModel(
+            k=int(manifest["k"]), alpha=float(manifest["alpha"]),
+            beta=a["beta"], seed=manifest.get("seed", 0))),
+}
+
+METHODS = tuple(RANKERS)
 METHOD_ALIASES = {"ldi": "lda"}
 
 
@@ -34,6 +121,12 @@ def resolve_method(name: str) -> str:
         raise ValueError(f"unknown method {name!r}; choose from "
                          f"{', '.join(METHODS + tuple(METHOD_ALIASES))}")
     return method
+
+
+def _ranker(kind: str) -> Ranker:
+    if kind not in RANKERS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return RANKERS[kind]
 
 
 @dataclass
@@ -55,29 +148,17 @@ def train_model(corpus: Corpus, method: str, k: int | None = None,
                 schedule: TemperingSchedule | None = None) -> FittedModel:
     """Fit one ranker.  Topic methods require ``k``; tfidf ignores it."""
     method = resolve_method(method)
-    checksum = corpus.checksum()
-    if method == "tfidf":
-        payload = train_tfidf(corpus.counts)
-        return FittedModel("tfidf", payload, checksum, corpus.name, seed=seed)
-    if k is None:
+    ranker = RANKERS[method]
+    if not ranker.needs_k:
+        k = None
+    elif k is None:
         raise ValueError(f"method {method!r} needs a topic count")
-    if method == "lsi":
-        payload = train_lsi(corpus.counts, k=k, seed=seed)
-        return FittedModel("lsi", payload, checksum, corpus.name, k=k, seed=seed)
-    if method == "plsi":
-        result = train_plsa(corpus.counts, k=k, seed=seed, schedule=schedule)
-        model = result.model
-        if tune_by_precision:
-            model, _ = continue_tempering_by_precision(result, corpus,
-                                                       schedule=schedule)
-        return FittedModel("plsi", model, checksum, corpus.name, k=k, seed=seed,
-                           extra={"beta_temp": model.beta_temp})
-    result = train_lda(corpus.counts, k=k, seed=seed, options=lda_options)
-    return FittedModel("lda", result.model, checksum, corpus.name, k=k,
-                       seed=seed,
-                       extra={"alpha": result.model.alpha,
-                              "converged": result.converged,
-                              "elbo": result.elbo_trace[-1]})
+    checksum = corpus.checksum()
+    payload, extra = ranker.fit(corpus, k, seed,
+                                tune_by_precision=tune_by_precision,
+                                lda_options=lda_options, schedule=schedule)
+    return FittedModel(method, payload, checksum, corpus.name, k=k, seed=seed,
+                       extra=extra)
 
 
 def score_corpus(fitted: FittedModel, corpus: Corpus,
@@ -87,18 +168,7 @@ def score_corpus(fitted: FittedModel, corpus: Corpus,
         raise ValueError(
             f"model was fitted on corpus {fitted.corpus_name!r} with a "
             "different content hash; refusing to score")
-    queries = corpus.query_counts
-    if fitted.kind == "tfidf":
-        scores = score_tfidf(fitted.payload, queries)
-    elif fitted.kind == "lsi":
-        scores = score_lsi(fitted.payload, queries)
-    elif fitted.kind == "plsi":
-        scores = score_plsa(fitted.payload, queries)
-    elif fitted.kind == "lda":
-        index = build_index(fitted.payload, corpus.counts)
-        scores = score_ldi(index, queries)
-    else:
-        raise ValueError(f"unknown model kind {fitted.kind!r}")
+    scores = _ranker(fitted.kind).score(fitted.payload, corpus)
     return ScoreMatrix(tag=tag or fitted.kind, scores=np.asarray(scores),
                        query_ids=corpus.query_ids, doc_ids=corpus.doc_ids)
 
@@ -110,63 +180,26 @@ def evaluate_matrix(matrix: ScoreMatrix, corpus: Corpus) -> EvalReport:
 
 def save_fitted(fitted: FittedModel, out_dir):
     """Persist a fitted model as a bundle directory."""
+    scalars, arrays = _ranker(fitted.kind).pack(fitted.payload)
     manifest = {
         "corpus_checksum": fitted.corpus_checksum,
         "corpus_name": fitted.corpus_name,
         "k": fitted.k,
         "seed": fitted.seed,
+        **(fitted.extra or {}),
+        **scalars,
     }
-    if fitted.extra:
-        manifest.update(fitted.extra)
-    payload = fitted.payload
-    if fitted.kind == "tfidf":
-        arrays = {"idf": payload.idf, "doc_vectors": payload.doc_vectors}
-        manifest["n_docs"] = payload.n_docs
-    elif fitted.kind == "lsi":
-        arrays = {"idf": payload.tfidf.idf, "u": payload.factors.u,
-                  "s": payload.factors.s, "vt": payload.factors.vt}
-        manifest["n_docs"] = payload.tfidf.n_docs
-        manifest["requested_k"] = payload.factors.requested_k
-    elif fitted.kind == "plsi":
-        arrays = {"p_dz": payload.p_dz, "p_wz": payload.p_wz}
-        manifest["beta_temp"] = payload.beta_temp
-    elif fitted.kind == "lda":
-        arrays = {"beta": payload.beta}
-        manifest["alpha"] = payload.alpha
-    else:
-        raise ValueError(f"unknown model kind {fitted.kind!r}")
     return bundle.save_model(out_dir, fitted.kind, manifest, arrays)
 
 
 def load_fitted(in_dir) -> FittedModel:
     manifest, arrays = bundle.load_model(in_dir)
     kind = manifest["kind"]
-    k = manifest.get("k")
-    seed = manifest.get("seed", 0)
-    if kind == "tfidf":
-        payload = TfIdfModel(idf=arrays["idf"],
-                             doc_vectors=arrays["doc_vectors"].astype(float),
-                             n_docs=int(manifest["n_docs"]))
-    elif kind == "lsi":
-        factors = SvdFactors(u=arrays["u"], s=arrays["s"], vt=arrays["vt"],
-                             requested_k=int(manifest.get("requested_k", k)))
-        n_docs = int(manifest["n_docs"])
-        empty = sp.csr_matrix((n_docs, len(arrays["idf"])))
-        payload = LsiModel(tfidf=TfIdfModel(idf=arrays["idf"],
-                                            doc_vectors=empty, n_docs=n_docs),
-                           factors=factors)
-    elif kind == "plsi":
-        payload = PlsaModel(k=int(k), p_dz=arrays["p_dz"], p_wz=arrays["p_wz"],
-                            beta_temp=float(manifest["beta_temp"]), seed=seed)
-    elif kind == "lda":
-        payload = LdaModel(k=int(k), alpha=float(manifest["alpha"]),
-                           beta=arrays["beta"], seed=seed)
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    payload = _ranker(kind).unpack(manifest, arrays)
     return FittedModel(kind=kind, payload=payload,
                        corpus_checksum=manifest["corpus_checksum"],
-                       corpus_name=manifest.get("corpus_name", ""), k=k,
-                       seed=seed)
+                       corpus_name=manifest.get("corpus_name", ""),
+                       k=manifest.get("k"), seed=manifest.get("seed", 0))
 
 
 def sweep_topics(corpus: Corpus, method: str, ks, seeds,

@@ -18,6 +18,7 @@ import scipy.sparse as sp
 from scipy.special import logsumexp
 
 from .corpus import TermDocCounts
+from .vsm import cosine_scores
 
 _PERPLEXITY_FLOOR_MIX = 1e-6    # uniform mass mixed in for held-out scoring
 
@@ -323,10 +324,5 @@ def score_plsa(model: PlsaModel, query_counts) -> np.ndarray:
     """
     single = not sp.issparse(query_counts) and np.ndim(query_counts) == 1
     q_mix, q_evidence = fold_in(model, query_counts)
-    doc_norms = np.linalg.norm(model.p_dz, axis=1)
-    q_norms = np.linalg.norm(q_mix, axis=1, keepdims=True)
-    denom = q_norms * doc_norms[None, :]
-    raw = q_mix @ model.p_dz.T
-    scores = np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
-    scores = scores * q_evidence[:, None]
+    scores = cosine_scores(q_mix, model.p_dz, q_evidence)
     return scores[0] if single else scores

@@ -26,6 +26,25 @@ def _row_normalize(matrix: sp.csr_matrix) -> sp.csr_matrix:
     return sp.diags(inv) @ matrix
 
 
+def cosine_scores(queries: np.ndarray, docs: np.ndarray,
+                  query_mask: np.ndarray | None = None,
+                  doc_mask: np.ndarray | None = None) -> np.ndarray:
+    """Dense cosine of every query row against every document row.
+
+    Rows of zero norm score zero.  A row whose evidence mask is False scores
+    zero against everything, whatever its vector.
+    """
+    raw = queries @ docs.T
+    denom = np.outer(np.linalg.norm(queries, axis=1),
+                     np.linalg.norm(docs, axis=1))
+    scores = np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
+    if query_mask is not None:
+        scores = scores * query_mask[:, None]
+    if doc_mask is not None:
+        scores = scores * doc_mask[None, :]
+    return scores
+
+
 def train_tfidf(counts: TermDocCounts) -> TfIdfModel:
     """Weight counts by ln(M / df) per term, then unit-normalize documents.
 

@@ -1,5 +1,8 @@
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +348,15 @@ class TestEntryPoints:
     def test_console_script_help(self):
         proc = subprocess.run(["ldikit", "--help"], capture_output=True,
                               text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: ldikit")
+
+    def test_module_help(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "ldikit", "--help"],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: ldikit")
 

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
+from ldikit import cli
 from ldikit.corpus import (Collection, ParseError, Query, RawDocument,
                            StopList, build_corpus, build_vocabulary,
                            count_matrix, load_collection, load_corpus,
                            load_stoplist, merge_collections, parse_documents,
-                           parse_qrels, parse_queries, query_count_vector,
+                           parse_qrels, parse_queries,
                            save_corpus, smart_stoplist, tokenize,
                            validate_qrels)
 
@@ -195,9 +198,10 @@ class TestVocabulary:
         assert counts.doc_lengths[0] == 0
 
     def test_query_count_vector(self):
+        # queries count through the same path as documents, token lists too
         vocab = build_vocabulary(self.DOCS)
-        vec = query_count_vector(["cat", "mat", "cat", "unseen"], vocab)
-        np.testing.assert_array_equal(vec, [0, 2, 0, 1])
+        counts = count_matrix([["cat", "mat", "cat", "unseen"]], vocab)
+        np.testing.assert_array_equal(counts.matrix.toarray()[0], [0, 2, 0, 1])
 
 
 def tiny_collection(name="tiny"):
@@ -259,6 +263,13 @@ class TestCollections:
         assert c1.checksum() != c2.checksum()
 
 
+def edit_manifest(bundle_dir, **changes):
+    path = bundle_dir / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+
+
 class TestCorpusBundle:
     def test_roundtrip(self, tmp_path):
         corpus = build_corpus(tiny_collection())
@@ -277,19 +288,52 @@ class TestCorpusBundle:
     def test_tampered_bundle_rejected(self, tmp_path):
         corpus = build_corpus(tiny_collection())
         out = save_corpus(corpus, tmp_path / "bundle")
-        vocab_file = out / "vocabulary.txt"
-        vocab_file.write_text(vocab_file.read_text().replace("alpha", "omega"))
+        terms = json.loads((out / "manifest.json").read_text())["terms"]
+        edit_manifest(out, terms=["omega" if t == "alpha" else t for t in terms])
         with pytest.raises(ValueError, match="checksum"):
             load_corpus(out)
 
     def test_version_gate(self, tmp_path):
         corpus = build_corpus(tiny_collection())
         out = save_corpus(corpus, tmp_path / "bundle")
-        manifest = out / "manifest.json"
-        manifest.write_text(manifest.read_text().replace(
-            '"format_version": 1', '"format_version": 99'))
+        edit_manifest(out, format_version=99)
         with pytest.raises(ValueError, match="version"):
             load_corpus(out)
+
+
+class TestDamagedCorpusBundle:
+    """Damage is a ValueError on load and a data error (exit 2) on the CLI."""
+
+    def assert_rejected(self, bundle_dir, tmp_path, match):
+        with pytest.raises(ValueError, match=match):
+            load_corpus(bundle_dir)
+        code = cli.main(["train", "--corpus", str(bundle_dir), "--method",
+                         "tfidf", "--out", str(tmp_path / "model")])
+        assert code == 2
+
+    def test_flipped_byte_in_counts(self, tmp_path):
+        out = save_corpus(build_corpus(tiny_collection()), tmp_path / "bundle")
+        data = bytearray((out / "counts.data.bin").read_bytes())
+        data[0] ^= 0x01
+        (out / "counts.data.bin").write_bytes(bytes(data))
+        self.assert_rejected(out, tmp_path, "checksum")
+
+    def test_truncated_array_file(self, tmp_path):
+        out = save_corpus(build_corpus(tiny_collection()), tmp_path / "bundle")
+        indices = out / "counts.indices.bin"
+        indices.write_bytes(indices.read_bytes()[:-8])
+        self.assert_rejected(out, tmp_path, "bytes")
+
+    def test_csv_bundle_must_be_rebuilt(self, tmp_path):
+        # the per-row CSV layout of format version 1
+        out = tmp_path / "bundle"
+        out.mkdir()
+        (out / "vocabulary.txt").write_text("alpha\nbeta\n")
+        (out / "counts.csv").write_text("doc,term,count\n1,0,2\n")
+        (out / "manifest.json").write_text(json.dumps(
+            {"format_version": 1, "tokenizer_version": 1, "name": "tiny",
+             "doc_ids": [1], "query_ids": [], "checksum": "0"}))
+        self.assert_rejected(out, tmp_path, "rebuild .*ldikit corpus build")
 
 
 class TestLoadCollection:

@@ -5,9 +5,9 @@ import scipy.sparse as sp
 from ldikit.corpus import TermDocCounts
 from ldikit.demo import TERMS, demo_corpus, fit_demo_topics
 from ldikit.lda import LdaModel
-from ldikit.ldi import (build_index, document_vectors, query_vector,
-                        score_ldi, term_similarity, topic_cosine,
+from ldikit.ldi import (build_index, document_vectors, score_ldi,
                         word_topic_matrix)
+from ldikit.vsm import cosine_scores
 
 
 def make_counts(rows):
@@ -35,13 +35,13 @@ class TestWordTopicMatrix:
         np.testing.assert_allclose(w[1], [0.5, 0.5])
 
     def test_term_similarity_metrics(self):
+        # term-term similarity in topic space is the cosine of term rows
         w = word_topic_matrix(BETA)
-        assert term_similarity(w, 0, 0) == pytest.approx(1.0)
-        assert 0.0 <= term_similarity(w, 0, 2) <= 1.0
-        dot = term_similarity(w, 0, 1, metric="dot")
-        assert dot == pytest.approx(float(w[0] @ w[1]))
-        with pytest.raises(ValueError):
-            term_similarity(w, 0, 1, metric="euclid")
+        sims = cosine_scores(w, w)
+        np.testing.assert_allclose(np.diag(sims), 1.0)
+        assert np.all(sims >= 0.0) and np.all(sims <= 1.0 + 1e-12)
+        assert sims[0, 1] == pytest.approx(
+            w[0] @ w[1] / (np.linalg.norm(w[0]) * np.linalg.norm(w[1])))
 
 
 class TestVectors:
@@ -67,18 +67,21 @@ class TestVectors:
         assert not evidence[0] and evidence[1]
 
     def test_query_vector(self):
+        # a query is the length-weighted mean of its terms' topic rows
         w = word_topic_matrix(BETA)
-        vec, ok = query_vector(w, np.array([1, 1, 0, 0]))
-        np.testing.assert_allclose(vec, (w[0] + w[1]) / 2)
-        assert ok
-        _, empty_ok = query_vector(w, np.zeros(4, dtype=int))
-        assert not empty_ok
+        counts = make_counts([[2, 1, 0, 0], [0, 0, 3, 1]])
+        index = build_index(LdaModel(k=2, alpha=0.5, beta=BETA), counts)
+        query = (w[0] + w[1]) / 2
+        expected = cosine_scores(query[None, :], index.doc_vectors)[0]
+        np.testing.assert_allclose(score_ldi(index, np.array([1, 1, 0, 0])),
+                                   expected)
 
     def test_cosine_range(self):
-        assert topic_cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-        assert topic_cosine(np.array([1.0, 1.0]), np.array([1.0, 1.0])) == \
-            pytest.approx(1.0)
-        assert topic_cosine(np.zeros(2), np.ones(2)) == 0.0
+        a = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        b = np.array([[0.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_allclose(cosine_scores(a, b),
+                                   [[0.0, 2 ** -0.5], [2 ** -0.5, 1.0],
+                                    [0.0, 0.0]])
 
 
 class TestScoring:
@@ -105,14 +108,6 @@ class TestScoring:
         assert single.shape == (3,)
         batch = score_ldi(index, np.array([[1, 0, 1, 0]]))
         np.testing.assert_allclose(batch[0], single)
-
-    def test_dot_metric(self):
-        index = build_index(self.MODEL, self.COUNTS, metric="dot")
-        scores = score_ldi(index, np.array([1, 0, 0, 0]))
-        w = index.w
-        expected = np.array([w[0] @ index.doc_vectors[i] for i in range(3)])
-        expected[2] = 0.0
-        np.testing.assert_allclose(scores, expected)
 
 
 class TestDemoModel:

@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
-from ldikit import config
-from ldikit.config import (ExperimentConfig, available_collections, data_root,
-                           default_topic_count, find_collection_files,
-                           resolve_out_path)
+from ldikit import config, pipeline
+from ldikit.config import (data_root, default_topic_count,
+                           find_collection_files, resolve_out_path)
+from ldikit.corpus import save_corpus
 from ldikit.demo import demo_corpus
 from ldikit.pipeline import (FittedModel, evaluate_matrix, load_fitted,
                              resolve_method, save_fitted, score_corpus,
@@ -92,6 +90,35 @@ class TestTrainScoreEvaluate:
         assert 0.0 < fitted.extra["beta_temp"] <= 1.0
 
 
+class TestDispatch:
+    """The method table reaches the ranker functions through this module."""
+
+    REACHES = {
+        "tfidf": {"train_tfidf", "score_tfidf"},
+        "lsi": {"train_lsi", "score_lsi"},
+        "plsi": {"train_plsa", "score_plsa"},
+        "lda": {"train_lda", "build_index", "score_ldi"},
+    }
+
+    def test_each_method_reaches_its_pipeline_names(self, corpus, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        names = set().union(*self.REACHES.values())
+        for name in names:
+            monkeypatch.setattr(pipeline, name,
+                                counting(name, getattr(pipeline, name)))
+        for method, expected in self.REACHES.items():
+            calls.clear()
+            score_corpus(fit(corpus, method), corpus)
+            assert set(calls) == expected, method
+
+
 class TestPersistence:
     @pytest.mark.parametrize("method", ["tfidf", "lsi", "plsi", "lda"])
     def test_saved_model_scores_identically(self, corpus, method, tmp_path):
@@ -117,6 +144,11 @@ class TestPersistence:
         fitted = FittedModel("mystery", object(), "x", "demo")
         with pytest.raises(ValueError, match="unknown model kind"):
             save_fitted(fitted, tmp_path / "m")
+
+    def test_corpus_bundle_is_not_a_model(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path / "c")
+        with pytest.raises(ValueError, match="unknown model kind 'corpus'"):
+            load_fitted(tmp_path / "c")
 
 
 class TestSweep:
@@ -190,33 +222,8 @@ class TestCollectionLookup:
     def test_no_root_means_none(self):
         assert find_collection_files(None, "MED") is None
 
-    def test_available_collections(self, tmp_path):
-        assert available_collections(self.make_tree(tmp_path)) == ["MED"]
-
 
 class TestExperimentConfig:
-    def test_from_json_roundtrip(self, tmp_path):
-        doc = {"data_dir": "/data", "seeds": [1, 2, 3], "eps": 0.001,
-               "topic_counts": {"lsi": {"MED": 42}}}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(doc))
-        cfg = ExperimentConfig.from_json(path)
-        assert cfg.data_dir == "/data"
-        assert cfg.seeds == [1, 2, 3]
-        assert cfg.eps == 0.001
-
-    def test_unknown_keys_rejected(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"data_dir": "/data", "bogus": 1}))
-        with pytest.raises(ValueError, match="unknown config keys"):
-            ExperimentConfig.from_json(path)
-
-    def test_topic_count_override_beats_default(self):
-        cfg = ExperimentConfig(topic_counts={"lsi": {"MED": 42}})
-        assert cfg.topic_count("lsi", "MED") == 42
-        assert cfg.topic_count("plsi", "MED") == default_topic_count("plsi",
-                                                                     "MED")
-
     def test_default_topic_count_resolves_alias(self):
         assert default_topic_count("ldi", "med") == \
             config.DEFAULT_TOPIC_COUNTS["lda"]["MED"]

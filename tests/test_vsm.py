@@ -5,7 +5,8 @@ import scipy.sparse as sp
 from ldikit.corpus import TermDocCounts
 from ldikit.demo import demo_corpus
 from ldikit.metrics import average_precision, rank_documents
-from ldikit.vsm import score_tfidf, tfidf_query_matrix, train_tfidf
+from ldikit.vsm import (cosine_scores, score_tfidf, tfidf_query_matrix,
+                        train_tfidf)
 
 
 def make_counts(rows):
@@ -85,6 +86,20 @@ class TestScoring:
         q = tfidf_query_matrix(model, sp.csr_matrix(np.array([[1, 2, 0]])))
         norm = float(np.sqrt(q.multiply(q).sum()))
         assert norm == pytest.approx(1.0)
+
+
+class TestCosineScores:
+    def test_signed_vectors_and_masks(self):
+        queries = np.array([[1.0, -1.0], [2.0, 0.0]])
+        docs = np.array([[-1.0, 1.0], [1.0, 0.0], [3.0, 4.0]])
+        plain = cosine_scores(queries, docs)
+        np.testing.assert_allclose(plain[0, 0], -1.0)
+        np.testing.assert_allclose(plain[1], [-(2 ** -0.5), 1.0, 0.6])
+        masked = cosine_scores(queries, docs, np.array([True, False]),
+                               np.array([True, True, False]))
+        np.testing.assert_array_equal(masked[1], 0.0)
+        np.testing.assert_array_equal(masked[:, 2], 0.0)
+        np.testing.assert_array_equal(masked[0, :2], plain[0, :2])
 
 
 class TestDemoBehavior:
