@@ -133,7 +133,14 @@ def load_scores(path) -> ScoreMatrix:
             raise ValueError("unsupported score file version")
         query_ids = np.array(header["query_ids"], dtype=np.int64)
         doc_ids = np.array(header["doc_ids"], dtype=np.int64)
-        raw = np.frombuffer(fh.read(), dtype=_DTYPE_TAGS[header["dtype"]])
-    scores = raw.reshape(len(query_ids), len(doc_ids)).copy()
+        dtype = _DTYPE_TAGS[header["dtype"]]
+        payload = fh.read()
+    expected = dtype.itemsize * len(query_ids) * len(doc_ids)
+    if len(payload) != expected:
+        raise ValueError(f"score file {path.name} holds {len(payload)} payload "
+                         f"bytes; its header's {len(query_ids)} queries x "
+                         f"{len(doc_ids)} docs need {expected}")
+    scores = np.frombuffer(payload, dtype=dtype).reshape(
+        len(query_ids), len(doc_ids)).copy()
     return ScoreMatrix(tag=header["tag"], scores=scores,
                        query_ids=query_ids, doc_ids=doc_ids)

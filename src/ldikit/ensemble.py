@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import (ap_matrix, average_precision, mean_average_precision,
-                      rank_documents)
+from .metrics import Judgments, ap_matrix, mean_average_precision
+# Not called here; kept importable for callers that reach them through this
+# module.
+from .metrics import average_precision, rank_documents  # noqa: F401
 
 AP_CLIP = 1e-6
 
@@ -120,15 +122,6 @@ class EnsembleWeights:
         return normalize_weights(self.alpha)
 
 
-def _ensemble_aps(scores: np.ndarray, judged_rows: list[int], query_ids,
-                  doc_ids, qrels) -> np.ndarray:
-    aps = np.empty(len(judged_rows))
-    for col, qi in enumerate(judged_rows):
-        ranked = rank_documents(scores[qi], doc_ids)
-        aps[col] = average_precision(ranked, qrels[int(query_ids[qi])])
-    return aps
-
-
 def select_constituent(weights: np.ndarray, ap_table: np.ndarray,
                        pool: set[int], rule: str = "weighted-ap") -> int:
     """Pick the constituent the current query weights like best.
@@ -162,17 +155,13 @@ def train_ensemble(matrices: list[ScoreMatrix], qrels: dict[int, set[int]],
     is reported through ``converged=False``.
     """
     validate_alignment(matrices)
-    query_ids = matrices[0].query_ids
-    doc_ids = matrices[0].doc_ids
-    judged_rows = [qi for qi, qid in enumerate(query_ids)
-                   if qrels.get(int(qid))]
-    if not judged_rows:
+    judged = Judgments(matrices[0].query_ids, matrices[0].doc_ids, qrels)
+    if not len(judged.rows):
         raise ValueError("no judged queries to train on")
 
-    ap_table = ap_matrix([m.scores for m in matrices], query_ids, doc_ids,
-                         qrels)
+    ap_table = np.array([judged.average_precisions(m.scores) for m in matrices])
     n_models = len(matrices)
-    n_queries = len(judged_rows)
+    n_queries = len(judged.rows)
     weights = np.full(n_queries, 1.0 / n_queries)
     alpha = np.zeros(n_models)
     pool = set(range(n_models))
@@ -185,7 +174,7 @@ def train_ensemble(matrices: list[ScoreMatrix], qrels: dict[int, set[int]],
         delta = step_size(weights, ap_table[chosen])
         alpha[chosen] += delta
         ensemble = combined_scores(alpha, matrices)
-        h_aps = _ensemble_aps(ensemble, judged_rows, query_ids, doc_ids, qrels)
+        h_aps = judged.average_precisions(ensemble)
         current_map = mean_average_precision(h_aps)
         change = abs(current_map - prev_map)
 
@@ -264,12 +253,6 @@ class CrossValReport:
                 for t in tags}
 
 
-def _map_of(scores: np.ndarray, sub_query_ids, doc_ids, qrels) -> float:
-    rows = [qi for qi, qid in enumerate(sub_query_ids) if qrels.get(int(qid))]
-    return mean_average_precision(
-        _ensemble_aps(scores, rows, sub_query_ids, doc_ids, qrels))
-
-
 def cross_validate(matrices: list[ScoreMatrix], qrels: dict[int, set[int]],
                    n_folds: int = 2, seed: int = 0, eps: float = 1e-4,
                    max_rounds: int = 200) -> CrossValReport:
@@ -292,18 +275,16 @@ def cross_validate(matrices: list[ScoreMatrix], qrels: dict[int, set[int]],
         train_mats = [m.take_queries(train_rows) for m in matrices]
         test_mats = [m.take_queries(test_rows) for m in matrices]
         weights = train_ensemble(train_mats, qrels, eps=eps, max_rounds=max_rounds)
-        doc_ids = matrices[0].doc_ids
-        test_ids = matrices[0].query_ids[test_rows]
-        test_map = _map_of(combined_scores(weights.alpha, test_mats),
-                           test_ids, doc_ids, qrels)
         uni = uniform_weights(matrices)
-        uniform_map = _map_of(combined_scores(uni.alpha, test_mats),
-                              test_ids, doc_ids, qrels)
-        constituent_maps = {m.tag: _map_of(m.scores, test_ids, doc_ids, qrels)
-                            for m in test_mats}
+        aps = ap_matrix([combined_scores(weights.alpha, test_mats),
+                         combined_scores(uni.alpha, test_mats),
+                         *(m.scores for m in test_mats)],
+                        test_mats[0].query_ids, test_mats[0].doc_ids, qrels)
+        test_map, uniform_map, *constituent_maps = map(mean_average_precision, aps)
         results.append(FoldResult(
             train_rows=train_rows, test_rows=test_rows, weights=weights,
             test_map=test_map, uniform_test_map=uniform_map,
-            constituent_test_maps=constituent_maps,
+            constituent_test_maps=dict(zip((m.tag for m in test_mats),
+                                           constituent_maps)),
         ))
     return CrossValReport(folds=results)

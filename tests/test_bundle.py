@@ -126,6 +126,16 @@ class TestScoreFiles:
         with pytest.raises(ValueError, match="version"):
             load_scores(path)
 
+    @pytest.mark.parametrize("damage", ["truncated", "padded"])
+    def test_payload_length_checked(self, tmp_path, damage):
+        path = save_scores(tmp_path / "s.bin", self.make_matrix())
+        blob = path.read_bytes()
+        # 4 x 6 float64 scores make a 192-byte payload
+        path.write_bytes(blob[:-8] if damage == "truncated" else blob + b"\0" * 8)
+        held = 184 if damage == "truncated" else 200
+        with pytest.raises(ValueError, match=f"holds {held} payload bytes.*need 192"):
+            load_scores(path)
+
     def test_parent_directories_created(self, tmp_path):
         deep = tmp_path / "a" / "b" / "scores.bin"
         save_scores(deep, self.make_matrix())

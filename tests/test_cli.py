@@ -224,6 +224,17 @@ class TestEval:
         assert len(doc["interpolated_precision"]) == 11
         assert 0.0 < doc["map"] <= 1.0
 
+    @pytest.mark.parametrize("damage", ["truncated", "padded"])
+    def test_wrong_length_score_file_is_data_error(self, ws, tmp_path, capsys,
+                                                   damage):
+        blob = ws["tfidf_scores"].read_bytes()
+        damaged = tmp_path / "damaged.bin"
+        damaged.write_bytes(blob[:-1] if damage == "truncated" else blob + b"\0")
+        code, _, err = run(capsys, ["eval", "--corpus", str(ws["corpus"]),
+                                    "--scores", str(damaged)])
+        assert code == 2
+        assert "data error" in err and "payload bytes" in err
+
     def test_missing_score_file_is_data_error(self, ws, tmp_path, capsys):
         code, _, err = run(capsys, ["eval", "--corpus", str(ws["corpus"]),
                                     "--scores", str(tmp_path / "absent.bin")])

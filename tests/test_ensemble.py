@@ -7,7 +7,7 @@ from ldikit.ensemble import (AP_CLIP, ScoreMatrix, combined_scores,
                              exp_loss_bound, normalize_weights,
                              reweight_queries, select_constituent, step_size,
                              uniform_weights, validate_alignment)
-from ldikit.metrics import ap_matrix
+from ldikit.metrics import ap_matrix, evaluate_scores
 
 DOC_IDS = np.array([1, 2, 3, 4])
 QUERY_IDS = np.array([10, 20, 30])
@@ -364,3 +364,30 @@ class TestCrossValidate:
         matrices, qrels = halves_fixture()
         with pytest.raises(ValueError, match="fold count"):
             cross_validate(matrices, qrels, n_folds=7)
+
+    def test_fold_maps_use_each_folds_own_judgments(self):
+        # two equal-size folds whose queries judge different documents: a
+        # fold scored with the other fold's judgments gets different MAPs
+        rng = np.random.default_rng(5)
+        query_ids = np.arange(1, 13)
+        doc_ids = np.arange(1, 31)
+        qrels = {int(q): set(rng.choice(doc_ids, size=int(rng.integers(1, 8)),
+                                        replace=False).tolist())
+                 for q in query_ids}
+        matrices = [ScoreMatrix(tag, rng.random((12, 30)), query_ids, doc_ids)
+                    for tag in ("a", "b", "c")]
+        report = cross_validate(matrices, qrels, n_folds=2, seed=3,
+                                max_rounds=5)
+        assert [len(f.test_rows) for f in report.folds] == [6, 6]
+        for fold in report.folds:
+            test_mats = [m.take_queries(fold.test_rows) for m in matrices]
+
+            def fold_map(scores):
+                return evaluate_scores(scores, query_ids[fold.test_rows],
+                                       doc_ids, qrels).map_score
+            assert fold.test_map == fold_map(
+                combined_scores(fold.weights.alpha, test_mats))
+            assert fold.uniform_test_map == fold_map(
+                combined_scores(uniform_weights(matrices).alpha, test_mats))
+            assert fold.constituent_test_maps == {
+                m.tag: fold_map(m.scores) for m in test_mats}

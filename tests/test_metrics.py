@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_average_precision, brute_force_pr_curve
-from ldikit.metrics import (EvalReport, ap_matrix, average_precision,
-                            evaluate_scores, macro_average_curve,
-                            mean_average_precision, pr_curve, rank_documents)
+from ldikit import metrics
+from ldikit.metrics import (EvalReport, Judgments, ap_matrix,
+                            average_precision, evaluate_scores,
+                            macro_average_curve, mean_average_precision,
+                            pr_curve, rank_documents)
 
 
 class TestRanking:
@@ -134,3 +136,97 @@ class TestApMatrix:
         assert table.shape == (2, 2)
         np.testing.assert_allclose(table[0], [1.0, 0.5])
         np.testing.assert_allclose(table[1], [0.5, 1.0])
+
+    def test_no_judged_queries_gives_no_columns(self):
+        table = ap_matrix([np.zeros((2, 2))] * 3, [1, 2], [10, 20], {})
+        assert table.shape == (3, 0)
+
+
+def reference_ranking(scores, doc_ids):
+    """The ranking rule, stated with one lexsort per row."""
+    return doc_ids[np.lexsort((doc_ids, -scores))]
+
+
+def random_layout(rng, kind):
+    n_queries, n_docs = int(rng.integers(1, 25)), int(rng.integers(1, 120))
+    if kind == "ties":
+        scores = rng.integers(0, 4, (n_queries, n_docs)).astype(float)
+    elif kind == "signed-zeros":
+        scores = rng.choice([0.0, -0.0, 0.25, 1.0], size=(n_queries, n_docs))
+    else:
+        scores = rng.random((n_queries, n_docs))
+    # unsorted, gapped doc ids
+    doc_ids = rng.choice(5 * n_docs + 5, size=n_docs, replace=False) + 1
+    query_ids = np.arange(n_queries) + 100
+    qrels = {int(q): set(rng.choice(doc_ids, size=int(rng.integers(1, n_docs + 1)),
+                                    replace=False).tolist())
+             for q in query_ids if rng.random() < 0.7}
+    return scores, query_ids, doc_ids, qrels
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("block_cells", [metrics.BLOCK_CELLS, 50])
+    @pytest.mark.parametrize("kind", ["ties", "signed-zeros", "continuous"])
+    def test_matches_one_ranking_at_a_time(self, monkeypatch, kind, block_cells):
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            scores, query_ids, doc_ids, qrels = random_layout(rng, kind)
+            if not qrels:
+                continue
+            report = evaluate_scores(scores, query_ids, doc_ids, qrels)
+            table = ap_matrix([scores, -scores], query_ids, doc_ids, qrels)
+            judged = Judgments(query_ids, doc_ids, qrels)
+            assert judged.query_ids.tolist() == [q for q in query_ids.tolist()
+                                                 if q in qrels]
+            curves = []
+            for col, qi in enumerate(judged.rows):
+                relevant = qrels[int(query_ids[qi])]
+                ranked = rank_documents(scores[qi], doc_ids)
+                assert ranked.tolist() == reference_ranking(scores[qi], doc_ids).tolist()
+                ap = average_precision(ranked, relevant)
+                assert ap == brute_force_average_precision(ranked.tolist(), relevant)
+                assert report.per_query_ap[int(query_ids[qi])] == ap
+                assert table[0, col] == ap
+                assert table[1, col] == average_precision(
+                    rank_documents(-scores[qi], doc_ids), relevant)
+                curve = pr_curve(ranked, relevant)
+                assert (curve == brute_force_pr_curve(ranked.tolist(), relevant)).all()
+                curves.append(curve)
+            assert (report.curve == macro_average_curve(curves)).all()
+            assert report.skipped_queries == [q for q in query_ids.tolist()
+                                              if q not in qrels]
+
+    def test_nan_scores_rank_last_by_id(self):
+        rng = np.random.default_rng(2)
+        scores = rng.random((3, 500))
+        scores[rng.random((3, 500)) < 0.4] = np.nan
+        doc_ids = rng.permutation(500) + 1
+        qrels = {q: set(rng.choice(doc_ids, size=20, replace=False).tolist())
+                 for q in (1, 2, 3)}
+        report = evaluate_scores(scores, [1, 2, 3], doc_ids, qrels)
+        for row, q in zip(scores, (1, 2, 3)):
+            ranked = reference_ranking(row, doc_ids)
+            assert rank_documents(row, doc_ids).tolist() == ranked.tolist()
+            assert report.per_query_ap[q] == brute_force_average_precision(
+                ranked.tolist(), qrels[q])
+
+    def test_relevant_document_outside_the_ranking_rejected(self):
+        scores = np.array([[0.2, 0.1], [0.3, 0.4]])
+        qrels = {1: {10}, 2: {20, 99}}
+        with pytest.raises(ValueError, match="missing"):
+            evaluate_scores(scores, [1, 2], [10, 20], qrels)
+        with pytest.raises(ValueError, match="missing"):
+            ap_matrix([scores], [1, 2], [10, 20], qrels)
+        with pytest.raises(ValueError, match="missing"):
+            average_precision(rank_documents(scores[1], np.array([10, 20])),
+                              qrels[2])
+
+    def test_repeated_document_ids_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            evaluate_scores(np.zeros((1, 3)), [1], [10, 20, 10], {1: {20}})
+
+    def test_explicit_ranking_counts_a_repeated_document_once(self):
+        # the second 5 holds a rank but is not a second hit
+        assert average_precision([5, 7, 5, 9], {5, 9}) == (1 + 2 / 4) / 2
+        assert (pr_curve([5, 7, 5, 9], {5, 9}) == pr_curve([5, 7, 8, 9], {5, 9})).all()
