@@ -120,8 +120,13 @@ def load_scores(path) -> ScoreMatrix:
             doc_ids = np.array([int(d) for d in header[1:]], dtype=np.int64)
             query_ids = []
             rows = []
-            for line in fh:
+            for line_no, line in enumerate(fh, start=2):
                 parts = line.rstrip("\n").split(",")
+                if len(parts) - 1 != len(doc_ids):
+                    raise ValueError(
+                        f"score file {path.name} line {line_no} holds "
+                        f"{len(parts) - 1} scores; its header has "
+                        f"{len(doc_ids)} doc ids")
                 query_ids.append(int(parts[0]))
                 rows.append([float(v) for v in parts[1:]])
         return ScoreMatrix(tag=path.stem, scores=np.array(rows),

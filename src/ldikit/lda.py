@@ -14,10 +14,15 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import gammaln, logsumexp, psi, polygamma
+from scipy.special import gammaln, psi, polygamma
 
-from .corpus import TermDocCounts
+from .corpus import TermDocCounts, TokenCells, log_normalize_rows
+
+VAR_MAX_ITERS = 100             # inner E-step sweeps per document block
+TOPIC_SMOOTHING = 1e-9          # added to topic-term sufficient stats
+DOC_CHUNK = 1024                # documents per E-step block
+ALPHA_MIN = 1e-3                # range of the symmetric prior weight
+ALPHA_MAX = 10.0
 
 
 @dataclass
@@ -26,13 +31,8 @@ class LdaOptions:
 
     max_em_iters: int = 100
     em_tol: float = 1e-4            # relative bound change between passes
-    var_max_iters: int = 100
     var_tol: float = 1e-6           # relative gamma change per document
     estimate_alpha: bool = True
-    alpha_min: float = 1e-3
-    alpha_max: float = 10.0
-    topic_smoothing: float = 1e-9   # added to topic-term sufficient stats
-    doc_chunk: int = 1024
 
 
 @dataclass
@@ -91,8 +91,8 @@ def seeded_topic_start(counts: TermDocCounts, k: int, seed: int = 0) -> np.ndarr
     return beta / beta.sum(axis=1, keepdims=True)
 
 
-def _chunk_estep(chunk: sp.csr_matrix, gamma_chunk: np.ndarray,
-                 log_beta: np.ndarray, alpha: float, options: LdaOptions):
+def _chunk_estep(cells: TokenCells, gamma_chunk: np.ndarray,
+                 log_beta: np.ndarray, alpha: float, var_tol: float):
     """Variational inference for one block of documents.
 
     Returns the converged gamma block, topic-term sufficient statistics,
@@ -100,47 +100,29 @@ def _chunk_estep(chunk: sp.csr_matrix, gamma_chunk: np.ndarray,
     contribution evaluated at the returned variational parameters under
     the current model.
     """
-    n_rows, n_terms = chunk.shape
-    k = log_beta.shape[0]
-    counts = chunk.data.astype(float)
-    token_doc = np.repeat(np.arange(n_rows), np.diff(chunk.indptr))
-    token_term = chunk.indices
-    lbeta_t = log_beta[:, token_term].T                     # (nnz, k)
-    # selection matrix: row sums of count-weighted phi in one multiply
-    gather = sp.csr_matrix(
-        (counts, (token_doc, np.arange(len(counts)))),
-        shape=(n_rows, len(counts)),
-    )
-
+    n_rows, k = gamma_chunk.shape
+    lbeta_t = log_beta[:, cells.term].T                     # (nnz, k)
     gamma = gamma_chunk.copy()
-    log_phi = np.zeros((len(counts), k))
-    for _ in range(options.var_max_iters):
+    for _ in range(VAR_MAX_ITERS):
         elog_theta = psi(gamma) - psi(gamma.sum(axis=1, keepdims=True))
-        log_phi = lbeta_t + elog_theta[token_doc]
-        log_phi -= logsumexp(log_phi, axis=1, keepdims=True)
+        log_phi = lbeta_t + elog_theta[cells.doc]
+        log_normalize_rows(log_phi)
         phi = np.exp(log_phi)
-        gamma_new = alpha + gather @ phi
+        gamma_new = alpha + cells.row_sums(phi)
         change = np.abs(gamma_new - gamma).sum(axis=1) / gamma.sum(axis=1)
         gamma = gamma_new
-        if change.max() < options.var_tol:
+        if change.max() < var_tol:
             break
-    else:
-        phi = np.exp(log_phi)
-
-    weighted_phi = counts[:, None] * phi
-    stats = np.empty((k, n_terms))
-    for topic in range(k):
-        stats[topic] = np.bincount(token_term, weights=weighted_phi[:, topic],
-                                   minlength=n_terms)
+    stats = cells.term_sums(phi)
 
     elog_theta = psi(gamma) - psi(gamma.sum(axis=1, keepdims=True))
     alpha_stat = float(elog_theta.sum())
 
     # Exact bound at (gamma, phi): token terms use the true log phi, so no
     # cancellation shortcut that would assume phi optimal for this gamma.
-    token_part = phi * (lbeta_t + elog_theta[token_doc])
+    token_part = phi * (lbeta_t + elog_theta[cells.doc])
     token_part -= np.where(phi > 0, phi * log_phi, 0.0)
-    bound = float(counts @ token_part.sum(axis=1))
+    bound = float(cells.counts @ token_part.sum(axis=1))
     gamma_total = gamma.sum(axis=1)
     bound += float(
         n_rows * (gammaln(k * alpha) - k * gammaln(alpha))
@@ -152,12 +134,40 @@ def _chunk_estep(chunk: sp.csr_matrix, gamma_chunk: np.ndarray,
     return gamma, stats, alpha_stat, bound
 
 
-def _update_alpha(alpha: float, n_docs: int, k: int, alpha_stat: float,
-                  options: LdaOptions) -> float:
+def _estep(matrix, gamma: np.ndarray, beta: np.ndarray, alpha: float,
+           var_tol: float):
+    """One E-step over the corpus in blocks of ``DOC_CHUNK`` documents.
+
+    Updates ``gamma`` in place and returns the topic-term statistics, the
+    alpha statistic and the exact bound, each summed over the blocks.
+    """
+    n_docs, n_terms = matrix.shape
+    log_beta = np.log(np.maximum(beta, 1e-300))
+    stats = np.zeros((len(beta), n_terms))
+    alpha_stat = 0.0
+    bound = 0.0
+    for start in range(0, n_docs, DOC_CHUNK):
+        stop = min(start + DOC_CHUNK, n_docs)
+        g, s, a_stat, b = _chunk_estep(TokenCells(matrix[start:stop]),
+                                       gamma[start:stop], log_beta, alpha,
+                                       var_tol)
+        gamma[start:stop] = g
+        stats += s
+        alpha_stat += a_stat
+        bound += b
+    return stats, alpha_stat, bound
+
+
+def _start_gamma(alpha: float, counts: TermDocCounts, k: int) -> np.ndarray:
+    return np.tile(alpha + counts.doc_lengths[:, None] / k, (1, k)).astype(float)
+
+
+def _update_alpha(alpha: float, n_docs: int, k: int,
+                  alpha_stat: float) -> float:
     """Maximize the bound over the symmetric prior weight.
 
     Newton iteration on log(alpha) with a halving guard so the objective
-    never decreases; the result is clamped to the configured range.
+    never decreases; the result is clamped to [ALPHA_MIN, ALPHA_MAX].
     """
 
     def objective(a: float) -> float:
@@ -170,7 +180,7 @@ def _update_alpha(alpha: float, n_docs: int, k: int, alpha_stat: float,
     def curvature(a: float) -> float:
         return n_docs * (k * k * polygamma(1, k * a) - k * polygamma(1, a))
 
-    a = float(np.clip(alpha, options.alpha_min, options.alpha_max))
+    a = float(np.clip(alpha, ALPHA_MIN, ALPHA_MAX))
     for _ in range(100):
         g = gradient(a)
         if abs(g) < 1e-10 * max(1.0, abs(alpha_stat)):
@@ -181,13 +191,13 @@ def _update_alpha(alpha: float, n_docs: int, k: int, alpha_stat: float,
         new = a * np.exp(step)
         tries = 0
         while tries < 30:
-            clipped = float(np.clip(new, options.alpha_min, options.alpha_max))
+            clipped = float(np.clip(new, ALPHA_MIN, ALPHA_MAX))
             if objective(clipped) >= objective(a) - 1e-12:
                 break
             step *= 0.5
             new = a * np.exp(step)
             tries += 1
-        clipped = float(np.clip(new, options.alpha_min, options.alpha_max))
+        clipped = float(np.clip(new, ALPHA_MIN, ALPHA_MAX))
         if objective(clipped) < objective(a):
             break
         if abs(clipped - a) < 1e-12 * a:
@@ -229,8 +239,8 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
     else:
         beta = _init_beta(k, n_terms, seed)
     alpha = float(np.clip(alpha_init if alpha_init is not None else 50.0 / k,
-                          options.alpha_min, options.alpha_max))
-    gamma = np.tile(alpha + counts.doc_lengths[:, None] / k, (1, k)).astype(float)
+                          ALPHA_MIN, ALPHA_MAX))
+    gamma = _start_gamma(alpha, counts, k)
 
     elbos: list[float] = []
     alphas: list[float] = [alpha]
@@ -238,27 +248,17 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
     n_iters = 0
     for em_iter in range(options.max_em_iters):
         n_iters = em_iter + 1
-        log_beta = np.log(np.maximum(beta, 1e-300))
-        stats = np.zeros((k, n_terms))
-        alpha_stat = 0.0
-        bound = 0.0
-        for start in range(0, n_docs, options.doc_chunk):
-            stop = min(start + options.doc_chunk, n_docs)
-            g, s, a_stat, b = _chunk_estep(
-                matrix[start:stop], gamma[start:stop], log_beta, alpha, options)
-            gamma[start:stop] = g
-            stats += s
-            alpha_stat += a_stat
-            bound += b
+        stats, alpha_stat, bound = _estep(matrix, gamma, beta, alpha,
+                                          options.var_tol)
         if not np.isfinite(bound):
             raise RuntimeError(
                 f"variational bound became non-finite at pass {n_iters}")
         elbos.append(bound)
 
-        beta = stats + options.topic_smoothing
+        beta = stats + TOPIC_SMOOTHING
         beta /= beta.sum(axis=1, keepdims=True)
         if options.estimate_alpha and k > 1:
-            alpha = _update_alpha(alpha, n_docs, k, alpha_stat, options)
+            alpha = _update_alpha(alpha, n_docs, k, alpha_stat)
         alphas.append(alpha)
 
         if em_iter > 0:
@@ -275,42 +275,8 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
                           alpha_trace=alphas, converged=converged)
 
 
-def infer_document(model: LdaModel, count_vector,
-                   options: LdaOptions | None = None):
-    """Variational posterior for one held-out document.
-
-    Returns (gamma, phi, term_ids); phi rows follow term_ids order.  An
-    empty document yields the prior gamma and an empty phi.
-    """
-    options = options or LdaOptions()
-    row = sp.csr_matrix(np.atleast_2d(count_vector)
-                        if not sp.issparse(count_vector) else count_vector)
-    if row.shape[0] != 1:
-        raise ValueError("expected a single count vector")
-    log_beta = np.log(np.maximum(model.beta, 1e-300))
-    length = float(row.sum())
-    gamma0 = np.full((1, model.k), model.alpha + length / model.k)
-    gamma, _, _, _ = _chunk_estep(row, gamma0, log_beta, model.alpha, options)
-    elog_theta = psi(gamma) - psi(gamma.sum(axis=1, keepdims=True))
-    log_phi = log_beta[:, row.indices].T + elog_theta[np.zeros(len(row.indices), dtype=int)]
-    log_phi -= logsumexp(log_phi, axis=1, keepdims=True)
-    return gamma[0], np.exp(log_phi), row.indices.copy()
-
-
-def corpus_bound(model: LdaModel, counts: TermDocCounts,
-                 options: LdaOptions | None = None) -> float:
+def corpus_bound(model: LdaModel, counts: TermDocCounts) -> float:
     """Evidence lower bound of a count matrix under a fitted model."""
-    options = options or LdaOptions()
-    matrix = counts.matrix.tocsr()
-    log_beta = np.log(np.maximum(model.beta, 1e-300))
-    total = 0.0
-    n_docs = matrix.shape[0]
-    gamma = np.tile(model.alpha + counts.doc_lengths[:, None] / model.k,
-                    (1, model.k)).astype(float)
-    for start in range(0, n_docs, options.doc_chunk):
-        stop = min(start + options.doc_chunk, n_docs)
-        _, _, _, bound = _chunk_estep(
-            matrix[start:stop], gamma[start:stop], log_beta, model.alpha,
-            options)
-        total += bound
-    return total
+    gamma = _start_gamma(model.alpha, counts, model.k)
+    return _estep(counts.matrix.tocsr(), gamma, model.beta, model.alpha,
+                  LdaOptions().var_tol)[2]

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from . import bundle
 from .corpus import Corpus
 from .ensemble import ScoreMatrix
-from .lda import LdaModel, LdaOptions, train_lda
+from .lda import LdaModel, train_lda
 from .ldi import build_index, score_ldi
 from .lsa import LsiModel, SvdFactors, score_lsi, train_lsi
 from .metrics import EvalReport, evaluate_scores
@@ -55,8 +55,8 @@ def _fit_plsi(corpus, k, seed, schedule=None, tune_by_precision=False, **_):
     return model, {"beta_temp": model.beta_temp}
 
 
-def _fit_lda(corpus, k, seed, lda_options=None, **_):
-    result = train_lda(corpus.counts, k=k, seed=seed, options=lda_options)
+def _fit_lda(corpus, k, seed, **_):
+    result = train_lda(corpus.counts, k=k, seed=seed)
     return result.model, {"alpha": result.model.alpha,
                           "converged": result.converged,
                           "elbo": result.elbo_trace[-1]}
@@ -144,7 +144,6 @@ class FittedModel:
 
 def train_model(corpus: Corpus, method: str, k: int | None = None,
                 seed: int = 0, tune_by_precision: bool = False,
-                lda_options: LdaOptions | None = None,
                 schedule: TemperingSchedule | None = None) -> FittedModel:
     """Fit one ranker.  Topic methods require ``k``; tfidf ignores it."""
     method = resolve_method(method)
@@ -156,7 +155,7 @@ def train_model(corpus: Corpus, method: str, k: int | None = None,
     checksum = corpus.checksum()
     payload, extra = ranker.fit(corpus, k, seed,
                                 tune_by_precision=tune_by_precision,
-                                lda_options=lda_options, schedule=schedule)
+                                schedule=schedule)
     return FittedModel(method, payload, checksum, corpus.name, k=k, seed=seed,
                        extra=extra)
 

@@ -15,12 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import logsumexp
 
-from .corpus import TermDocCounts
+from .corpus import TermDocCounts, TokenCells, log_normalize_rows
 from .vsm import cosine_scores
 
 _PERPLEXITY_FLOOR_MIX = 1e-6    # uniform mass mixed in for held-out scoring
+EM_CHUNK = 2048                 # documents per tempered E-step block
+IMPROVEMENT_TOL = 1e-6          # relative held-out perplexity gain that counts
+FOLD_IN_MAX_ITERS = 50
+FOLD_IN_TOL = 1e-6              # largest L1 change of a folded-in mixture
 
 
 @dataclass
@@ -31,7 +34,6 @@ class TemperingSchedule:
     beta_decay: float = 0.9
     min_beta: float = 0.5
     holdout_fraction: float = 0.1
-    improvement_tol: float = 1e-6   # relative perplexity gain that counts
     max_iters_per_beta: int = 200
     max_total_iters: int = 1000
 
@@ -76,9 +78,10 @@ def split_holdout(matrix: sp.csr_matrix, fraction: float, seed: int):
 
 
 def _em_pass(matrix: sp.csr_matrix, p_dz: np.ndarray, p_wz: np.ndarray,
-             beta_temp: float, chunk: int = 2048):
-    """One tempered EM sweep.  Returns new tables and the tempered objective
-    value at the parameters the sweep started from."""
+             beta_temp: float):
+    """One tempered EM sweep in blocks of ``EM_CHUNK`` documents.  Returns
+    new tables and the tempered objective value at the parameters the sweep
+    started from."""
     n_docs, n_terms = matrix.shape
     k = p_dz.shape[1]
     log_pd = np.log(np.maximum(p_dz, 1e-300))
@@ -86,26 +89,14 @@ def _em_pass(matrix: sp.csr_matrix, p_dz: np.ndarray, p_wz: np.ndarray,
     new_dz = np.zeros_like(p_dz)
     stats_wz = np.zeros_like(p_wz)
     objective = 0.0
-    for start in range(0, n_docs, chunk):
-        stop = min(start + chunk, n_docs)
-        sub = matrix[start:stop]
-        counts = sub.data.astype(float)
-        if len(counts) == 0:
-            continue
-        token_doc = np.repeat(np.arange(sub.shape[0]), np.diff(sub.indptr))
-        token_term = sub.indices
-        lq = log_pd[start:stop][token_doc] + beta_temp * log_pw[:, token_term].T
-        lse = logsumexp(lq, axis=1)
-        objective += float(counts @ lse)
-        q = np.exp(lq - lse[:, None])
-        weighted = counts[:, None] * q
-        gather = sp.csr_matrix(
-            (counts, (token_doc, np.arange(len(counts)))),
-            shape=(sub.shape[0], len(counts)))
-        new_dz[start:stop] = gather @ q
-        for topic in range(k):
-            stats_wz[topic] += np.bincount(token_term, weights=weighted[:, topic],
-                                           minlength=n_terms)
+    for start in range(0, n_docs, EM_CHUNK):
+        stop = min(start + EM_CHUNK, n_docs)
+        cells = TokenCells(matrix[start:stop])
+        lq = log_pd[start:stop][cells.doc] + beta_temp * log_pw[:, cells.term].T
+        objective += float(cells.counts @ log_normalize_rows(lq))
+        q = np.exp(lq)
+        new_dz[start:stop] = cells.row_sums(q)
+        stats_wz += cells.term_sums(q)
     doc_totals = new_dz.sum(axis=1, keepdims=True)
     new_dz = np.where(doc_totals > 0, new_dz / np.maximum(doc_totals, 1.0),
                       1.0 / k)
@@ -116,13 +107,9 @@ def _em_pass(matrix: sp.csr_matrix, p_dz: np.ndarray, p_wz: np.ndarray,
 
 
 def tempered_objective(matrix: sp.csr_matrix, p_dz, p_wz, beta_temp: float) -> float:
-    """sum over cells of n * log sum_z P(z|d) P(w|z)^beta."""
-    matrix = matrix.tocsr()
-    log_pd = np.log(np.maximum(p_dz, 1e-300))
-    log_pw = np.log(np.maximum(p_wz, 1e-300))
-    token_doc = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    lq = log_pd[token_doc] + beta_temp * log_pw[:, matrix.indices].T
-    return float(matrix.data @ logsumexp(lq, axis=1))
+    """sum over cells of n * log sum_z P(z|d) P(w|z)^beta, as an EM pass
+    from these tables computes it."""
+    return _em_pass(matrix.tocsr(), p_dz, p_wz, beta_temp)[2]
 
 
 def holdout_perplexity(held: sp.csr_matrix, p_dz, p_wz) -> float:
@@ -135,10 +122,10 @@ def holdout_perplexity(held: sp.csr_matrix, p_dz, p_wz) -> float:
     if total == 0:
         return float("nan")
     n_terms = p_wz.shape[1]
-    token_doc = np.repeat(np.arange(held.shape[0]), np.diff(held.indptr))
-    probs = np.sum(p_dz[token_doc] * p_wz[:, held.indices].T, axis=1)
+    cells = TokenCells(held)
+    probs = np.sum(p_dz[cells.doc] * p_wz[:, cells.term].T, axis=1)
     probs = (1.0 - _PERPLEXITY_FLOOR_MIX) * probs + _PERPLEXITY_FLOOR_MIX / n_terms
-    log_lik = float(held.data @ np.log(probs))
+    log_lik = float(cells.counts @ np.log(probs))
     return float(np.exp(-log_lik / total))
 
 
@@ -195,14 +182,14 @@ def train_plsa(counts: TermDocCounts, k: int, seed: int = 0,
         perps.append(perp)
         if perp < best[0]:
             best = (perp, p_dz.copy(), p_wz.copy(), beta_temp)
-        improved = perp < best_this_beta * (1.0 - schedule.improvement_tol)
+        improved = perp < best_this_beta * (1.0 - IMPROVEMENT_TOL)
         if improved:
             best_this_beta = perp
         if improved and iters_this_beta < schedule.max_iters_per_beta:
             continue
 
         # this temperature is exhausted
-        if (best_this_beta < best_prev_beta * (1.0 - schedule.improvement_tol)
+        if (best_this_beta < best_prev_beta * (1.0 - IMPROVEMENT_TOL)
                 and beta_temp * schedule.beta_decay >= schedule.min_beta):
             best_prev_beta = best_this_beta
             best_this_beta = np.inf
@@ -220,8 +207,7 @@ def train_plsa(counts: TermDocCounts, k: int, seed: int = 0,
                            held_matrix=held if held is not None else None)
 
 
-def fold_in(model: PlsaModel, query_counts, max_iters: int = 50,
-            tol: float = 1e-6):
+def fold_in(model: PlsaModel, query_counts):
     """Topic mixtures for held-out texts with the word tables frozen.
 
     EM over P(z|q) only, run at the model's final temperature.  Returns the
@@ -231,29 +217,24 @@ def fold_in(model: PlsaModel, query_counts, max_iters: int = 50,
     rows = sp.csr_matrix(query_counts if sp.issparse(query_counts)
                          else np.atleast_2d(np.asarray(query_counts)),
                          dtype=float).tocsr()
-    n_rows = rows.shape[0]
     k = model.k
-    log_pw = np.log(np.maximum(model.p_wz, 1e-300))
-    counts = rows.data.astype(float)
-    token_doc = np.repeat(np.arange(n_rows), np.diff(rows.indptr))
-    token_term = rows.indices
+    cells = TokenCells(rows)
     lengths = np.asarray(rows.sum(axis=1)).ravel()
     evidence = lengths > 0
 
-    p_qz = np.full((n_rows, k), 1.0 / k)
-    if len(counts):
-        gather = sp.csr_matrix((counts, (token_doc, np.arange(len(counts)))),
-                               shape=(n_rows, len(counts)))
-        lw = model.beta_temp * log_pw[:, token_term].T
-        for _ in range(max_iters):
-            lq = np.log(np.maximum(p_qz, 1e-300))[token_doc] + lw
-            q = np.exp(lq - logsumexp(lq, axis=1, keepdims=True))
-            new = gather @ q
+    p_qz = np.full((rows.shape[0], k), 1.0 / k)
+    if len(cells.counts):
+        log_pw = np.log(np.maximum(model.p_wz, 1e-300))
+        lw = model.beta_temp * log_pw[:, cells.term].T
+        for _ in range(FOLD_IN_MAX_ITERS):
+            lq = np.log(np.maximum(p_qz, 1e-300))[cells.doc] + lw
+            log_normalize_rows(lq)
+            new = cells.row_sums(np.exp(lq))
             new = np.where(evidence[:, None],
                            new / np.maximum(lengths, 1.0)[:, None], 1.0 / k)
             change = np.abs(new - p_qz).sum(axis=1).max()
             p_qz = new
-            if change < tol:
+            if change < FOLD_IN_TOL:
                 break
     return p_qz, evidence
 
@@ -299,7 +280,7 @@ def continue_tempering_by_precision(result: PlsaTrainResult, corpus,
                 local_best = (p_dz.copy(), p_wz.copy())
                 continue
             perp = holdout_perplexity(held, p_dz, p_wz)
-            if perp < local_best_perp * (1.0 - schedule.improvement_tol):
+            if perp < local_best_perp * (1.0 - IMPROVEMENT_TOL):
                 local_best_perp = perp
                 local_best = (p_dz.copy(), p_wz.copy())
             else:

@@ -126,8 +126,21 @@ class TestScoreFiles:
         with pytest.raises(ValueError, match="version"):
             load_scores(path)
 
-    @pytest.mark.parametrize("damage", ["truncated", "padded"])
+    @pytest.mark.parametrize("damage", ["truncated", "padded", "csv-short-row",
+                                        "csv-long-row"])
     def test_payload_length_checked(self, tmp_path, damage):
+        if damage.startswith("csv"):
+            path = save_scores(tmp_path / "s.csv", self.make_matrix())
+            lines = path.read_text().splitlines()
+            # the third query's row sits on line 4, after the header
+            lines[3] = (lines[3].rsplit(",", 1)[0] if damage == "csv-short-row"
+                        else lines[3] + ",0.5")
+            path.write_text("\n".join(lines) + "\n")
+            held = 5 if damage == "csv-short-row" else 7
+            with pytest.raises(ValueError,
+                               match=f"s.csv line 4 holds {held} scores.*6 doc ids"):
+                load_scores(path)
+            return
         path = save_scores(tmp_path / "s.bin", self.make_matrix())
         blob = path.read_bytes()
         # 4 x 6 float64 scores make a 192-byte payload

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ldikit import cli
-from ldikit.bundle import load_scores
+from ldikit.bundle import load_scores, save_scores
 from ldikit.config import OUT_DIR_ENV
 from ldikit.corpus import load_corpus
 
@@ -224,16 +224,28 @@ class TestEval:
         assert len(doc["interpolated_precision"]) == 11
         assert 0.0 < doc["map"] <= 1.0
 
-    @pytest.mark.parametrize("damage", ["truncated", "padded"])
+    @pytest.mark.parametrize("damage", ["truncated", "padded", "csv-short-row",
+                                        "csv-long-row"])
     def test_wrong_length_score_file_is_data_error(self, ws, tmp_path, capsys,
                                                    damage):
-        blob = ws["tfidf_scores"].read_bytes()
-        damaged = tmp_path / "damaged.bin"
-        damaged.write_bytes(blob[:-1] if damage == "truncated" else blob + b"\0")
+        if damage.startswith("csv"):
+            damaged = save_scores(tmp_path / "damaged.csv",
+                                  load_scores(ws["tfidf_scores"]))
+            lines = damaged.read_text().splitlines()
+            lines[1] = (lines[1].rsplit(",", 1)[0] if damage == "csv-short-row"
+                        else lines[1] + ",0.0")
+            damaged.write_text("\n".join(lines) + "\n")
+            expected = "damaged.csv line 2"
+        else:
+            blob = ws["tfidf_scores"].read_bytes()
+            damaged = tmp_path / "damaged.bin"
+            damaged.write_bytes(blob[:-1] if damage == "truncated"
+                                else blob + b"\0")
+            expected = "payload bytes"
         code, _, err = run(capsys, ["eval", "--corpus", str(ws["corpus"]),
                                     "--scores", str(damaged)])
         assert code == 2
-        assert "data error" in err and "payload bytes" in err
+        assert "data error" in err and expected in err
 
     def test_missing_score_file_is_data_error(self, ws, tmp_path, capsys):
         code, _, err = run(capsys, ["eval", "--corpus", str(ws["corpus"]),

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from oracles import (dirichlet_multinomial_log_likelihood,
                      two_topic_log_likelihood_quadrature)
 from ldikit.corpus import TermDocCounts
-from ldikit.lda import (LdaOptions, corpus_bound, infer_document,
+from ldikit.lda import (ALPHA_MAX, ALPHA_MIN, LdaOptions, corpus_bound,
                         seeded_topic_start, train_lda)
 
 
@@ -103,11 +103,11 @@ class TestExactnessOracles:
 class TestAlphaEstimation:
     def test_alpha_stays_in_bounds(self):
         counts = random_counts(25, 30, 7)
-        opts = LdaOptions(max_em_iters=30, alpha_min=1e-3, alpha_max=10.0)
-        result = train_lda(counts, k=4, seed=1, options=opts)
+        result = train_lda(counts, k=4, seed=1,
+                           options=LdaOptions(max_em_iters=30))
         trace = np.asarray(result.alpha_trace)
-        assert np.all(trace >= 1e-3 - 1e-12)
-        assert np.all(trace <= 10.0 + 1e-12)
+        assert np.all(trace >= ALPHA_MIN - 1e-12)
+        assert np.all(trace <= ALPHA_MAX + 1e-12)
 
     def test_alpha_adapts_to_concentrated_docs(self):
         # block-diagonal corpus: every document is single-topic, so the
@@ -166,32 +166,21 @@ class TestInitialization:
 
 class TestInference:
     def test_posterior_for_training_document(self):
+        # phi rows sum to one, so each gamma row gains its document's length
         counts = random_counts(15, 12, 8)
-        result = train_lda(counts, k=3, seed=0,
-                           options=LdaOptions(max_em_iters=30))
-        gamma, phi, term_ids = infer_document(result.model,
-                                              counts.matrix[2])
-        length = counts.doc_lengths[2]
-        assert gamma.sum() == pytest.approx(3 * result.model.alpha + length,
-                                            rel=1e-6)
-        np.testing.assert_allclose(phi.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_array_equal(term_ids, counts.matrix[2].indices)
+        result = train_lda(counts, k=3, seed=0, alpha_init=0.4,
+                           options=LdaOptions(max_em_iters=30,
+                                              estimate_alpha=False))
+        np.testing.assert_allclose(result.gamma.sum(axis=1),
+                                   3 * 0.4 + counts.doc_lengths, rtol=1e-9)
 
     def test_empty_document(self):
-        counts = random_counts(10, 8, 9)
-        result = train_lda(counts, k=2, seed=0,
-                           options=LdaOptions(max_em_iters=10))
-        gamma, phi, term_ids = infer_document(result.model,
-                                              np.zeros(8, dtype=int))
-        np.testing.assert_allclose(gamma, result.model.alpha)
-        assert phi.shape[0] == 0 and term_ids.size == 0
-
-    def test_single_row_required(self):
-        counts = random_counts(10, 8, 9)
-        result = train_lda(counts, k=2, seed=0,
-                           options=LdaOptions(max_em_iters=5))
-        with pytest.raises(ValueError):
-            infer_document(result.model, counts.matrix[:2])
+        rows = random_counts(10, 8, 9).matrix.toarray()
+        rows[4] = 0
+        result = train_lda(make_counts(rows), k=2, seed=0, alpha_init=0.3,
+                           options=LdaOptions(max_em_iters=10,
+                                              estimate_alpha=False))
+        assert np.all(result.gamma[4] == 0.3)
 
 
 class TestTrainingGuards:
