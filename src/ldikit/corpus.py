@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import logsumexp
 
 from . import bundle
 
@@ -328,50 +327,6 @@ class TermDocCounts:
     @property
     def n_terms(self) -> int:
         return self.matrix.shape[1]
-
-
-class TokenCells:
-    """The nonzero cells of a count matrix, in CSR storage order.
-
-    The sparse layout both EM fits work in: ``counts`` (as floats),
-    ``doc`` (the row of each cell) and ``term`` (the column of each cell).
-    Per-cell values (cells x k) are summed back count-weighted, per row or
-    per term.
-    """
-
-    def __init__(self, matrix):
-        # The cells hold on to their block: freeing its integer counts while
-        # a pass still runs fragmented the heap and cost a tempered EM fit
-        # about 40% more page faults (and ~10% more time) in measurement.
-        self.matrix = matrix = matrix.tocsr()
-        n_rows, self.n_terms = matrix.shape
-        self.counts = matrix.data.astype(float)
-        self.doc = np.repeat(np.arange(n_rows), np.diff(matrix.indptr))
-        self.term = matrix.indices
-        # (rows x cells) with each cell's count in its row and own column
-        self._gather = sp.csr_matrix(
-            (self.counts, np.arange(len(self.counts)), matrix.indptr),
-            shape=(n_rows, len(self.counts)))
-
-    def row_sums(self, values: np.ndarray) -> np.ndarray:
-        """(rows, k): sum of count * value over each row's cells."""
-        return self._gather @ values
-
-    def term_sums(self, values: np.ndarray) -> np.ndarray:
-        """(k, terms): sum of count * value over each term's cells."""
-        weighted = self.counts[:, None] * values
-        sums = np.empty((values.shape[1], self.n_terms))
-        for topic in range(values.shape[1]):
-            sums[topic] = np.bincount(self.term, weights=weighted[:, topic],
-                                      minlength=self.n_terms)
-        return sums
-
-
-def log_normalize_rows(log_values: np.ndarray) -> np.ndarray:
-    """Subtract each row's log-sum-exp in place; return those log-sum-exps."""
-    lse = logsumexp(log_values, axis=1, keepdims=True)
-    log_values -= lse
-    return lse[:, 0]
 
 
 def count_matrix(docs: Sequence, vocab: Vocabulary) -> TermDocCounts:

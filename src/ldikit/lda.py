@@ -2,10 +2,15 @@
 
 Mean-field family: a Dirichlet(gamma) per document over topic proportions
 and an independent categorical phi per token position over topics.  The
-E-step alternates the closed-form coordinate updates; the M-step re-fits
-the topic-term table and, optionally, the symmetric Dirichlet parameter by
-a guarded Newton iteration.  The evidence lower bound is computed exactly
-at the variational solution each pass and must never decrease.
+E-step runs the closed-form coordinate updates in linear space (Hoffman,
+Blei & Bach, NIPS 2010): phi is never stored, because each cell's
+normaliser ``phinorm = exp(E[log theta_d]) . beta[:, w]`` is all the gamma
+update needs, and a document leaves the sweeps as soon as its own gamma
+settles.  At the final gamma phi is taken once more, optimal for that
+gamma, to give the topic-term statistics and the exact bound.  The M-step
+re-fits the topic-term table and, optionally, the symmetric Dirichlet
+parameter by a guarded Newton iteration.  The bound is recorded each pass
+and must never decrease.
 """
 
 from __future__ import annotations
@@ -14,15 +19,18 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import gammaln, psi, polygamma
 
-from .corpus import TermDocCounts, TokenCells, log_normalize_rows
+from .corpus import TermDocCounts
 
 VAR_MAX_ITERS = 100             # inner E-step sweeps per document block
 TOPIC_SMOOTHING = 1e-9          # added to topic-term sufficient stats
 DOC_CHUNK = 1024                # documents per E-step block
 ALPHA_MIN = 1e-3                # range of the symmetric prior weight
 ALPHA_MAX = 10.0
+NORM_FLOOR = 1e-100             # least mixture normaliser of a cell
+GATHER_SIZE = 1 << 16           # floats per gather buffer in TokenCells.norms
 
 
 @dataclass
@@ -91,43 +99,105 @@ def seeded_topic_start(counts: TermDocCounts, k: int, seed: int = 0) -> np.ndarr
     return beta / beta.sum(axis=1, keepdims=True)
 
 
+class TokenCells:
+    """The nonzero cells of a count matrix, in CSR storage order.
+
+    The sparse layout both EM fits work in: ``counts`` (as floats), ``doc``
+    (the row of each cell) and ``term`` (the column of each cell).  Each
+    E-step is one product over them: every cell's mixture normaliser
+    ``doc_weights[doc] . term_weights[term]`` (``norms``), and the CSR
+    matrix of count / normaliser (``scaled``), whose products with the
+    weights give the posterior sums per row and per term.
+    """
+
+    def __init__(self, matrix):
+        self.matrix = matrix = matrix.tocsr()
+        self.counts = matrix.data.astype(float)
+        self.doc = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+        self.term = matrix.indices
+        self._scaled = matrix.astype(float)
+
+    def norms(self, doc_weights: np.ndarray, term_weights: np.ndarray) -> np.ndarray:
+        """Per cell: the dot product of its row of ``doc_weights`` (rows, k)
+        and its row of ``term_weights`` (terms, k), floored at ``NORM_FLOOR``
+        so a cell whose topics all underflow never divides by zero.
+
+        The rows are gathered a slice of cells at a time into two small
+        buffers, so no (cells x k) array is ever allocated.
+        """
+        n_cells, k = len(self.counts), doc_weights.shape[1]
+        step = max(1, GATHER_SIZE // k)
+        rows = np.empty((min(step, n_cells), k))
+        terms = np.empty_like(rows)
+        norm = np.empty(n_cells)
+        for start in range(0, n_cells, step):
+            stop = min(start + step, n_cells)
+            m = stop - start
+            # mode="clip" lets take write straight into the buffer; every
+            # index is in range, so nothing is clipped
+            np.take(doc_weights, self.doc[start:stop], axis=0, out=rows[:m],
+                    mode="clip")
+            np.take(term_weights, self.term[start:stop], axis=0, out=terms[:m],
+                    mode="clip")
+            np.einsum("nk,nk->n", rows[:m], terms[:m], out=norm[start:stop])
+        return np.maximum(norm, NORM_FLOOR, out=norm)
+
+    def scaled(self, norm: np.ndarray) -> sp.csr_matrix:
+        """The count matrix with each cell divided by its normaliser.
+
+        One matrix is kept and refilled, so the result is only valid until
+        the next call.
+        """
+        np.divide(self.counts, norm, out=self._scaled.data)
+        return self._scaled
+
+
+def _dirichlet_expectation(gamma: np.ndarray) -> np.ndarray:
+    """E[log theta] under Dirichlet(gamma), row by row."""
+    return psi(gamma) - psi(gamma.sum(axis=1, keepdims=True))
+
+
 def _chunk_estep(cells: TokenCells, gamma_chunk: np.ndarray,
-                 log_beta: np.ndarray, alpha: float, var_tol: float):
+                 beta_t: np.ndarray, alpha: float, var_tol: float):
     """Variational inference for one block of documents.
 
-    Returns the converged gamma block, topic-term sufficient statistics,
-    the alpha sufficient statistic, and this block's exact bound
-    contribution evaluated at the returned variational parameters under
-    the current model.
+    ``beta_t`` is the topic-term table transposed, (terms, k).  Each sweep
+    updates only the documents still active; one whose relative gamma
+    change falls below ``var_tol`` keeps its gamma from then on.  Returns
+    the gamma block, the topic-term sufficient statistics, the alpha
+    sufficient statistic and this block's exact bound contribution, all at
+    the returned gamma with phi optimal for it, under the current model.
     """
     n_rows, k = gamma_chunk.shape
-    lbeta_t = log_beta[:, cells.term].T                     # (nnz, k)
     gamma = gamma_chunk.copy()
+    active = np.arange(n_rows)
+    sweep = cells
     for _ in range(VAR_MAX_ITERS):
-        elog_theta = psi(gamma) - psi(gamma.sum(axis=1, keepdims=True))
-        log_phi = lbeta_t + elog_theta[cells.doc]
-        log_normalize_rows(log_phi)
-        phi = np.exp(log_phi)
-        gamma_new = alpha + cells.row_sums(phi)
-        change = np.abs(gamma_new - gamma).sum(axis=1) / gamma.sum(axis=1)
-        gamma = gamma_new
-        if change.max() < var_tol:
+        old = gamma[active]
+        exp_elog = np.exp(_dirichlet_expectation(old))
+        scaled = sweep.scaled(sweep.norms(exp_elog, beta_t))
+        new = alpha + exp_elog * (scaled @ beta_t)
+        gamma[active] = new
+        settled = np.abs(new - old).sum(axis=1) < var_tol * old.sum(axis=1)
+        if settled.all():
             break
-    stats = cells.term_sums(phi)
+        if settled.any():
+            active = active[~settled]
+            sweep = TokenCells(sweep.matrix[~settled])
 
-    elog_theta = psi(gamma) - psi(gamma.sum(axis=1, keepdims=True))
+    elog_theta = _dirichlet_expectation(gamma)
+    exp_elog = np.exp(elog_theta)
+    norm = cells.norms(exp_elog, beta_t)
+    stats = (cells.scaled(norm).T @ exp_elog).T * beta_t.T
     alpha_stat = float(elog_theta.sum())
 
-    # Exact bound at (gamma, phi): token terms use the true log phi, so no
-    # cancellation shortcut that would assume phi optimal for this gamma.
-    token_part = phi * (lbeta_t + elog_theta[cells.doc])
-    token_part -= np.where(phi > 0, phi * log_phi, 0.0)
-    bound = float(cells.counts @ token_part.sum(axis=1))
-    gamma_total = gamma.sum(axis=1)
+    # Exact bound at (gamma, phi) with phi optimal for this gamma: per token,
+    # sum_k phi (E[log theta] + log beta - log phi) collapses to log phinorm.
+    bound = float(cells.counts @ np.log(norm))
     bound += float(
         n_rows * (gammaln(k * alpha) - k * gammaln(alpha))
-        + (alpha - 1.0) * elog_theta.sum()
-        - gammaln(gamma_total).sum()
+        + (alpha - 1.0) * alpha_stat
+        - gammaln(gamma.sum(axis=1)).sum()
         + gammaln(gamma).sum()
         - ((gamma - 1.0) * elog_theta).sum()
     )
@@ -142,14 +212,14 @@ def _estep(matrix, gamma: np.ndarray, beta: np.ndarray, alpha: float,
     alpha statistic and the exact bound, each summed over the blocks.
     """
     n_docs, n_terms = matrix.shape
-    log_beta = np.log(np.maximum(beta, 1e-300))
+    beta_t = np.ascontiguousarray(beta.T)
     stats = np.zeros((len(beta), n_terms))
     alpha_stat = 0.0
     bound = 0.0
     for start in range(0, n_docs, DOC_CHUNK):
         stop = min(start + DOC_CHUNK, n_docs)
         g, s, a_stat, b = _chunk_estep(TokenCells(matrix[start:stop]),
-                                       gamma[start:stop], log_beta, alpha,
+                                       gamma[start:stop], beta_t, alpha,
                                        var_tol)
         gamma[start:stop] = g
         stats += s

@@ -1,11 +1,19 @@
 """Probabilistic latent semantic ranking fit by tempered EM.
 
 The aspect model factors P(w|d) = sum_z P(z|d) P(w|z).  Fitting anneals an
-exponent on P(w|z) in the E-step: whenever held-out token perplexity stops
-improving at the current temperature the exponent is lowered, and training
-ends when lowering it no longer helps.  The tempered data objective
-sum n log sum_z P(z|d) P(w|z)^beta is what each fixed-temperature block
-ascends; the plain likelihood is not monotone across temperature changes.
+exponent on P(w|z) in the E-step (Hofmann, UAI 1999): whenever held-out
+token perplexity stops improving at the current temperature the exponent
+is lowered, and training ends when lowering it no longer helps.  The
+tempered data objective sum n log sum_z P(z|d) P(w|z)^beta is what each
+fixed-temperature block ascends; the plain likelihood is not monotone
+across temperature changes.
+
+The tempered posterior is never stored.  With A = P(z|d) and
+B = P(w|z)^beta, each cell's normaliser is norm = A[d] . B[:, w]; an EM
+pass is that norm, the count matrix scaled by 1 / norm (S), and the two
+products A * (S @ B.T) and B * (S.T @ A).T that are the new tables before
+normalising.  The objective is sum n log norm.  Fold-in and held-out
+perplexity use the same product, through lda's ``TokenCells``.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import TermDocCounts, TokenCells, log_normalize_rows
+from .corpus import TermDocCounts
+from .lda import TokenCells
 from .vsm import cosine_scores
 
 _PERPLEXITY_FLOOR_MIX = 1e-6    # uniform mass mixed in for held-out scoring
@@ -84,19 +93,20 @@ def _em_pass(matrix: sp.csr_matrix, p_dz: np.ndarray, p_wz: np.ndarray,
     started from."""
     n_docs, n_terms = matrix.shape
     k = p_dz.shape[1]
-    log_pd = np.log(np.maximum(p_dz, 1e-300))
-    log_pw = np.log(np.maximum(p_wz, 1e-300))
-    new_dz = np.zeros_like(p_dz)
-    stats_wz = np.zeros_like(p_wz)
+    tempered_t = np.ascontiguousarray(p_wz.T) ** beta_temp     # (terms, k)
+    new_dz = np.empty_like(p_dz)
+    stats_t = np.zeros((n_terms, k))
     objective = 0.0
     for start in range(0, n_docs, EM_CHUNK):
         stop = min(start + EM_CHUNK, n_docs)
         cells = TokenCells(matrix[start:stop])
-        lq = log_pd[start:stop][cells.doc] + beta_temp * log_pw[:, cells.term].T
-        objective += float(cells.counts @ log_normalize_rows(lq))
-        q = np.exp(lq)
-        new_dz[start:stop] = cells.row_sums(q)
-        stats_wz += cells.term_sums(q)
+        mix = p_dz[start:stop]
+        norm = cells.norms(mix, tempered_t)
+        objective += float(cells.counts @ np.log(norm))
+        scaled = cells.scaled(norm)
+        new_dz[start:stop] = mix * (scaled @ tempered_t)
+        stats_t += scaled.T @ mix
+    stats_wz = (stats_t * tempered_t).T
     doc_totals = new_dz.sum(axis=1, keepdims=True)
     new_dz = np.where(doc_totals > 0, new_dz / np.maximum(doc_totals, 1.0),
                       1.0 / k)
@@ -123,7 +133,7 @@ def holdout_perplexity(held: sp.csr_matrix, p_dz, p_wz) -> float:
         return float("nan")
     n_terms = p_wz.shape[1]
     cells = TokenCells(held)
-    probs = np.sum(p_dz[cells.doc] * p_wz[:, cells.term].T, axis=1)
+    probs = cells.norms(p_dz, np.ascontiguousarray(p_wz.T))
     probs = (1.0 - _PERPLEXITY_FLOOR_MIX) * probs + _PERPLEXITY_FLOOR_MIX / n_terms
     log_lik = float(cells.counts @ np.log(probs))
     return float(np.exp(-log_lik / total))
@@ -224,12 +234,10 @@ def fold_in(model: PlsaModel, query_counts):
 
     p_qz = np.full((rows.shape[0], k), 1.0 / k)
     if len(cells.counts):
-        log_pw = np.log(np.maximum(model.p_wz, 1e-300))
-        lw = model.beta_temp * log_pw[:, cells.term].T
+        tempered_t = np.ascontiguousarray(model.p_wz.T) ** model.beta_temp
         for _ in range(FOLD_IN_MAX_ITERS):
-            lq = np.log(np.maximum(p_qz, 1e-300))[cells.doc] + lw
-            log_normalize_rows(lq)
-            new = cells.row_sums(np.exp(lq))
+            scaled = cells.scaled(cells.norms(p_qz, tempered_t))
+            new = p_qz * (scaled @ tempered_t)
             new = np.where(evidence[:, None],
                            new / np.maximum(lengths, 1.0)[:, None], 1.0 / k)
             change = np.abs(new - p_qz).sum(axis=1).max()

@@ -11,8 +11,9 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp, psi
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +161,72 @@ def two_topic_log_likelihood_quadrature(token_ids, alpha, beta) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Log-space variational E-step for one block of documents
+
+def _log_space_phi(matrix, gamma, log_beta):
+    """Row of each nonzero cell, its counts, and log phi at this gamma:
+    E[log theta] + log beta normalised over topics by log-sum-exp."""
+    matrix = sp.csr_matrix(matrix)
+    doc = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    elog_theta = psi(gamma) - psi(gamma.sum(axis=1, keepdims=True))
+    log_phi = log_beta[:, matrix.indices].T + elog_theta[doc]
+    log_phi -= logsumexp(log_phi, axis=1, keepdims=True)
+    return doc, matrix.data.astype(float), log_phi
+
+
+def _log_space_terms(matrix, gamma, log_beta, alpha, doc, counts, log_phi):
+    """Statistics and exact bound at (gamma, phi), phi given in log space."""
+    matrix = sp.csr_matrix(matrix)
+    n_rows, k = gamma.shape
+    phi = np.exp(log_phi)
+    stats = np.zeros((k, matrix.shape[1]))
+    np.add.at(stats.T, matrix.indices, counts[:, None] * phi)
+    elog_theta = psi(gamma) - psi(gamma.sum(axis=1, keepdims=True))
+    token_part = phi * (log_beta[:, matrix.indices].T + elog_theta[doc])
+    token_part -= np.where(phi > 0, phi * log_phi, 0.0)
+    bound = float(counts @ token_part.sum(axis=1))
+    bound += float(
+        n_rows * (gammaln(k * alpha) - k * gammaln(alpha))
+        + (alpha - 1.0) * elog_theta.sum()
+        - gammaln(gamma.sum(axis=1)).sum()
+        + gammaln(gamma).sum()
+        - ((gamma - 1.0) * elog_theta).sum()
+    )
+    return stats, float(elog_theta.sum()), bound
+
+
+def log_space_chunk_estep(matrix, gamma, log_beta, alpha, var_tol,
+                          max_iters=100):
+    """The E-step of one block as ldikit ran it in log space.
+
+    Every sweep materialises phi for every cell of every document and
+    updates all of gamma, until the slowest document settles.  Returns
+    gamma, topic-term statistics, the alpha statistic and the bound at
+    (gamma, last phi), as that kernel did.
+    """
+    matrix = sp.csr_matrix(matrix)
+    gamma = np.array(gamma, dtype=float)
+    for _ in range(max_iters):
+        doc, counts, log_phi = _log_space_phi(matrix, gamma, log_beta)
+        gamma_new = np.full_like(gamma, alpha)
+        np.add.at(gamma_new, doc, counts[:, None] * np.exp(log_phi))
+        change = np.abs(gamma_new - gamma).sum(axis=1) / gamma.sum(axis=1)
+        gamma = gamma_new
+        if change.max() < var_tol:
+            break
+    return (gamma,) + _log_space_terms(matrix, gamma, log_beta, alpha, doc,
+                                       counts, log_phi)
+
+
+def log_space_terms_at(matrix, gamma, log_beta, alpha):
+    """Statistics, alpha statistic and exact bound of one block at this
+    gamma, with phi the optimum for it, all computed in log space."""
+    doc, counts, log_phi = _log_space_phi(matrix, gamma, log_beta)
+    return _log_space_terms(matrix, gamma, log_beta, alpha, doc, counts,
+                            log_phi)
+
+
+# ---------------------------------------------------------------------------
 # Tempered aspect-model objective, cell by cell
 
 def dense_tempered_objective(counts, p_dz, p_wz, beta_temp) -> float:
@@ -180,6 +247,28 @@ def dense_tempered_objective(counts, p_dz, p_wz, beta_temp) -> float:
                 mix += p_dz[d, z] * p_wz[z, w] ** beta_temp
             total += counts[d, w] * math.log(mix)
     return total
+
+
+def dense_tempered_em_step(counts, p_dz, p_wz, beta_temp):
+    """New (P(z|d), P(w|z)) of one tempered EM step, by explicit loops over
+    documents, terms and topics.  Assumes every document and topic gets
+    some count."""
+    counts = np.asarray(counts, dtype=float)
+    n_docs, n_terms = counts.shape
+    k = p_dz.shape[1]
+    new_dz = np.zeros((n_docs, k))
+    new_wz = np.zeros((k, n_terms))
+    for d in range(n_docs):
+        for w in range(n_terms):
+            if counts[d, w] == 0:
+                continue
+            q = np.array([p_dz[d, z] * p_wz[z, w] ** beta_temp
+                          for z in range(k)])
+            q /= q.sum()
+            new_dz[d] += counts[d, w] * q
+            new_wz[:, w] += counts[d, w] * q
+    return (new_dz / new_dz.sum(axis=1, keepdims=True),
+            new_wz / new_wz.sum(axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,13 @@ import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-from scipy.special import logsumexp
 
 from ldikit import cli
 from ldikit.corpus import (Collection, ParseError, Query, RawDocument,
-                           StopList, TokenCells, build_corpus,
-                           build_vocabulary, count_matrix, load_collection,
-                           load_corpus, load_stoplist, log_normalize_rows,
-                           merge_collections, parse_documents, parse_qrels,
+                           StopList, build_corpus, build_vocabulary,
+                           count_matrix, load_collection, load_corpus,
+                           load_stoplist, merge_collections,
+                           parse_documents, parse_qrels,
                            parse_queries, save_corpus, smart_stoplist,
                            tokenize, validate_qrels)
 
@@ -204,49 +202,6 @@ class TestVocabulary:
         vocab = build_vocabulary(self.DOCS)
         counts = count_matrix([["cat", "mat", "cat", "unseen"]], vocab)
         np.testing.assert_array_equal(counts.matrix.toarray()[0], [0, 2, 0, 1])
-
-
-
-class TestTokenCells:
-    def dense_counts(self):
-        rng = np.random.default_rng(3)
-        dense = rng.integers(0, 4, size=(7, 9)) * (rng.random((7, 9)) < 0.5)
-        dense[0] = 0
-        dense[-1] = 0
-        dense[2, 4] = 3
-        return dense
-
-    def test_cells_follow_storage_order(self):
-        dense = self.dense_counts()
-        cells = TokenCells(sp.csr_matrix(dense))
-        rows, cols = np.nonzero(dense)
-        np.testing.assert_array_equal(cells.doc, rows)
-        np.testing.assert_array_equal(cells.term, cols)
-        np.testing.assert_array_equal(cells.counts, dense[rows, cols])
-        assert cells.counts.dtype == float
-
-    def test_sums_equal_dense_products_exactly(self):
-        # integer-valued weights keep every float sum exact, so the sparse
-        # sums must equal the dense count-weighted products bit for bit
-        dense = self.dense_counts()
-        weights = np.random.default_rng(4).integers(-5, 6, size=(7, 9, 3))
-        cells = TokenCells(sp.csr_matrix(dense))
-        values = weights[cells.doc, cells.term].astype(float)
-        rows = cells.row_sums(values)
-        terms = cells.term_sums(values)
-        assert rows.shape == (7, 3) and terms.shape == (3, 9)
-        np.testing.assert_array_equal(
-            rows, np.einsum("dw,dwk->dk", dense, weights))
-        np.testing.assert_array_equal(
-            terms, np.einsum("dw,dwk->kw", dense, weights))
-        np.testing.assert_array_equal(rows[[0, -1]], 0.0)
-
-    def test_log_normalize_rows(self):
-        logs = np.log(np.array([[1.0, 3.0], [2.0, 2.0], [0.5, 0.25]]))
-        expected_lse = logsumexp(logs, axis=1)
-        lse = log_normalize_rows(logs)
-        np.testing.assert_array_equal(lse, expected_lse)
-        np.testing.assert_allclose(np.exp(logs).sum(axis=1), 1.0, rtol=1e-12)
 
 
 def tiny_collection(name="tiny"):

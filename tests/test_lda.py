@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import ldikit.lda as lda
 from oracles import (dirichlet_multinomial_log_likelihood,
+                     log_space_chunk_estep, log_space_terms_at,
                      two_topic_log_likelihood_quadrature)
 from ldikit.corpus import TermDocCounts
-from ldikit.lda import (ALPHA_MAX, ALPHA_MIN, LdaOptions, corpus_bound,
+from ldikit.lda import (ALPHA_MAX, ALPHA_MIN, NORM_FLOOR, TOPIC_SMOOTHING,
+                        LdaModel, LdaOptions, TokenCells, corpus_bound,
                         seeded_topic_start, train_lda)
 
 
@@ -28,6 +31,147 @@ def elbo_non_decreasing(trace, slack=1e-8):
     trace = np.asarray(trace)
     floor = slack * np.maximum(np.abs(trace[:-1]), 1.0)
     return np.all(np.diff(trace) >= -floor)
+
+
+def block_with_empty_ends():
+    # documents of varied length between an empty first and last row
+    rng = np.random.default_rng(12)
+    dense = rng.integers(0, 4, size=(9, 14)) * (rng.random((9, 14)) < 0.4)
+    dense[0] = 0
+    dense[-1] = 0
+    dense[3, 5] += 6
+    return sp.csr_matrix(dense)
+
+
+def random_beta(k, n_terms, seed):
+    beta = np.random.default_rng(seed).random((k, n_terms)) + 0.05
+    return beta / beta.sum(axis=1, keepdims=True)
+
+
+def start_gamma(matrix, alpha, k):
+    return np.tile(alpha + np.asarray(matrix.sum(axis=1), dtype=float) / k,
+                   (1, k))
+
+
+def run_chunk(matrix, beta, alpha, var_tol):
+    return lda._chunk_estep(TokenCells(matrix),
+                            start_gamma(matrix, alpha, len(beta)),
+                            np.ascontiguousarray(beta.T), alpha, var_tol)
+
+
+class TestTokenCells:
+    def dense_counts(self):
+        rng = np.random.default_rng(3)
+        dense = rng.integers(0, 4, size=(7, 9)) * (rng.random((7, 9)) < 0.5)
+        dense[0] = 0
+        dense[-1] = 0
+        dense[2, 4] = 3
+        return dense
+
+    def test_cells_follow_storage_order(self):
+        dense = self.dense_counts()
+        cells = TokenCells(sp.csr_matrix(dense))
+        rows, cols = np.nonzero(dense)
+        np.testing.assert_array_equal(cells.doc, rows)
+        np.testing.assert_array_equal(cells.term, cols)
+        np.testing.assert_array_equal(cells.counts, dense[rows, cols])
+        assert cells.counts.dtype == float
+
+    @pytest.mark.parametrize("gather_size", [lda.GATHER_SIZE, 5],
+                             ids=["one-slice", "many-slices"])
+    def test_norms_equal_dense_products_exactly(self, monkeypatch,
+                                                gather_size):
+        # integer-valued weights keep every float sum exact, so the per-cell
+        # norms must equal the dense product bit for bit, whether the cells
+        # are gathered in one slice or in many
+        monkeypatch.setattr(lda, "GATHER_SIZE", gather_size)
+        dense = self.dense_counts()
+        rng = np.random.default_rng(4)
+        doc_weights = rng.integers(1, 6, size=(7, 3)).astype(float)
+        term_weights = rng.integers(1, 6, size=(9, 3)).astype(float)
+        cells = TokenCells(sp.csr_matrix(dense))
+        norm = cells.norms(doc_weights, term_weights)
+        full = doc_weights @ term_weights.T
+        np.testing.assert_array_equal(norm, full[cells.doc, cells.term])
+        scaled = cells.scaled(norm).toarray()
+        np.testing.assert_array_equal(
+            scaled, np.where(dense > 0, dense / full, 0.0))
+
+    def test_norm_floor(self):
+        # a cell whose every topic weight is zero divides by the floor
+        cells = TokenCells(sp.csr_matrix([[2.0, 1.0]]))
+        norm = cells.norms(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0],
+                                                             [0.5, 0.0]]))
+        np.testing.assert_array_equal(norm, [NORM_FLOOR, 0.5])
+        assert np.all(np.isfinite(cells.scaled(norm).data))
+
+
+class TestKernelAgainstLogSpace:
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_terms_equal_log_space_at_returned_gamma(self, k):
+        # statistics, alpha statistic and bound are those of phi optimal at
+        # the gamma the kernel returns
+        matrix = block_with_empty_ends()
+        beta = random_beta(k, matrix.shape[1], k)
+        gamma, stats, alpha_stat, bound = run_chunk(matrix, beta, 0.3, 1e-6)
+        want_stats, want_alpha_stat, want_bound = log_space_terms_at(
+            matrix, gamma, np.log(beta), 0.3)
+        np.testing.assert_allclose(stats, want_stats, rtol=1e-10,
+                                   atol=1e-10 * want_stats.max())
+        assert alpha_stat == pytest.approx(want_alpha_stat, rel=1e-10)
+        assert bound == pytest.approx(want_bound, rel=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_fixed_point_equals_log_space(self, k, monkeypatch):
+        # run to a tight tolerance, both kernels reach the same gamma
+        monkeypatch.setattr(lda, "VAR_MAX_ITERS", 1000)
+        matrix = block_with_empty_ends()
+        beta = random_beta(k, matrix.shape[1], 10 + k)
+        gamma = run_chunk(matrix, beta, 0.3, 1e-13)[0]
+        want = log_space_chunk_estep(matrix, start_gamma(matrix, 0.3, k),
+                                     np.log(beta), 0.3, 1e-13,
+                                     max_iters=1000)[0]
+        np.testing.assert_allclose(gamma, want, rtol=1e-9)
+        np.testing.assert_array_equal(gamma[[0, -1]], 0.3)
+
+    def test_settled_document_keeps_its_gamma(self):
+        # once a document leaves the active set its gamma is final: it ends
+        # exactly where it would alone, however long its blockmates sweep
+        matrix = block_with_empty_ends()
+        beta = random_beta(4, matrix.shape[1], 3)
+        together = run_chunk(matrix, beta, 0.2, 1e-6)[0]
+        for row in range(matrix.shape[0]):
+            alone = run_chunk(matrix[row], beta, 0.2, 1e-6)[0]
+            np.testing.assert_array_equal(together[row], alone[0])
+
+    def test_small_alpha_does_not_divide_by_zero(self):
+        # at ALPHA_MIN, psi(alpha) is about -1000 and exp(E[log theta])
+        # underflows to zero for every unused topic; that underflow is
+        # expected, but no division by zero or invalid value may follow,
+        # even where a term's beta column sits at the smoothing floor or
+        # is exactly zero at the start
+        rng = np.random.default_rng(0)
+        rows = rng.integers(0, 3, size=(40, 30)) * (rng.random((40, 30)) < 0.3)
+        rows[:, :2] = 0
+        rows[::7, :2] = 2
+        rows[np.arange(40), rng.integers(2, 30, 40)] += 1
+        counts = make_counts(rows)
+        beta = rng.random((20, 30)) ** 4
+        beta[:, 0] = TOPIC_SMOOTHING
+        beta[:, 1] = 0.0
+        beta /= beta.sum(axis=1, keepdims=True)
+        with np.errstate(all="raise", under="ignore"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = train_lda(counts, k=20, alpha_init=ALPHA_MIN,
+                               beta_init=beta,
+                               options=LdaOptions(estimate_alpha=False,
+                                                  max_em_iters=30))
+            bound = corpus_bound(LdaModel(k=20, alpha=ALPHA_MIN, beta=beta),
+                                 counts)
+        assert np.all(np.isfinite(result.gamma))
+        assert np.all(np.isfinite(result.elbo_trace)) and np.isfinite(bound)
+        assert elbo_non_decreasing(result.elbo_trace)
 
 
 class TestBoundMonotonicity:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import dense_tempered_objective
+import ldikit.plsa as plsa
+from oracles import dense_tempered_em_step, dense_tempered_objective
 from ldikit.corpus import TermDocCounts
 from ldikit.demo import demo_corpus
 from ldikit.metrics import evaluate_scores
-from ldikit.plsa import (PlsaModel, TemperingSchedule,
+from ldikit.plsa import (PlsaModel, TemperingSchedule, _em_pass,
                          continue_tempering_by_precision, fold_in,
                          holdout_perplexity, score_plsa, split_holdout,
                          tempered_objective, train_plsa)
@@ -91,6 +92,21 @@ class TestTemperedObjective:
                 want = dense_tempered_objective(counts.matrix.toarray(),
                                                 p_dz, p_wz, beta_temp)
                 np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("em_chunk", [plsa.EM_CHUNK, 3],
+                             ids=["one-block", "three-blocks"])
+    def test_em_pass_tables_match_dense_oracle(self, monkeypatch, em_chunk):
+        # the sparse product gives the tables of an EM step cell by cell,
+        # whether the documents run in one block or in several
+        monkeypatch.setattr(plsa, "EM_CHUNK", em_chunk)
+        counts = random_counts(8, 6, 3)
+        p_dz, p_wz = random_tables(8, 6, 3, 53)
+        for beta_temp in (1.0, 0.7):
+            new_dz, new_wz, _ = _em_pass(counts.matrix, p_dz, p_wz, beta_temp)
+            want_dz, want_wz = dense_tempered_em_step(counts.matrix.toarray(),
+                                                      p_dz, p_wz, beta_temp)
+            np.testing.assert_allclose(new_dz, want_dz, rtol=1e-12)
+            np.testing.assert_allclose(new_wz, want_wz, rtol=1e-12)
 
     def test_lower_temperature_raises_objective(self):
         # probabilities below one grow when raised to an exponent below one
