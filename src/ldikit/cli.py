@@ -30,6 +30,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count_from(least: int):
+    """Argument type: an integer no smaller than ``least``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    return count
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ldikit",
                      description="Topic-space indexing and rank fusion over "
@@ -81,7 +92,7 @@ def _build_parser() -> _Parser:
     etrain.add_argument("--corpus", required=True)
     etrain.add_argument("--scores", nargs="+", required=True)
     etrain.add_argument("--eps", type=float, default=1e-4)
-    etrain.add_argument("--max-rounds", type=int, default=200)
+    etrain.add_argument("--max-rounds", type=_count_from(1), default=200)
     etrain.add_argument("--selection", default="weighted-ap",
                         choices=["weighted-ap", "min-sqrt-loss"])
     etrain.add_argument("--out", required=True, help="weights JSON file")
@@ -96,10 +107,10 @@ def _build_parser() -> _Parser:
     ecross = ens_sub.add_parser("crossval", help="two-fold cross-validation")
     ecross.add_argument("--corpus", required=True)
     ecross.add_argument("--scores", nargs="+", required=True)
-    ecross.add_argument("--folds", type=int, default=2)
+    ecross.add_argument("--folds", type=_count_from(2), default=2)
     ecross.add_argument("--seed", type=int, default=0)
     ecross.add_argument("--eps", type=float, default=1e-4)
-    ecross.add_argument("--max-rounds", type=int, default=200)
+    ecross.add_argument("--max-rounds", type=_count_from(1), default=200)
     ecross.add_argument("--out", default=None)
 
     sweep = sub.add_parser("sweep", help="MAP across topic counts and seeds")
@@ -226,9 +237,9 @@ def _cmd_ensemble_train(args) -> int:
 
 
 def _cmd_ensemble_apply(args) -> int:
-    matrices = _load_score_files(args.scores)
     if args.uniform == bool(args.weights):
         raise UsageError("pass exactly one of --weights or --uniform")
+    matrices = _load_score_files(args.scores)
     if args.uniform:
         alpha = uniform_weights(matrices).alpha
     else:

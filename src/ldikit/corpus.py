@@ -263,8 +263,6 @@ class Vocabulary:
 
     terms: list[str]
     index: dict[str, int]
-    df: np.ndarray
-    cf: np.ndarray
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -291,26 +289,15 @@ def build_vocabulary(docs: Sequence, stoplist: StopList | None = None) -> Vocabu
     vocabulary.  Index order is first occurrence among surviving terms.
     """
     cf: dict[str, int] = {}
-    df: dict[str, int] = {}
     for doc in docs:
-        seen: set[str] = set()
         for tok in _as_tokens(doc):
             if stoplist is not None and tok in stoplist:
                 continue
             cf[tok] = cf.get(tok, 0) + 1
-            if tok not in seen:
-                seen.add(tok)
-                df[tok] = df.get(tok, 0) + 1
     terms = [t for t, c in cf.items() if c >= 2]
     if not terms:
         raise ValueError("vocabulary is empty after preprocessing")
-    index = {t: j for j, t in enumerate(terms)}
-    return Vocabulary(
-        terms=terms,
-        index=index,
-        df=np.array([df[t] for t in terms], dtype=np.int64),
-        cf=np.array([cf[t] for t in terms], dtype=np.int64),
-    )
+    return Vocabulary(terms=terms, index={t: j for j, t in enumerate(terms)})
 
 
 @dataclass
@@ -533,12 +520,7 @@ def load_corpus(in_dir) -> Corpus:
     qrels: dict[int, set[int]] = {}
     for qid, did in arrays["qrels"].tolist():
         qrels.setdefault(qid, set()).add(did)
-
-    # df/cf are derivable from the counts, so the bundle does not store them.
-    df = np.asarray((matrix > 0).sum(axis=0)).ravel().astype(np.int64)
-    cf = np.asarray(matrix.sum(axis=0)).ravel().astype(np.int64)
-    vocab = Vocabulary(terms=terms, index={t: j for j, t in enumerate(terms)},
-                       df=df, cf=cf)
+    vocab = Vocabulary(terms=terms, index={t: j for j, t in enumerate(terms)})
     corpus = Corpus(
         name=manifest["name"],
         doc_ids=arrays["doc_ids"],

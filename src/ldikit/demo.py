@@ -16,9 +16,12 @@ import scipy.sparse as sp
 from .corpus import (Collection, Corpus, Query, RawDocument, TermDocCounts,
                      Vocabulary)
 from .ensemble import EnsembleWeights, ScoreMatrix, train_ensemble
-from .lda import LdaOptions, LdaTrainResult, seeded_topic_start, train_lda
+from .lda import LdaTrainResult, seeded_topic_start, train_lda
 from .ldi import build_index, score_ldi
 from .vsm import score_tfidf, train_tfidf
+
+DEMO_TOPICS = 4                 # one per subject
+DEMO_ALPHA = 0.25               # fixed symmetric prior of the demo fit
 
 DOC_LABELS = ["T1", "T2", "T3", "B1", "B2", "D1", "D2", "D3", "G1", "G2"]
 
@@ -87,10 +90,8 @@ REFERENCE_TOPIC_SIMS = np.array([
 def demo_corpus() -> Corpus:
     """The canonical counts wrapped as a ready-to-use corpus."""
     matrix = sp.csr_matrix(DOC_TERM_COUNTS)
-    df = np.asarray((matrix > 0).sum(axis=0)).ravel().astype(np.int64)
-    cf = np.asarray(matrix.sum(axis=0)).ravel().astype(np.int64)
     vocab = Vocabulary(terms=list(TERMS),
-                       index={t: j for j, t in enumerate(TERMS)}, df=df, cf=cf)
+                       index={t: j for j, t in enumerate(TERMS)})
     query_rows = np.zeros((len(QUERY_TERMS), len(TERMS)), dtype=np.int64)
     for i, toks in enumerate(QUERY_TERMS):
         for tok in toks:
@@ -123,31 +124,26 @@ def raw_collection() -> Collection:
                       qrels={q: set(d) for q, d in RELEVANT.items()})
 
 
-def fit_demo_topics(seed: int = 0, k: int = 4,
-                    alpha_init: float | None = 0.25,
-                    options: LdaOptions | None = None) -> LdaTrainResult:
-    """Fit the topic model used by the demonstrations.
+def fit_demo_topics(seed: int = 0) -> LdaTrainResult:
+    """Fit the topic model used by the demonstrations: one topic per subject.
 
     Thirty-one tokens give EM many poor basins, so the fit starts from
     document-cluster topic rows and keeps the prior weight fixed at a
-    small value; both choices make the subject split reproducible across
-    seeds.  Pass alpha_init=None to estimate the prior instead.
+    small value (``DEMO_ALPHA``); both choices make the subject split
+    reproducible across seeds.
     """
     corpus = demo_corpus()
-    options = options or LdaOptions(var_tol=1e-8, em_tol=1e-6,
-                                    max_em_iters=200,
-                                    estimate_alpha=alpha_init is None)
-    start = seeded_topic_start(corpus.counts, k, seed=seed)
-    return train_lda(corpus.counts, k=k, seed=seed, alpha_init=alpha_init,
-                     options=options, beta_init=start)
+    start = seeded_topic_start(corpus.counts, DEMO_TOPICS, seed=seed)
+    return train_lda(corpus.counts, k=DEMO_TOPICS, seed=seed, alpha=DEMO_ALPHA,
+                     beta_init=start)
 
 
-def demo_score_matrices(seed: int = 0, k: int = 4):
+def demo_score_matrices(seed: int = 0):
     """Keyword and topic-space score matrices for the three demo queries."""
     corpus = demo_corpus()
     tfidf = train_tfidf(corpus.counts)
     keyword = score_tfidf(tfidf, corpus.query_counts)
-    fit = fit_demo_topics(seed=seed, k=k)
+    fit = fit_demo_topics(seed=seed)
     index = build_index(fit.model, corpus.counts)
     topical = score_ldi(index, corpus.query_counts)
     mats = [
@@ -157,8 +153,7 @@ def demo_score_matrices(seed: int = 0, k: int = 4):
     return corpus, mats
 
 
-def demo_boosting(seed: int = 0, eps: float = 1e-4,
-                  live_topics: bool = False) -> EnsembleWeights:
+def demo_boosting(seed: int = 0, live_topics: bool = False) -> EnsembleWeights:
     """Fuse the keyword ranker with a topic ranker; reaches perfect MAP.
 
     By default the topic side uses REFERENCE_TOPIC_SIMS, whose one weak
@@ -180,4 +175,4 @@ def demo_boosting(seed: int = 0, eps: float = 1e-4,
             ScoreMatrix("ldi", REFERENCE_TOPIC_SIMS.copy(),
                         corpus.query_ids, corpus.doc_ids),
         ]
-    return train_ensemble(mats, corpus.qrels, eps=eps)
+    return train_ensemble(mats, corpus.qrels)

@@ -154,6 +154,8 @@ def train_ensemble(matrices: list[ScoreMatrix], qrels: dict[int, set[int]],
     the earliest round achieving the best training MAP; a round-limit exit
     is reported through ``converged=False``.
     """
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     validate_alignment(matrices)
     judged = Judgments(matrices[0].query_ids, matrices[0].doc_ids, qrels)
     if not len(judged.rows):
@@ -258,6 +260,8 @@ def cross_validate(matrices: list[ScoreMatrix], qrels: dict[int, set[int]],
                    max_rounds: int = 200) -> CrossValReport:
     """Split judged queries into folds by seeded shuffle; train on each
     fold's complement and test on the fold, every direction."""
+    if n_folds < 2:
+        raise ValueError(f"n_folds must be at least 2, got {n_folds}")
     validate_alignment(matrices)
     query_ids = matrices[0].query_ids
     judged = np.array([qi for qi, qid in enumerate(query_ids)

@@ -8,9 +8,9 @@ normaliser ``phinorm = exp(E[log theta_d]) . beta[:, w]`` is all the gamma
 update needs, and a document leaves the sweeps as soon as its own gamma
 settles.  At the final gamma phi is taken once more, optimal for that
 gamma, to give the topic-term statistics and the exact bound.  The M-step
-re-fits the topic-term table and, optionally, the symmetric Dirichlet
-parameter by a guarded Newton iteration.  The bound is recorded each pass
-and must never decrease.
+re-fits the topic-term table and, unless the prior is held fixed, the
+symmetric Dirichlet parameter by a guarded Newton iteration.  The bound is
+recorded each pass and must never decrease.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from scipy.special import gammaln, psi, polygamma
 
 from .corpus import TermDocCounts
 
+MAX_EM_ITERS = 100              # EM passes per fit
+EM_TOL = 1e-4                   # relative bound change that ends the fit
+VAR_TOL = 1e-6                  # relative gamma change that settles a document
 VAR_MAX_ITERS = 100             # inner E-step sweeps per document block
 TOPIC_SMOOTHING = 1e-9          # added to topic-term sufficient stats
 DOC_CHUNK = 1024                # documents per E-step block
@@ -31,16 +34,6 @@ ALPHA_MIN = 1e-3                # range of the symmetric prior weight
 ALPHA_MAX = 10.0
 NORM_FLOOR = 1e-100             # least mixture normaliser of a cell
 GATHER_SIZE = 1 << 16           # floats per gather buffer in TokenCells.norms
-
-
-@dataclass
-class LdaOptions:
-    """Knobs for the variational EM fit; defaults suit the test collections."""
-
-    max_em_iters: int = 100
-    em_tol: float = 1e-4            # relative bound change between passes
-    var_tol: float = 1e-6           # relative gamma change per document
-    estimate_alpha: bool = True
 
 
 @dataclass
@@ -158,12 +151,12 @@ def _dirichlet_expectation(gamma: np.ndarray) -> np.ndarray:
 
 
 def _chunk_estep(cells: TokenCells, gamma_chunk: np.ndarray,
-                 beta_t: np.ndarray, alpha: float, var_tol: float):
+                 beta_t: np.ndarray, alpha: float):
     """Variational inference for one block of documents.
 
     ``beta_t`` is the topic-term table transposed, (terms, k).  Each sweep
     updates only the documents still active; one whose relative gamma
-    change falls below ``var_tol`` keeps its gamma from then on.  Returns
+    change falls below ``VAR_TOL`` keeps its gamma from then on.  Returns
     the gamma block, the topic-term sufficient statistics, the alpha
     sufficient statistic and this block's exact bound contribution, all at
     the returned gamma with phi optimal for it, under the current model.
@@ -178,7 +171,7 @@ def _chunk_estep(cells: TokenCells, gamma_chunk: np.ndarray,
         scaled = sweep.scaled(sweep.norms(exp_elog, beta_t))
         new = alpha + exp_elog * (scaled @ beta_t)
         gamma[active] = new
-        settled = np.abs(new - old).sum(axis=1) < var_tol * old.sum(axis=1)
+        settled = np.abs(new - old).sum(axis=1) < VAR_TOL * old.sum(axis=1)
         if settled.all():
             break
         if settled.any():
@@ -204,8 +197,7 @@ def _chunk_estep(cells: TokenCells, gamma_chunk: np.ndarray,
     return gamma, stats, alpha_stat, bound
 
 
-def _estep(matrix, gamma: np.ndarray, beta: np.ndarray, alpha: float,
-           var_tol: float):
+def _estep(matrix, gamma: np.ndarray, beta: np.ndarray, alpha: float):
     """One E-step over the corpus in blocks of ``DOC_CHUNK`` documents.
 
     Updates ``gamma`` in place and returns the topic-term statistics, the
@@ -219,8 +211,7 @@ def _estep(matrix, gamma: np.ndarray, beta: np.ndarray, alpha: float,
     for start in range(0, n_docs, DOC_CHUNK):
         stop = min(start + DOC_CHUNK, n_docs)
         g, s, a_stat, b = _chunk_estep(TokenCells(matrix[start:stop]),
-                                       gamma[start:stop], beta_t, alpha,
-                                       var_tol)
+                                       gamma[start:stop], beta_t, alpha)
         gamma[start:stop] = g
         stats += s
         alpha_stat += a_stat
@@ -278,20 +269,21 @@ def _update_alpha(alpha: float, n_docs: int, k: int,
 
 
 def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
-              alpha_init: float | None = None,
-              options: LdaOptions | None = None,
+              alpha: float | None = None,
               beta_init: np.ndarray | None = None) -> LdaTrainResult:
     """Fit topics by EM over the variational bound.
 
     The bound is recorded once per pass, evaluated at the fresh variational
     parameters under the model that produced them, so the recorded sequence
-    is non-decreasing.  Stops on relative bound change below ``em_tol``.
+    is non-decreasing.  Stops on relative bound change below ``EM_TOL``, or
+    after ``MAX_EM_ITERS`` passes with a warning.  ``alpha`` None starts the
+    symmetric prior weight at 50 / k and estimates it each pass; a number
+    holds it fixed at that value (clamped to [ALPHA_MIN, ALPHA_MAX]).
     ``beta_init`` overrides the random topic start, e.g. with rows built
     from document counts.
     """
     if k < 1:
         raise ValueError("topic count must be at least 1")
-    options = options or LdaOptions()
     matrix = counts.matrix.tocsr()
     n_docs, n_terms = matrix.shape
     if n_docs == 0:
@@ -308,7 +300,8 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
         beta = beta / beta.sum(axis=1, keepdims=True)
     else:
         beta = _init_beta(k, n_terms, seed)
-    alpha = float(np.clip(alpha_init if alpha_init is not None else 50.0 / k,
+    estimate_alpha = alpha is None and k > 1
+    alpha = float(np.clip(50.0 / k if alpha is None else alpha,
                           ALPHA_MIN, ALPHA_MAX))
     gamma = _start_gamma(alpha, counts, k)
 
@@ -316,10 +309,9 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
     alphas: list[float] = [alpha]
     converged = False
     n_iters = 0
-    for em_iter in range(options.max_em_iters):
+    for em_iter in range(MAX_EM_ITERS):
         n_iters = em_iter + 1
-        stats, alpha_stat, bound = _estep(matrix, gamma, beta, alpha,
-                                          options.var_tol)
+        stats, alpha_stat, bound = _estep(matrix, gamma, beta, alpha)
         if not np.isfinite(bound):
             raise RuntimeError(
                 f"variational bound became non-finite at pass {n_iters}")
@@ -327,17 +319,17 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
 
         beta = stats + TOPIC_SMOOTHING
         beta /= beta.sum(axis=1, keepdims=True)
-        if options.estimate_alpha and k > 1:
+        if estimate_alpha:
             alpha = _update_alpha(alpha, n_docs, k, alpha_stat)
         alphas.append(alpha)
 
         if em_iter > 0:
             prev, cur = elbos[-2], elbos[-1]
-            if abs(cur - prev) / max(abs(prev), 1e-12) < options.em_tol:
+            if abs(cur - prev) / max(abs(prev), 1e-12) < EM_TOL:
                 converged = True
                 break
     if not converged:
-        warnings.warn(f"EM stopped at the pass limit ({options.max_em_iters}) "
+        warnings.warn(f"EM stopped at the pass limit ({MAX_EM_ITERS}) "
                       "before the bound settled")
 
     model = LdaModel(k=k, alpha=alpha, beta=beta, seed=seed, n_em_iters=n_iters)
@@ -348,5 +340,4 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
 def corpus_bound(model: LdaModel, counts: TermDocCounts) -> float:
     """Evidence lower bound of a count matrix under a fitted model."""
     gamma = _start_gamma(model.alpha, counts, model.k)
-    return _estep(counts.matrix.tocsr(), gamma, model.beta, model.alpha,
-                  LdaOptions().var_tol)[2]
+    return _estep(counts.matrix.tocsr(), gamma, model.beta, model.alpha)[2]

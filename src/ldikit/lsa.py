@@ -3,7 +3,7 @@
 The factors come from Lanczos iterations (a dense SVD when the requested
 rank reaches the smaller matrix dimension) and carry a verified residual
 contract: every retained singular triplet must reproduce its matrix-vector
-products to the requested tolerance, or the fit fails.
+products to ``SVD_TOL``, or the fit fails.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from scipy.sparse.linalg import svds
 
 from .corpus import TermDocCounts
 from .vsm import TfIdfModel, cosine_scores, tfidf_query_matrix, train_tfidf
+
+SVD_TOL = 1e-8                  # largest relative residual of a kept triplet
 
 
 @dataclass
@@ -54,14 +56,13 @@ def _residuals(matrix, u, s, vt) -> np.ndarray:
     return np.maximum(r1, r2) / np.maximum(s, 1e-300)
 
 
-def truncated_svd(matrix, k: int, tol: float = 1e-8,
-                  seed: int = 0) -> SvdFactors:
+def truncated_svd(matrix, k: int, seed: int = 0) -> SvdFactors:
     """Top-k singular triplets with verified residuals.
 
     Lanczos (ARPACK) finds the triplets, or a dense LAPACK SVD when ``k``
     reaches the smaller matrix dimension.  Negligible trailing singular
     values (matrix rank below k) are trimmed and flagged instead of padded;
-    a residual above ``tol`` raises.
+    a residual above ``SVD_TOL`` raises.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -90,9 +91,9 @@ def truncated_svd(matrix, k: int, tol: float = 1e-8,
         raise RuntimeError("singular values not in descending order")
     _normalize_signs(u, vt)
     res = _residuals(matrix, u, s, vt)
-    if np.any(res > tol):
+    if np.any(res > SVD_TOL):
         raise RuntimeError(
-            f"SVD residual {res.max():.3e} exceeds tolerance {tol:.3e}")
+            f"SVD residual {res.max():.3e} exceeds tolerance {SVD_TOL:.3e}")
     return SvdFactors(u=u, s=s, vt=vt, requested_k=k)
 
 
@@ -104,11 +105,10 @@ class LsiModel:
     factors: SvdFactors
 
 
-def train_lsi(counts: TermDocCounts, k: int, seed: int = 0,
-              tol: float = 1e-8) -> LsiModel:
+def train_lsi(counts: TermDocCounts, k: int, seed: int = 0) -> LsiModel:
     """Factor the unit-normalized tf-idf matrix arranged terms x documents."""
     tfidf = train_tfidf(counts)
-    factors = truncated_svd(tfidf.doc_vectors.T, k, tol=tol, seed=seed)
+    factors = truncated_svd(tfidf.doc_vectors.T, k, seed=seed)
     return LsiModel(tfidf=tfidf, factors=factors)
 
 

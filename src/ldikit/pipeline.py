@@ -26,8 +26,8 @@ from .lda import LdaModel, train_lda
 from .ldi import build_index, score_ldi
 from .lsa import LsiModel, SvdFactors, score_lsi, train_lsi
 from .metrics import EvalReport, evaluate_scores
-from .plsa import (PlsaModel, TemperingSchedule, continue_tempering_by_precision,
-                   score_plsa, train_plsa)
+from .plsa import (PlsaModel, continue_tempering_by_precision, score_plsa,
+                   train_plsa)
 from .vsm import TfIdfModel, score_tfidf, train_tfidf
 
 
@@ -46,12 +46,11 @@ class Ranker:
     needs_k: bool = True
 
 
-def _fit_plsi(corpus, k, seed, schedule=None, tune_by_precision=False, **_):
-    result = train_plsa(corpus.counts, k=k, seed=seed, schedule=schedule)
+def _fit_plsi(corpus, k, seed, tune_by_precision=False):
+    result = train_plsa(corpus.counts, k=k, seed=seed)
     model = result.model
     if tune_by_precision:
-        model, _ = continue_tempering_by_precision(result, corpus,
-                                                   schedule=schedule)
+        model, _ = continue_tempering_by_precision(result, corpus)
     return model, {"beta_temp": model.beta_temp}
 
 
@@ -143,8 +142,7 @@ class FittedModel:
 
 
 def train_model(corpus: Corpus, method: str, k: int | None = None,
-                seed: int = 0, tune_by_precision: bool = False,
-                schedule: TemperingSchedule | None = None) -> FittedModel:
+                seed: int = 0, tune_by_precision: bool = False) -> FittedModel:
     """Fit one ranker.  Topic methods require ``k``; tfidf ignores it."""
     method = resolve_method(method)
     ranker = RANKERS[method]
@@ -154,8 +152,7 @@ def train_model(corpus: Corpus, method: str, k: int | None = None,
         raise ValueError(f"method {method!r} needs a topic count")
     checksum = corpus.checksum()
     payload, extra = ranker.fit(corpus, k, seed,
-                                tune_by_precision=tune_by_precision,
-                                schedule=schedule)
+                                tune_by_precision=tune_by_precision)
     return FittedModel(method, payload, checksum, corpus.name, k=k, seed=seed,
                        extra=extra)
 
@@ -201,14 +198,12 @@ def load_fitted(in_dir) -> FittedModel:
                        k=manifest.get("k"), seed=manifest.get("seed", 0))
 
 
-def sweep_topics(corpus: Corpus, method: str, ks, seeds,
-                 tune_by_precision: bool = False) -> list[dict]:
+def sweep_topics(corpus: Corpus, method: str, ks, seeds) -> list[dict]:
     """MAP for each (topic count, seed) pair of one method."""
     rows = []
     for k in ks:
         for seed in seeds:
-            fitted = train_model(corpus, method, k=k, seed=seed,
-                                 tune_by_precision=tune_by_precision)
+            fitted = train_model(corpus, method, k=k, seed=seed)
             report = evaluate_matrix(score_corpus(fitted, corpus), corpus)
             rows.append({"method": resolve_method(method), "k": int(k),
                          "seed": int(seed), "map": report.map_score})

@@ -8,6 +8,14 @@ tempered data objective sum n log sum_z P(z|d) P(w|z)^beta is what each
 fixed-temperature block ascends; the plain likelihood is not monotone
 across temperature changes.
 
+Every fit runs one schedule.  A tenth of the tokens (``HOLDOUT_FRACTION``)
+is held out; the exponent starts at ``BETA_START`` and is multiplied by
+``BETA_DECAY`` while that still improves the best held-out perplexity by
+``IMPROVEMENT_TOL`` and stays at or above ``MIN_BETA``.  One temperature
+runs at most ``MAX_ITERS_PER_BETA`` passes and a fit at most
+``MAX_TOTAL_ITERS``.  ``continue_tempering_by_precision`` goes on lowering
+it, for at most ``MAX_PRECISION_ROUNDS`` more temperatures.
+
 The tempered posterior is never stored.  With A = P(z|d) and
 B = P(w|z)^beta, each cell's normaliser is norm = A[d] . B[:, w]; an EM
 pass is that norm, the count matrix scaled by 1 / norm (S), and the two
@@ -33,18 +41,13 @@ EM_CHUNK = 2048                 # documents per tempered E-step block
 IMPROVEMENT_TOL = 1e-6          # relative held-out perplexity gain that counts
 FOLD_IN_MAX_ITERS = 50
 FOLD_IN_TOL = 1e-6              # largest L1 change of a folded-in mixture
-
-
-@dataclass
-class TemperingSchedule:
-    """Annealing control: when to lower the E-step exponent and when to stop."""
-
-    beta_start: float = 1.0
-    beta_decay: float = 0.9
-    min_beta: float = 0.5
-    holdout_fraction: float = 0.1
-    max_iters_per_beta: int = 200
-    max_total_iters: int = 1000
+BETA_START = 1.0                # E-step exponent of the first temperature
+BETA_DECAY = 0.9                # factor from one temperature to the next
+MIN_BETA = 0.5                  # lowest exponent train_plsa reaches
+HOLDOUT_FRACTION = 0.1          # share of tokens held out for perplexity
+MAX_ITERS_PER_BETA = 200        # EM passes at one temperature
+MAX_TOTAL_ITERS = 1000          # EM passes in one train_plsa fit
+MAX_PRECISION_ROUNDS = 20       # further temperatures tried by validation MAP
 
 
 @dataclass
@@ -148,73 +151,79 @@ def _init_tables(n_docs: int, n_terms: int, k: int, seed: int):
     return p_dz, p_wz
 
 
-def train_plsa(counts: TermDocCounts, k: int, seed: int = 0,
-               schedule: TemperingSchedule | None = None) -> PlsaTrainResult:
+def _anneal_at(train, held, p_dz, p_wz, beta_temp: float, max_passes: int,
+               trace: list, perps: list):
+    """EM passes at one temperature until held-out perplexity stops improving
+    by ``IMPROVEMENT_TOL`` or ``MAX_ITERS_PER_BETA`` passes have run, and
+    never more than ``max_passes``.
+
+    Appends each pass's (temperature, objective) to ``trace`` and its
+    held-out perplexity to ``perps``.  Returns the tables after the last
+    pass, the snapshot (perplexity, p_dz, p_wz) with the lowest held-out
+    perplexity (the last pass when ``held`` is None), and whether this
+    temperature ran its course: False only when ``max_passes`` cut it short.
+    """
+    best = (np.inf, p_dz, p_wz)
+    n_passes = min(max_passes, MAX_ITERS_PER_BETA)
+    for _ in range(n_passes):
+        p_dz, p_wz, objective = _em_pass(train, p_dz, p_wz, beta_temp)
+        trace.append((beta_temp, objective))
+        if held is None:
+            best = (np.inf, p_dz, p_wz)
+            continue
+        perp = holdout_perplexity(held, p_dz, p_wz)
+        perps.append(perp)
+        improved = perp < best[0] * (1.0 - IMPROVEMENT_TOL)
+        if perp < best[0]:
+            best = (perp, p_dz, p_wz)
+        if not improved:
+            return p_dz, p_wz, best, True
+    return p_dz, p_wz, best, n_passes == MAX_ITERS_PER_BETA
+
+
+def train_plsa(counts: TermDocCounts, k: int,
+               seed: int = 0) -> PlsaTrainResult:
     """Tempered EM with early stopping on held-out token perplexity.
 
     The returned model is the snapshot with the best held-out perplexity
     seen anywhere during the anneal, tagged with the temperature it was
-    taken at.
+    taken at.  A corpus too small to hold tokens out runs one temperature
+    and returns its last pass.
     """
     if k < 1:
         raise ValueError("topic count must be at least 1")
-    schedule = schedule or TemperingSchedule()
     matrix = counts.matrix.tocsr()
-    train, held = split_holdout(matrix, schedule.holdout_fraction, seed)
+    train, held = split_holdout(matrix, HOLDOUT_FRACTION, seed)
     if held.data.sum() == 0 or train.data.sum() == 0:
-        # tiny corpora: anneal without a held-out signal, single temperature
         train, held = matrix, None
 
     p_dz, p_wz = _init_tables(matrix.shape[0], matrix.shape[1], k, seed)
-    beta_temp = schedule.beta_start
+    beta_temp = BETA_START
     trace: list[tuple[float, float]] = []
     perps: list[float] = []
-    best = (np.inf, p_dz.copy(), p_wz.copy(), beta_temp)
-    best_prev_beta = np.inf
-    best_this_beta = np.inf
-    iters_this_beta = 0
-    total_iters = 0
-
-    while total_iters < schedule.max_total_iters:
-        p_dz, p_wz, objective = _em_pass(train, p_dz, p_wz, beta_temp)
-        trace.append((beta_temp, objective))
-        total_iters += 1
-        iters_this_beta += 1
-
-        if held is None:
-            # no perplexity signal: run a fixed budget at the start temperature
-            best = (0.0, p_dz.copy(), p_wz.copy(), beta_temp)
-            if iters_this_beta >= schedule.max_iters_per_beta:
-                break
-            continue
-
-        perp = holdout_perplexity(held, p_dz, p_wz)
-        perps.append(perp)
-        if perp < best[0]:
-            best = (perp, p_dz.copy(), p_wz.copy(), beta_temp)
-        improved = perp < best_this_beta * (1.0 - IMPROVEMENT_TOL)
-        if improved:
-            best_this_beta = perp
-        if improved and iters_this_beta < schedule.max_iters_per_beta:
-            continue
-
-        # this temperature is exhausted
-        if (best_this_beta < best_prev_beta * (1.0 - IMPROVEMENT_TOL)
-                and beta_temp * schedule.beta_decay >= schedule.min_beta):
-            best_prev_beta = best_this_beta
-            best_this_beta = np.inf
-            beta_temp *= schedule.beta_decay
-            iters_this_beta = 0
-        else:
+    best = None                 # (perplexity, p_dz, p_wz, temperature)
+    prev_perp = np.inf          # best perplexity of the temperature before
+    while True:
+        p_dz, p_wz, snapshot, finished = _anneal_at(
+            train, held, p_dz, p_wz, beta_temp, MAX_TOTAL_ITERS - len(trace),
+            trace, perps)
+        if best is None or snapshot[0] < best[0]:
+            best = (*snapshot, beta_temp)
+        if not finished:
+            warnings.warn("tempered EM hit the total iteration cap")
             break
-    else:
-        warnings.warn("tempered EM hit the total iteration cap")
+        if (held is None
+                or not snapshot[0] < prev_perp * (1.0 - IMPROVEMENT_TOL)
+                or beta_temp * BETA_DECAY < MIN_BETA):
+            break
+        prev_perp = snapshot[0]
+        beta_temp *= BETA_DECAY
 
     _, p_dz, p_wz, beta_final = best
     model = PlsaModel(k=k, p_dz=p_dz, p_wz=p_wz, beta_temp=beta_final, seed=seed)
     return PlsaTrainResult(model=model, objective_trace=trace,
                            perplexity_trace=perps, train_matrix=train,
-                           held_matrix=held if held is not None else None)
+                           held_matrix=held)
 
 
 def fold_in(model: PlsaModel, query_counts):
@@ -247,19 +256,16 @@ def fold_in(model: PlsaModel, query_counts):
     return p_qz, evidence
 
 
-def continue_tempering_by_precision(result: PlsaTrainResult, corpus,
-                                    schedule: TemperingSchedule | None = None,
-                                    max_rounds: int = 20):
+def continue_tempering_by_precision(result: PlsaTrainResult, corpus):
     """Keep lowering the temperature while validation MAP strictly improves.
 
     Each round drops the temperature one decay step, refits until the
     held-out perplexity stops improving at that temperature, and keeps the
-    refit model only if mean average precision on the corpus queries beats
-    the best seen so far.  Returns (best model, [(temperature, MAP), ...]).
+    refit model (that temperature's lowest-perplexity pass) only if mean
+    average precision on the corpus queries beats the best seen so far.
+    Returns (best model, [(temperature, MAP), ...]).
     """
     from .metrics import evaluate_scores
-
-    schedule = schedule or TemperingSchedule()
 
     def validation_map(m: PlsaModel) -> float:
         scores = score_plsa(m, corpus.query_counts)
@@ -268,34 +274,21 @@ def continue_tempering_by_precision(result: PlsaTrainResult, corpus,
 
     train = (result.train_matrix if result.train_matrix is not None
              else corpus.counts.matrix.tocsr())
-    held = result.held_matrix
     best_model = result.model
     best_map = validation_map(best_model)
     history = [(best_model.beta_temp, best_map)]
-    p_dz = best_model.p_dz.copy()
-    p_wz = best_model.p_wz.copy()
+    p_dz, p_wz = best_model.p_dz, best_model.p_wz
     beta_temp = best_model.beta_temp
 
-    for _ in range(max_rounds):
-        beta_temp *= schedule.beta_decay
+    for _ in range(MAX_PRECISION_ROUNDS):
+        beta_temp *= BETA_DECAY
         if beta_temp < 0.05:
             break
-        local_best_perp = np.inf
-        local_best = (p_dz.copy(), p_wz.copy())
-        for _ in range(schedule.max_iters_per_beta):
-            p_dz, p_wz, _ = _em_pass(train, p_dz, p_wz, beta_temp)
-            if held is None:
-                local_best = (p_dz.copy(), p_wz.copy())
-                continue
-            perp = holdout_perplexity(held, p_dz, p_wz)
-            if perp < local_best_perp * (1.0 - IMPROVEMENT_TOL):
-                local_best_perp = perp
-                local_best = (p_dz.copy(), p_wz.copy())
-            else:
-                break
-        candidate = PlsaModel(k=best_model.k, p_dz=local_best[0],
-                              p_wz=local_best[1], beta_temp=beta_temp,
-                              seed=best_model.seed)
+        p_dz, p_wz, (_, snap_dz, snap_wz), _ = _anneal_at(
+            train, result.held_matrix, p_dz, p_wz, beta_temp,
+            MAX_ITERS_PER_BETA, [], [])
+        candidate = PlsaModel(k=best_model.k, p_dz=snap_dz, p_wz=snap_wz,
+                              beta_temp=beta_temp, seed=best_model.seed)
         candidate_map = validation_map(candidate)
         history.append((beta_temp, candidate_map))
         if candidate_map > best_map:

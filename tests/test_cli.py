@@ -312,6 +312,25 @@ class TestEnsembleCommands:
                                            str(weights_path)])
         assert code == 1 and "usage error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["crossval", "--corpus", "{absent}", "--folds", "1"],
+        ["crossval", "--corpus", "{absent}", "--folds", "0"],
+        ["crossval", "--corpus", "{absent}", "--max-rounds", "0"],
+        ["train", "--corpus", "{absent}", "--max-rounds", "0",
+         "--out", "{absent}.json"],
+        ["apply", "--out", "{absent}.bin"],
+    ], ids=["folds-1", "folds-0", "crossval-rounds-0", "train-rounds-0",
+            "apply-no-weight-source"])
+    def test_bad_counts_and_flags_fail_before_reading(self, tmp_path, capsys,
+                                                      argv):
+        # every input is missing: a data error (2) would mean a file was
+        # read before the arguments were checked
+        absent = str(tmp_path / "absent")
+        argv = [a.format(absent=absent) for a in argv]
+        code, _, err = run(capsys, ["ensemble", *argv[:1], "--scores", absent,
+                                    *argv[1:]])
+        assert code == 1 and "usage error" in err
+
     def test_apply_rejects_unknown_tag(self, ws, tmp_path, capsys):
         weights_path = tmp_path / "w.json"
         weights_path.write_text(json.dumps({"tags": ["tfidf"], "alpha": [1.0]}))

@@ -36,10 +36,6 @@ class TestCanonicalCounts:
         assert corpus.vocabulary.terms == TERMS
         np.testing.assert_array_equal(corpus.counts.doc_lengths,
                                       DOC_TERM_COUNTS.sum(axis=1))
-        np.testing.assert_array_equal(
-            corpus.vocabulary.cf, DOC_TERM_COUNTS.sum(axis=0))
-        np.testing.assert_array_equal(
-            corpus.vocabulary.df, (DOC_TERM_COUNTS > 0).sum(axis=0))
 
     def test_query_rows_match_term_lists(self):
         corpus = demo_corpus()

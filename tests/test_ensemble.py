@@ -365,6 +365,17 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="fold count"):
             cross_validate(matrices, qrels, n_folds=7)
 
+    @pytest.mark.parametrize("fit, bad", [
+        (lambda m, q: cross_validate(m, q, n_folds=1), "n_folds"),
+        (lambda m, q: cross_validate(m, q, n_folds=0), "n_folds"),
+        (lambda m, q: cross_validate(m, q, max_rounds=0), "max_rounds"),
+        (lambda m, q: train_ensemble(m, q, max_rounds=0), "max_rounds"),
+    ], ids=["folds-1", "folds-0", "crossval-rounds-0", "train-rounds-0"])
+    def test_bad_fold_or_round_count_names_the_argument(self, fit, bad):
+        matrices, qrels = halves_fixture()
+        with pytest.raises(ValueError, match=bad):
+            fit(matrices, qrels)
+
     def test_fold_maps_use_each_folds_own_judgments(self):
         # two equal-size folds whose queries judge different documents: a
         # fold scored with the other fold's judgments gets different MAPs

@@ -10,7 +10,7 @@ from oracles import (dirichlet_multinomial_log_likelihood,
                      two_topic_log_likelihood_quadrature)
 from ldikit.corpus import TermDocCounts
 from ldikit.lda import (ALPHA_MAX, ALPHA_MIN, NORM_FLOOR, TOPIC_SMOOTHING,
-                        LdaModel, LdaOptions, TokenCells, corpus_bound,
+                        LdaModel, TokenCells, corpus_bound,
                         seeded_topic_start, train_lda)
 
 
@@ -53,10 +53,10 @@ def start_gamma(matrix, alpha, k):
                    (1, k))
 
 
-def run_chunk(matrix, beta, alpha, var_tol):
+def run_chunk(matrix, beta, alpha):
     return lda._chunk_estep(TokenCells(matrix),
                             start_gamma(matrix, alpha, len(beta)),
-                            np.ascontiguousarray(beta.T), alpha, var_tol)
+                            np.ascontiguousarray(beta.T), alpha)
 
 
 class TestTokenCells:
@@ -113,7 +113,7 @@ class TestKernelAgainstLogSpace:
         # the gamma the kernel returns
         matrix = block_with_empty_ends()
         beta = random_beta(k, matrix.shape[1], k)
-        gamma, stats, alpha_stat, bound = run_chunk(matrix, beta, 0.3, 1e-6)
+        gamma, stats, alpha_stat, bound = run_chunk(matrix, beta, 0.3)
         want_stats, want_alpha_stat, want_bound = log_space_terms_at(
             matrix, gamma, np.log(beta), 0.3)
         np.testing.assert_allclose(stats, want_stats, rtol=1e-10,
@@ -125,9 +125,10 @@ class TestKernelAgainstLogSpace:
     def test_fixed_point_equals_log_space(self, k, monkeypatch):
         # run to a tight tolerance, both kernels reach the same gamma
         monkeypatch.setattr(lda, "VAR_MAX_ITERS", 1000)
+        monkeypatch.setattr(lda, "VAR_TOL", 1e-13)
         matrix = block_with_empty_ends()
         beta = random_beta(k, matrix.shape[1], 10 + k)
-        gamma = run_chunk(matrix, beta, 0.3, 1e-13)[0]
+        gamma = run_chunk(matrix, beta, 0.3)[0]
         want = log_space_chunk_estep(matrix, start_gamma(matrix, 0.3, k),
                                      np.log(beta), 0.3, 1e-13,
                                      max_iters=1000)[0]
@@ -139,9 +140,9 @@ class TestKernelAgainstLogSpace:
         # exactly where it would alone, however long its blockmates sweep
         matrix = block_with_empty_ends()
         beta = random_beta(4, matrix.shape[1], 3)
-        together = run_chunk(matrix, beta, 0.2, 1e-6)[0]
+        together = run_chunk(matrix, beta, 0.2)[0]
         for row in range(matrix.shape[0]):
-            alone = run_chunk(matrix[row], beta, 0.2, 1e-6)[0]
+            alone = run_chunk(matrix[row], beta, 0.2)[0]
             np.testing.assert_array_equal(together[row], alone[0])
 
     def test_small_alpha_does_not_divide_by_zero(self):
@@ -163,10 +164,7 @@ class TestKernelAgainstLogSpace:
         with np.errstate(all="raise", under="ignore"), \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            result = train_lda(counts, k=20, alpha_init=ALPHA_MIN,
-                               beta_init=beta,
-                               options=LdaOptions(estimate_alpha=False,
-                                                  max_em_iters=30))
+            result = train_lda(counts, k=20, alpha=ALPHA_MIN, beta_init=beta)
             bound = corpus_bound(LdaModel(k=20, alpha=ALPHA_MIN, beta=beta),
                                  counts)
         assert np.all(np.isfinite(result.gamma))
@@ -180,16 +178,13 @@ class TestBoundMonotonicity:
             counts = random_counts(30, 40, seed)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                result = train_lda(counts, k=5, seed=seed,
-                                   options=LdaOptions(max_em_iters=40))
+                result = train_lda(counts, k=5, seed=seed)
             assert elbo_non_decreasing(result.elbo_trace)
             assert len(result.elbo_trace) == result.model.n_em_iters
 
     def test_fixed_alpha(self):
         counts = random_counts(20, 25, 1)
-        result = train_lda(counts, k=3, seed=0, alpha_init=0.5,
-                           options=LdaOptions(estimate_alpha=False,
-                                              max_em_iters=40))
+        result = train_lda(counts, k=3, seed=0, alpha=0.5)
         assert elbo_non_decreasing(result.elbo_trace)
         assert all(a == 0.5 for a in result.alpha_trace)
 
@@ -198,8 +193,7 @@ class TestExactnessOracles:
     def test_single_topic_closed_form(self):
         # with one topic the bound equals sum of counts times log beta
         counts = make_counts([[3, 1, 0], [0, 2, 2], [1, 1, 1]])
-        result = train_lda(counts, k=1, seed=0,
-                           options=LdaOptions(max_em_iters=5))
+        result = train_lda(counts, k=1, seed=0)
         log_beta = np.log(result.model.beta[0])
         expected = float((counts.matrix.toarray() * log_beta).sum())
         assert result.elbo_trace[-1] == pytest.approx(expected, rel=1e-9)
@@ -247,8 +241,7 @@ class TestExactnessOracles:
 class TestAlphaEstimation:
     def test_alpha_stays_in_bounds(self):
         counts = random_counts(25, 30, 7)
-        result = train_lda(counts, k=4, seed=1,
-                           options=LdaOptions(max_em_iters=30))
+        result = train_lda(counts, k=4, seed=1)
         trace = np.asarray(result.alpha_trace)
         assert np.all(trace >= ALPHA_MIN - 1e-12)
         assert np.all(trace <= ALPHA_MAX + 1e-12)
@@ -261,8 +254,7 @@ class TestAlphaEstimation:
         block[8:, 4:] = np.random.default_rng(1).integers(1, 4, (8, 4))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = train_lda(make_counts(block), k=2, seed=0,
-                               options=LdaOptions(max_em_iters=60))
+            result = train_lda(make_counts(block), k=2, seed=0)
         assert result.alpha_trace[-1] < result.alpha_trace[0]
 
 
@@ -312,27 +304,23 @@ class TestInference:
     def test_posterior_for_training_document(self):
         # phi rows sum to one, so each gamma row gains its document's length
         counts = random_counts(15, 12, 8)
-        result = train_lda(counts, k=3, seed=0, alpha_init=0.4,
-                           options=LdaOptions(max_em_iters=30,
-                                              estimate_alpha=False))
+        result = train_lda(counts, k=3, seed=0, alpha=0.4)
         np.testing.assert_allclose(result.gamma.sum(axis=1),
                                    3 * 0.4 + counts.doc_lengths, rtol=1e-9)
 
     def test_empty_document(self):
         rows = random_counts(10, 8, 9).matrix.toarray()
         rows[4] = 0
-        result = train_lda(make_counts(rows), k=2, seed=0, alpha_init=0.3,
-                           options=LdaOptions(max_em_iters=10,
-                                              estimate_alpha=False))
+        result = train_lda(make_counts(rows), k=2, seed=0, alpha=0.3)
         assert np.all(result.gamma[4] == 0.3)
 
 
 class TestTrainingGuards:
-    def test_warns_at_pass_limit(self):
+    def test_warns_at_pass_limit(self, monkeypatch):
+        monkeypatch.setattr(lda, "MAX_EM_ITERS", 2)
         counts = random_counts(20, 15, 10)
         with pytest.warns(UserWarning, match="pass limit"):
-            train_lda(counts, k=3, seed=0,
-                      options=LdaOptions(max_em_iters=2))
+            train_lda(counts, k=3, seed=0)
 
     def test_empty_corpus_rejected(self):
         empty = TermDocCounts(matrix=sp.csr_matrix((0, 5)),
@@ -344,12 +332,11 @@ class TestTrainingGuards:
         with pytest.raises(ValueError):
             train_lda(random_counts(5, 5, 0), k=0)
 
-    def test_convergence_flag(self):
+    def test_convergence_flag(self, monkeypatch):
+        monkeypatch.setattr(lda, "MAX_EM_ITERS", 200)
+        monkeypatch.setattr(lda, "EM_TOL", 1e-6)
         counts = random_counts(10, 10, 11)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            loose = train_lda(counts, k=2, seed=0, alpha_init=1.0,
-                              options=LdaOptions(max_em_iters=200,
-                                                 em_tol=1e-6,
-                                                 estimate_alpha=False))
+            loose = train_lda(counts, k=2, seed=0, alpha=1.0)
         assert loose.converged

@@ -9,7 +9,6 @@ from ldikit.demo import demo_corpus
 from ldikit.pipeline import (FittedModel, evaluate_matrix, load_fitted,
                              resolve_method, save_fitted, score_corpus,
                              sweep_topics, train_model)
-from ldikit.plsa import TemperingSchedule
 
 TOPIC_COUNTS = {"lsi": 4, "plsi": 3, "lda": 4}
 
@@ -26,9 +25,7 @@ def corpus():
 def fit(corpus, method):
     if method == "tfidf":
         return train_model(corpus, "tfidf")
-    return train_model(corpus, method, k=TOPIC_COUNTS[method], seed=0,
-                       schedule=TemperingSchedule(holdout_fraction=0.15,
-                                                  max_iters_per_beta=40))
+    return train_model(corpus, method, k=TOPIC_COUNTS[method], seed=0)
 
 
 class TestResolveMethod:
@@ -84,9 +81,7 @@ class TestTrainScoreEvaluate:
 
     def test_plsi_tuning_keeps_temperature_in_range(self, corpus):
         fitted = train_model(corpus, "plsi", k=3, seed=1,
-                             tune_by_precision=True,
-                             schedule=TemperingSchedule(holdout_fraction=0.15,
-                                                        max_iters_per_beta=40))
+                             tune_by_precision=True)
         assert 0.0 < fitted.extra["beta_temp"] <= 1.0
 
 

@@ -105,7 +105,7 @@ PINNED_MAP = {"tfidf": 0.5757454713589473, "lsi": 0.9478651081954623,
               "plsi": 0.75788817296468, "lda": 0.9569215922439531}
 # tfidf and lsi do not run the E-step: only rounding may move them.  The
 # E-step's own tolerances allow a settled document's gamma to differ by
-# var_tol and the stopping pass by one (em_tol 1e-4 of the bound per pass),
+# VAR_TOL and the stopping pass by one (EM_TOL 1e-4 of the bound per pass),
 # and rank ties may break differently after that.
 BOUND_RTOL = 2e-4
 MAP_ATOL = {"tfidf": 1e-6, "lsi": 1e-6, "plsi": 0.005, "lda": 0.01}

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from oracles import dense_tempered_em_step, dense_tempered_objective
 from ldikit.corpus import TermDocCounts
 from ldikit.demo import demo_corpus
 from ldikit.metrics import evaluate_scores
-from ldikit.plsa import (PlsaModel, TemperingSchedule, _em_pass,
+from ldikit.plsa import (PlsaModel, _em_pass,
                          continue_tempering_by_precision, fold_in,
                          holdout_perplexity, score_plsa, split_holdout,
                          tempered_objective, train_plsa)
@@ -166,14 +167,14 @@ class TestTraining:
         # temperatures only ever move downward
         assert all(b2 <= b1 for b1, b2 in zip(betas, betas[1:]))
 
-    def test_temperature_stays_in_schedule_range(self):
+    def test_temperature_stays_in_schedule_range(self, monkeypatch):
+        monkeypatch.setattr(plsa, "BETA_DECAY", 0.8)
         counts = random_counts(25, 15, 12)
-        schedule = TemperingSchedule(beta_decay=0.8, min_beta=0.5)
-        result = train_plsa(counts, k=2, seed=3, schedule=schedule)
+        result = train_plsa(counts, k=2, seed=3)
         betas = [b for b, _ in result.objective_trace]
-        assert max(betas) == schedule.beta_start
-        assert min(betas) >= schedule.min_beta - 1e-12
-        assert schedule.min_beta - 1e-12 <= result.model.beta_temp <= 1.0
+        assert max(betas) == plsa.BETA_START
+        assert min(betas) >= plsa.MIN_BETA - 1e-12
+        assert plsa.MIN_BETA - 1e-12 <= result.model.beta_temp <= 1.0
 
     def test_tables_are_row_distributions(self):
         counts = random_counts(20, 10, 13)
@@ -217,22 +218,56 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_plsa(counts, k=0)
 
-    def test_no_holdout_runs_single_temperature_budget(self):
+    def test_no_holdout_runs_single_temperature_budget(self, monkeypatch):
+        monkeypatch.setattr(plsa, "HOLDOUT_FRACTION", 0.0)
+        monkeypatch.setattr(plsa, "MAX_ITERS_PER_BETA", 25)
         counts = block_counts()
-        schedule = TemperingSchedule(holdout_fraction=0.0, max_iters_per_beta=25)
-        result = train_plsa(counts, k=2, seed=0, schedule=schedule)
+        result = train_plsa(counts, k=2, seed=0)
         assert result.held_matrix is None
         assert result.perplexity_trace == []
         assert len(result.objective_trace) == 25
-        assert all(b == schedule.beta_start for b, _ in result.objective_trace)
+        assert all(b == plsa.BETA_START for b, _ in result.objective_trace)
         np.testing.assert_array_equal(result.train_matrix.toarray(),
                                       counts.matrix.toarray())
 
-    def test_iteration_cap_warns(self):
+    def test_iteration_cap_warns(self, monkeypatch):
+        monkeypatch.setattr(plsa, "MAX_TOTAL_ITERS", 1)
         counts = random_counts(12, 8, 18)
         with pytest.warns(UserWarning, match="iteration cap"):
-            train_plsa(counts, k=2, seed=0,
-                       schedule=TemperingSchedule(max_total_iters=1))
+            train_plsa(counts, k=2, seed=0)
+
+
+# One seeded fit under four schedules, pinned as the per-temperature anneal
+# loop produced them before it became one helper: passes at each
+# temperature, final temperature, lowest held-out perplexity (None without
+# a held-out split) and whether the total-cap warning fired.
+ANNEAL_PINS = {
+    "defaults": ({}, [6, 5, 2, 2], 0.81, 20.476985152293434, False),
+    "total-cap-7": ({"MAX_TOTAL_ITERS": 7}, [6, 1], 0.9,
+                    20.51318946576622, True),
+    "per-temperature-cap-3": ({"MAX_ITERS_PER_BETA": 3}, [3, 3, 3, 2, 2],
+                              0.729, 20.45664668058765, False),
+    "no-holdout": ({"HOLDOUT_FRACTION": 0.0}, [200], 1.0, None, False),
+}
+
+
+@pytest.mark.parametrize("case", list(ANNEAL_PINS))
+def test_anneal_pins(case, monkeypatch):
+    settings, passes, beta_final, best_perp, capped = ANNEAL_PINS[case]
+    for name, value in settings.items():
+        monkeypatch.setattr(plsa, name, value)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = train_plsa(random_counts(30, 20, 11), k=3, seed=5)
+    betas = [b for b, _ in result.objective_trace]
+    assert [len(list(run)) for _, run in itertools.groupby(betas)] == passes
+    assert result.model.beta_temp == pytest.approx(beta_final, rel=1e-12)
+    if best_perp is None:
+        assert result.perplexity_trace == []
+    else:
+        assert min(result.perplexity_trace) == pytest.approx(best_perp,
+                                                             rel=1e-12)
+    assert any("iteration cap" in str(w.message) for w in caught) == capped
 
 
 class TestFoldIn:
@@ -283,53 +318,85 @@ class TestFoldIn:
 
 
 class TestContinueTempering:
-    def setup_method(self):
+    @pytest.fixture(autouse=True)
+    def fit(self, monkeypatch):
+        monkeypatch.setattr(plsa, "HOLDOUT_FRACTION", 0.15)
+        monkeypatch.setattr(plsa, "MAX_ITERS_PER_BETA", 40)
         self.corpus = demo_corpus()
-        self.schedule = TemperingSchedule(holdout_fraction=0.15,
-                                          max_iters_per_beta=40)
-        self.result = train_plsa(self.corpus.counts, k=3, seed=1,
-                                 schedule=self.schedule)
+        self.result = train_plsa(self.corpus.counts, k=3, seed=1)
 
     def validation_map(self, model):
         scores = score_plsa(model, self.corpus.query_counts)
         return evaluate_scores(scores, self.corpus.query_ids,
                                self.corpus.doc_ids, self.corpus.qrels).map_score
 
-    def test_history_starts_at_fitted_temperature(self):
-        best, history = continue_tempering_by_precision(
-            self.result, self.corpus, self.schedule, max_rounds=3)
+    def test_history_starts_at_fitted_temperature(self, monkeypatch):
+        monkeypatch.setattr(plsa, "MAX_PRECISION_ROUNDS", 3)
+        best, history = continue_tempering_by_precision(self.result,
+                                                        self.corpus)
         assert history[0] == (self.result.model.beta_temp,
                               pytest.approx(self.validation_map(self.result.model)))
         temps = [t for t, _ in history]
         assert all(t2 < t1 for t1, t2 in zip(temps, temps[1:]))
         assert len(history) <= 4
 
-    def test_returns_model_with_best_precision(self):
-        best, history = continue_tempering_by_precision(
-            self.result, self.corpus, self.schedule, max_rounds=3)
+    def test_returns_model_with_best_precision(self, monkeypatch):
+        monkeypatch.setattr(plsa, "MAX_PRECISION_ROUNDS", 3)
+        best, history = continue_tempering_by_precision(self.result,
+                                                        self.corpus)
         best_map = max(m for _, m in history)
         np.testing.assert_allclose(self.validation_map(best), best_map,
                                    rtol=1e-12)
 
-    def test_zero_rounds_returns_input_model(self):
-        best, history = continue_tempering_by_precision(
-            self.result, self.corpus, self.schedule, max_rounds=0)
+    def test_keeps_lowest_perplexity_pass_per_temperature(self, monkeypatch):
+        # every candidate scored after the first is the pass with the lowest
+        # held-out perplexity among those run at its temperature
+        monkeypatch.setattr(plsa, "MAX_PRECISION_ROUNDS", 3)
+        real_perplexity, real_score = plsa.holdout_perplexity, plsa.score_plsa
+        candidates, perps = [], []
+
+        def perplexity(held, p_dz, p_wz):
+            perps[-1].append(real_perplexity(held, p_dz, p_wz))
+            return perps[-1][-1]
+
+        def score(model, query_counts):
+            candidates.append(model)
+            perps.append([])
+            return real_score(model, query_counts)
+
+        monkeypatch.setattr(plsa, "holdout_perplexity", perplexity)
+        monkeypatch.setattr(plsa, "score_plsa", score)
+        continue_tempering_by_precision(self.result, self.corpus)
+        kept = [real_perplexity(self.result.held_matrix, c.p_dz, c.p_wz)
+                for c in candidates[1:]]
+        assert kept
+        assert kept == [min(seen) for seen in perps[:len(kept)]]
+        # the rule is not "keep the last pass": some temperature ended on a
+        # pass worse than the one kept
+        assert any(k != seen[-1] for k, seen in zip(kept, perps))
+
+    def test_zero_rounds_returns_input_model(self, monkeypatch):
+        monkeypatch.setattr(plsa, "MAX_PRECISION_ROUNDS", 0)
+        best, history = continue_tempering_by_precision(self.result,
+                                                        self.corpus)
         assert best is self.result.model
         assert len(history) == 1
 
-    def test_temperature_floor_stops_immediately(self):
-        best, history = continue_tempering_by_precision(
-            self.result, self.corpus, TemperingSchedule(beta_decay=0.01),
-            max_rounds=5)
+    def test_temperature_floor_stops_immediately(self, monkeypatch):
+        monkeypatch.setattr(plsa, "MAX_PRECISION_ROUNDS", 5)
+        monkeypatch.setattr(plsa, "BETA_DECAY", 0.01)
+        best, history = continue_tempering_by_precision(self.result,
+                                                        self.corpus)
         assert best is self.result.model
         assert len(history) == 1
 
 
 class TestScoring:
-    def setup_method(self):
-        schedule = TemperingSchedule(holdout_fraction=0.0, max_iters_per_beta=60)
-        self.model = train_plsa(block_counts(), k=2, seed=0,
-                                schedule=schedule).model
+    @pytest.fixture(autouse=True)
+    def fit(self, monkeypatch):
+        monkeypatch.setattr(plsa, "HOLDOUT_FRACTION", 0.0)
+        monkeypatch.setattr(plsa, "MAX_ITERS_PER_BETA", 60)
+        self.model = train_plsa(block_counts(), k=2, seed=0).model
 
     def test_query_retrieves_its_vocabulary_block(self):
         query = np.zeros(12)
