@@ -41,6 +41,16 @@ def _count_from(least: int):
     return count
 
 
+def _counts_from(least: int):
+    """Argument type: comma-separated integers, each no smaller than
+    ``least``."""
+    count = _count_from(least)
+
+    def counts(text: str) -> list[int]:
+        return [count(v) for v in text.split(",") if v.strip()]
+    return counts
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ldikit",
                      description="Topic-space indexing and rank fusion over "
@@ -68,11 +78,15 @@ def _build_parser() -> _Parser:
     train.add_argument("--corpus", required=True)
     train.add_argument("--method", required=True,
                        help="tfidf, lsi, plsi, lda (alias: ldi)")
-    train.add_argument("--k", type=int, default=None, help="topic count")
+    train.add_argument("--k", type=_count_from(1), default=None,
+                       help="topic count")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--tune-by-precision", action="store_true",
-                       help="after fitting plsi, keep annealing while "
-                            "retrieval precision improves")
+                       help="plsi only: after fitting, keep lowering the "
+                            "temperature while MAP improves on the corpus "
+                            "queries and judgments, the same ones 'eval' "
+                            "scores, so a MAP reported after it is not "
+                            "held out")
     train.add_argument("--out", required=True, help="model bundle directory")
 
     score = sub.add_parser("score", help="score all corpus queries")
@@ -116,7 +130,7 @@ def _build_parser() -> _Parser:
     sweep = sub.add_parser("sweep", help="MAP across topic counts and seeds")
     sweep.add_argument("--corpus", required=True)
     sweep.add_argument("--method", required=True)
-    sweep.add_argument("--ks", required=True,
+    sweep.add_argument("--ks", type=_counts_from(1), required=True,
                        help="comma-separated topic counts")
     sweep.add_argument("--seeds", default="0", help="comma-separated seeds")
     sweep.add_argument("--out", default=None)
@@ -168,6 +182,9 @@ def _cmd_corpus_build(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.tune_by_precision and pipeline.resolve_method(args.method) != "plsi":
+        raise UsageError("--tune-by-precision tunes plsi only, not "
+                         f"{args.method}")
     built = corpus_mod.load_corpus(args.corpus)
     k = args.k
     if k is None:
@@ -289,9 +306,8 @@ def _cmd_ensemble_crossval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     built = corpus_mod.load_corpus(args.corpus)
-    ks = [int(v) for v in args.ks.split(",") if v.strip()]
     seeds = [int(v) for v in args.seeds.split(",") if v.strip()]
-    rows = pipeline.sweep_topics(built, args.method, ks, seeds)
+    rows = pipeline.sweep_topics(built, args.method, args.ks, seeds)
     for row in rows:
         print(f"k={row['k']:<5d} seed={row['seed']:<3d} MAP {row['map']:.4f}")
     if args.out:

@@ -408,6 +408,10 @@ class Corpus:
     query_counts: sp.csr_matrix
     qrels: dict[int, set[int]]
     dropped_judgments: list[str] = field(default_factory=list)
+    # the content hash load_corpus verified, None for a corpus built in
+    # memory; it goes stale if a loaded corpus is changed in place
+    loaded_checksum: str | None = field(default=None, repr=False,
+                                        compare=False)
 
     @property
     def n_docs(self) -> int:
@@ -536,6 +540,7 @@ def load_corpus(in_dir) -> Corpus:
     )
     if corpus.checksum() != manifest["checksum"]:
         raise ValueError("corpus bundle checksum mismatch")
+    corpus.loaded_checksum = manifest["checksum"]
     return corpus
 
 

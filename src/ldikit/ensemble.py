@@ -38,10 +38,6 @@ class ScoreMatrix:
         if self.scores.shape != (len(self.query_ids), len(self.doc_ids)):
             raise ValueError(f"{self.tag}: score shape does not match ids")
 
-    def take_queries(self, rows: np.ndarray) -> "ScoreMatrix":
-        return ScoreMatrix(tag=self.tag, scores=self.scores[rows],
-                           query_ids=self.query_ids[rows], doc_ids=self.doc_ids)
-
 
 def validate_alignment(matrices: list[ScoreMatrix]) -> None:
     if not matrices:
@@ -145,14 +141,22 @@ def select_constituent(weights: np.ndarray, ap_table: np.ndarray,
 
 def train_ensemble(matrices: list[ScoreMatrix], qrels: dict[int, set[int]],
               eps: float = 1e-4, max_rounds: int = 200,
-              selection: str = "weighted-ap") -> EnsembleWeights:
+              selection: str = "weighted-ap", *,
+              ap_table: np.ndarray | None = None) -> EnsembleWeights:
     """Learn fusion weights by query-weighted boosting.
 
     Rounds continue while each one still moves training MAP by more than
     ``eps``; a constituent leaves the candidate pool after being picked and
     the pool refills once empty.  The returned weights are the snapshot from
     the earliest round achieving the best training MAP; a round-limit exit
-    is reported through ``converged=False``.
+    is reported through ``converged=False``.  ``ap_table`` is the
+    constituents' per-query AP (as ``ap_matrix`` gives it), when the caller
+    already has it.
+
+    Boosting reads only the judged rows: constituents not already in the
+    judged layout are gathered into it once (``Judgments.gather``), and
+    every round rebuilds the fused matrix there, from zero in constituent
+    order, into the same buffer.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
@@ -161,9 +165,21 @@ def train_ensemble(matrices: list[ScoreMatrix], qrels: dict[int, set[int]],
     if not len(judged.rows):
         raise ValueError("no judged queries to train on")
 
-    ap_table = np.array([judged.average_precisions(m.scores) for m in matrices])
+    if not judged.in_layout:
+        matrices = [ScoreMatrix(m.tag, judged.gather(m.scores),
+                                judged.query_ids, judged.doc_ids)
+                    for m in matrices]
+        judged = Judgments(judged.query_ids, judged.doc_ids, qrels)
+    if ap_table is None:
+        ap_table = np.array([judged.average_precisions(m.scores)
+                             for m in matrices])
+    elif np.shape(ap_table) != (len(matrices), len(judged.rows)):
+        raise ValueError("ap_table needs one row per constituent and one "
+                         "column per judged query")
     n_models = len(matrices)
     n_queries = len(judged.rows)
+    fused = np.empty_like(matrices[0].scores)
+    term = np.empty_like(fused)
     weights = np.full(n_queries, 1.0 / n_queries)
     alpha = np.zeros(n_models)
     pool = set(range(n_models))
@@ -175,8 +191,10 @@ def train_ensemble(matrices: list[ScoreMatrix], qrels: dict[int, set[int]],
         chosen = select_constituent(weights, ap_table, pool, selection)
         delta = step_size(weights, ap_table[chosen])
         alpha[chosen] += delta
-        ensemble = combined_scores(alpha, matrices)
-        h_aps = judged.average_precisions(ensemble)
+        fused.fill(0.0)
+        for a, m in zip(alpha, matrices):
+            fused += np.multiply(a, m.scores, out=term)
+        h_aps = judged.average_precisions(fused)
         current_map = mean_average_precision(h_aps)
         change = abs(current_map - prev_map)
 
@@ -259,36 +277,47 @@ def cross_validate(matrices: list[ScoreMatrix], qrels: dict[int, set[int]],
                    n_folds: int = 2, seed: int = 0, eps: float = 1e-4,
                    max_rounds: int = 200) -> CrossValReport:
     """Split judged queries into folds by seeded shuffle; train on each
-    fold's complement and test on the fold, every direction."""
+    fold's complement and test on the fold, every direction.
+
+    A query's AP depends on its own row only, so the constituents' AP is
+    taken once for every judged query and sliced for each fold's training
+    and test sides.  Fold matrices are cut straight into the judged layout
+    (rows of the fold, columns by doc id), which training reads in place.
+    """
     if n_folds < 2:
         raise ValueError(f"n_folds must be at least 2, got {n_folds}")
     validate_alignment(matrices)
-    query_ids = matrices[0].query_ids
-    judged = np.array([qi for qi, qid in enumerate(query_ids)
-                       if qrels.get(int(qid))])
-    if len(judged) < n_folds:
+    judged = Judgments(matrices[0].query_ids, matrices[0].doc_ids, qrels)
+    if len(judged.rows) < n_folds:
         raise ValueError("not enough judged queries for the fold count")
-    rng = np.random.default_rng(seed)
-    shuffled = judged[rng.permutation(len(judged))]
-    folds = np.array_split(shuffled, n_folds)
+    ap_table = np.array([judged.average_precisions(m.scores)
+                         for m in matrices])
+    # positions into judged.rows, in the seeded shuffle
+    shuffled = np.random.default_rng(seed).permutation(len(judged.rows))
+
+    def fold(positions):
+        return [ScoreMatrix(tag=m.tag, scores=judged.gather(m.scores, positions),
+                            query_ids=judged.query_ids[positions],
+                            doc_ids=judged.doc_ids) for m in matrices]
 
     results = []
-    for test_rows in folds:
-        test_set = set(test_rows.tolist())
-        train_rows = np.array([qi for qi in shuffled if qi not in test_set])
-        train_mats = [m.take_queries(train_rows) for m in matrices]
-        test_mats = [m.take_queries(test_rows) for m in matrices]
-        weights = train_ensemble(train_mats, qrels, eps=eps, max_rounds=max_rounds)
+    for test_pos in np.array_split(shuffled, n_folds):
+        test_set = set(test_pos.tolist())
+        train_pos = np.array([p for p in shuffled if p not in test_set])
+        weights = train_ensemble(fold(train_pos), qrels, eps=eps,
+                                 max_rounds=max_rounds,
+                                 ap_table=ap_table[:, train_pos])
+        test_mats = fold(test_pos)
         uni = uniform_weights(matrices)
-        aps = ap_matrix([combined_scores(weights.alpha, test_mats),
-                         combined_scores(uni.alpha, test_mats),
-                         *(m.scores for m in test_mats)],
-                        test_mats[0].query_ids, test_mats[0].doc_ids, qrels)
-        test_map, uniform_map, *constituent_maps = map(mean_average_precision, aps)
+        test_map, uniform_map = map(mean_average_precision, ap_matrix(
+            [combined_scores(weights.alpha, test_mats),
+             combined_scores(uni.alpha, test_mats)],
+            test_mats[0].query_ids, test_mats[0].doc_ids, qrels))
         results.append(FoldResult(
-            train_rows=train_rows, test_rows=test_rows, weights=weights,
-            test_map=test_map, uniform_test_map=uniform_map,
-            constituent_test_maps=dict(zip((m.tag for m in test_mats),
-                                           constituent_maps)),
+            train_rows=judged.rows[train_pos], test_rows=judged.rows[test_pos],
+            weights=weights, test_map=test_map, uniform_test_map=uniform_map,
+            constituent_test_maps={
+                m.tag: mean_average_precision(aps)
+                for m, aps in zip(matrices, ap_table[:, test_pos])},
         ))
     return CrossValReport(folds=results)

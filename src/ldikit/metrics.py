@@ -2,9 +2,17 @@
 
 One ranking rule serves every caller: documents in descending score, ties
 broken by ascending document id (``0.0`` and ``-0.0`` tie; NaN scores rank
-last); every ranking covers the full document list.  Whole score matrices
-are ranked a block of rows at a time (``Judgments``), and the one-ranking
-functions below are the one-row case of the same code.
+last); every ranking covers the full document list.
+
+AP and the 11-point curve need only the rank of each relevant document, so
+whole score matrices (``Judgments``, a block of rows at a time) are not
+argsorted.  With the columns in ascending doc-id order, a relevant
+document's rank is 1 + (number of higher scores) + (number of equal scores
+at a lower column): a value-only sort of the row and a ``searchsorted`` of
+the document's own score give the first count, and only a score that
+repeats in its row needs the second, counted exactly.  Rows holding a NaN
+are ranked by the explicit argsort rule (``_rank_order``), which also
+ranks one row for ``rank_documents``.
 
 Average precision accumulates ``hits / rank`` with ``np.cumsum`` in rank
 order, the order of its definition, so it is bitwise equal to the plain
@@ -15,6 +23,7 @@ in the last bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -123,11 +132,15 @@ def macro_average_curve(curves) -> np.ndarray:
 
 
 class Judgments:
-    """The judged queries of one (queries x docs) score layout, with their
-    relevance flags built once and reused for every matrix of that layout.
+    """The judged queries of one (queries x docs) score layout, with the
+    column of each relevant document found once and reused for every
+    matrix of that layout.
 
     ``rows`` are the judged row positions, in score-matrix order; queries
-    without judgments are left out.
+    without judgments are left out.  The kernel reads the *judged layout*
+    (``gather``): the judged rows with columns in ascending doc-id order
+    (``doc_ids``).  A matrix already in that layout (every query judged, ids
+    ascending) is read in place.
     """
 
     def __init__(self, query_ids, doc_ids, qrels):
@@ -138,21 +151,34 @@ class Judgments:
         self.query_ids = query_ids[self.rows]
         self.n_docs = len(doc_ids)
         self._by_id = np.argsort(doc_ids, kind="stable")
-        sorted_ids = doc_ids[self._by_id]
-        if np.any(sorted_ids[1:] == sorted_ids[:-1]):
+        self.doc_ids = doc_ids[self._by_id]
+        if np.any(self.doc_ids[1:] == self.doc_ids[:-1]):
             raise ValueError("document ids repeat")
-        self._flags = np.zeros((len(self.rows), self.n_docs), dtype=bool)
-        for j, qid in enumerate(self.query_ids.tolist()):
-            relevant = np.fromiter(qrels[qid], dtype=np.int64)
-            cols = np.searchsorted(sorted_ids, relevant)
-            found = cols < self.n_docs
-            found[found] = sorted_ids[cols[found]] == relevant[found]
-            if not found.all():
-                missing = sorted(relevant[~found].tolist())
-                raise ValueError(
-                    f"relevant documents missing from ranking: {missing[:5]}")
-            self._flags[j, cols] = True
-        self.counts = self._flags.sum(axis=1)
+        self.in_layout = (len(self.rows) == len(query_ids) and np.array_equal(
+            self._by_id, np.arange(self.n_docs)))
+        relevant = [qrels[qid] for qid in self.query_ids.tolist()]
+        sizes = [len(r) for r in relevant]
+        ids = np.fromiter(chain.from_iterable(relevant), dtype=np.int64,
+                          count=sum(sizes))
+        found_at = np.searchsorted(self.doc_ids, ids)
+        found = found_at < self.n_docs
+        found[found] = self.doc_ids[found_at[found]] == ids[found]
+        if not found.all():
+            missing = sorted(ids[~found].tolist())
+            raise ValueError(
+                f"relevant documents missing from ranking: {missing[:5]}")
+        flags = np.zeros((len(self.rows), self.n_docs), dtype=bool)
+        flags[np.repeat(np.arange(len(self.rows)), sizes), found_at] = True
+        self.counts = flags.sum(axis=1)
+        # relevant columns of judged row j: _cols[_starts[j]:_starts[j + 1]]
+        self._starts = np.concatenate([[0], np.cumsum(self.counts)])
+        self._cols = np.nonzero(flags)[1]
+
+    def gather(self, scores: np.ndarray, positions=slice(None)) -> np.ndarray:
+        """The judged layout of ``scores``: the judged rows (or those at
+        ``positions`` of ``rows``), columns in ascending doc-id order."""
+        return np.asarray(scores, dtype=float)[self.rows[positions, None],
+                                               self._by_id]
 
     def hit_precisions(self, scores: np.ndarray) -> np.ndarray:
         """Precision at each relevant document's rank, per judged query of
@@ -161,15 +187,59 @@ class Judgments:
         out = np.zeros((len(self.rows), self.counts.max(initial=1)))
         step = max(1, BLOCK_CELLS // max(self.n_docs, 1))
         for start in range(0, len(self.rows), step):
-            block = slice(start, start + step)
-            neg = -scores[self.rows[block, None], self._by_id]
-            hits = np.take_along_axis(self._flags[block], _rank_order(neg), axis=1)
-            _fill_hit_precisions(hits, out[block])
+            stop = min(start + step, len(self.rows))
+            if self.in_layout:
+                values = scores[start:stop]
+            else:
+                values = self.gather(scores, slice(start, stop))
+            self._fill_block(values, start, out[start:stop])
         return out
 
     def average_precisions(self, scores: np.ndarray) -> np.ndarray:
         """AP of every judged query of ``scores``, in ``rows`` order."""
         return _average_precisions(self.hit_precisions(scores), self.counts)
+
+    def _fill_block(self, values: np.ndarray, first: int,
+                    out: np.ndarray) -> None:
+        """Hit precisions of judged rows ``first``... (``values`` in the
+        judged layout) into the zero-filled ``out``, from each relevant
+        document's rank alone: #higher + #equal at a lower column."""
+        n_rows, n_docs = values.shape
+        starts = self._starts[first:first + n_rows + 1] - self._starts[first]
+        cols = self._cols[self._starts[first]:self._starts[first + n_rows]]
+        row = np.repeat(np.arange(n_rows), np.diff(starts))
+        value = values[row, cols]
+        ordered = np.sort(values, axis=1)
+        at_most = np.empty(len(cols), dtype=np.int64)   # values <= own
+        bounds = starts.tolist()
+        for line, lo, hi in zip(ordered, bounds, bounds[1:]):
+            at_most[lo:hi] = line.searchsorted(value[lo:hi], side="right")
+        rank = n_docs - at_most
+        # a value that repeats in its row also needs the equal values at
+        # lower columns, counted exactly: one pass per (row, tied value)
+        tied = np.flatnonzero((at_most >= 2)
+                              & (ordered[row, at_most - 2] == value))
+        if len(tied):
+            tied = tied[np.lexsort((value[tied], row[tied]))]
+            t_row, t_value = row[tied], value[tied]
+            new = np.ones(len(tied), dtype=bool)
+            new[1:] = (t_row[1:] != t_row[:-1]) | (t_value[1:] != t_value[:-1])
+            first_of = np.flatnonzero(new)
+            equal = values[t_row[first_of]] == t_value[first_of, None]
+            up_to = np.cumsum(equal, axis=1)
+            rank[tied] += up_to[np.cumsum(new) - 1, cols[tied]] - 1
+        # ranks in ascending order within each row, then precision at each
+        key = np.sort(row * (n_docs + 1) + rank + 1)
+        nth = np.arange(len(key)) - starts[row]
+        out[row, nth] = (nth + 1) / (key - row * (n_docs + 1))
+        # rows holding a NaN keep the argsort rule (NaNs last, by column)
+        for i in np.flatnonzero(np.isnan(ordered[:, -1])):
+            hits = np.zeros((1, n_docs), dtype=bool)
+            hits[0, cols[starts[i]:starts[i + 1]]] = True
+            order = _rank_order(-values[i:i + 1])
+            out[i] = 0.0
+            _fill_hit_precisions(np.take_along_axis(hits, order, axis=1),
+                                 out[i:i + 1])
 
 
 @dataclass

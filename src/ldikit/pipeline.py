@@ -141,6 +141,12 @@ class FittedModel:
     extra: dict | None = None
 
 
+def _content_checksum(corpus: Corpus) -> str:
+    """The corpus content hash, hashed again only when ``load_corpus`` did
+    not already verify it."""
+    return corpus.loaded_checksum or corpus.checksum()
+
+
 def train_model(corpus: Corpus, method: str, k: int | None = None,
                 seed: int = 0, tune_by_precision: bool = False) -> FittedModel:
     """Fit one ranker.  Topic methods require ``k``; tfidf ignores it."""
@@ -150,7 +156,7 @@ def train_model(corpus: Corpus, method: str, k: int | None = None,
         k = None
     elif k is None:
         raise ValueError(f"method {method!r} needs a topic count")
-    checksum = corpus.checksum()
+    checksum = _content_checksum(corpus)
     payload, extra = ranker.fit(corpus, k, seed,
                                 tune_by_precision=tune_by_precision)
     return FittedModel(method, payload, checksum, corpus.name, k=k, seed=seed,
@@ -160,7 +166,7 @@ def train_model(corpus: Corpus, method: str, k: int | None = None,
 def score_corpus(fitted: FittedModel, corpus: Corpus,
                  tag: str | None = None) -> ScoreMatrix:
     """Score every corpus query against every document."""
-    if fitted.corpus_checksum != corpus.checksum():
+    if fitted.corpus_checksum != _content_checksum(corpus):
         raise ValueError(
             f"model was fitted on corpus {fitted.corpus_name!r} with a "
             "different content hash; refusing to score")

@@ -57,6 +57,151 @@ def brute_force_pr_curve(ranked_ids, relevant) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Argsort ranking kernel and boosting loop, as ldikit ran them before ranks
+# were counted from a value-only sort of each row
+
+def _argsort_rank_order(neg):
+    """Column order of ascending ``neg`` per row, equal values by column:
+    an unstable argsort, then rows with equal values or NaNs re-sorted by
+    (run of equal values, column)."""
+    order = np.argsort(neg, axis=1)
+    ranked = np.take_along_axis(neg, order, axis=1)
+    same = (ranked[:, 1:] == ranked[:, :-1]) | np.isnan(ranked[:, :-1])
+    tied = same.any(axis=1)
+    if tied.any():
+        n_docs = neg.shape[1]
+        runs = np.zeros((int(tied.sum()), n_docs), dtype=np.int64)
+        np.cumsum(~same[tied], axis=1, out=runs[:, 1:])
+        order[tied] = np.sort(runs * n_docs + order[tied], axis=1) % n_docs
+    return order
+
+
+def argsort_hit_precisions(scores, query_ids, doc_ids, qrels):
+    """(judged rows, hit precisions, relevant counts) of a score matrix:
+    every judged row fully argsorted, relevance flags permuted into rank
+    order, precision at each hit."""
+    scores = np.asarray(scores, dtype=float)
+    query_ids = np.asarray(query_ids)
+    doc_ids = np.asarray(doc_ids)
+    rows = np.array([qi for qi, qid in enumerate(query_ids)
+                     if qrels.get(int(qid))], dtype=np.int64)
+    by_id = np.argsort(doc_ids, kind="stable")
+    sorted_ids = doc_ids[by_id]
+    flags = np.zeros((len(rows), len(doc_ids)), dtype=bool)
+    for j, qi in enumerate(rows):
+        flags[j, np.searchsorted(sorted_ids, sorted(qrels[int(query_ids[qi])]))] = True
+    counts = flags.sum(axis=1)
+    neg = -scores[rows[:, None], by_id]
+    hits = np.take_along_axis(flags, _argsort_rank_order(neg), axis=1)
+    out = np.zeros((len(rows), counts.max(initial=1)))
+    hit_rows, hit_cols = np.nonzero(hits)
+    nth = np.arange(len(hit_rows)) - np.searchsorted(hit_rows, hit_rows)
+    out[hit_rows, nth] = (nth + 1) / (hit_cols + 1)
+    return rows, out, counts
+
+
+def argsort_average_precisions(scores, query_ids, doc_ids, qrels):
+    _, precisions, counts = argsort_hit_precisions(scores, query_ids, doc_ids,
+                                                   qrels)
+    return np.cumsum(precisions, axis=1)[:, -1] / counts
+
+
+def argsort_curves(scores, query_ids, doc_ids, qrels):
+    """11-point interpolated precision of every judged row."""
+    _, precisions, counts = argsort_hit_precisions(scores, query_ids, doc_ids,
+                                                   qrels)
+    best_from = np.maximum.accumulate(precisions[:, ::-1], axis=1)[:, ::-1]
+    recalls = np.arange(1, precisions.shape[1] + 1) / counts[:, None]
+    levels = np.linspace(0.0, 1.0, 11)
+    first = (recalls[:, :, None] < levels - 1e-12).sum(axis=1)
+    return np.take_along_axis(best_from, first, axis=1)
+
+
+def argsort_boost(score_list, query_ids, doc_ids, qrels, eps=1e-4,
+                  max_rounds=200, selection="weighted-ap", clip=1e-6):
+    """The boosting loop with the fused matrix rebuilt in full each round
+    and ranked by the argsort kernel.  Returns one (chosen, delta, map,
+    change, query weights, alpha, pool reset) tuple per round."""
+    def aps(scores):
+        return argsort_average_precisions(scores, query_ids, doc_ids, qrels)
+
+    table = np.array([aps(s) for s in score_list])
+    n_models, n_queries = table.shape
+    weights = np.full(n_queries, 1.0 / n_queries)
+    alpha = np.zeros(n_models)
+    pool = set(range(n_models))
+    rounds = []
+    prev_map = 0.0
+    for _ in range(max_rounds):
+        candidates = sorted(pool)
+        clipped = np.clip(table, clip, 1.0 - clip)
+        if selection == "weighted-ap":
+            chosen = candidates[int(np.argmax(
+                [table[j] @ weights for j in candidates]))]
+        else:
+            chosen = candidates[int(np.argmin(
+                [weights @ np.sqrt(1.0 - clipped[j] ** 2) for j in candidates]))]
+        up = float(weights @ (1.0 + clipped[chosen]))
+        down = float(weights @ (1.0 - clipped[chosen]))
+        delta = 0.5 * np.log(up / down)
+        alpha[chosen] += delta
+        fused = np.zeros_like(np.asarray(score_list[0], dtype=float))
+        for a, s in zip(alpha, score_list):
+            fused += a * s
+        h_aps = aps(fused)
+        current = float(np.mean(h_aps))
+        change = abs(current - prev_map)
+        reset = False
+        if change > eps:
+            pool.discard(chosen)
+            reset = not pool
+            if reset:
+                pool = set(range(n_models))
+        rounds.append((chosen, delta, current, change, weights.copy(),
+                       alpha.copy(), reset))
+        if change <= eps:
+            break
+        w = np.exp(-h_aps)
+        weights = w / w.sum()
+        prev_map = current
+    return rounds
+
+
+def argsort_cross_validate(score_list, query_ids, doc_ids, qrels, n_folds=2,
+                           seed=0, eps=1e-4, max_rounds=200):
+    """Seeded folds over the judged rows, each trained by ``argsort_boost``
+    on row copies of its complement.  Returns per fold (train rows, test
+    rows, best alpha, test MAP, uniform test MAP, constituent test MAPs)."""
+    query_ids = np.asarray(query_ids)
+    judged = np.array([qi for qi, qid in enumerate(query_ids)
+                       if qrels.get(int(qid))])
+    shuffled = judged[np.random.default_rng(seed).permutation(len(judged))]
+    out = []
+    for test_rows in np.array_split(shuffled, n_folds):
+        test_set = set(test_rows.tolist())
+        train_rows = np.array([qi for qi in shuffled if qi not in test_set])
+        rounds = argsort_boost([s[train_rows] for s in score_list],
+                               query_ids[train_rows], doc_ids, qrels, eps=eps,
+                               max_rounds=max_rounds)
+        alpha = rounds[int(np.argmax([r[2] for r in rounds]))][5]
+        uniform = np.full(len(score_list), 1.0 / len(score_list))
+
+        def test_map(scores):
+            return float(np.mean(argsort_average_precisions(
+                scores, query_ids[test_rows], doc_ids, qrels)))
+
+        def fused(weights):
+            total = np.zeros_like(score_list[0][test_rows])
+            for a, s in zip(weights, score_list):
+                total += a * s[test_rows]
+            return total
+        out.append((train_rows, test_rows, alpha, test_map(fused(alpha)),
+                    test_map(fused(uniform)),
+                    [test_map(s[test_rows]) for s in score_list]))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Dense SVD via one-sided Jacobi rotations
 
 def jacobi_svd(a: np.ndarray, sweeps: int = 60, tol: float = 1e-14):

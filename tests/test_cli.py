@@ -196,6 +196,31 @@ class TestTrainAndScore:
         assert code == 0
         assert (tmp_path / "s.csv").read_text().startswith("query,")
 
+    @pytest.mark.parametrize("method", ["tfidf", "lsi", "plsi", "lda"])
+    def test_zero_topics_fails_before_reading(self, tmp_path, capsys, method):
+        # the corpus is missing: a data error (2) would mean it was read
+        # before --k was checked
+        code, _, err = run(capsys, ["train", "--corpus", str(tmp_path / "absent"),
+                                    "--method", method, "--k", "0",
+                                    "--out", str(tmp_path / "m")])
+        assert code == 1 and "usage error" in err and "--k" in err
+
+    @pytest.mark.parametrize("method", ["tfidf", "lsi", "lda"])
+    def test_precision_tuning_is_plsi_only(self, tmp_path, capsys, method):
+        code, _, err = run(capsys, ["train", "--corpus", str(tmp_path / "absent"),
+                                    "--method", method, "--k", "2",
+                                    "--tune-by-precision",
+                                    "--out", str(tmp_path / "m")])
+        assert code == 1 and "usage error" in err and method in err
+        assert not (tmp_path / "m").exists()
+
+    def test_precision_tuning_runs_for_plsi(self, ws, tmp_path, capsys):
+        code, out, _ = run(capsys, ["train", "--corpus", str(ws["corpus"]),
+                                    "--method", "plsi", "--k", "2",
+                                    "--tune-by-precision",
+                                    "--out", str(tmp_path / "m")])
+        assert code == 0 and "trained plsi" in out
+
     def test_missing_required_flag_is_usage_error(self, ws, capsys):
         code, _, err = run(capsys, ["train", "--corpus", str(ws["corpus"])])
         assert code == 1
@@ -351,6 +376,14 @@ class TestSweep:
         assert "k=2" in out and "k=3" in out
         rows = json.loads(out_path.read_text())
         assert [r["k"] for r in rows] == [2, 3]
+
+    @pytest.mark.parametrize("method", ["lsi", "plsi", "lda"])
+    @pytest.mark.parametrize("ks", ["0", "2,0", "2,-1"])
+    def test_bad_topic_count_fails_before_reading(self, tmp_path, capsys,
+                                                  method, ks):
+        code, _, err = run(capsys, ["sweep", "--corpus", str(tmp_path / "absent"),
+                                    "--method", method, "--ks", ks])
+        assert code == 1 and "usage error" in err and "--ks" in err
 
     def test_numeric_failure_exit_code(self, ws, capsys, monkeypatch):
         def explode(args):

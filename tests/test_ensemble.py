@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import numeric_best_step
+from oracles import argsort_boost, argsort_cross_validate, numeric_best_step
+from ldikit import metrics
 from ldikit.ensemble import (AP_CLIP, ScoreMatrix, combined_scores,
                              cross_validate, train_ensemble, ensemble_loss,
                              exp_loss_bound, normalize_weights,
@@ -54,13 +55,6 @@ class TestScoreMatrix:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="score shape"):
             ScoreMatrix("x", np.zeros((2, 3)), [1, 2], [7, 8])
-
-    def test_take_queries_subsets_rows(self):
-        m = lexical_matrix()
-        sub = m.take_queries(np.array([2, 0]))
-        np.testing.assert_array_equal(sub.query_ids, [30, 10])
-        np.testing.assert_array_equal(sub.scores, m.scores[[2, 0]])
-        np.testing.assert_array_equal(sub.doc_ids, m.doc_ids)
 
 
 class TestAlignment:
@@ -391,7 +385,9 @@ class TestCrossValidate:
                                 max_rounds=5)
         assert [len(f.test_rows) for f in report.folds] == [6, 6]
         for fold in report.folds:
-            test_mats = [m.take_queries(fold.test_rows) for m in matrices]
+            test_mats = [ScoreMatrix(m.tag, m.scores[fold.test_rows],
+                                     query_ids[fold.test_rows], doc_ids)
+                         for m in matrices]
 
             def fold_map(scores):
                 return evaluate_scores(scores, query_ids[fold.test_rows],
@@ -402,3 +398,93 @@ class TestCrossValidate:
                 combined_scores(uniform_weights(matrices).alpha, test_mats))
             assert fold.constituent_test_maps == {
                 m.tag: fold_map(m.scores) for m in test_mats}
+
+
+def boosting_layout(rng, n_models):
+    """Constituent score matrices over unsorted, gapped doc ids, some
+    queries unjudged; ties (integer scores, 0.0 against -0.0) span
+    relevant and non-relevant documents."""
+    n_queries, n_docs = int(rng.integers(4, 16)), int(rng.integers(3, 60))
+    doc_ids = rng.choice(4 * n_docs, size=n_docs, replace=False) + 1
+    query_ids = rng.choice(1000, size=n_queries, replace=False) + 1
+    qrels = {int(q): set(rng.choice(doc_ids, size=int(rng.integers(1, n_docs)),
+                                    replace=False).tolist())
+             for q in query_ids if rng.random() < 0.85}
+    kinds = [lambda shape: rng.integers(0, 3, shape).astype(float),
+             lambda shape: rng.choice([0.0, -0.0, 0.25, 1.0], size=shape),
+             lambda shape: rng.random(shape)]
+    scores = [kinds[int(rng.integers(3))]((n_queries, n_docs))
+              for _ in range(n_models)]
+    return scores, query_ids, doc_ids, qrels
+
+
+class TestAgainstTheArgsortLoop:
+    """Boosting and cross-validation on the value-sort kernel equal the
+    loop that ranked the full fused matrix by argsort, bit for bit."""
+
+    @pytest.mark.parametrize("block_cells", [metrics.BLOCK_CELLS, 30])
+    @pytest.mark.parametrize("selection", ["weighted-ap", "min-sqrt-loss"])
+    def test_every_round_is_equal(self, monkeypatch, block_cells, selection):
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(41)
+        checked = 0
+        while checked < 25:
+            scores, query_ids, doc_ids, qrels = boosting_layout(
+                rng, int(rng.integers(1, 5)))
+            if not qrels:
+                continue
+            checked += 1
+            mats = [ScoreMatrix(f"m{i}", s, query_ids, doc_ids)
+                    for i, s in enumerate(scores)]
+            got = train_ensemble(mats, qrels, eps=-1.0, max_rounds=8,
+                                 selection=selection)
+            want = argsort_boost(scores, query_ids, doc_ids, qrels, eps=-1.0,
+                                 max_rounds=8, selection=selection)
+            assert len(got.rounds) == len(want)
+            for r, (chosen, delta, map_, change, weights, alpha, reset) in zip(
+                    got.rounds, want):
+                assert r.model_index == chosen and r.pool_reset == reset
+                assert r.delta == delta and r.ensemble_map == map_
+                assert r.map_change == change
+                assert (r.query_weights == weights).all()
+                assert (r.alpha == alpha).all()
+
+    @pytest.mark.parametrize("block_cells", [metrics.BLOCK_CELLS, 30])
+    def test_every_fold_is_equal(self, monkeypatch, block_cells):
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(43)
+        checked = 0
+        while checked < 15:
+            scores, query_ids, doc_ids, qrels = boosting_layout(rng, 3)
+            if len(qrels) < 3:
+                continue
+            checked += 1
+            mats = [ScoreMatrix(f"m{i}", s, query_ids, doc_ids)
+                    for i, s in enumerate(scores)]
+            n_folds = int(rng.integers(2, 4))
+            report = cross_validate(mats, qrels, n_folds=n_folds, seed=checked,
+                                    eps=-1.0, max_rounds=5)
+            want = argsort_cross_validate(scores, query_ids, doc_ids, qrels,
+                                          n_folds=n_folds, seed=checked,
+                                          eps=-1.0, max_rounds=5)
+            assert len(report.folds) == len(want)
+            for fold, (train_rows, test_rows, alpha, test_map, uniform_map,
+                       constituent_maps) in zip(report.folds, want):
+                assert fold.train_rows.tolist() == train_rows.tolist()
+                assert fold.test_rows.tolist() == test_rows.tolist()
+                assert (fold.weights.alpha == alpha).all()
+                assert fold.test_map == test_map
+                assert fold.uniform_test_map == uniform_map
+                assert list(fold.constituent_test_maps.values()) == constituent_maps
+
+    def test_constituent_table_from_the_caller_is_used(self):
+        mats = [lexical_matrix(), semantic_matrix()]
+        table = ap_matrix([m.scores for m in mats], QUERY_IDS, DOC_IDS, QRELS)
+        given = train_ensemble(mats, QRELS, ap_table=table)
+        assert [r.delta for r in given.rounds] == [
+            r.delta for r in train_ensemble(mats, QRELS).rounds]
+        # a different table steers the first pick
+        swapped = train_ensemble(mats, QRELS, ap_table=table[::-1])
+        assert swapped.rounds[0].tag == "sem"
+        with pytest.raises(ValueError, match="ap_table"):
+            train_ensemble(mats, QRELS, ap_table=table[:, :2])

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import gammaln, polygamma, psi
 
 import ldikit.lda as lda
 from oracles import (dirichlet_multinomial_log_likelihood,
@@ -256,6 +257,26 @@ class TestAlphaEstimation:
             warnings.simplefilter("ignore")
             result = train_lda(make_counts(block), k=2, seed=0)
         assert result.alpha_trace[-1] < result.alpha_trace[0]
+
+    def test_overshooting_newton_step_is_halved_not_taken(self):
+        # 1000 documents, 20 topics, the statistic whose optimum is 0.2,
+        # started at 0.01: the raw Newton step on log(alpha) runs to the
+        # upper clamp, where the objective is lower than at the start
+        n_docs, k, start, best = 1000, 20, 0.01, 0.2
+        alpha_stat = -n_docs * k * (psi(k * best) - psi(best))
+
+        def objective(a):
+            return n_docs * (gammaln(k * a) - k * gammaln(a)) + (a - 1.0) * alpha_stat
+
+        gradient = n_docs * k * (psi(k * start) - psi(start)) + alpha_stat
+        curvature = n_docs * (k * k * polygamma(1, k * start)
+                              - k * polygamma(1, start))
+        raw = start * np.exp(-gradient / (start * curvature + gradient))
+        assert objective(np.clip(raw, ALPHA_MIN, ALPHA_MAX)) < objective(start)
+
+        alpha = lda._update_alpha(start, n_docs, k, alpha_stat)
+        assert objective(alpha) >= objective(start)
+        assert alpha == pytest.approx(best, rel=1e-6)
 
 
 class TestInitialization:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_average_precision, brute_force_pr_curve
+from oracles import (argsort_average_precisions, argsort_curves,
+                     argsort_hit_precisions, brute_force_average_precision,
+                     brute_force_pr_curve)
 from ldikit import metrics
 from ldikit.metrics import (EvalReport, Judgments, ap_matrix,
                             average_precision, evaluate_scores,
@@ -230,3 +232,94 @@ class TestBatchedKernel:
         # the second 5 holds a rank but is not a second hit
         assert average_precision([5, 7, 5, 9], {5, 9}) == (1 + 2 / 4) / 2
         assert (pr_curve([5, 7, 5, 9], {5, 9}) == pr_curve([5, 7, 8, 9], {5, 9})).all()
+
+
+def hard_layout(rng):
+    """A small score layout with every case the ranking rule names: ties
+    spanning relevant and non-relevant documents, 0.0 against -0.0, NaN,
+    +-inf, unsorted gapped doc ids, unjudged queries."""
+    n_queries, n_docs = int(rng.integers(1, 12)), int(rng.integers(1, 90))
+    shape = (n_queries, n_docs)
+    kind = rng.integers(5)
+    if kind == 0:
+        scores = rng.integers(0, 3, shape).astype(float)
+    elif kind == 1:
+        scores = rng.choice([0.0, -0.0, 0.5, -0.5], size=shape)
+    elif kind == 2:
+        scores = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0], size=shape)
+    elif kind == 3:
+        scores = rng.random(shape)
+        scores[rng.random(shape) < 0.1] = np.nan
+        scores[rng.random(shape) < 0.1] = np.inf
+    else:
+        scores = rng.random(shape)
+    doc_ids = rng.choice(5 * n_docs + 5, size=n_docs, replace=False) + 1
+    if rng.random() < 0.3:
+        doc_ids.sort()
+    query_ids = np.arange(n_queries) + 1
+    qrels = {int(q): set(rng.choice(doc_ids, size=int(rng.integers(1, n_docs + 1)),
+                                    replace=False).tolist())
+             for q in query_ids if rng.random() < 0.85}
+    return scores, query_ids, doc_ids, qrels
+
+
+class TestValueSortKernel:
+    """Ranks counted from a value-only sort equal the argsort kernel's,
+    bit for bit (``oracles.argsort_hit_precisions``)."""
+
+    @pytest.mark.parametrize("block_cells", [metrics.BLOCK_CELLS, 40, 1])
+    def test_equals_the_argsort_kernel(self, monkeypatch, block_cells):
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(29)
+        checked = 0
+        while checked < 150:
+            scores, query_ids, doc_ids, qrels = hard_layout(rng)
+            if not qrels:
+                continue
+            checked += 1
+            judged = Judgments(query_ids, doc_ids, qrels)
+            rows, want, _ = argsort_hit_precisions(scores, query_ids, doc_ids,
+                                                   qrels)
+            assert (judged.rows == rows).all()
+            got = judged.hit_precisions(scores)
+            assert got.shape == want.shape and (got == want).all()
+            layout = Judgments(judged.query_ids, judged.doc_ids, qrels)
+            assert layout.in_layout
+            assert (layout.hit_precisions(judged.gather(scores)) == want).all()
+            aps = argsort_average_precisions(scores, query_ids, doc_ids, qrels)
+            assert (judged.average_precisions(scores) == aps).all()
+            assert (ap_matrix([scores], query_ids, doc_ids, qrels)[0] == aps).all()
+            report = evaluate_scores(scores, query_ids, doc_ids, qrels)
+            assert list(report.per_query_ap.values()) == aps.tolist()
+            curves = argsort_curves(scores, query_ids, doc_ids, qrels)
+            assert (report.curve == curves.mean(axis=0)).all()
+
+    @pytest.mark.parametrize("block_cells", [6, 12, 18])
+    def test_tie_in_rows_on_both_sides_of_a_block_boundary(self, monkeypatch,
+                                                         block_cells):
+        # rows of six documents, one to three rows per block: the same
+        # value ties relevant and non-relevant documents in every row, so
+        # a count that ran across rows would be off in some block
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", block_cells)
+        scores = np.array([[0.5, 0.5, 0.9, 0.5, 0.1, 0.5],
+                           [0.5, 0.2, 0.5, 0.5, 0.5, 0.0],
+                           [0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+                           [-0.0, 0.0, 0.5, 0.0, -0.0, 0.5]])
+        doc_ids = np.array([60, 20, 50, 10, 40, 30])
+        query_ids = np.array([1, 2, 3, 4])
+        qrels = {1: {20, 10}, 2: {60, 40}, 3: {30, 50}, 4: {60, 40, 50}}
+        _, want, _ = argsort_hit_precisions(scores, query_ids, doc_ids, qrels)
+        assert (Judgments(query_ids, doc_ids, qrels).hit_precisions(scores)
+                == want).all()
+        # ranks by hand for query 3: every score ties, so ids decide
+        assert want[2, :2].tolist() == [1 / 3, 2 / 5]
+
+    def test_judged_layout(self):
+        scores = np.array([[0.2, 0.9, 0.1], [0.3, 0.3, 0.4]])
+        assert Judgments([1, 2], [5, 6, 7], {1: {6}, 2: {5, 7}}).in_layout
+        assert not Judgments([1, 2], [5, 6, 7], {2: {5, 7}}).in_layout
+        unsorted = Judgments([1, 2], [7, 6, 5], {1: {6}, 2: {5, 7}})
+        assert not unsorted.in_layout
+        assert (unsorted.doc_ids == [5, 6, 7]).all()
+        assert (unsorted.gather(scores) == scores[:, ::-1]).all()
+        assert (unsorted.gather(scores, [1]) == scores[1:, ::-1]).all()

@@ -4,7 +4,7 @@ import pytest
 from ldikit import config, pipeline
 from ldikit.config import (data_root, default_topic_count,
                            find_collection_files, resolve_out_path)
-from ldikit.corpus import save_corpus
+from ldikit.corpus import Corpus, load_corpus, save_corpus
 from ldikit.demo import demo_corpus
 from ldikit.pipeline import (FittedModel, evaluate_matrix, load_fitted,
                              resolve_method, save_fitted, score_corpus,
@@ -134,6 +134,26 @@ class TestPersistence:
         altered.qrels[int(altered.query_ids[0])].add(9999)
         with pytest.raises(ValueError, match="content hash"):
             score_corpus(loaded, altered)
+
+    def test_loaded_corpus_is_hashed_once(self, corpus, tmp_path,
+                                          monkeypatch):
+        save_corpus(corpus, tmp_path / "c")
+        calls = []
+        hash_content = Corpus.checksum
+
+        def counting(self):
+            calls.append(1)
+            return hash_content(self)
+        monkeypatch.setattr(Corpus, "checksum", counting)
+        loaded = load_corpus(tmp_path / "c")
+        assert len(calls) == 1
+        fitted = train_model(loaded, "tfidf")
+        score_corpus(fitted, loaded)
+        assert len(calls) == 1
+        assert fitted.corpus_checksum == hash_content(corpus)
+        # a corpus built in memory is hashed when it is used
+        score_corpus(fitted, corpus)
+        assert len(calls) == 2
 
     def test_unknown_kind_rejected(self, corpus, tmp_path):
         fitted = FittedModel("mystery", object(), "x", "demo")
