@@ -132,7 +132,8 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--method", required=True)
     sweep.add_argument("--ks", type=_counts_from(1), required=True,
                        help="comma-separated topic counts")
-    sweep.add_argument("--seeds", default="0", help="comma-separated seeds")
+    sweep.add_argument("--seeds", type=_counts_from(0), default="0",
+                       help="comma-separated seeds")
     sweep.add_argument("--out", default=None)
 
     ldi = sub.add_parser("ldi", help="topic-space inspection")
@@ -144,6 +145,15 @@ def _build_parser() -> _Parser:
     inspect.add_argument("--top", type=int, default=5,
                          help="closest terms to list")
     return parser
+
+
+def _write_json(path, doc) -> Path:
+    """Write ``doc`` as indented JSON to ``path`` (under ``LDIKIT_OUT_DIR``
+    when relative), creating parent directories."""
+    out = config.resolve_out_path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(doc, indent=1))
+    return out
 
 
 def _load_stoplist(args):
@@ -217,8 +227,7 @@ def _cmd_eval(args) -> int:
     print("interpolated precision: "
           + " ".join(f"{v:.4f}" for v in report.curve))
     if args.out:
-        Path(config.resolve_out_path(args.out)).write_text(
-            json.dumps(report.to_dict(), indent=1))
+        _write_json(args.out, report.to_dict())
     return 0
 
 
@@ -245,9 +254,7 @@ def _cmd_ensemble_train(args) -> int:
             for r in weights.rounds
         ],
     }
-    out = config.resolve_out_path(args.out)
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    Path(out).write_text(json.dumps(doc, indent=1))
+    out = _write_json(args.out, doc)
     print(f"fusion of {len(matrices)} rankers: train MAP "
           f"{weights.train_map:.4f} after {len(weights.rounds)} rounds -> {out}")
     return 0
@@ -298,22 +305,17 @@ def _cmd_ensemble_crossval(args) -> int:
     print(f"cross-validated fusion: mean test MAP {report.mean_test_map:.4f} "
           f"(uniform {report.mean_uniform_test_map:.4f})")
     if args.out:
-        out = config.resolve_out_path(args.out)
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(json.dumps(doc, indent=1))
+        _write_json(args.out, doc)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     built = corpus_mod.load_corpus(args.corpus)
-    seeds = [int(v) for v in args.seeds.split(",") if v.strip()]
-    rows = pipeline.sweep_topics(built, args.method, args.ks, seeds)
+    rows = pipeline.sweep_topics(built, args.method, args.ks, args.seeds)
     for row in rows:
         print(f"k={row['k']:<5d} seed={row['seed']:<3d} MAP {row['map']:.4f}")
     if args.out:
-        out = config.resolve_out_path(args.out)
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(json.dumps(rows, indent=1))
+        _write_json(args.out, rows)
     return 0
 
 

@@ -21,9 +21,6 @@ STANDARD_FILES = {
     "CACM": ("cacm.all", "query.text", "qrels.text"),
 }
 
-MERGED_NAME = "MC"
-MERGED_PARTS = ("MED", "CRAN", "CISI", "CACM")
-
 # Topic counts that maximized retrieval quality per method and collection.
 DEFAULT_TOPIC_COUNTS = {
     "lsi": {"MED": 100, "CRAN": 125, "CISI": 150, "CACM": 125, "MC": 500},

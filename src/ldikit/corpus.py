@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -453,8 +454,12 @@ def build_corpus(collection: Collection, stoplist: StopList | None = None) -> Co
     Judged pairs pointing at unparsed documents are reported through a
     warning and recorded on the corpus, then excluded from evaluation.
     """
-    vocab = build_vocabulary(collection.documents, stoplist)
-    counts = count_matrix(collection.documents, vocab)
+    # tokenized once for both passes; interned, so that holding every
+    # document's tokens costs one string per distinct term
+    doc_tokens = [list(map(sys.intern, tokenize(d.text)))
+                  for d in collection.documents]
+    vocab = build_vocabulary(doc_tokens, stoplist)
+    counts = count_matrix(doc_tokens, vocab)
     query_counts = count_matrix([q.text for q in collection.queries], vocab).matrix
 
     problems = validate_qrels(collection)
@@ -521,9 +526,12 @@ def load_corpus(in_dir) -> Corpus:
     manifest, arrays = bundle.load_model(in_dir)
     terms = manifest["terms"]
     matrix = arrays["counts"]
-    qrels: dict[int, set[int]] = {}
-    for qid, did in arrays["qrels"].tolist():
-        qrels.setdefault(qid, set()).add(did)
+    # judged (query, doc) pairs grouped by query, in stored order
+    pairs = arrays["qrels"]
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    qids, first = np.unique(pairs[:, 0], return_index=True)
+    qrels = {qid: set(dids.tolist()) for qid, dids in
+             zip(qids.tolist(), np.split(pairs[:, 1], first[1:]))}
     vocab = Vocabulary(terms=terms, index={t: j for j, t in enumerate(terms)})
     corpus = Corpus(
         name=manifest["name"],

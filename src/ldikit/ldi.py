@@ -60,10 +60,6 @@ class LdiIndex:
     doc_vectors: np.ndarray     # (docs, topics) rows sum to one
     doc_evidence: np.ndarray    # docs with at least one in-vocabulary term
 
-    @property
-    def k(self) -> int:
-        return self.w.shape[1]
-
 
 def build_index(model: LdaModel, counts: TermDocCounts) -> LdiIndex:
     w = word_topic_matrix(model.beta)

@@ -2,17 +2,21 @@
 
 One ranking rule serves every caller: documents in descending score, ties
 broken by ascending document id (``0.0`` and ``-0.0`` tie; NaN scores rank
-last); every ranking covers the full document list.
+below every number and tie with each other); every ranking covers the full
+document list.  ``rank_documents`` states the rule as one ``lexsort``.
 
 AP and the 11-point curve need only the rank of each relevant document, so
 whole score matrices (``Judgments``, a block of rows at a time) are not
 argsorted.  With the columns in ascending doc-id order, a relevant
-document's rank is 1 + (number of higher scores) + (number of equal scores
-at a lower column): a value-only sort of the row and a ``searchsorted`` of
-the document's own score give the first count, and only a score that
-repeats in its row needs the second, counted exactly.  Rows holding a NaN
-are ranked by the explicit argsort rule (``_rank_order``), which also
-ranks one row for ``rank_documents``.
+document's rank is 1 + (number of scores ranked above it) + (number of
+equal scores at a lower column).  A value-only sort of the negated row puts
+the scores in descending order with the NaNs last, so one ``searchsorted``
+of the document's own negated score gives the first count: the higher
+numbers for a number, every number for a NaN.  Only a score that repeats
+in its row (for a NaN: the row holds two) needs the second count, taken
+exactly.  Explicit rankings (``average_precision``, ``pr_curve``) give each
+relevant document's rank directly, and both kinds of rank become
+precisions in one step.
 
 Average precision accumulates ``hits / rank`` with ``np.cumsum`` in rank
 order, the order of its definition, so it is bitwise equal to the plain
@@ -33,30 +37,15 @@ RECALL_LEVELS = np.linspace(0.0, 1.0, 11)
 BLOCK_CELLS = 1 << 15
 
 
-def _rank_order(neg: np.ndarray) -> np.ndarray:
-    """Per row of ``neg`` (negated scores, columns in ascending doc-id
-    order): the column order of ascending ``neg``, equal values by column."""
-    order = np.argsort(neg, axis=1)
-    ranked = np.take_along_axis(neg, order, axis=1)
-    # the unstable sort leaves equal scores in arbitrary order; NaNs sort last
-    same = (ranked[:, 1:] == ranked[:, :-1]) | np.isnan(ranked[:, :-1])
-    tied = same.any(axis=1)
-    if tied.any():
-        # number each run of equal values, then sort (run, column) keys
-        n_docs = neg.shape[1]
-        runs = np.zeros((int(tied.sum()), n_docs), dtype=np.int64)
-        np.cumsum(~same[tied], axis=1, out=runs[:, 1:])
-        order[tied] = np.sort(runs * n_docs + order[tied], axis=1) % n_docs
-    return order
-
-
-def _fill_hit_precisions(hits: np.ndarray, out: np.ndarray) -> None:
-    """Precision at the rank of each relevant document, per row of the
-    rank-ordered relevance flags ``hits``, written left-aligned into the
-    zero-filled ``out``."""
-    rows, cols = np.nonzero(hits)
-    nth = np.arange(len(rows)) - np.searchsorted(rows, rows)
-    out[rows, nth] = (nth + 1) / (cols + 1)
+def _fill_precisions(out: np.ndarray, row: np.ndarray, starts: np.ndarray,
+                     rank: np.ndarray, n_docs: int) -> None:
+    """Precision at each relevant document's rank, written left-aligned
+    into the zero-filled ``out``: ``rank`` holds the 0-based ranks of the
+    relevant documents of rows ``row`` (ascending, ``starts[r]`` the first
+    of row ``r``) in rankings of ``n_docs`` documents."""
+    key = np.sort(row * (n_docs + 1) + rank + 1)
+    nth = np.arange(len(key)) - starts[row]
+    out[row, nth] = (nth + 1) / (key - row * (n_docs + 1))
 
 
 def _average_precisions(precisions: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -78,25 +67,26 @@ def _ranking_precisions(ranked_ids, relevant) -> tuple[np.ndarray, np.ndarray]:
     if not relevant:
         raise ValueError("evaluation needs at least one relevant document")
     ranked = np.asarray(ranked_ids)
-    hits = np.zeros((1, len(ranked)), dtype=bool)
-    _, first = np.unique(ranked, return_index=True)
-    hits[0, first] = np.isin(ranked[first], list(relevant))
-    if hits.sum() != len(relevant):
-        missing = sorted(relevant - set(ranked.tolist()))
+    ids, first = np.unique(ranked, return_index=True)
+    hit = np.isin(ids, list(relevant))
+    if hit.sum() != len(relevant):
+        missing = sorted(relevant - set(ids.tolist()))
         raise ValueError(f"relevant documents missing from ranking: {missing[:5]}")
     precisions = np.zeros((1, len(relevant)))
-    _fill_hit_precisions(hits, precisions)
+    rank = first[hit]
+    _fill_precisions(precisions, np.zeros_like(rank), np.array([0]), rank,
+                     len(ranked))
     return precisions, np.array([len(relevant)])
 
 
 def rank_documents(scores: np.ndarray, doc_ids: np.ndarray) -> np.ndarray:
-    """Return doc ids sorted by descending score, ties by ascending id."""
+    """Return doc ids sorted by descending score, ties by ascending id,
+    NaN scores last."""
     scores = np.asarray(scores, dtype=float)
     doc_ids = np.asarray(doc_ids)
     if scores.shape != doc_ids.shape:
         raise ValueError("scores and doc_ids must align")
-    by_id = np.argsort(doc_ids, kind="stable")
-    return doc_ids[by_id[_rank_order(-scores[by_id][None])[0]]]
+    return doc_ids[np.lexsort((doc_ids, -scores))]
 
 
 def average_precision(ranked_ids, relevant) -> float:
@@ -150,9 +140,8 @@ class Judgments:
                               if qrels.get(int(qid))], dtype=np.int64)
         self.query_ids = query_ids[self.rows]
         self.n_docs = len(doc_ids)
-        self._by_id = np.argsort(doc_ids, kind="stable")
-        self.doc_ids = doc_ids[self._by_id]
-        if np.any(self.doc_ids[1:] == self.doc_ids[:-1]):
+        self.doc_ids, self._by_id = np.unique(doc_ids, return_index=True)
+        if len(self.doc_ids) != self.n_docs:
             raise ValueError("document ids repeat")
         self.in_layout = (len(self.rows) == len(query_ids) and np.array_equal(
             self._by_id, np.arange(self.n_docs)))
@@ -203,43 +192,38 @@ class Judgments:
                     out: np.ndarray) -> None:
         """Hit precisions of judged rows ``first``... (``values`` in the
         judged layout) into the zero-filled ``out``, from each relevant
-        document's rank alone: #higher + #equal at a lower column."""
+        document's rank alone: #ranked above + #equal at a lower column."""
         n_rows, n_docs = values.shape
         starts = self._starts[first:first + n_rows + 1] - self._starts[first]
         cols = self._cols[self._starts[first]:self._starts[first + n_rows]]
         row = np.repeat(np.arange(n_rows), np.diff(starts))
         value = values[row, cols]
-        ordered = np.sort(values, axis=1)
-        at_most = np.empty(len(cols), dtype=np.int64)   # values <= own
+        neg = -value
+        ordered = -values
+        ordered.sort(axis=1)                    # descending, NaNs last
+        rank = np.empty(len(cols), dtype=np.int64)      # scores ranked above
         bounds = starts.tolist()
         for line, lo, hi in zip(ordered, bounds, bounds[1:]):
-            at_most[lo:hi] = line.searchsorted(value[lo:hi], side="right")
-        rank = n_docs - at_most
-        # a value that repeats in its row also needs the equal values at
-        # lower columns, counted exactly: one pass per (row, tied value)
-        tied = np.flatnonzero((at_most >= 2)
-                              & (ordered[row, at_most - 2] == value))
+            rank[lo:hi] = line.searchsorted(neg[lo:hi])
+        # a score that repeats in its row (its successor in the sorted row
+        # equals it; for a NaN, is a NaN) also needs the equal scores at
+        # lower columns, counted exactly: one pass per (row, tied score),
+        # each group keyed by its count so far
+        nan = np.isnan(value)
+        after = ordered[row, np.minimum(rank + 1, n_docs - 1)]
+        tied = np.flatnonzero((rank + 1 < n_docs)
+                              & ((after == neg) | (nan & np.isnan(after))))
         if len(tied):
-            tied = tied[np.lexsort((value[tied], row[tied]))]
-            t_row, t_value = row[tied], value[tied]
-            new = np.ones(len(tied), dtype=bool)
-            new[1:] = (t_row[1:] != t_row[:-1]) | (t_value[1:] != t_value[:-1])
-            first_of = np.flatnonzero(new)
-            equal = values[t_row[first_of]] == t_value[first_of, None]
+            _, lead, group = np.unique(row[tied] * (n_docs + 1) + rank[tied],
+                                       return_index=True, return_inverse=True)
+            lead = tied[lead]
+            equal = values[row[lead]] == value[lead, None]
+            # NaN == NaN is false: NaN groups alone take the isnan mask
+            nan_group = nan[lead]
+            equal[nan_group] = np.isnan(values[row[lead[nan_group]]])
             up_to = np.cumsum(equal, axis=1)
-            rank[tied] += up_to[np.cumsum(new) - 1, cols[tied]] - 1
-        # ranks in ascending order within each row, then precision at each
-        key = np.sort(row * (n_docs + 1) + rank + 1)
-        nth = np.arange(len(key)) - starts[row]
-        out[row, nth] = (nth + 1) / (key - row * (n_docs + 1))
-        # rows holding a NaN keep the argsort rule (NaNs last, by column)
-        for i in np.flatnonzero(np.isnan(ordered[:, -1])):
-            hits = np.zeros((1, n_docs), dtype=bool)
-            hits[0, cols[starts[i]:starts[i + 1]]] = True
-            order = _rank_order(-values[i:i + 1])
-            out[i] = 0.0
-            _fill_hit_precisions(np.take_along_axis(hits, order, axis=1),
-                                 out[i:i + 1])
+            rank[tied] += up_to[group, cols[tied]] - 1
+        _fill_precisions(out, row, starts, rank, n_docs)
 
 
 @dataclass

@@ -76,6 +76,12 @@ def _argsort_rank_order(neg):
     return order
 
 
+def argsort_ranking(scores, doc_ids):
+    """Doc ids of one score row in rank order, by the argsort kernel."""
+    by_id = np.argsort(doc_ids, kind="stable")
+    return doc_ids[by_id[_argsort_rank_order(-scores[by_id][None])[0]]]
+
+
 def argsort_hit_precisions(scores, query_ids, doc_ids, qrels):
     """(judged rows, hit precisions, relevant counts) of a score matrix:
     every judged row fully argsorted, relevance flags permuted into rank

@@ -385,6 +385,13 @@ class TestSweep:
                                     "--method", method, "--ks", ks])
         assert code == 1 and "usage error" in err and "--ks" in err
 
+    @pytest.mark.parametrize("seeds", ["x", "0,y", "-1"])
+    def test_bad_seeds_fail_before_reading(self, tmp_path, capsys, seeds):
+        code, _, err = run(capsys, ["sweep", "--corpus", str(tmp_path / "absent"),
+                                    "--method", "lsi", "--ks", "2",
+                                    "--seeds", seeds])
+        assert code == 1 and "usage error" in err and "--seeds" in err
+
     def test_numeric_failure_exit_code(self, ws, capsys, monkeypatch):
         def explode(args):
             raise FloatingPointError("overflow in factorization")
@@ -434,6 +441,22 @@ class TestEntryPoints:
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: ldikit")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--scores", "{tfidf}"],
+        ["ensemble", "train", "--scores", "{tfidf}", "{lda}"],
+        ["ensemble", "crossval", "--scores", "{tfidf}", "{lda}"],
+        ["sweep", "--method", "lsi", "--ks", "2"],
+    ], ids=["eval", "ensemble-train", "ensemble-crossval", "sweep"])
+    def test_json_report_creates_its_directory(self, ws, tmp_path, capsys,
+                                               argv):
+        out_path = tmp_path / "new" / "dir" / "report.json"
+        argv = [a.format(tfidf=ws["tfidf_scores"], lda=ws["lda_scores"])
+                for a in argv]
+        code, _, err = run(capsys, [*argv, "--corpus", str(ws["corpus"]),
+                                    "--out", str(out_path)])
+        assert code == 0, err
+        assert json.loads(out_path.read_text())
 
     def test_relative_outputs_land_under_out_dir(self, ws, tmp_path, capsys,
                                                  monkeypatch):

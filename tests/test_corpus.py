@@ -282,6 +282,11 @@ class TestCorpusBundle:
                                       corpus.query_counts.toarray())
         assert loaded.qrels == corpus.qrels
         assert loaded.checksum() == corpus.checksum()
+        # judged pairs stored in any order load to the same judgments
+        pairs = tmp_path / "bundle" / "qrels.bin"
+        pairs.write_bytes(np.fromfile(pairs, dtype="<i8").reshape(-1, 2)[::-1]
+                          .tobytes())
+        assert load_corpus(tmp_path / "bundle").qrels == corpus.qrels
 
     def test_tampered_bundle_rejected(self, tmp_path):
         corpus = build_corpus(tiny_collection())
