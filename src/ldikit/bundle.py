@@ -10,6 +10,7 @@ raw float64 scores; a ``.csv`` path gets a plain CSV instead.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +109,7 @@ def save_scores(path, matrix: ScoreMatrix) -> Path:
     }
     with path.open("wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
-        fh.write(np.ascontiguousarray(matrix.scores.astype("<f8")).tobytes())
+        fh.write(np.ascontiguousarray(matrix.scores, dtype="<f8"))
     return path
 
 
@@ -139,13 +140,15 @@ def load_scores(path) -> ScoreMatrix:
         query_ids = np.array(header["query_ids"], dtype=np.int64)
         doc_ids = np.array(header["doc_ids"], dtype=np.int64)
         dtype = _DTYPE_TAGS[header["dtype"]]
-        payload = fh.read()
-    expected = dtype.itemsize * len(query_ids) * len(doc_ids)
-    if len(payload) != expected:
-        raise ValueError(f"score file {path.name} holds {len(payload)} payload "
+        expected = dtype.itemsize * len(query_ids) * len(doc_ids)
+        # sized from the file before anything is allocated for the payload
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held == expected:
+            scores = np.empty((len(query_ids), len(doc_ids)), dtype=dtype)
+            held = fh.readinto(scores)
+    if held != expected:
+        raise ValueError(f"score file {path.name} holds {held} payload "
                          f"bytes; its header's {len(query_ids)} queries x "
                          f"{len(doc_ids)} docs need {expected}")
-    scores = np.frombuffer(payload, dtype=dtype).reshape(
-        len(query_ids), len(doc_ids)).copy()
     return ScoreMatrix(tag=header["tag"], scores=scores,
                        query_ids=query_ids, doc_ids=doc_ids)

@@ -80,7 +80,7 @@ def _build_parser() -> _Parser:
                        help="tfidf, lsi, plsi, lda (alias: ldi)")
     train.add_argument("--k", type=_count_from(1), default=None,
                        help="topic count")
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_count_from(0), default=0)
     train.add_argument("--tune-by-precision", action="store_true",
                        help="plsi only: after fitting, keep lowering the "
                             "temperature while MAP improves on the corpus "
@@ -122,7 +122,7 @@ def _build_parser() -> _Parser:
     ecross.add_argument("--corpus", required=True)
     ecross.add_argument("--scores", nargs="+", required=True)
     ecross.add_argument("--folds", type=_count_from(2), default=2)
-    ecross.add_argument("--seed", type=int, default=0)
+    ecross.add_argument("--seed", type=_count_from(0), default=0)
     ecross.add_argument("--eps", type=float, default=1e-4)
     ecross.add_argument("--max-rounds", type=_count_from(1), default=200)
     ecross.add_argument("--out", default=None)

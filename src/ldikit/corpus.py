@@ -12,10 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import sys
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from . import bundle
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 TOKENIZER_VERSION = 1
 
 
@@ -80,14 +80,14 @@ def _parse_records(source, source_tag: str):
     doc_id = None
     start_line = 0
     sections: dict[str, list[str]] = {}
-    current: str | None = None
+    text: list[str] | None = None   # the open .T/.W section's lines
 
     def flush():
         if doc_id is not None:
             yield doc_id, sections, start_line
 
     for line_no, line in enumerate(_iter_lines(source), 1):
-        m = _MARKER_RE.match(line)
+        m = _MARKER_RE.match(line) if line.startswith(".") else None
         if m:
             tag, rest = m.group(1), m.group(2)
             if tag == "I":
@@ -102,7 +102,7 @@ def _parse_records(source, source_tag: str):
                     ) from None
                 start_line = line_no
                 sections = {}
-                current = None
+                text = None
                 continue
             if doc_id is None:
                 raise ParseError(
@@ -114,12 +114,12 @@ def _parse_records(source, source_tag: str):
                     f"at line {line_no}; section ignored",
                     stacklevel=3,
                 )
-            current = tag
-            if rest and rest.strip() and tag in _TEXT_SECTIONS:
-                sections.setdefault(tag, []).append(rest)
+            text = sections.setdefault(tag, []) if tag in _TEXT_SECTIONS else None
+            if text is not None and rest and rest.strip():
+                text.append(rest)
             continue
-        if current in _TEXT_SECTIONS:
-            sections.setdefault(current, []).append(line)
+        if text is not None:
+            text.append(line)
     yield from flush()
 
 
@@ -165,57 +165,94 @@ def parse_qrels(source, dialect: str = "auto") -> dict[int, set[int]]:
     - ``pair``: document id in column 2 (query id, doc id, extras...)
     - ``trec``: constant 0 in column 2, document id in column 3
 
-    ``auto`` picks ``trec`` when every row's column 2 equals 0.
+    ``auto`` picks ``trec`` when every row's column 2 equals 0.  Ids are
+    read by ``int`` and must fit in 64 bits.
     """
-    rows: list[tuple[int, list[str]]] = []
-    for line_no, line in enumerate(_iter_lines(source), 1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) < 2:
-            raise ParseError("judgment row needs at least two columns", line_no)
-        rows.append((line_no, parts))
-    if not rows:
+    lines = list(_iter_lines(source))
+    widths = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    rows = np.flatnonzero(widths)   # 0-based line index of each judgment row
+    if not len(rows):
         return {}
+    widths = widths[rows]
+    narrow = np.flatnonzero(widths < 2)
+    if len(narrow):
+        raise ParseError("judgment row needs at least two columns",
+                         int(rows[narrow[0]]) + 1)
+    fields = "\n".join(lines).split()
+    starts = np.cumsum(widths) - widths
+
+    def column(c: int, n: int) -> list[str]:
+        """Field ``c`` of the first ``n`` rows."""
+        return list(map(fields.__getitem__, (starts[:n] + c).tolist()))
 
     if dialect == "auto":
-        def col2_zero(parts: list[str]) -> bool:
-            return len(parts) >= 3 and parts[1] == "0"
-
-        dialect = "trec" if all(col2_zero(p) for _, p in rows) else "pair"
+        trec = (widths >= 3).all() and column(1, len(rows)).count("0") == len(rows)
+        dialect = "trec" if trec else "pair"
     if dialect not in ("pair", "trec"):
         raise ValueError(f"unknown qrels dialect {dialect!r}")
 
     doc_col = 2 if dialect == "trec" else 1
-    qrels: dict[int, set[int]] = {}
-    for line_no, parts in rows:
-        if len(parts) <= doc_col:
-            raise ParseError(
-                f"judgment row too short for {dialect!r} layout", line_no
-            )
-        try:
-            qid = int(parts[0])
-            did = int(parts[doc_col])
-        except ValueError:
-            raise ParseError("judgment ids must be integers", line_no) from None
-        qrels.setdefault(qid, set()).add(did)
-    return qrels
+    short = np.flatnonzero(widths <= doc_col)
+    n = int(short[0]) if len(short) else len(rows)   # rows before the first short one
+    qids, dids = column(0, n), column(doc_col, n)
+    try:
+        pairs = np.fromiter(map(int, qids + dids), np.int64, 2 * n).reshape(2, n)
+    except (ValueError, OverflowError):
+        for row, ids in enumerate(zip(qids, dids)):
+            try:
+                np.fromiter(map(int, ids), np.int64, 2)
+            except (ValueError, OverflowError):
+                raise ParseError("judgment ids must be 64-bit integers",
+                                 int(rows[row]) + 1) from None
+    if n < len(rows):
+        raise ParseError(f"judgment row too short for {dialect!r} layout",
+                         int(rows[n]) + 1)
+    return _group_pairs(pairs[0], pairs[1])
+
+
+def _group_pairs(qids: np.ndarray, dids: np.ndarray) -> dict[int, set[int]]:
+    """{qid: {did, ...}} from paired id columns, queries in order of first
+    appearance."""
+    if not len(qids):
+        return {}
+    order = np.argsort(qids, kind="stable")
+    qids, dids = qids[order], dids[order]
+    first = np.flatnonzero(np.r_[True, qids[1:] != qids[:-1]])
+    groups = np.split(dids, first[1:])
+    # the stable sort keeps each query's earliest row first in its group
+    return {int(qids[first[g]]): set(groups[g].tolist())
+            for g in np.argsort(order[first]).tolist()}
 
 
 # ---------------------------------------------------------------------------
 # Tokenization and stoplisting
 
 _STRIP_RE = re.compile(r"[^a-z0-9\s]+")
+# the same deletion for ASCII text, as one bytes.translate: a byte goes
+# where its lowercase form would go
+_ASCII_LOWER = bytes(range(256)).lower()
+_ASCII_DROP = bytes(c for c in range(128) if _STRIP_RE.match(chr(c).lower()))
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase, delete punctuation in place, split, drop short/numeric tokens.
+def _clean(text: str) -> str:
+    """Lowercase and delete everything but letters a-z, digits and space.
 
     Deleting (not blanking) punctuation keeps hyphenated and apostrophized
     forms as single tokens: "don't" -> "dont", "x-ray" -> "xray".
     """
-    cleaned = _STRIP_RE.sub("", text.lower())
-    return [t for t in cleaned.split() if len(t) >= 2 and not t.isdigit()]
+    if text.isascii():
+        return text.encode().translate(_ASCII_LOWER, _ASCII_DROP).decode()
+    return _STRIP_RE.sub("", text.lower())
+
+
+def _is_term(token: str) -> bool:
+    """The tokenizer's rule: two characters or more, not all digits."""
+    return len(token) >= 2 and not token.isdigit()
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase, delete punctuation in place, split, drop short/numeric tokens."""
+    return list(filter(_is_term, _clean(text).split()))
 
 
 class StopList:
@@ -275,32 +312,6 @@ class Vocabulary:
         return self.index[term]
 
 
-def _as_tokens(doc) -> list[str]:
-    if isinstance(doc, RawDocument):
-        return tokenize(doc.text)
-    if isinstance(doc, str):
-        return tokenize(doc)
-    return list(doc)
-
-
-def build_vocabulary(docs: Sequence, stoplist: StopList | None = None) -> Vocabulary:
-    """Build the vocabulary: tokens minus stop terms minus singletons.
-
-    A term must occur at least twice across the whole corpus to enter the
-    vocabulary.  Index order is first occurrence among surviving terms.
-    """
-    cf: dict[str, int] = {}
-    for doc in docs:
-        for tok in _as_tokens(doc):
-            if stoplist is not None and tok in stoplist:
-                continue
-            cf[tok] = cf.get(tok, 0) + 1
-    terms = [t for t, c in cf.items() if c >= 2]
-    if not terms:
-        raise ValueError("vocabulary is empty after preprocessing")
-    return Vocabulary(terms=terms, index={t: j for j, t in enumerate(terms)})
-
-
 @dataclass
 class TermDocCounts:
     """Sparse document-term count matrix plus per-document token totals."""
@@ -317,28 +328,127 @@ class TermDocCounts:
         return self.matrix.shape[1]
 
 
+class _FirstSeen(dict):
+    """term -> id, numbering terms in the order they are first looked up."""
+
+    def __missing__(self, term):
+        self[term] = n = len(self)
+        return n
+
+
+class _TextTerms(dict):
+    """Split-text token -> its id in ``ids``, or -1 where the tokenizer drops
+    the token; the rule is checked once per distinct token."""
+
+    def __init__(self, ids: _FirstSeen):
+        super().__init__()
+        self.ids = ids
+
+    def __missing__(self, token):
+        self[token] = n = self.ids[token] if _is_term(token) else -1
+        return n
+
+
+@dataclass
+class _TokenIds:
+    """Every token of a document sequence as one flat array of term ids."""
+
+    ids: np.ndarray      # term id per token; -1 for a token the tokenizer drops
+    lengths: np.ndarray  # tokens per document, dropped ones included
+    terms: list[str]     # the term of each id, in order of first occurrence
+
+
+_END = "."            # cannot survive _clean, so it marks the end of a text
+_BATCH_CHARS = 1 << 18  # cleaned text split and looked up at once
+
+
+def _token_ids(docs: Sequence) -> _TokenIds:
+    """Map the tokens of RawDocuments, texts or token lists to term ids.
+
+    One dict lookup per token.  Texts are tokenized as `tokenize` does, in
+    batches joined by an end marker; token lists are taken as they are.
+    """
+    ids = _FirstSeen()
+    text_ids = _TextTerms(ids)
+    text_ids[_END] = -2
+    parts = []   # id arrays; each document's ids end with a -2
+    batch: list[str] = []
+    size = 0
+
+    def lookup(ids_of, tokens):
+        parts.append(np.array(list(map(ids_of.__getitem__, tokens)) + [-2],
+                              dtype=np.int64))
+
+    for doc in docs:
+        if isinstance(doc, RawDocument):
+            doc = doc.text
+        if isinstance(doc, str):
+            batch.append(_clean(doc))
+            size += len(batch[-1])
+            if size < _BATCH_CHARS:
+                continue
+        # a token list first ends the batch, so ids keep first-occurrence order
+        if batch:
+            lookup(text_ids, f" {_END} ".join(batch).split())
+            batch, size = [], 0
+        if not isinstance(doc, str):
+            lookup(ids, doc)
+    if batch:
+        lookup(text_ids, f" {_END} ".join(batch).split())
+    flat = np.concatenate([np.empty(0, dtype=np.int64), *parts])
+    ends = np.flatnonzero(flat == -2)
+    return _TokenIds(ids=flat[flat != -2], lengths=np.diff(ends, prepend=-1) - 1,
+                     terms=list(ids))
+
+
+def _vocabulary(tokens: _TokenIds, stoplist: StopList | None):
+    """The vocabulary of `build_vocabulary`, and each term id's column in it
+    (-1 outside it, and at index -1 for dropped tokens)."""
+    n_ids = len(tokens.terms)
+    keep = np.bincount(tokens.ids[tokens.ids >= 0], minlength=n_ids) >= 2
+    if stoplist is not None:
+        keep &= ~np.fromiter(map(stoplist.__contains__, tokens.terms), bool, n_ids)
+    terms = list(compress(tokens.terms, keep.tolist()))
+    if not terms:
+        raise ValueError("vocabulary is empty after preprocessing")
+    column = np.full(n_ids + 1, -1, dtype=np.int64)
+    column[:-1][keep] = np.arange(len(terms))
+    return Vocabulary(terms=terms, index={t: j for j, t in enumerate(terms)}), column
+
+
+def _counts(tokens: _TokenIds, column: np.ndarray, n_terms: int) -> TermDocCounts:
+    """Count each document's tokens by vocabulary column (-1: not counted)."""
+    n_docs = len(tokens.lengths)
+    cols = column[tokens.ids]
+    counted = cols >= 0
+    rows = np.repeat(np.arange(n_docs), tokens.lengths)[counted]
+    width = max(n_terms, 1)
+    cells, data = np.unique(rows * width + cols[counted], return_counts=True)
+    indptr = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cells // width, minlength=n_docs), out=indptr[1:])
+    matrix = sp.csr_matrix(
+        (data.astype(np.int64), (cells % width).astype(np.int32), indptr),
+        shape=(n_docs, n_terms),
+    )
+    lengths = np.bincount(rows, minlength=n_docs).astype(np.int64)
+    return TermDocCounts(matrix=matrix, doc_lengths=lengths)
+
+
+def build_vocabulary(docs: Sequence, stoplist: StopList | None = None) -> Vocabulary:
+    """Build the vocabulary: tokens minus stop terms minus singletons.
+
+    A term must occur at least twice across the whole corpus to enter the
+    vocabulary.  Index order is first occurrence among surviving terms.
+    """
+    return _vocabulary(_token_ids(docs), stoplist)[0]
+
+
 def count_matrix(docs: Sequence, vocab: Vocabulary) -> TermDocCounts:
     """Count in-vocabulary tokens per document.  Rows may be empty."""
-    data: list[int] = []
-    indices: list[int] = []
-    indptr = [0]
-    for doc in docs:
-        row: dict[int, int] = {}
-        for tok in _as_tokens(doc):
-            j = vocab.index.get(tok)
-            if j is not None:
-                row[j] = row.get(j, 0) + 1
-        for j in sorted(row):
-            indices.append(j)
-            data.append(row[j])
-        indptr.append(len(indices))
-    matrix = sp.csr_matrix(
-        (np.array(data, dtype=np.int64), np.array(indices, dtype=np.int32),
-         np.array(indptr, dtype=np.int64)),
-        shape=(len(docs), len(vocab)),
-    )
-    lengths = np.asarray(matrix.sum(axis=1)).ravel().astype(np.int64)
-    return TermDocCounts(matrix=matrix, doc_lengths=lengths)
+    tokens = _token_ids(docs)
+    column = np.array([vocab.index.get(t, -1) for t in tokens.terms] + [-1],
+                      dtype=np.int64)
+    return _counts(tokens, column, len(vocab))
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +501,8 @@ def validate_qrels(collection: Collection) -> list[str]:
     for qid in sorted(collection.qrels):
         if qid not in query_ids:
             problems.append(f"judgments for unknown query {qid}")
-        for did in sorted(collection.qrels[qid]):
-            if did not in doc_ids:
-                problems.append(f"query {qid}: judged document {did} not parsed")
+        problems.extend(f"query {qid}: judged document {did} not parsed"
+                        for did in sorted(set(collection.qrels[qid]) - doc_ids))
     return problems
 
 
@@ -433,7 +542,7 @@ class Corpus:
         return int(rows[0])
 
     def checksum(self) -> str:
-        """Content hash covering vocabulary, counts, queries and judgments."""
+        """Content hash covering vocabulary, ids, counts and judged pairs."""
         h = hashlib.sha256()
         h.update("\n".join(self.vocabulary.terms).encode())
         h.update(self.doc_ids.tobytes())
@@ -443,9 +552,17 @@ class Corpus:
             h.update(m.indptr.tobytes())
             h.update(m.indices.tobytes())
             h.update(np.asarray(m.data, dtype=np.int64).tobytes())
-        for qid in sorted(self.qrels):
-            h.update(f"{qid}:{sorted(self.qrels[qid])}".encode())
+        h.update(_judged_pairs(self.qrels).tobytes())
         return h.hexdigest()
+
+
+def _judged_pairs(qrels: dict[int, set[int]]) -> np.ndarray:
+    """Judged (query id, doc id) pairs, int64 rows sorted by query then doc."""
+    qids = sorted(qrels)
+    dids = [np.sort(np.fromiter(qrels[q], np.int64, len(qrels[q]))) for q in qids]
+    return np.column_stack((
+        np.repeat(np.array(qids, dtype=np.int64), list(map(len, dids))),
+        np.concatenate([np.empty(0, dtype=np.int64), *dids])))
 
 
 def build_corpus(collection: Collection, stoplist: StopList | None = None) -> Corpus:
@@ -454,12 +571,10 @@ def build_corpus(collection: Collection, stoplist: StopList | None = None) -> Co
     Judged pairs pointing at unparsed documents are reported through a
     warning and recorded on the corpus, then excluded from evaluation.
     """
-    # tokenized once for both passes; interned, so that holding every
-    # document's tokens costs one string per distinct term
-    doc_tokens = [list(map(sys.intern, tokenize(d.text)))
-                  for d in collection.documents]
-    vocab = build_vocabulary(doc_tokens, stoplist)
-    counts = count_matrix(doc_tokens, vocab)
+    tokens = _token_ids(collection.documents)
+    vocab, column = _vocabulary(tokens, stoplist)
+    counts = _counts(tokens, column, len(vocab))
+    del tokens
     query_counts = count_matrix([q.text for q in collection.queries], vocab).matrix
 
     problems = validate_qrels(collection)
@@ -476,7 +591,7 @@ def build_corpus(collection: Collection, stoplist: StopList | None = None) -> Co
     for qid, dids in collection.qrels.items():
         if qid not in query_ids:
             continue
-        kept = {d for d in dids if d in doc_ids}
+        kept = doc_ids.intersection(dids)
         if kept:
             qrels[qid] = kept
     return Corpus(
@@ -499,9 +614,6 @@ def save_corpus(corpus: Corpus, out_dir) -> Path:
 
     The vocabulary, name and content checksum go into the manifest.
     """
-    qrels = np.array([(qid, did) for qid in sorted(corpus.qrels)
-                      for did in sorted(corpus.qrels[qid])],
-                     dtype=np.int64).reshape(-1, 2)
     manifest = {
         "format_version": FORMAT_VERSION,
         "tokenizer_version": TOKENIZER_VERSION,
@@ -512,7 +624,7 @@ def save_corpus(corpus: Corpus, out_dir) -> Path:
     }
     arrays = {"counts": corpus.counts.matrix, "query_counts": corpus.query_counts,
               "doc_ids": corpus.doc_ids, "query_ids": corpus.query_ids,
-              "qrels": qrels}
+              "qrels": _judged_pairs(corpus.qrels)}
     return bundle.save_model(out_dir, "corpus", manifest, arrays)
 
 
@@ -526,12 +638,7 @@ def load_corpus(in_dir) -> Corpus:
     manifest, arrays = bundle.load_model(in_dir)
     terms = manifest["terms"]
     matrix = arrays["counts"]
-    # judged (query, doc) pairs grouped by query, in stored order
     pairs = arrays["qrels"]
-    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
-    qids, first = np.unique(pairs[:, 0], return_index=True)
-    qrels = {qid: set(dids.tolist()) for qid, dids in
-             zip(qids.tolist(), np.split(pairs[:, 1], first[1:]))}
     vocab = Vocabulary(terms=terms, index={t: j for j, t in enumerate(terms)})
     corpus = Corpus(
         name=manifest["name"],
@@ -543,7 +650,7 @@ def load_corpus(in_dir) -> Corpus:
             doc_lengths=np.asarray(matrix.sum(axis=1)).ravel().astype(np.int64),
         ),
         query_counts=arrays["query_counts"],
-        qrels=qrels,
+        qrels=_group_pairs(pairs[:, 0], pairs[:, 1]),
         dropped_judgments=list(manifest.get("dropped_judgments", [])),
     )
     if corpus.checksum() != manifest["checksum"]:

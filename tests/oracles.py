@@ -7,8 +7,11 @@ something honest to be checked against.  Nothing in src/ imports this file.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,6 +57,138 @@ def brute_force_pr_curve(ranked_ids, relevant) -> np.ndarray:
         candidates = [p for r, p in points if r >= level - 1e-12]
         curve.append(max(candidates) if candidates else 0.0)
     return np.array(curve)
+
+
+# ---------------------------------------------------------------------------
+# Corpus ingestion as ldikit ran it before the counting kernel: tokens
+# filtered one at a time, vocabulary and counts built in dict loops,
+# judgments parsed into one list per row, judged pairs hashed as text
+
+class LoopParseError(ValueError):
+    def __init__(self, message, line_no):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+
+
+def _loop_lines(source):
+    if isinstance(source, str):
+        return source.splitlines()
+    if isinstance(source, Path):
+        return source.read_text(errors="replace").splitlines()
+    return (line.rstrip("\n") for line in source)
+
+
+def loop_parse_qrels(source, dialect="auto"):
+    rows = []
+    for line_no, line in enumerate(_loop_lines(source), 1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) < 2:
+            raise LoopParseError("judgment row needs at least two columns", line_no)
+        rows.append((line_no, parts))
+    if not rows:
+        return {}
+    if dialect == "auto":
+        dialect = ("trec" if all(len(p) >= 3 and p[1] == "0" for _, p in rows)
+                   else "pair")
+    if dialect not in ("pair", "trec"):
+        raise ValueError(f"unknown qrels dialect {dialect!r}")
+    doc_col = 2 if dialect == "trec" else 1
+    qrels = {}
+    for line_no, parts in rows:
+        if len(parts) <= doc_col:
+            raise LoopParseError(
+                f"judgment row too short for {dialect!r} layout", line_no)
+        try:
+            qid = int(parts[0])
+            did = int(parts[doc_col])
+        except ValueError:
+            raise LoopParseError("judgment ids must be integers", line_no) from None
+        qrels.setdefault(qid, set()).add(did)
+    return qrels
+
+
+_LOOP_STRIP_RE = re.compile(r"[^a-z0-9\s]+")
+
+
+def loop_tokenize(text):
+    cleaned = _LOOP_STRIP_RE.sub("", text.lower())
+    return [t for t in cleaned.split() if len(t) >= 2 and not t.isdigit()]
+
+
+def _loop_tokens(doc):
+    """A RawDocument (anything with ``.text``) or a text is tokenized; a
+    token list is taken as it is."""
+    if hasattr(doc, "text"):
+        return loop_tokenize(doc.text)
+    if isinstance(doc, str):
+        return loop_tokenize(doc)
+    return list(doc)
+
+
+def loop_vocabulary(docs, stoplist=None):
+    """Vocabulary terms in index order; ValueError when none survive."""
+    cf = {}
+    for doc in docs:
+        for tok in _loop_tokens(doc):
+            if stoplist is not None and tok in stoplist:
+                continue
+            cf[tok] = cf.get(tok, 0) + 1
+    terms = [t for t, c in cf.items() if c >= 2]
+    if not terms:
+        raise ValueError("vocabulary is empty after preprocessing")
+    return terms
+
+
+def loop_count_matrix(docs, terms):
+    """(CSR counts, per-document token totals) over the term list."""
+    index = {t: j for j, t in enumerate(terms)}
+    data, indices, indptr = [], [], [0]
+    for doc in docs:
+        row = {}
+        for tok in _loop_tokens(doc):
+            j = index.get(tok)
+            if j is not None:
+                row[j] = row.get(j, 0) + 1
+        for j in sorted(row):
+            indices.append(j)
+            data.append(row[j])
+        indptr.append(len(indices))
+    matrix = sp.csr_matrix(
+        (np.array(data, dtype=np.int64), np.array(indices, dtype=np.int32),
+         np.array(indptr, dtype=np.int64)),
+        shape=(len(docs), len(terms)))
+    lengths = np.asarray(matrix.sum(axis=1)).ravel().astype(np.int64)
+    return matrix, lengths
+
+
+def loop_judged_pairs(qrels):
+    """The (query, doc) rows of a corpus bundle's ``qrels.bin``."""
+    return np.array([(qid, did) for qid in sorted(qrels)
+                     for did in sorted(qrels[qid])],
+                    dtype=np.int64).reshape(-1, 2)
+
+
+def loop_checksum(corpus, pairs_as_bytes=False):
+    """Corpus content hash of bundle format 2, which hashed each query's
+    judgments as text; with ``pairs_as_bytes``, format 3's definition: the
+    same fields, then the `loop_judged_pairs` bytes."""
+    h = hashlib.sha256()
+    h.update("\n".join(corpus.vocabulary.terms).encode())
+    h.update(corpus.doc_ids.tobytes())
+    h.update(corpus.query_ids.tobytes())
+    for m in (corpus.counts.matrix, corpus.query_counts):
+        m = m.tocsr()
+        h.update(m.indptr.tobytes())
+        h.update(m.indices.tobytes())
+        h.update(np.asarray(m.data, dtype=np.int64).tobytes())
+    if pairs_as_bytes:
+        h.update(loop_judged_pairs(corpus.qrels).tobytes())
+    else:
+        for qid in sorted(corpus.qrels):
+            h.update(f"{qid}:{sorted(corpus.qrels[qid])}".encode())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,13 @@ class TestTrainAndScore:
                                     "--out", str(tmp_path / "m")])
         assert code == 1 and "usage error" in err and "--k" in err
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_fails_before_reading(self, tmp_path, capsys, seed):
+        code, _, err = run(capsys, ["train", "--corpus", str(tmp_path / "absent"),
+                                    "--method", "lsi", "--k", "2",
+                                    "--seed", seed, "--out", str(tmp_path / "m")])
+        assert code == 1 and "usage error" in err and "--seed" in err
+
     @pytest.mark.parametrize("method", ["tfidf", "lsi", "lda"])
     def test_precision_tuning_is_plsi_only(self, tmp_path, capsys, method):
         code, _, err = run(capsys, ["train", "--corpus", str(tmp_path / "absent"),
@@ -344,8 +351,9 @@ class TestEnsembleCommands:
         ["train", "--corpus", "{absent}", "--max-rounds", "0",
          "--out", "{absent}.json"],
         ["apply", "--out", "{absent}.bin"],
+        ["crossval", "--corpus", "{absent}", "--seed", "-1"],
     ], ids=["folds-1", "folds-0", "crossval-rounds-0", "train-rounds-0",
-            "apply-no-weight-source"])
+            "apply-no-weight-source", "crossval-seed-negative"])
     def test_bad_counts_and_flags_fail_before_reading(self, tmp_path, capsys,
                                                       argv):
         # every input is missing: a data error (2) would mean a file was

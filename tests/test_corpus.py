@@ -1,8 +1,16 @@
+import io
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ldikit
+import oracles
 from ldikit import cli
 from ldikit.corpus import (Collection, ParseError, Query, RawDocument,
                            StopList, build_corpus, build_vocabulary,
@@ -123,6 +131,82 @@ class TestQrels:
 
     def test_empty_input(self):
         assert parse_qrels("") == {}
+
+    def test_malformed_row_deep_in_a_long_file_names_its_line(self):
+        lines = []
+        for q in range(1, 401):
+            lines += [f"{q} 0 {d} 1" for d in range(1, 11)] + [""]
+        good = len(lines)
+        lines += ["", "  ", "401 0 7 1", "401 0 x 1", "402 0 3 1"]
+        with pytest.raises(ParseError) as err:
+            parse_qrels("\n".join(lines))
+        assert err.value.line_no == good + 4
+        assert str(err.value).startswith(f"line {good + 4}: ")
+        lines[good + 3] = "401"
+        with pytest.raises(ParseError, match="two columns") as err:
+            parse_qrels("\n".join(lines))
+        assert err.value.line_no == good + 4
+
+    def test_earliest_bad_row_wins(self):
+        # a one-column row is found before any id is read
+        with pytest.raises(ParseError, match="two columns") as err:
+            parse_qrels("x 1\n2 3\n4\n")
+        assert err.value.line_no == 3
+        # otherwise the first row that is short or not integer
+        with pytest.raises(ParseError) as err:
+            parse_qrels("1 0 4\n2 0 y\n3 0\n", dialect="trec")
+        assert err.value.line_no == 2
+        with pytest.raises(ParseError, match="too short") as err:
+            parse_qrels("1 0 4\n3 0\n2 0 y\n", dialect="trec")
+        assert err.value.line_no == 2
+
+    def test_non_integer_ids_in_either_column(self):
+        for text, line_no in (("1 2\n1.5 3\n", 2), ("1 2\n1 3e2\n", 2),
+                              ("q1 0 2 1\n", 1), ("1 0 d2 1\n", 1)):
+            with pytest.raises(ParseError, match="integers") as err:
+                parse_qrels(text)
+            assert err.value.line_no == line_no
+
+    def test_ids_beyond_64_bits_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_qrels("1 2\n1 99999999999999999999\n")
+        assert err.value.line_no == 2
+
+    def test_ids_parse_as_python_int_does(self):
+        assert parse_qrels("+1 0 007 1\n1 0 1_000 1\n") == {1: {7, 1000}}
+
+    def test_row_too_short_for_trec(self):
+        with pytest.raises(ParseError, match="too short for 'trec'") as err:
+            parse_qrels("1 0 5 1\n\n2 0\n", dialect="trec")
+        assert err.value.line_no == 3
+
+    def test_auto_with_mixed_widths_is_pair(self):
+        # one row without a third column: not every row is a trec row
+        assert parse_qrels("1 0 5 1\n2 7\n") == {1: {0}, 2: {7}}
+        assert parse_qrels("1 0 5\n2 0\n") == {1: {0}, 2: {0}}
+        assert parse_qrels("1 0 5 1\n2 0 6\n") == {1: {5}, 2: {6}}
+
+    def test_queries_keep_their_first_appearance_order(self):
+        qrels = parse_qrels("9 1\n2 5\n9 3\n4 4\n2 1\n")
+        assert list(qrels) == [9, 2, 4]
+        assert qrels == {9: {1, 3}, 2: {5, 1}, 4: {4}}
+
+    def test_str_path_and_file_object_inputs(self, tmp_path):
+        text = "3 0 44 1\r\n\n3 0 45 0\n1 0 2 1\n"
+        path = tmp_path / "rels.txt"
+        path.write_bytes(text.encode())
+        expected = {3: {44, 45}, 1: {2}}
+        assert parse_qrels(text) == expected
+        assert parse_qrels(path) == expected
+        with path.open() as fh:
+            assert parse_qrels(fh) == expected
+        assert parse_qrels(io.StringIO(text)) == expected
+        bad = "1 0 4 1\n\n1 0 four 1\n"
+        path.write_text(bad)
+        for source in (bad, path, io.StringIO(bad)):
+            with pytest.raises(ParseError) as err:
+                parse_qrels(source)
+            assert err.value.line_no == 3
 
 
 class TestTokenize:
@@ -327,6 +411,14 @@ class TestDamagedCorpusBundle:
         indices.write_bytes(indices.read_bytes()[:-8])
         self.assert_rejected(out, tmp_path, "bytes")
 
+    def test_format_2_bundle_must_be_rebuilt(self, tmp_path):
+        # format 2 hashed the judgments as per-query text
+        out = save_corpus(build_corpus(tiny_collection()), tmp_path / "bundle")
+        corpus = load_corpus(out)
+        edit_manifest(out, format_version=2,
+                      checksum=oracles.loop_checksum(corpus))
+        self.assert_rejected(out, tmp_path, "rebuild .*ldikit corpus build")
+
     def test_csv_bundle_must_be_rebuilt(self, tmp_path):
         # the per-row CSV layout of format version 1
         out = tmp_path / "bundle"
@@ -354,3 +446,198 @@ class TestLoadCollection:
         (tmp_path / "docs.all").write_text(DOC_FILE)
         coll = load_collection(tmp_path / "docs.all")
         assert coll.queries == [] and coll.qrels == {}
+
+
+# ---------------------------------------------------------------------------
+# The counting kernel, the columnar judgments parser and the judged-pairs
+# hash against the per-token loops they replaced (tests/oracles.py)
+
+WORDS = ["nerve", "Growth", "FACTOR", "cells", "x-ray", "don't", "e.g.",
+         "(cells)", "b12", "4x", "42", "1984", "a", "I", "x", "7", "café",
+         "naïve", "Ωmega", "straße", "İstanbul", "co-op", "U.S.A.", "...",
+         "½", "²", "٣", "ﬁx", "the", "of", "and", "THE", "don’t", "dont"]
+SPACES = [" ", " ", " ", " ", "\n", "\t", "\u00a0", "\u2003", "  ", "\x1c"]
+TOKENS = ["nerve", "cells", "a", "42", "x", "The", "don't", "dont", ".", "",
+          "café", "the", "b12"]
+STOP_TERMS = ["the", "of", "and", "don't", "cells", "x-ray", "a"]
+
+
+def random_text(rng, max_words=15):
+    n = int(rng.integers(0, max_words + 1))
+    parts = []
+    for w in rng.choice(WORDS, size=n):
+        parts += [str(w), str(rng.choice(SPACES))]
+    return "".join(parts)
+
+
+def random_doc(rng, kind):
+    if kind == "mixed":
+        kind = str(rng.choice(["raw", "str", "tokens"]))
+    if kind == "tokens":
+        n = int(rng.integers(0, 12))
+        return [str(t) for t in rng.choice(TOKENS, size=n)]
+    if rng.random() < 0.1:   # only tokens the tokenizer drops
+        text = " ".join(str(t) for t in rng.choice(["a", "7", "I", "1984", "..."],
+                                                   size=int(rng.integers(0, 6))))
+    else:
+        text = random_text(rng)
+    if kind == "str":
+        return text
+    return RawDocument(0, random_text(rng, 4), text)
+
+
+def random_stoplist(rng):
+    if rng.random() < 0.3:
+        return None
+    picked = rng.choice(STOP_TERMS, size=int(rng.integers(0, 5)), replace=False)
+    return StopList(str(t) for t in picked)
+
+
+def assert_same_matrix(got, expected):
+    assert got.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def assert_same_counts(counts, expected):
+    """``counts`` is a TermDocCounts, ``expected`` the oracle's pair."""
+    matrix, lengths = expected
+    assert_same_matrix(counts.matrix, matrix)
+    assert counts.doc_lengths.dtype == lengths.dtype
+    np.testing.assert_array_equal(counts.doc_lengths, lengths)
+
+
+def random_qrels_text(rng):
+    """Judgment rows in either layout, with blank lines, ragged extras and
+    now and then a malformed row."""
+    trec = rng.random() < 0.5
+    lines = []
+    for _ in range(int(rng.integers(0, 25))):
+        if rng.random() < 0.15:
+            lines.append(str(rng.choice(["", "  ", "\t"])))
+            continue
+        qid, did = int(rng.integers(1, 6)), int(rng.integers(0, 30))
+        row = [str(qid), "0", str(did), "1"] if trec else [str(qid), str(did)]
+        row += ["0.5"] * int(rng.integers(0, 2))
+        damage = rng.random()
+        if damage < 0.03:
+            row = row[:1]
+        elif damage < 0.06:
+            row = row[:2]
+        elif damage < 0.09:
+            row[int(rng.integers(0, len(row)))] = "x"
+        elif damage < 0.11:
+            row[1] = "7"
+        lines.append(str(rng.choice([" ", "\t", "  "])).join(row))
+    return "\n".join(lines) + str(rng.choice(["", "\n"]))
+
+
+class TestAgainstTheLoopOracles:
+    N_COLLECTIONS = 250
+
+    def test_vocabulary_and_counts(self):
+        kinds = ["raw", "str", "tokens", "mixed"]
+        for seed in range(self.N_COLLECTIONS):
+            rng = np.random.default_rng(seed)
+            kind = kinds[seed % len(kinds)]
+            docs = [random_doc(rng, kind) for _ in range(int(rng.integers(0, 12)))]
+            stop = random_stoplist(rng)
+            try:
+                terms = oracles.loop_vocabulary(docs, stop)
+            except ValueError:
+                with pytest.raises(ValueError, match="empty"):
+                    build_vocabulary(docs, stop)
+                continue
+            vocab = build_vocabulary(docs, stop)
+            assert vocab.terms == terms, seed
+            assert_same_counts(count_matrix(docs, vocab),
+                               oracles.loop_count_matrix(docs, terms))
+            queries = [random_text(rng) for _ in range(int(rng.integers(0, 4)))]
+            assert_same_counts(count_matrix(queries, vocab),
+                               oracles.loop_count_matrix(queries, terms))
+
+    def test_tokenize(self):
+        for seed in range(self.N_COLLECTIONS):
+            text = random_text(np.random.default_rng(seed), 30)
+            assert tokenize(text) == oracles.loop_tokenize(text), seed
+
+    def test_build_corpus_and_its_bundle(self, tmp_path):
+        for seed in range(self.N_COLLECTIONS):
+            rng = np.random.default_rng(seed)
+            docs = [RawDocument(d, random_text(rng, 4), random_text(rng), "r")
+                    for d in range(1, int(rng.integers(2, 12)))]
+            queries = [Query(q, random_text(rng, 6), "r")
+                       for q in range(1, int(rng.integers(1, 5)))]
+            qrels = oracles.loop_parse_qrels(
+                "\n".join(f"{rng.integers(1, 6)} {rng.integers(1, 14)}"
+                          for _ in range(int(rng.integers(0, 20)))))
+            collection = Collection("r", docs, queries, qrels)
+            stop = random_stoplist(rng)
+            try:
+                terms = oracles.loop_vocabulary(docs, stop)
+            except ValueError:
+                continue
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                corpus = build_corpus(collection, stop)
+            assert len(caught) == bool(validate_qrels(collection)), seed
+            assert corpus.vocabulary.terms == terms, seed
+            assert_same_counts(corpus.counts,
+                               oracles.loop_count_matrix(docs, terms))
+            assert_same_matrix(corpus.query_counts, oracles.loop_count_matrix(
+                [q.text for q in queries], terms)[0])
+            assert corpus.qrels == {
+                q: dids & set(range(1, len(docs) + 1))
+                for q, dids in qrels.items()
+                if q <= len(queries) and dids & set(range(1, len(docs) + 1))}
+            assert corpus.checksum() == oracles.loop_checksum(
+                corpus, pairs_as_bytes=True)
+            if seed % 10 == 0:
+                out = save_corpus(corpus, tmp_path / str(seed))
+                assert ((out / "qrels.bin").read_bytes() ==
+                        oracles.loop_judged_pairs(corpus.qrels).tobytes())
+                loaded = load_corpus(out)
+                assert loaded.qrels == corpus.qrels
+                assert loaded.checksum() == corpus.checksum()
+
+    def test_parse_qrels(self):
+        for seed in range(2 * self.N_COLLECTIONS):
+            rng = np.random.default_rng(seed)
+            text = random_qrels_text(rng)
+            dialect = str(rng.choice(["auto", "auto", "pair", "trec"]))
+            try:
+                expected = oracles.loop_parse_qrels(text, dialect)
+            except oracles.LoopParseError as exc:
+                with pytest.raises(ParseError) as err:
+                    parse_qrels(text, dialect)
+                assert err.value.line_no == exc.line_no, seed
+                continue
+            got = parse_qrels(text, dialect)
+            assert got == expected, seed
+            assert list(got) == list(expected), seed
+
+
+def test_corpus_build_is_independent_of_string_hashing(tmp_path):
+    rng = np.random.default_rng(3)
+    docs = "".join(f".I {d}\n.T\n{random_text(rng, 5)}\n.W\n{random_text(rng, 40)}\n"
+                   for d in range(1, 41))
+    queries = "".join(f".I {q}\n.W\n{random_text(rng, 8)}\n" for q in range(1, 9))
+    rels = "".join(f"{q} 0 {d} 1\n" for q in range(1, 9)
+                   for d in rng.choice(np.arange(1, 45), size=5, replace=False))
+    for name, text in (("h.all", docs), ("h.qry", queries), ("h.rel", rels)):
+        (tmp_path / name).write_text(text)
+    spec = f"h={tmp_path / 'h.all'},{tmp_path / 'h.qry'},{tmp_path / 'h.rel'}"
+    src = str(Path(ldikit.__file__).resolve().parents[1])
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-m", "ldikit", "corpus", "build",
+                        "--spec", spec, "--out", str(tmp_path / f"bundle{seed}")],
+                       check=True, env=env, capture_output=True)
+    files = sorted(p.name for p in (tmp_path / "bundle0").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "bundle1").iterdir())
+    assert "qrels.bin" in files and "manifest.json" in files
+    for name in files:
+        assert ((tmp_path / "bundle0" / name).read_bytes() ==
+                (tmp_path / "bundle1" / name).read_bytes()), name
