@@ -228,10 +228,6 @@ def _group_pairs(qids: np.ndarray, dids: np.ndarray) -> dict[int, set[int]]:
 # Tokenization and stoplisting
 
 _STRIP_RE = re.compile(r"[^a-z0-9\s]+")
-# the same deletion for ASCII text, as one bytes.translate: a byte goes
-# where its lowercase form would go
-_ASCII_LOWER = bytes(range(256)).lower()
-_ASCII_DROP = bytes(c for c in range(128) if _STRIP_RE.match(chr(c).lower()))
 
 
 def _clean(text: str) -> str:
@@ -240,8 +236,6 @@ def _clean(text: str) -> str:
     Deleting (not blanking) punctuation keeps hyphenated and apostrophized
     forms as single tokens: "don't" -> "dont", "x-ray" -> "xray".
     """
-    if text.isascii():
-        return text.encode().translate(_ASCII_LOWER, _ASCII_DROP).decode()
     return _STRIP_RE.sub("", text.lower())
 
 
@@ -358,47 +352,27 @@ class _TokenIds:
     terms: list[str]     # the term of each id, in order of first occurrence
 
 
-_END = "."            # cannot survive _clean, so it marks the end of a text
-_BATCH_CHARS = 1 << 18  # cleaned text split and looked up at once
-
-
 def _token_ids(docs: Sequence) -> _TokenIds:
     """Map the tokens of RawDocuments, texts or token lists to term ids.
 
-    One dict lookup per token.  Texts are tokenized as `tokenize` does, in
-    batches joined by an end marker; token lists are taken as they are.
+    One dict lookup per token.  Texts are tokenized as `tokenize` does;
+    token lists are taken as they are.
     """
     ids = _FirstSeen()
     text_ids = _TextTerms(ids)
-    text_ids[_END] = -2
-    parts = []   # id arrays; each document's ids end with a -2
-    batch: list[str] = []
-    size = 0
-
-    def lookup(ids_of, tokens):
-        parts.append(np.array(list(map(ids_of.__getitem__, tokens)) + [-2],
-                              dtype=np.int64))
-
+    flat: list[int] = []
+    lengths: list[int] = []
     for doc in docs:
         if isinstance(doc, RawDocument):
             doc = doc.text
+        start = len(flat)
         if isinstance(doc, str):
-            batch.append(_clean(doc))
-            size += len(batch[-1])
-            if size < _BATCH_CHARS:
-                continue
-        # a token list first ends the batch, so ids keep first-occurrence order
-        if batch:
-            lookup(text_ids, f" {_END} ".join(batch).split())
-            batch, size = [], 0
-        if not isinstance(doc, str):
-            lookup(ids, doc)
-    if batch:
-        lookup(text_ids, f" {_END} ".join(batch).split())
-    flat = np.concatenate([np.empty(0, dtype=np.int64), *parts])
-    ends = np.flatnonzero(flat == -2)
-    return _TokenIds(ids=flat[flat != -2], lengths=np.diff(ends, prepend=-1) - 1,
-                     terms=list(ids))
+            flat.extend(map(text_ids.__getitem__, _clean(doc).split()))
+        else:
+            flat.extend(map(ids.__getitem__, doc))
+        lengths.append(len(flat) - start)
+    return _TokenIds(ids=np.array(flat, dtype=np.int64),
+                     lengths=np.array(lengths, dtype=np.int64), terms=list(ids))
 
 
 def _vocabulary(tokens: _TokenIds, stoplist: StopList | None):
