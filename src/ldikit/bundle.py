@@ -62,12 +62,17 @@ def save_model(out_dir, kind: str, manifest: dict, arrays: dict) -> Path:
 
 def _read_array(src: Path, entry: dict) -> np.ndarray:
     dtype = _DTYPE_TAGS[entry["dtype"]]
-    data = (src / entry["file"]).read_bytes()
     expected = dtype.itemsize * int(np.prod(entry["shape"]))
-    if len(data) != expected:
-        raise ValueError(f"array file {entry['file']} holds {len(data)} bytes; "
+    with (src / entry["file"]).open("rb") as fh:
+        # sized from the file before anything is allocated for it
+        held = os.fstat(fh.fileno()).st_size
+        if held == expected:
+            array = np.empty(entry["shape"], dtype=dtype)
+            held = fh.readinto(array)
+    if held != expected:
+        raise ValueError(f"array file {entry['file']} holds {held} bytes; "
                          f"its manifest entry needs {expected}")
-    return np.frombuffer(data, dtype=dtype).reshape(entry["shape"]).copy()
+    return array
 
 
 def load_model(in_dir):

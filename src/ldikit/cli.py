@@ -81,12 +81,6 @@ def _build_parser() -> _Parser:
     train.add_argument("--k", type=_count_from(1), default=None,
                        help="topic count")
     train.add_argument("--seed", type=_count_from(0), default=0)
-    train.add_argument("--tune-by-precision", action="store_true",
-                       help="plsi only: after fitting, keep lowering the "
-                            "temperature while MAP improves on the corpus "
-                            "queries and judgments, the same ones 'eval' "
-                            "scores, so a MAP reported after it is not "
-                            "held out")
     train.add_argument("--out", required=True, help="model bundle directory")
 
     score = sub.add_parser("score", help="score all corpus queries")
@@ -142,7 +136,7 @@ def _build_parser() -> _Parser:
     inspect.add_argument("--corpus", required=True)
     inspect.add_argument("--model", required=True)
     inspect.add_argument("--term", action="append", required=True)
-    inspect.add_argument("--top", type=int, default=5,
+    inspect.add_argument("--top", type=_count_from(0), default=5,
                          help="closest terms to list")
     return parser
 
@@ -192,15 +186,11 @@ def _cmd_corpus_build(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.tune_by_precision and pipeline.resolve_method(args.method) != "plsi":
-        raise UsageError("--tune-by-precision tunes plsi only, not "
-                         f"{args.method}")
     built = corpus_mod.load_corpus(args.corpus)
     k = args.k
     if k is None:
         k = config.default_topic_count(args.method, built.name)
-    fitted = pipeline.train_model(built, args.method, k=k, seed=args.seed,
-                                  tune_by_precision=args.tune_by_precision)
+    fitted = pipeline.train_model(built, args.method, k=k, seed=args.seed)
     out = pipeline.save_fitted(fitted, config.resolve_out_path(args.out))
     detail = f", k={fitted.k}" if fitted.k else ""
     print(f"trained {fitted.kind}{detail} on {built.name!r} -> {out}")

@@ -26,8 +26,7 @@ from .lda import LdaModel, train_lda
 from .ldi import build_index, score_ldi
 from .lsa import LsiModel, SvdFactors, score_lsi, train_lsi
 from .metrics import EvalReport, evaluate_scores
-from .plsa import (PlsaModel, continue_tempering_by_precision, score_plsa,
-                   train_plsa)
+from .plsa import PlsaModel, score_plsa, train_plsa
 from .vsm import TfIdfModel, score_tfidf, train_tfidf
 
 
@@ -35,7 +34,7 @@ from .vsm import TfIdfModel, score_tfidf, train_tfidf
 class Ranker:
     """One method's fit, score and bundle round trip."""
 
-    # (corpus, k, seed, options) -> (payload, fit summary for the manifest)
+    # (corpus, k, seed) -> (payload, fit summary for the manifest)
     fit: Callable
     # (payload, corpus) -> (queries x documents) scores
     score: Callable
@@ -46,15 +45,7 @@ class Ranker:
     needs_k: bool = True
 
 
-def _fit_plsi(corpus, k, seed, tune_by_precision=False):
-    result = train_plsa(corpus.counts, k=k, seed=seed)
-    model = result.model
-    if tune_by_precision:
-        model, _ = continue_tempering_by_precision(result, corpus)
-    return model, {"beta_temp": model.beta_temp}
-
-
-def _fit_lda(corpus, k, seed, **_):
+def _fit_lda(corpus, k, seed):
     result = train_lda(corpus.counts, k=k, seed=seed)
     return result.model, {"alpha": result.model.alpha,
                           "converged": result.converged,
@@ -74,7 +65,7 @@ def _unpack_lsi(manifest, arrays) -> LsiModel:
 
 RANKERS = {
     "tfidf": Ranker(
-        fit=lambda corpus, k, seed, **_: (train_tfidf(corpus.counts), None),
+        fit=lambda corpus, k, seed: (train_tfidf(corpus.counts), None),
         score=lambda m, corpus: score_tfidf(m, corpus.query_counts),
         pack=lambda m: ({"n_docs": m.n_docs},
                         {"idf": m.idf, "doc_vectors": m.doc_vectors}),
@@ -83,8 +74,8 @@ RANKERS = {
             n_docs=int(manifest["n_docs"])),
         needs_k=False),
     "lsi": Ranker(
-        fit=lambda corpus, k, seed, **_: (train_lsi(corpus.counts, k=k,
-                                                    seed=seed), None),
+        fit=lambda corpus, k, seed: (train_lsi(corpus.counts, k=k, seed=seed),
+                                     None),
         score=lambda m, corpus: score_lsi(m, corpus.query_counts),
         pack=lambda m: ({"n_docs": m.tfidf.n_docs,
                          "requested_k": m.factors.requested_k},
@@ -92,7 +83,8 @@ RANKERS = {
                          "s": m.factors.s, "vt": m.factors.vt}),
         unpack=_unpack_lsi),
     "plsi": Ranker(
-        fit=_fit_plsi,
+        fit=lambda corpus, k, seed: (train_plsa(corpus.counts, k=k,
+                                                seed=seed).model, None),
         score=lambda m, corpus: score_plsa(m, corpus.query_counts),
         pack=lambda m: ({"beta_temp": m.beta_temp},
                         {"p_dz": m.p_dz, "p_wz": m.p_wz}),
@@ -148,7 +140,7 @@ def _content_checksum(corpus: Corpus) -> str:
 
 
 def train_model(corpus: Corpus, method: str, k: int | None = None,
-                seed: int = 0, tune_by_precision: bool = False) -> FittedModel:
+                seed: int = 0) -> FittedModel:
     """Fit one ranker.  Topic methods require ``k``; tfidf ignores it."""
     method = resolve_method(method)
     ranker = RANKERS[method]
@@ -157,8 +149,7 @@ def train_model(corpus: Corpus, method: str, k: int | None = None,
     elif k is None:
         raise ValueError(f"method {method!r} needs a topic count")
     checksum = _content_checksum(corpus)
-    payload, extra = ranker.fit(corpus, k, seed,
-                                tune_by_precision=tune_by_precision)
+    payload, extra = ranker.fit(corpus, k, seed)
     return FittedModel(method, payload, checksum, corpus.name, k=k, seed=seed,
                        extra=extra)
 

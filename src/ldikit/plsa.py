@@ -13,8 +13,7 @@ is held out; the exponent starts at ``BETA_START`` and is multiplied by
 ``BETA_DECAY`` while that still improves the best held-out perplexity by
 ``IMPROVEMENT_TOL`` and stays at or above ``MIN_BETA``.  One temperature
 runs at most ``MAX_ITERS_PER_BETA`` passes and a fit at most
-``MAX_TOTAL_ITERS``.  ``continue_tempering_by_precision`` goes on lowering
-it, for at most ``MAX_PRECISION_ROUNDS`` more temperatures.
+``MAX_TOTAL_ITERS``.
 
 The tempered posterior is never stored.  With A = P(z|d) and
 B = P(w|z)^beta, each cell's normaliser is norm = A[d] . B[:, w]; an EM
@@ -47,7 +46,6 @@ MIN_BETA = 0.5                  # lowest exponent train_plsa reaches
 HOLDOUT_FRACTION = 0.1          # share of tokens held out for perplexity
 MAX_ITERS_PER_BETA = 200        # EM passes at one temperature
 MAX_TOTAL_ITERS = 1000          # EM passes in one train_plsa fit
-MAX_PRECISION_ROUNDS = 20       # further temperatures tried by validation MAP
 
 
 @dataclass
@@ -153,15 +151,17 @@ def _init_tables(n_docs: int, n_terms: int, k: int, seed: int):
 
 def _anneal_at(train, held, p_dz, p_wz, beta_temp: float, max_passes: int,
                trace: list, perps: list):
-    """EM passes at one temperature until held-out perplexity stops improving
-    by ``IMPROVEMENT_TOL`` or ``MAX_ITERS_PER_BETA`` passes have run, and
-    never more than ``max_passes``.
+    """One temperature of ``train_plsa``'s anneal: EM passes until held-out
+    perplexity stops improving by ``IMPROVEMENT_TOL`` or
+    ``MAX_ITERS_PER_BETA`` passes have run, and never more than
+    ``max_passes``, what is left of the fit's ``MAX_TOTAL_ITERS``.
 
     Appends each pass's (temperature, objective) to ``trace`` and its
     held-out perplexity to ``perps``.  Returns the tables after the last
-    pass, the snapshot (perplexity, p_dz, p_wz) with the lowest held-out
-    perplexity (the last pass when ``held`` is None), and whether this
-    temperature ran its course: False only when ``max_passes`` cut it short.
+    pass (where the next temperature starts), the snapshot (perplexity,
+    p_dz, p_wz) with the lowest held-out perplexity (the last pass when
+    ``held`` is None), and whether this temperature ran its course: False
+    only when ``max_passes`` cut it short.
     """
     best = (np.inf, p_dz, p_wz)
     n_passes = min(max_passes, MAX_ITERS_PER_BETA)
@@ -254,49 +254,6 @@ def fold_in(model: PlsaModel, query_counts):
             if change < FOLD_IN_TOL:
                 break
     return p_qz, evidence
-
-
-def continue_tempering_by_precision(result: PlsaTrainResult, corpus):
-    """Keep lowering the temperature while validation MAP strictly improves.
-
-    Each round drops the temperature one decay step, refits until the
-    held-out perplexity stops improving at that temperature, and keeps the
-    refit model (that temperature's lowest-perplexity pass) only if mean
-    average precision on the corpus queries beats the best seen so far.
-    Returns (best model, [(temperature, MAP), ...]).
-    """
-    from .metrics import evaluate_scores
-
-    def validation_map(m: PlsaModel) -> float:
-        scores = score_plsa(m, corpus.query_counts)
-        return evaluate_scores(scores, corpus.query_ids, corpus.doc_ids,
-                               corpus.qrels).map_score
-
-    train = (result.train_matrix if result.train_matrix is not None
-             else corpus.counts.matrix.tocsr())
-    best_model = result.model
-    best_map = validation_map(best_model)
-    history = [(best_model.beta_temp, best_map)]
-    p_dz, p_wz = best_model.p_dz, best_model.p_wz
-    beta_temp = best_model.beta_temp
-
-    for _ in range(MAX_PRECISION_ROUNDS):
-        beta_temp *= BETA_DECAY
-        if beta_temp < 0.05:
-            break
-        p_dz, p_wz, (_, snap_dz, snap_wz), _ = _anneal_at(
-            train, result.held_matrix, p_dz, p_wz, beta_temp,
-            MAX_ITERS_PER_BETA, [], [])
-        candidate = PlsaModel(k=best_model.k, p_dz=snap_dz, p_wz=snap_wz,
-                              beta_temp=beta_temp, seed=best_model.seed)
-        candidate_map = validation_map(candidate)
-        history.append((beta_temp, candidate_map))
-        if candidate_map > best_map:
-            best_map = candidate_map
-            best_model = candidate
-        else:
-            break
-    return best_model, history
 
 
 def score_plsa(model: PlsaModel, query_counts) -> np.ndarray:

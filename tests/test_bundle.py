@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ldikit import cli
 from ldikit.bundle import load_model, load_scores, save_model, save_scores
+from ldikit.corpus import load_corpus, save_corpus
+from ldikit.demo import demo_corpus
 from ldikit.ensemble import ScoreMatrix
+from ldikit.pipeline import load_fitted, save_fitted, train_model
 
 
 class TestModelBundle:
@@ -70,6 +74,28 @@ class TestModelBundle:
                          {"a": np.zeros(2), "b": np.ones((2, 2))})
         names = sorted(p.name for p in out.iterdir())
         assert names == ["a.bin", "b.bin", "manifest.json"]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "padded"])
+@pytest.mark.parametrize("target", ["model", "corpus"])
+def test_array_file_length_checked(tmp_path, capsys, target, damage):
+    corpus = demo_corpus()
+    dirs = {"corpus": save_corpus(corpus, tmp_path / "corpus"),
+            "model": save_fitted(train_model(corpus, "tfidf"), tmp_path / "model")}
+    name = {"model": "idf.bin", "corpus": "doc_ids.bin"}[target]
+    path = dirs[target] / name
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-8] if damage == "truncated" else blob + b"\0" * 8)
+    held = len(blob) - 8 if damage == "truncated" else len(blob) + 8
+    message = f"{name} holds {held} bytes; its manifest entry needs {len(blob)}"
+    load = {"model": load_fitted, "corpus": load_corpus}[target]
+    with pytest.raises(ValueError, match=message):
+        load(dirs[target])
+    out = tmp_path / "scores.bin"
+    code = cli.main(["score", "--corpus", str(dirs["corpus"]),
+                     "--model", str(dirs["model"]), "--out", str(out)])
+    assert code == 2 and message in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestScoreFiles:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -212,21 +213,14 @@ class TestTrainAndScore:
                                     "--seed", seed, "--out", str(tmp_path / "m")])
         assert code == 1 and "usage error" in err and "--seed" in err
 
-    @pytest.mark.parametrize("method", ["tfidf", "lsi", "lda"])
-    def test_precision_tuning_is_plsi_only(self, tmp_path, capsys, method):
-        code, _, err = run(capsys, ["train", "--corpus", str(tmp_path / "absent"),
-                                    "--method", method, "--k", "2",
-                                    "--tune-by-precision",
-                                    "--out", str(tmp_path / "m")])
-        assert code == 1 and "usage error" in err and method in err
-        assert not (tmp_path / "m").exists()
-
-    def test_precision_tuning_runs_for_plsi(self, ws, tmp_path, capsys):
-        code, out, _ = run(capsys, ["train", "--corpus", str(ws["corpus"]),
+    def test_precision_tuning_flag_is_unknown(self, ws, tmp_path, capsys):
+        code, _, err = run(capsys, ["train", "--corpus", str(ws["corpus"]),
                                     "--method", "plsi", "--k", "2",
                                     "--tune-by-precision",
                                     "--out", str(tmp_path / "m")])
-        assert code == 0 and "trained plsi" in out
+        assert code == 1 and "usage error" in err
+        assert "--tune-by-precision" in err
+        assert not (tmp_path / "m").exists()
 
     def test_missing_required_flag_is_usage_error(self, ws, capsys):
         code, _, err = run(capsys, ["train", "--corpus", str(ws["corpus"])])
@@ -421,12 +415,35 @@ class TestLdiInspect:
         assert "enzyme: [" in out and "nearest:" in out
         assert "warpdrive: not in vocabulary" in out
 
+    def test_negative_top_fails_before_reading(self, tmp_path, capsys):
+        code, _, err = run(capsys, [
+            "ldi", "inspect", "--corpus", str(tmp_path / "absent"),
+            "--model", str(tmp_path / "absent-model"),
+            "--term", "enzyme", "--top", "-1"])
+        assert code == 1 and "usage error" in err and "--top" in err
+
     def test_requires_topic_model_bundle(self, ws, capsys):
         code, _, err = run(capsys, [
             "ldi", "inspect", "--corpus", str(ws["corpus"]),
             "--model", str(ws["tfidf_model"]), "--term", "enzyme"])
         assert code == 2
         assert "lda model" in err
+
+
+def test_readme_commands_parse():
+    # every ldikit line of the README's command-line block; globs such as
+    # scores/*.bin stay literal, since parsing reads no files
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("ldikit ")]
+    assert len(lines) >= 10
+    parser = cli._build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except cli.UsageError as exc:
+            pytest.fail(f"README line {line!r} does not parse: {exc}")
 
 
 class TestEntryPoints:

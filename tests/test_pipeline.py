@@ -79,11 +79,6 @@ class TestTrainScoreEvaluate:
         assert set(fitted.extra) == {"alpha", "converged", "elbo"}
         assert fitted.extra["alpha"] > 0
 
-    def test_plsi_tuning_keeps_temperature_in_range(self, corpus):
-        fitted = train_model(corpus, "plsi", k=3, seed=1,
-                             tune_by_precision=True)
-        assert 0.0 < fitted.extra["beta_temp"] <= 1.0
-
 
 class TestDispatch:
     """The method table reaches the ranker functions through this module."""

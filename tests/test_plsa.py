@@ -8,12 +8,9 @@ import scipy.sparse as sp
 import ldikit.plsa as plsa
 from oracles import dense_tempered_em_step, dense_tempered_objective
 from ldikit.corpus import TermDocCounts
-from ldikit.demo import demo_corpus
-from ldikit.metrics import evaluate_scores
-from ldikit.plsa import (PlsaModel, _em_pass,
-                         continue_tempering_by_precision, fold_in,
-                         holdout_perplexity, score_plsa, split_holdout,
-                         tempered_objective, train_plsa)
+from ldikit.plsa import (PlsaModel, _em_pass, fold_in, holdout_perplexity,
+                         score_plsa, split_holdout, tempered_objective,
+                         train_plsa)
 
 
 def make_counts(rows):
@@ -315,80 +312,6 @@ class TestFoldIn:
     def test_vector_input_gives_single_row(self):
         mix, evidence = fold_in(self.model, np.array([1.0, 2.0, 0.0]))
         assert mix.shape == (1, 2) and evidence.shape == (1,)
-
-
-class TestContinueTempering:
-    @pytest.fixture(autouse=True)
-    def fit(self, monkeypatch):
-        monkeypatch.setattr(plsa, "HOLDOUT_FRACTION", 0.15)
-        monkeypatch.setattr(plsa, "MAX_ITERS_PER_BETA", 40)
-        self.corpus = demo_corpus()
-        self.result = train_plsa(self.corpus.counts, k=3, seed=1)
-
-    def validation_map(self, model):
-        scores = score_plsa(model, self.corpus.query_counts)
-        return evaluate_scores(scores, self.corpus.query_ids,
-                               self.corpus.doc_ids, self.corpus.qrels).map_score
-
-    def test_history_starts_at_fitted_temperature(self, monkeypatch):
-        monkeypatch.setattr(plsa, "MAX_PRECISION_ROUNDS", 3)
-        best, history = continue_tempering_by_precision(self.result,
-                                                        self.corpus)
-        assert history[0] == (self.result.model.beta_temp,
-                              pytest.approx(self.validation_map(self.result.model)))
-        temps = [t for t, _ in history]
-        assert all(t2 < t1 for t1, t2 in zip(temps, temps[1:]))
-        assert len(history) <= 4
-
-    def test_returns_model_with_best_precision(self, monkeypatch):
-        monkeypatch.setattr(plsa, "MAX_PRECISION_ROUNDS", 3)
-        best, history = continue_tempering_by_precision(self.result,
-                                                        self.corpus)
-        best_map = max(m for _, m in history)
-        np.testing.assert_allclose(self.validation_map(best), best_map,
-                                   rtol=1e-12)
-
-    def test_keeps_lowest_perplexity_pass_per_temperature(self, monkeypatch):
-        # every candidate scored after the first is the pass with the lowest
-        # held-out perplexity among those run at its temperature
-        monkeypatch.setattr(plsa, "MAX_PRECISION_ROUNDS", 3)
-        real_perplexity, real_score = plsa.holdout_perplexity, plsa.score_plsa
-        candidates, perps = [], []
-
-        def perplexity(held, p_dz, p_wz):
-            perps[-1].append(real_perplexity(held, p_dz, p_wz))
-            return perps[-1][-1]
-
-        def score(model, query_counts):
-            candidates.append(model)
-            perps.append([])
-            return real_score(model, query_counts)
-
-        monkeypatch.setattr(plsa, "holdout_perplexity", perplexity)
-        monkeypatch.setattr(plsa, "score_plsa", score)
-        continue_tempering_by_precision(self.result, self.corpus)
-        kept = [real_perplexity(self.result.held_matrix, c.p_dz, c.p_wz)
-                for c in candidates[1:]]
-        assert kept
-        assert kept == [min(seen) for seen in perps[:len(kept)]]
-        # the rule is not "keep the last pass": some temperature ended on a
-        # pass worse than the one kept
-        assert any(k != seen[-1] for k, seen in zip(kept, perps))
-
-    def test_zero_rounds_returns_input_model(self, monkeypatch):
-        monkeypatch.setattr(plsa, "MAX_PRECISION_ROUNDS", 0)
-        best, history = continue_tempering_by_precision(self.result,
-                                                        self.corpus)
-        assert best is self.result.model
-        assert len(history) == 1
-
-    def test_temperature_floor_stops_immediately(self, monkeypatch):
-        monkeypatch.setattr(plsa, "MAX_PRECISION_ROUNDS", 5)
-        monkeypatch.setattr(plsa, "BETA_DECAY", 0.01)
-        best, history = continue_tempering_by_precision(self.result,
-                                                        self.corpus)
-        assert best is self.result.model
-        assert len(history) == 1
 
 
 class TestScoring:
