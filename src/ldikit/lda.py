@@ -11,6 +11,13 @@ gamma, to give the topic-term statistics and the exact bound.  The M-step
 re-fits the topic-term table and, unless the prior is held fixed, the
 symmetric Dirichlet parameter by a guarded Newton iteration.  The bound is
 recorded each pass and must never decrease.
+
+A fit cuts its count matrix into ``TokenCells`` blocks once and keeps them
+for all its passes.  Each block owns the gather buffers, normaliser array
+and scaled count matrix its E-step writes into, and the sub-blocks an
+active set shrinks to share them, so a sweep allocates no per-cell array
+but the shrunken cells; every result written into those buffers is valid
+until the next call on the same block.
 """
 
 from __future__ import annotations
@@ -54,6 +61,10 @@ class LdaTrainResult:
     elbo_trace: list[float] = field(default_factory=list)
     alpha_trace: list[float] = field(default_factory=list)
     converged: bool = False
+    # per pass: the most inner sweeps any block ran, and the documents
+    # still unsettled when VAR_MAX_ITERS stopped their block
+    sweeps_trace: list[int] = field(default_factory=list)
+    unsettled_trace: list[int] = field(default_factory=list)
 
 
 def _init_beta(k: int, n_terms: int, seed: int) -> np.ndarray:
@@ -101,14 +112,52 @@ class TokenCells:
     ``doc_weights[doc] . term_weights[term]`` (``norms``), and the CSR
     matrix of count / normaliser (``scaled``), whose products with the
     weights give the posterior sums per row and per term.
+
+    A block is built once per fit and lives as long as the fit.  ``rows``
+    cuts a sub-block of some of its rows from the flat arrays.  ``norms``
+    writes into buffers the block allocates on first use and shares with
+    every sub-block cut from it, so like ``scaled`` its result is only
+    valid until the next call on that block or on any block sharing them.
     """
 
     def __init__(self, matrix):
-        self.matrix = matrix = matrix.tocsr()
-        self.counts = matrix.data.astype(float)
-        self.doc = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-        self.term = matrix.indices
-        self._scaled = matrix.astype(float)
+        matrix = matrix.tocsr()
+        self._fill(matrix.data.astype(float), matrix.indices, matrix.indptr,
+                   np.diff(matrix.indptr), matrix.shape[1])
+        self._capacity = len(self.counts)
+        self._buffers = {}          # k -> (rows, terms, norm), see norms
+
+    def _fill(self, counts, term, indptr, lengths, n_terms):
+        self.counts = counts
+        self.term = term
+        self.doc = np.repeat(np.arange(len(lengths)), lengths)
+        self._lengths = lengths
+        self._scaled = sp.csr_matrix((np.empty_like(counts), term, indptr),
+                                     shape=(len(lengths), n_terms))
+
+    @classmethod
+    def blocks(cls, matrix, size: int) -> list[tuple[slice, TokenCells]]:
+        """A CSR matrix cut into blocks of ``size`` rows, each with the slice
+        of rows it holds."""
+        n_rows = matrix.shape[0]
+        return [(slice(start, min(start + size, n_rows)),
+                 cls(matrix[start:start + size]))
+                for start in range(0, n_rows, size)]
+
+    def rows(self, keep: np.ndarray) -> TokenCells:
+        """The sub-block of the rows where the boolean ``keep`` is set, equal
+        to ``TokenCells(matrix[keep])`` but cut from this block's cells and
+        sharing its buffers."""
+        cells = np.repeat(keep, self._lengths)
+        lengths = self._lengths[keep]
+        indptr = np.zeros(len(lengths) + 1, dtype=self._scaled.indptr.dtype)
+        np.cumsum(lengths, out=indptr[1:])
+        sub = TokenCells.__new__(TokenCells)
+        sub._fill(self.counts[cells], self.term[cells], indptr, lengths,
+                  self._scaled.shape[1])
+        sub._capacity = self._capacity
+        sub._buffers = self._buffers
+        return sub
 
     def norms(self, doc_weights: np.ndarray, term_weights: np.ndarray) -> np.ndarray:
         """Per cell: the dot product of its row of ``doc_weights`` (rows, k)
@@ -116,13 +165,16 @@ class TokenCells:
         so a cell whose topics all underflow never divides by zero.
 
         The rows are gathered a slice of cells at a time into two small
-        buffers, so no (cells x k) array is ever allocated.
+        buffers, so no (cells x k) array is ever allocated.  The buffers and
+        the result are the block's own (see the class docstring).
         """
         n_cells, k = len(self.counts), doc_weights.shape[1]
-        step = max(1, GATHER_SIZE // k)
-        rows = np.empty((min(step, n_cells), k))
-        terms = np.empty_like(rows)
-        norm = np.empty(n_cells)
+        if k not in self._buffers:
+            rows = np.empty((min(max(1, GATHER_SIZE // k), self._capacity), k))
+            self._buffers[k] = rows, np.empty_like(rows), np.empty(self._capacity)
+        rows, terms, norm = self._buffers[k]
+        norm = norm[:n_cells]
+        step = max(1, len(rows))
         for start in range(0, n_cells, step):
             stop = min(start + step, n_cells)
             m = stop - start
@@ -159,13 +211,16 @@ def _chunk_estep(cells: TokenCells, gamma_chunk: np.ndarray,
     change falls below ``VAR_TOL`` keeps its gamma from then on.  Returns
     the gamma block, the topic-term sufficient statistics, the alpha
     sufficient statistic and this block's exact bound contribution, all at
-    the returned gamma with phi optimal for it, under the current model.
+    the returned gamma with phi optimal for it, under the current model;
+    then the sweeps run and the documents still active when
+    ``VAR_MAX_ITERS`` stopped the block (0 when every document settled).
     """
     n_rows, k = gamma_chunk.shape
     gamma = gamma_chunk.copy()
     active = np.arange(n_rows)
     sweep = cells
-    for _ in range(VAR_MAX_ITERS):
+    sweeps = unsettled = 0
+    for sweeps in range(1, VAR_MAX_ITERS + 1):
         old = gamma[active]
         exp_elog = np.exp(_dirichlet_expectation(old))
         scaled = sweep.scaled(sweep.norms(exp_elog, beta_t))
@@ -176,7 +231,9 @@ def _chunk_estep(cells: TokenCells, gamma_chunk: np.ndarray,
             break
         if settled.any():
             active = active[~settled]
-            sweep = TokenCells(sweep.matrix[~settled])
+            sweep = sweep.rows(~settled)
+    else:
+        unsettled = len(active)
 
     elog_theta = _dirichlet_expectation(gamma)
     exp_elog = np.exp(elog_theta)
@@ -194,29 +251,32 @@ def _chunk_estep(cells: TokenCells, gamma_chunk: np.ndarray,
         + gammaln(gamma).sum()
         - ((gamma - 1.0) * elog_theta).sum()
     )
-    return gamma, stats, alpha_stat, bound
+    return gamma, stats, alpha_stat, bound, sweeps, unsettled
 
 
-def _estep(matrix, gamma: np.ndarray, beta: np.ndarray, alpha: float):
-    """One E-step over the corpus in blocks of ``DOC_CHUNK`` documents.
+def _estep(blocks, gamma: np.ndarray, beta: np.ndarray, alpha: float):
+    """One E-step over the corpus, cut into ``TokenCells.blocks`` of
+    ``DOC_CHUNK`` documents.
 
     Updates ``gamma`` in place and returns the topic-term statistics, the
-    alpha statistic and the exact bound, each summed over the blocks.
+    alpha statistic and the exact bound, each summed over the blocks, then
+    the most sweeps any block ran and the documents left unsettled in all.
     """
-    n_docs, n_terms = matrix.shape
     beta_t = np.ascontiguousarray(beta.T)
-    stats = np.zeros((len(beta), n_terms))
+    stats = np.zeros(beta.shape)
     alpha_stat = 0.0
     bound = 0.0
-    for start in range(0, n_docs, DOC_CHUNK):
-        stop = min(start + DOC_CHUNK, n_docs)
-        g, s, a_stat, b = _chunk_estep(TokenCells(matrix[start:stop]),
-                                       gamma[start:stop], beta_t, alpha)
-        gamma[start:stop] = g
+    sweeps = unsettled = 0
+    for rows, cells in blocks:
+        g, s, a_stat, b, n_sweeps, n_unsettled = _chunk_estep(
+            cells, gamma[rows], beta_t, alpha)
+        gamma[rows] = g
         stats += s
         alpha_stat += a_stat
         bound += b
-    return stats, alpha_stat, bound
+        sweeps = max(sweeps, n_sweeps)
+        unsettled += n_unsettled
+    return stats, alpha_stat, bound, sweeps, unsettled
 
 
 def _start_gamma(alpha: float, counts: TermDocCounts, k: int) -> np.ndarray:
@@ -304,18 +364,24 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
     alpha = float(np.clip(50.0 / k if alpha is None else alpha,
                           ALPHA_MIN, ALPHA_MAX))
     gamma = _start_gamma(alpha, counts, k)
+    blocks = TokenCells.blocks(matrix, DOC_CHUNK)
 
     elbos: list[float] = []
     alphas: list[float] = [alpha]
+    sweeps_trace: list[int] = []
+    unsettled_trace: list[int] = []
     converged = False
     n_iters = 0
     for em_iter in range(MAX_EM_ITERS):
         n_iters = em_iter + 1
-        stats, alpha_stat, bound = _estep(matrix, gamma, beta, alpha)
+        stats, alpha_stat, bound, sweeps, unsettled = _estep(
+            blocks, gamma, beta, alpha)
         if not np.isfinite(bound):
             raise RuntimeError(
                 f"variational bound became non-finite at pass {n_iters}")
         elbos.append(bound)
+        sweeps_trace.append(sweeps)
+        unsettled_trace.append(unsettled)
 
         beta = stats + TOPIC_SMOOTHING
         beta /= beta.sum(axis=1, keepdims=True)
@@ -334,10 +400,13 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
 
     model = LdaModel(k=k, alpha=alpha, beta=beta, seed=seed, n_em_iters=n_iters)
     return LdaTrainResult(model=model, gamma=gamma, elbo_trace=elbos,
-                          alpha_trace=alphas, converged=converged)
+                          alpha_trace=alphas, converged=converged,
+                          sweeps_trace=sweeps_trace,
+                          unsettled_trace=unsettled_trace)
 
 
 def corpus_bound(model: LdaModel, counts: TermDocCounts) -> float:
     """Evidence lower bound of a count matrix under a fitted model."""
     gamma = _start_gamma(model.alpha, counts, model.k)
-    return _estep(counts.matrix.tocsr(), gamma, model.beta, model.alpha)[2]
+    blocks = TokenCells.blocks(counts.matrix.tocsr(), DOC_CHUNK)
+    return _estep(blocks, gamma, model.beta, model.alpha)[2]

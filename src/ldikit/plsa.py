@@ -87,25 +87,22 @@ def split_holdout(matrix: sp.csr_matrix, fraction: float, seed: int):
     return train.astype(np.int64), held.astype(np.int64)
 
 
-def _em_pass(matrix: sp.csr_matrix, p_dz: np.ndarray, p_wz: np.ndarray,
-             beta_temp: float):
-    """One tempered EM sweep in blocks of ``EM_CHUNK`` documents.  Returns
-    new tables and the tempered objective value at the parameters the sweep
-    started from."""
-    n_docs, n_terms = matrix.shape
-    k = p_dz.shape[1]
+def _em_pass(blocks, p_dz: np.ndarray, p_wz: np.ndarray, beta_temp: float):
+    """One tempered EM sweep over the training matrix, cut into
+    ``TokenCells.blocks`` of ``EM_CHUNK`` documents.  Returns new tables and
+    the tempered objective value at the parameters the sweep started
+    from."""
+    k, n_terms = p_wz.shape
     tempered_t = np.ascontiguousarray(p_wz.T) ** beta_temp     # (terms, k)
     new_dz = np.empty_like(p_dz)
     stats_t = np.zeros((n_terms, k))
     objective = 0.0
-    for start in range(0, n_docs, EM_CHUNK):
-        stop = min(start + EM_CHUNK, n_docs)
-        cells = TokenCells(matrix[start:stop])
-        mix = p_dz[start:stop]
+    for rows, cells in blocks:
+        mix = p_dz[rows]
         norm = cells.norms(mix, tempered_t)
         objective += float(cells.counts @ np.log(norm))
         scaled = cells.scaled(norm)
-        new_dz[start:stop] = mix * (scaled @ tempered_t)
+        new_dz[rows] = mix * (scaled @ tempered_t)
         stats_t += scaled.T @ mix
     stats_wz = (stats_t * tempered_t).T
     doc_totals = new_dz.sum(axis=1, keepdims=True)
@@ -120,20 +117,22 @@ def _em_pass(matrix: sp.csr_matrix, p_dz: np.ndarray, p_wz: np.ndarray,
 def tempered_objective(matrix: sp.csr_matrix, p_dz, p_wz, beta_temp: float) -> float:
     """sum over cells of n * log sum_z P(z|d) P(w|z)^beta, as an EM pass
     from these tables computes it."""
-    return _em_pass(matrix.tocsr(), p_dz, p_wz, beta_temp)[2]
+    return _em_pass(TokenCells.blocks(matrix.tocsr(), EM_CHUNK),
+                    p_dz, p_wz, beta_temp)[2]
 
 
-def holdout_perplexity(held: sp.csr_matrix, p_dz, p_wz) -> float:
+def holdout_perplexity(held, p_dz, p_wz) -> float:
     """Perplexity of held-out tokens under the untempered mixture.
 
-    A vanishing uniform component keeps fully-held-out terms finite.
+    ``held`` is the held-out count matrix, or its ``TokenCells`` when one
+    fit scores it pass after pass.  A vanishing uniform component keeps
+    fully-held-out terms finite.
     """
-    held = held.tocsr()
-    total = held.data.sum()
+    cells = held if isinstance(held, TokenCells) else TokenCells(held)
+    total = cells.counts.sum()
     if total == 0:
         return float("nan")
     n_terms = p_wz.shape[1]
-    cells = TokenCells(held)
     probs = cells.norms(p_dz, np.ascontiguousarray(p_wz.T))
     probs = (1.0 - _PERPLEXITY_FLOOR_MIX) * probs + _PERPLEXITY_FLOOR_MIX / n_terms
     log_lik = float(cells.counts @ np.log(probs))
@@ -149,12 +148,14 @@ def _init_tables(n_docs: int, n_terms: int, k: int, seed: int):
     return p_dz, p_wz
 
 
-def _anneal_at(train, held, p_dz, p_wz, beta_temp: float, max_passes: int,
+def _anneal_at(blocks, held, p_dz, p_wz, beta_temp: float, max_passes: int,
                trace: list, perps: list):
     """One temperature of ``train_plsa``'s anneal: EM passes until held-out
     perplexity stops improving by ``IMPROVEMENT_TOL`` or
     ``MAX_ITERS_PER_BETA`` passes have run, and never more than
     ``max_passes``, what is left of the fit's ``MAX_TOTAL_ITERS``.
+    ``blocks`` are the training matrix's and ``held`` the held-out cells
+    (or None), both built once per fit.
 
     Appends each pass's (temperature, objective) to ``trace`` and its
     held-out perplexity to ``perps``.  Returns the tables after the last
@@ -166,7 +167,7 @@ def _anneal_at(train, held, p_dz, p_wz, beta_temp: float, max_passes: int,
     best = (np.inf, p_dz, p_wz)
     n_passes = min(max_passes, MAX_ITERS_PER_BETA)
     for _ in range(n_passes):
-        p_dz, p_wz, objective = _em_pass(train, p_dz, p_wz, beta_temp)
+        p_dz, p_wz, objective = _em_pass(blocks, p_dz, p_wz, beta_temp)
         trace.append((beta_temp, objective))
         if held is None:
             best = (np.inf, p_dz, p_wz)
@@ -198,6 +199,8 @@ def train_plsa(counts: TermDocCounts, k: int,
         train, held = matrix, None
 
     p_dz, p_wz = _init_tables(matrix.shape[0], matrix.shape[1], k, seed)
+    blocks = TokenCells.blocks(train, EM_CHUNK)
+    held_cells = None if held is None else TokenCells(held)
     beta_temp = BETA_START
     trace: list[tuple[float, float]] = []
     perps: list[float] = []
@@ -205,8 +208,8 @@ def train_plsa(counts: TermDocCounts, k: int,
     prev_perp = np.inf          # best perplexity of the temperature before
     while True:
         p_dz, p_wz, snapshot, finished = _anneal_at(
-            train, held, p_dz, p_wz, beta_temp, MAX_TOTAL_ITERS - len(trace),
-            trace, perps)
+            blocks, held_cells, p_dz, p_wz, beta_temp,
+            MAX_TOTAL_ITERS - len(trace), trace, perps)
         if best is None or snapshot[0] < best[0]:
             best = (*snapshot, beta_temp)
         if not finished:

@@ -42,3 +42,20 @@ def demo_fit():
     from ldikit.demo import fit_demo_topics
 
     return fit_demo_topics(seed=0)
+
+
+@pytest.fixture
+def token_cells_built(monkeypatch):
+    """The row count of every ``TokenCells`` built from a matrix during the
+    test, in order (sub-blocks cut with ``rows`` are not built)."""
+    from ldikit.lda import TokenCells
+
+    built = []
+    init = TokenCells.__init__
+
+    def counting_init(self, matrix):
+        built.append(matrix.shape[0])
+        init(self, matrix)
+
+    monkeypatch.setattr(TokenCells, "__init__", counting_init)
+    return built

@@ -107,6 +107,67 @@ class TestTokenCells:
         assert np.all(np.isfinite(cells.scaled(norm).data))
 
 
+KEEPS = {
+    "all": np.ones(9, dtype=bool),
+    "none": np.zeros(9, dtype=bool),
+    "alternate": np.arange(9) % 2 == 0,
+    "empty-rows-only": np.isin(np.arange(9), [0, 8]),
+    "middle": np.isin(np.arange(9), [2, 3, 5]),
+}
+
+
+class TestSubBlocks:
+    @pytest.mark.parametrize("gather_size", [lda.GATHER_SIZE, 5],
+                             ids=["one-slice", "many-slices"])
+    @pytest.mark.parametrize("keep", KEEPS.values(), ids=KEEPS.keys())
+    def test_sub_block_equals_rebuilt_block(self, monkeypatch, gather_size,
+                                            keep):
+        # cut from the flat cells, a sub-block holds exactly what a block
+        # built from the selected rows holds, and its norms and scaled
+        # matrix are the rebuilt block's bit for bit
+        monkeypatch.setattr(lda, "GATHER_SIZE", gather_size)
+        matrix = block_with_empty_ends()
+        rng = np.random.default_rng(5)
+        doc_weights = rng.random((9, 3))
+        term_weights = rng.random((matrix.shape[1], 3))
+        block = TokenCells(matrix)
+        block.norms(doc_weights, term_weights)     # buffers exist before the cut
+        sub = block.rows(keep)
+        want = TokenCells(matrix[keep])
+        for name in ("counts", "doc", "term"):
+            got, exp = getattr(sub, name), getattr(want, name)
+            assert got.dtype == exp.dtype
+            np.testing.assert_array_equal(got, exp)
+        norm = sub.norms(doc_weights[keep], term_weights)
+        want_norm = want.norms(doc_weights[keep], term_weights)
+        np.testing.assert_array_equal(norm, want_norm)
+        got, exp = sub.scaled(norm), want.scaled(want_norm)
+        assert got.shape == exp.shape
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(exp, name))
+
+    def test_sub_block_of_sub_block(self):
+        matrix = block_with_empty_ends()
+        first = np.arange(9) != 4
+        second = np.arange(8) % 3 != 1
+        sub = TokenCells(matrix).rows(first).rows(second)
+        want = TokenCells(matrix[first][second])
+        np.testing.assert_array_equal(sub.doc, want.doc)
+        np.testing.assert_array_equal(sub.term, want.term)
+        np.testing.assert_array_equal(sub.counts, want.counts)
+
+    def test_sub_blocks_write_into_their_blocks_buffers(self):
+        # norms allocates its output once per block; repeated calls and
+        # every sub-block write into that one array
+        matrix = block_with_empty_ends()
+        weights = np.ones((9, 2)), np.ones((matrix.shape[1], 2))
+        block = TokenCells(matrix)
+        first = block.norms(*weights)
+        assert np.shares_memory(first, block.norms(*weights))
+        sub = block.rows(KEEPS["middle"])
+        assert np.shares_memory(first, sub.norms(weights[0][:3], weights[1]))
+
+
 class TestKernelAgainstLogSpace:
     @pytest.mark.parametrize("k", [1, 5])
     def test_terms_equal_log_space_at_returned_gamma(self, k):
@@ -114,7 +175,7 @@ class TestKernelAgainstLogSpace:
         # the gamma the kernel returns
         matrix = block_with_empty_ends()
         beta = random_beta(k, matrix.shape[1], k)
-        gamma, stats, alpha_stat, bound = run_chunk(matrix, beta, 0.3)
+        gamma, stats, alpha_stat, bound = run_chunk(matrix, beta, 0.3)[:4]
         want_stats, want_alpha_stat, want_bound = log_space_terms_at(
             matrix, gamma, np.log(beta), 0.3)
         np.testing.assert_allclose(stats, want_stats, rtol=1e-10,
@@ -334,6 +395,57 @@ class TestInference:
         rows[4] = 0
         result = train_lda(make_counts(rows), k=2, seed=0, alpha=0.3)
         assert np.all(result.gamma[4] == 0.3)
+
+
+class TestBlocksPerFit:
+    def test_each_block_built_once_per_fit(self, monkeypatch,
+                                           token_cells_built):
+        # three blocks of at most 8 documents, built before the first pass
+        # and kept; a shrinking active set cuts sub-blocks, not new blocks
+        monkeypatch.setattr(lda, "DOC_CHUNK", 8)
+        counts = random_counts(20, 15, 13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = train_lda(counts, k=3, seed=0)
+        assert len(result.elbo_trace) > 1
+        assert token_cells_built == [8, 8, 4]
+
+    def test_corpus_bound_builds_each_block_once(self, monkeypatch,
+                                                 token_cells_built):
+        monkeypatch.setattr(lda, "DOC_CHUNK", 8)
+        beta = random_beta(3, 15, 2)
+        corpus_bound(LdaModel(k=3, alpha=0.5, beta=beta),
+                     random_counts(20, 15, 13))
+        assert token_cells_built == [8, 8, 4]
+
+
+class TestSweepRecord:
+    def test_record_per_pass(self):
+        counts = random_counts(20, 15, 14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = train_lda(counts, k=3, seed=0)
+        n_passes = len(result.elbo_trace)
+        assert len(result.sweeps_trace) == len(result.unsettled_trace) == n_passes
+        assert all(1 <= s <= lda.VAR_MAX_ITERS for s in result.sweeps_trace)
+        for sweeps, unsettled in zip(result.sweeps_trace,
+                                     result.unsettled_trace):
+            # documents are left unsettled only by a block that hit the cap
+            assert unsettled == 0 or sweeps == lda.VAR_MAX_ITERS
+
+    def test_sweep_cap_leaves_documents_unsettled(self, monkeypatch):
+        # one sweep settles no document that has tokens; only the empty
+        # documents settle, so every other one is counted each pass, summed
+        # over the blocks
+        monkeypatch.setattr(lda, "VAR_MAX_ITERS", 1)
+        monkeypatch.setattr(lda, "DOC_CHUNK", 8)
+        rows = random_counts(20, 15, 15).matrix.toarray()
+        rows[[3, 17]] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = train_lda(make_counts(rows), k=3, seed=0)
+        assert result.sweeps_trace == [1] * len(result.elbo_trace)
+        assert result.unsettled_trace == [18] * len(result.elbo_trace)
 
 
 class TestTrainingGuards:

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import ldikit.plsa as plsa
 from oracles import dense_tempered_em_step, dense_tempered_objective
 from ldikit.corpus import TermDocCounts
+from ldikit.lda import TokenCells
 from ldikit.plsa import (PlsaModel, _em_pass, fold_in, holdout_perplexity,
                          score_plsa, split_holdout, tempered_objective,
                          train_plsa)
@@ -93,14 +94,14 @@ class TestTemperedObjective:
 
     @pytest.mark.parametrize("em_chunk", [plsa.EM_CHUNK, 3],
                              ids=["one-block", "three-blocks"])
-    def test_em_pass_tables_match_dense_oracle(self, monkeypatch, em_chunk):
+    def test_em_pass_tables_match_dense_oracle(self, em_chunk):
         # the sparse product gives the tables of an EM step cell by cell,
         # whether the documents run in one block or in several
-        monkeypatch.setattr(plsa, "EM_CHUNK", em_chunk)
         counts = random_counts(8, 6, 3)
+        blocks = TokenCells.blocks(counts.matrix, em_chunk)
         p_dz, p_wz = random_tables(8, 6, 3, 53)
         for beta_temp in (1.0, 0.7):
-            new_dz, new_wz, _ = _em_pass(counts.matrix, p_dz, p_wz, beta_temp)
+            new_dz, new_wz, _ = _em_pass(blocks, p_dz, p_wz, beta_temp)
             want_dz, want_wz = dense_tempered_em_step(counts.matrix.toarray(),
                                                       p_dz, p_wz, beta_temp)
             np.testing.assert_allclose(new_dz, want_dz, rtol=1e-12)
@@ -133,6 +134,14 @@ class TestHoldoutPerplexity:
         p_wz = np.array([[0.0, 1.0]])
         perp = holdout_perplexity(held, p_dz, p_wz)
         assert np.isfinite(perp) and perp > 1.0
+
+    def test_cells_score_as_their_matrix(self):
+        # a fit hands the held-out cells it built once; they score exactly
+        # as the matrix they were built from
+        counts = random_counts(8, 6, 10)
+        p_dz, p_wz = random_tables(8, 6, 3, 91)
+        assert (holdout_perplexity(TokenCells(counts.matrix), p_dz, p_wz)
+                == holdout_perplexity(counts.matrix, p_dz, p_wz))
 
     def test_perplexity_at_least_one(self):
         counts = random_counts(8, 6, 9)
@@ -226,6 +235,18 @@ class TestTraining:
         assert all(b == plsa.BETA_START for b, _ in result.objective_trace)
         np.testing.assert_array_equal(result.train_matrix.toarray(),
                                       counts.matrix.toarray())
+
+    def test_each_block_built_once_per_fit(self, monkeypatch,
+                                           token_cells_built):
+        # three training blocks of at most 8 documents and the held-out
+        # cells, built once before the first pass of the anneal
+        monkeypatch.setattr(plsa, "EM_CHUNK", 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = train_plsa(random_counts(20, 15, 16), k=3, seed=0)
+        assert len(result.objective_trace) > 1
+        assert len({t for t, _ in result.objective_trace}) > 1
+        assert token_cells_built == [8, 8, 4, 20]
 
     def test_iteration_cap_warns(self, monkeypatch):
         monkeypatch.setattr(plsa, "MAX_TOTAL_ITERS", 1)
