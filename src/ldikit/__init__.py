@@ -8,10 +8,10 @@ tie everything together.
 
 from .corpus import (Collection, Corpus, ParseError, Query, RawDocument,
                      StopList, TermDocCounts, Vocabulary, build_corpus,
-                     build_vocabulary, count_matrix, load_collection,
-                     load_corpus, merge_collections, parse_documents,
-                     parse_qrels, parse_queries, save_corpus, smart_stoplist,
-                     tokenize)
+                     build_vocabulary, count_matrix, judged_pairs,
+                     load_collection, load_corpus, merge_collections,
+                     parse_documents, parse_qrels, parse_queries, save_corpus,
+                     smart_stoplist, tokenize)
 from .ensemble import (EnsembleWeights, ScoreMatrix, combined_scores,
                        cross_validate, train_ensemble, uniform_weights)
 from .lda import LdaModel, LdaTrainResult, train_lda

@@ -75,10 +75,12 @@ def _read_array(src: Path, entry: dict) -> np.ndarray:
     return array
 
 
-def load_model(in_dir):
-    """Read a model bundle back as (manifest, arrays)."""
+def load_model(in_dir, manifest: dict | None = None):
+    """Read a model bundle back as (manifest, arrays).  ``manifest`` is the
+    bundle's ``manifest.json`` when the caller has already parsed it."""
     src = Path(in_dir)
-    doc = json.loads((src / "manifest.json").read_text())
+    doc = (json.loads((src / "manifest.json").read_text())
+           if manifest is None else manifest)
     if doc.get("bundle_version") != BUNDLE_VERSION:
         raise ValueError(f"unsupported bundle version {doc.get('bundle_version')}")
     arrays = {}

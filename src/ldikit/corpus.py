@@ -4,7 +4,8 @@ Collections arrive as three plain-text files (documents, queries, relevance
 judgments) in the dotted-marker record format used by the classic retrieval
 test collections.  This module turns them into an in-memory `Corpus`: a
 term-document count matrix over a fixed vocabulary, query count vectors over
-the same vocabulary, and a judged-relevance map.
+the same vocabulary, and the judged (query id, doc id) pairs as one sorted
+array.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from dataclasses import dataclass, field
 from importlib import resources
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import bundle
+from .metrics import strictly_increasing
 
 FORMAT_VERSION = 3
 TOKENIZER_VERSION = 1
@@ -482,7 +484,13 @@ def validate_qrels(collection: Collection) -> list[str]:
 
 @dataclass
 class Corpus:
-    """A processed collection: counts over a fixed vocabulary plus queries."""
+    """A processed collection: counts over a fixed vocabulary plus queries.
+
+    ``qrels`` holds the judgments as one read-only ``(n, 2)`` int64 array of
+    (query id, doc id) pairs, strictly increasing by query id, then doc id:
+    the array the bundle stores, the checksum hashes and
+    ``metrics.Judgments`` reads.  `judged_pairs` makes it from a mapping.
+    """
 
     name: str
     doc_ids: np.ndarray
@@ -490,7 +498,7 @@ class Corpus:
     vocabulary: Vocabulary
     counts: TermDocCounts
     query_counts: sp.csr_matrix
-    qrels: dict[int, set[int]]
+    qrels: np.ndarray
     dropped_judgments: list[str] = field(default_factory=list)
     # the content hash load_corpus verified, None for a corpus built in
     # memory; it goes stale if a loaded corpus is changed in place
@@ -526,17 +534,29 @@ class Corpus:
             h.update(m.indptr.tobytes())
             h.update(m.indices.tobytes())
             h.update(np.asarray(m.data, dtype=np.int64).tobytes())
-        h.update(_judged_pairs(self.qrels).tobytes())
+        h.update(np.ascontiguousarray(self.qrels, dtype="<i8"))
         return h.hexdigest()
 
 
-def _judged_pairs(qrels: dict[int, set[int]]) -> np.ndarray:
-    """Judged (query id, doc id) pairs, int64 rows sorted by query then doc."""
+def judged_pairs(qrels: Mapping[int, set[int]]) -> np.ndarray:
+    """Judged (query id, doc id) pairs of a {query: {doc, ...}} mapping, as
+    a read-only int64 array sorted by query, then doc."""
     qids = sorted(qrels)
     dids = [np.sort(np.fromiter(qrels[q], np.int64, len(qrels[q]))) for q in qids]
-    return np.column_stack((
+    pairs = np.column_stack((
         np.repeat(np.array(qids, dtype=np.int64), list(map(len, dids))),
         np.concatenate([np.empty(0, dtype=np.int64), *dids])))
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _sorted_pairs(pairs: np.ndarray) -> np.ndarray:
+    """Stored judged pairs in `judged_pairs` order, repeats dropped; the
+    array itself when it already is."""
+    if strictly_increasing(pairs):
+        return pairs
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return pairs[np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)]]
 
 
 def build_corpus(collection: Collection, stoplist: StopList | None = None) -> Corpus:
@@ -559,23 +579,20 @@ def build_corpus(collection: Collection, stoplist: StopList | None = None) -> Co
             f"(first: {problems[0]})",
             stacklevel=2,
         )
-    doc_ids = {d.doc_id for d in collection.documents}
-    query_ids = {q.query_id for q in collection.queries}
-    qrels = {}
-    for qid, dids in collection.qrels.items():
-        if qid not in query_ids:
-            continue
-        kept = doc_ids.intersection(dids)
-        if kept:
-            qrels[qid] = kept
+    doc_ids = np.array([d.doc_id for d in collection.documents], dtype=np.int64)
+    query_ids = np.array([q.query_id for q in collection.queries], dtype=np.int64)
+    pairs = judged_pairs(collection.qrels)
+    pairs = pairs[np.isin(pairs[:, 0], query_ids)
+                  & np.isin(pairs[:, 1], doc_ids)]
+    pairs.flags.writeable = False
     return Corpus(
         name=collection.name,
-        doc_ids=np.array([d.doc_id for d in collection.documents], dtype=np.int64),
-        query_ids=np.array([q.query_id for q in collection.queries], dtype=np.int64),
+        doc_ids=doc_ids,
+        query_ids=query_ids,
         vocabulary=vocab,
         counts=counts,
         query_counts=query_counts,
-        qrels=qrels,
+        qrels=pairs,
         dropped_judgments=problems,
     )
 
@@ -598,21 +615,22 @@ def save_corpus(corpus: Corpus, out_dir) -> Path:
     }
     arrays = {"counts": corpus.counts.matrix, "query_counts": corpus.query_counts,
               "doc_ids": corpus.doc_ids, "query_ids": corpus.query_ids,
-              "qrels": _judged_pairs(corpus.qrels)}
+              "qrels": corpus.qrels}
     return bundle.save_model(out_dir, "corpus", manifest, arrays)
 
 
 def load_corpus(in_dir) -> Corpus:
     """Load a corpus bundle written by save_corpus; verifies the checksum."""
-    version = json.loads((Path(in_dir) / "manifest.json").read_text()).get(
-        "format_version")
+    manifest = json.loads((Path(in_dir) / "manifest.json").read_text())
+    version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported corpus format version {version}; "
                          "rebuild the bundle with `ldikit corpus build`")
-    manifest, arrays = bundle.load_model(in_dir)
+    manifest, arrays = bundle.load_model(in_dir, manifest)
     terms = manifest["terms"]
     matrix = arrays["counts"]
-    pairs = arrays["qrels"]
+    pairs = _sorted_pairs(arrays["qrels"])
+    pairs.flags.writeable = False
     vocab = Vocabulary(terms=terms, index={t: j for j, t in enumerate(terms)})
     corpus = Corpus(
         name=manifest["name"],
@@ -624,7 +642,7 @@ def load_corpus(in_dir) -> Corpus:
             doc_lengths=np.asarray(matrix.sum(axis=1)).ravel().astype(np.int64),
         ),
         query_counts=arrays["query_counts"],
-        qrels=_group_pairs(pairs[:, 0], pairs[:, 1]),
+        qrels=pairs,
         dropped_judgments=list(manifest.get("dropped_judgments", [])),
     )
     if corpus.checksum() != manifest["checksum"]:

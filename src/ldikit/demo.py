@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import (Collection, Corpus, Query, RawDocument, TermDocCounts,
-                     Vocabulary)
+                     Vocabulary, judged_pairs)
 from .ensemble import EnsembleWeights, ScoreMatrix, train_ensemble
 from .lda import LdaTrainResult, seeded_topic_start, train_lda
 from .ldi import build_index, score_ldi
@@ -106,7 +106,7 @@ def demo_corpus() -> Corpus:
             doc_lengths=np.asarray(matrix.sum(axis=1)).ravel().astype(np.int64),
         ),
         query_counts=sp.csr_matrix(query_rows),
-        qrels={q: set(d) for q, d in RELEVANT.items()},
+        qrels=judged_pairs(RELEVANT),
     )
 
 

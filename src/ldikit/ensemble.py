@@ -139,7 +139,7 @@ def select_constituent(weights: np.ndarray, ap_table: np.ndarray,
     return candidates[best]
 
 
-def train_ensemble(matrices: list[ScoreMatrix], qrels: dict[int, set[int]],
+def train_ensemble(matrices: list[ScoreMatrix], qrels: np.ndarray,
               eps: float = 1e-4, max_rounds: int = 200,
               selection: str = "weighted-ap", *,
               ap_table: np.ndarray | None = None) -> EnsembleWeights:
@@ -273,7 +273,7 @@ class CrossValReport:
                 for t in tags}
 
 
-def cross_validate(matrices: list[ScoreMatrix], qrels: dict[int, set[int]],
+def cross_validate(matrices: list[ScoreMatrix], qrels: np.ndarray,
                    n_folds: int = 2, seed: int = 0, eps: float = 1e-4,
                    max_rounds: int = 200) -> CrossValReport:
     """Split judged queries into folds by seeded shuffle; train on each

@@ -27,7 +27,6 @@ in the last bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -121,11 +120,35 @@ def macro_average_curve(curves) -> np.ndarray:
     return curves.mean(axis=0)
 
 
+def strictly_increasing(pairs: np.ndarray) -> bool:
+    """Whether the rows of an (n, 2) id array rise strictly, by the first
+    column, then the second: sorted, with no repeated row."""
+    q, d = pairs[:, 0], pairs[:, 1]
+    rises = (q[1:] > q[:-1]) | ((q[1:] == q[:-1]) & (d[1:] > d[:-1]))
+    return bool(rises.all())
+
+
+def _checked_pairs(qrels) -> np.ndarray:
+    """``qrels`` checked to be the judged (query id, doc id) pairs array
+    that ``corpus.judged_pairs`` makes."""
+    pairs = np.asarray(qrels)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise ValueError("judgments must be an (n, 2) integer array of "
+                         "(query id, doc id) pairs; corpus.judged_pairs "
+                         "converts a mapping")
+    if not strictly_increasing(pairs):
+        raise ValueError("judged pairs must be strictly increasing by "
+                         "(query id, doc id)")
+    return pairs
+
+
 class Judgments:
     """The judged queries of one (queries x docs) score layout, with the
     column of each relevant document found once and reused for every
     matrix of that layout.
 
+    ``qrels`` is the sorted (query id, doc id) pairs array of
+    ``Corpus.qrels``; pairs of queries outside ``query_ids`` are ignored.
     ``rows`` are the judged row positions, in score-matrix order; queries
     without judgments are left out.  The kernel reads the *judged layout*
     (``gather``): the judged rows with columns in ascending doc-id order
@@ -136,8 +159,11 @@ class Judgments:
     def __init__(self, query_ids, doc_ids, qrels):
         query_ids = np.asarray(query_ids)
         doc_ids = np.asarray(doc_ids)
-        self.rows = np.array([qi for qi, qid in enumerate(query_ids)
-                              if qrels.get(int(qid))], dtype=np.int64)
+        pairs = _checked_pairs(qrels)
+        # each query's pairs: pairs[first[i]:last[i]]
+        first = np.searchsorted(pairs[:, 0], query_ids, side="left")
+        last = np.searchsorted(pairs[:, 0], query_ids, side="right")
+        self.rows = np.flatnonzero(last > first)
         self.query_ids = query_ids[self.rows]
         self.n_docs = len(doc_ids)
         self.doc_ids, self._by_id = np.unique(doc_ids, return_index=True)
@@ -145,23 +171,20 @@ class Judgments:
             raise ValueError("document ids repeat")
         self.in_layout = (len(self.rows) == len(query_ids) and np.array_equal(
             self._by_id, np.arange(self.n_docs)))
-        relevant = [qrels[qid] for qid in self.query_ids.tolist()]
-        sizes = [len(r) for r in relevant]
-        ids = np.fromiter(chain.from_iterable(relevant), dtype=np.int64,
-                          count=sum(sizes))
-        found_at = np.searchsorted(self.doc_ids, ids)
-        found = found_at < self.n_docs
-        found[found] = self.doc_ids[found_at[found]] == ids[found]
+        first = first[self.rows]
+        self.counts = last[self.rows] - first
+        # relevant columns of judged row j: _cols[_starts[j]:_starts[j + 1]],
+        # ascending, as each query's doc ids are
+        self._starts = np.concatenate([[0], np.cumsum(self.counts)])
+        ids = pairs[np.repeat(first - self._starts[:-1], self.counts)
+                    + np.arange(self._starts[-1]), 1]
+        self._cols = np.searchsorted(self.doc_ids, ids)
+        found = self._cols < self.n_docs
+        found[found] = self.doc_ids[self._cols[found]] == ids[found]
         if not found.all():
             missing = sorted(ids[~found].tolist())
             raise ValueError(
                 f"relevant documents missing from ranking: {missing[:5]}")
-        flags = np.zeros((len(self.rows), self.n_docs), dtype=bool)
-        flags[np.repeat(np.arange(len(self.rows)), sizes), found_at] = True
-        self.counts = flags.sum(axis=1)
-        # relevant columns of judged row j: _cols[_starts[j]:_starts[j + 1]]
-        self._starts = np.concatenate([[0], np.cumsum(self.counts)])
-        self._cols = np.nonzero(flags)[1]
 
     def gather(self, scores: np.ndarray, positions=slice(None)) -> np.ndarray:
         """The judged layout of ``scores``: the judged rows (or those at
@@ -249,6 +272,7 @@ def evaluate_scores(scores: np.ndarray, query_ids, doc_ids, qrels) -> EvalReport
     """Score matrix (queries x docs) -> AP per judged query, MAP, macro curve.
 
     Queries without judgments are skipped and listed, never counted as zero.
+    ``qrels`` is the judged pairs array, as ``Judgments`` takes it.
     """
     scores = np.asarray(scores, dtype=float)
     query_ids = np.asarray(query_ids)

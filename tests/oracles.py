@@ -170,10 +170,11 @@ def loop_judged_pairs(qrels):
                     dtype=np.int64).reshape(-1, 2)
 
 
-def loop_checksum(corpus, pairs_as_bytes=False):
+def loop_checksum(corpus, qrels, pairs_as_bytes=False):
     """Corpus content hash of bundle format 2, which hashed each query's
-    judgments as text; with ``pairs_as_bytes``, format 3's definition: the
-    same fields, then the `loop_judged_pairs` bytes."""
+    judgments (the {query: docs} mapping ``qrels``) as text; with
+    ``pairs_as_bytes``, format 3's definition: the same fields, then the
+    `loop_judged_pairs` bytes."""
     h = hashlib.sha256()
     h.update("\n".join(corpus.vocabulary.terms).encode())
     h.update(corpus.doc_ids.tobytes())
@@ -184,10 +185,10 @@ def loop_checksum(corpus, pairs_as_bytes=False):
         h.update(m.indices.tobytes())
         h.update(np.asarray(m.data, dtype=np.int64).tobytes())
     if pairs_as_bytes:
-        h.update(loop_judged_pairs(corpus.qrels).tobytes())
+        h.update(loop_judged_pairs(qrels).tobytes())
     else:
-        for qid in sorted(corpus.qrels):
-            h.update(f"{qid}:{sorted(corpus.qrels[qid])}".encode())
+        for qid in sorted(qrels):
+            h.update(f"{qid}:{sorted(qrels[qid])}".encode())
     return h.hexdigest()
 
 

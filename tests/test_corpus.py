@@ -324,8 +324,8 @@ class TestCollections:
         coll.qrels[9] = {1}
         with pytest.warns(UserWarning):
             corpus = build_corpus(coll)
-        assert corpus.qrels[1] == {1, 3}
-        assert 9 not in corpus.qrels
+        assert corpus.qrels.tolist() == [[1, 1], [1, 3], [2, 2]]
+        assert corpus.qrels.dtype == np.int64
         assert len(corpus.dropped_judgments) == 2
 
     def test_build_corpus_counts(self):
@@ -341,8 +341,17 @@ class TestCollections:
         c1 = build_corpus(tiny_collection())
         c2 = build_corpus(tiny_collection())
         assert c1.checksum() == c2.checksum()
-        c2.qrels[2].add(1)
-        assert c1.checksum() != c2.checksum()
+        coll = tiny_collection()
+        coll.qrels[2].add(1)
+        assert c1.checksum() != build_corpus(coll).checksum()
+
+    def test_judgments_are_read_only(self, tmp_path):
+        built = build_corpus(tiny_collection())
+        loaded = load_corpus(save_corpus(built, tmp_path / "bundle"))
+        for corpus in (built, loaded):
+            with pytest.raises(ValueError, match="read-only"):
+                corpus.qrels[0, 1] = 2
+            assert corpus.checksum() == built.checksum()
 
 
 def edit_manifest(bundle_dir, **changes):
@@ -364,13 +373,22 @@ class TestCorpusBundle:
                                       corpus.counts.matrix.toarray())
         np.testing.assert_array_equal(loaded.query_counts.toarray(),
                                       corpus.query_counts.toarray())
-        assert loaded.qrels == corpus.qrels
+        np.testing.assert_array_equal(loaded.qrels, corpus.qrels)
         assert loaded.checksum() == corpus.checksum()
-        # judged pairs stored in any order load to the same judgments
+        # judged pairs stored in any order, or repeated, load to the same
+        # judgments
         pairs = tmp_path / "bundle" / "qrels.bin"
-        pairs.write_bytes(np.fromfile(pairs, dtype="<i8").reshape(-1, 2)[::-1]
-                          .tobytes())
-        assert load_corpus(tmp_path / "bundle").qrels == corpus.qrels
+        stored = np.fromfile(pairs, dtype="<i8").reshape(-1, 2)
+        pairs.write_bytes(stored[::-1].tobytes())
+        np.testing.assert_array_equal(load_corpus(tmp_path / "bundle").qrels,
+                                      corpus.qrels)
+        pairs.write_bytes(np.vstack([stored, stored[:1]]).tobytes())
+        arrays = json.loads((tmp_path / "bundle" / "manifest.json")
+                            .read_text())["arrays"]
+        arrays["qrels"]["shape"] = [len(stored) + 1, 2]
+        edit_manifest(tmp_path / "bundle", arrays=arrays)
+        np.testing.assert_array_equal(load_corpus(tmp_path / "bundle").qrels,
+                                      corpus.qrels)
 
     def test_tampered_bundle_rejected(self, tmp_path):
         corpus = build_corpus(tiny_collection())
@@ -415,8 +433,8 @@ class TestDamagedCorpusBundle:
         # format 2 hashed the judgments as per-query text
         out = save_corpus(build_corpus(tiny_collection()), tmp_path / "bundle")
         corpus = load_corpus(out)
-        edit_manifest(out, format_version=2,
-                      checksum=oracles.loop_checksum(corpus))
+        edit_manifest(out, format_version=2, checksum=oracles.loop_checksum(
+            corpus, tiny_collection().qrels))
         self.assert_rejected(out, tmp_path, "rebuild .*ldikit corpus build")
 
     def test_csv_bundle_must_be_rebuilt(self, tmp_path):
@@ -588,18 +606,19 @@ class TestAgainstTheLoopOracles:
                                oracles.loop_count_matrix(docs, terms))
             assert_same_matrix(corpus.query_counts, oracles.loop_count_matrix(
                 [q.text for q in queries], terms)[0])
-            assert corpus.qrels == {
-                q: dids & set(range(1, len(docs) + 1))
-                for q, dids in qrels.items()
-                if q <= len(queries) and dids & set(range(1, len(docs) + 1))}
+            kept = {q: dids & set(range(1, len(docs) + 1))
+                    for q, dids in qrels.items()
+                    if q <= len(queries) and dids & set(range(1, len(docs) + 1))}
+            assert corpus.qrels.tobytes() == oracles.loop_judged_pairs(
+                kept).tobytes(), seed
             assert corpus.checksum() == oracles.loop_checksum(
-                corpus, pairs_as_bytes=True)
+                corpus, kept, pairs_as_bytes=True)
             if seed % 10 == 0:
                 out = save_corpus(corpus, tmp_path / str(seed))
                 assert ((out / "qrels.bin").read_bytes() ==
-                        oracles.loop_judged_pairs(corpus.qrels).tobytes())
+                        oracles.loop_judged_pairs(kept).tobytes())
                 loaded = load_corpus(out)
-                assert loaded.qrels == corpus.qrels
+                np.testing.assert_array_equal(loaded.qrels, corpus.qrels)
                 assert loaded.checksum() == corpus.checksum()
 
     def test_parse_qrels(self):

@@ -48,9 +48,19 @@ class TestCanonicalCounts:
 
     def test_judgments_are_copies(self):
         first = demo_corpus()
-        first.qrels[1].add(99)
-        assert 99 not in demo_corpus().qrels[1]
-        assert demo_corpus().qrels == {q: set(d) for q, d in RELEVANT.items()}
+        with pytest.raises(ValueError, match="read-only"):
+            first.qrels[0, 1] = 99
+        # each corpus owns its array: unlocking one changes no other
+        first.qrels.flags.writeable = True
+        first.qrels[0, 1] = 99
+        assert 99 not in demo_corpus().qrels[:, 1]
+        assert demo_corpus().qrels.tolist() == [
+            [q, d] for q in sorted(RELEVANT) for d in sorted(RELEVANT[q])]
+
+    def test_checksum_is_pinned(self):
+        # the judgments hash as sorted int64 (query id, doc id) pairs
+        assert demo_corpus().checksum() == (
+            "af9f8130bd9f07bbab0e1bfe85ee6d6284067f179ed2f95fdd257ae4cb09fe20")
 
     def test_checksum_is_stable(self):
         assert demo_corpus().checksum() == demo_corpus().checksum()

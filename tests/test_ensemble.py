@@ -3,6 +3,7 @@ import pytest
 
 from oracles import argsort_boost, argsort_cross_validate, numeric_best_step
 from ldikit import metrics
+from ldikit.corpus import judged_pairs
 from ldikit.ensemble import (AP_CLIP, ScoreMatrix, combined_scores,
                              cross_validate, train_ensemble, ensemble_loss,
                              exp_loss_bound, normalize_weights,
@@ -12,7 +13,7 @@ from ldikit.metrics import ap_matrix, evaluate_scores
 
 DOC_IDS = np.array([1, 2, 3, 4])
 QUERY_IDS = np.array([10, 20, 30])
-QRELS = {10: {1}, 20: {2}, 30: {3}}
+QRELS = judged_pairs({10: {1}, 20: {2}, 30: {3}})
 
 
 def lexical_matrix():
@@ -276,7 +277,7 @@ class TestTraining:
 
     def test_no_judged_queries_raises(self):
         with pytest.raises(ValueError, match="judged"):
-            train_ensemble(self.matrices, {99: {1}})
+            train_ensemble(self.matrices, judged_pairs({99: {1}}))
 
     def test_round_limit_reports_no_convergence(self):
         capped = train_ensemble(self.matrices, QRELS, max_rounds=1)
@@ -321,7 +322,7 @@ def halves_fixture():
     second = np.array([weak(min(qrels[int(q)])) if q <= 3
                        else strong(min(qrels[int(q)])) for q in query_ids])
     return [ScoreMatrix("lex", first, query_ids, doc_ids),
-            ScoreMatrix("sem", second, query_ids, doc_ids)], qrels
+            ScoreMatrix("sem", second, query_ids, doc_ids)], judged_pairs(qrels)
 
 
 class TestCrossValidate:
@@ -376,9 +377,10 @@ class TestCrossValidate:
         rng = np.random.default_rng(5)
         query_ids = np.arange(1, 13)
         doc_ids = np.arange(1, 31)
-        qrels = {int(q): set(rng.choice(doc_ids, size=int(rng.integers(1, 8)),
-                                        replace=False).tolist())
-                 for q in query_ids}
+        qrels = judged_pairs({
+            int(q): set(rng.choice(doc_ids, size=int(rng.integers(1, 8)),
+                                   replace=False).tolist())
+            for q in query_ids})
         matrices = [ScoreMatrix(tag, rng.random((12, 30)), query_ids, doc_ids)
                     for tag in ("a", "b", "c")]
         report = cross_validate(matrices, qrels, n_folds=2, seed=3,
@@ -436,8 +438,8 @@ class TestAgainstTheArgsortLoop:
             checked += 1
             mats = [ScoreMatrix(f"m{i}", s, query_ids, doc_ids)
                     for i, s in enumerate(scores)]
-            got = train_ensemble(mats, qrels, eps=-1.0, max_rounds=8,
-                                 selection=selection)
+            got = train_ensemble(mats, judged_pairs(qrels), eps=-1.0,
+                                 max_rounds=8, selection=selection)
             want = argsort_boost(scores, query_ids, doc_ids, qrels, eps=-1.0,
                                  max_rounds=8, selection=selection)
             assert len(got.rounds) == len(want)
@@ -462,8 +464,8 @@ class TestAgainstTheArgsortLoop:
             mats = [ScoreMatrix(f"m{i}", s, query_ids, doc_ids)
                     for i, s in enumerate(scores)]
             n_folds = int(rng.integers(2, 4))
-            report = cross_validate(mats, qrels, n_folds=n_folds, seed=checked,
-                                    eps=-1.0, max_rounds=5)
+            report = cross_validate(mats, judged_pairs(qrels), n_folds=n_folds,
+                                    seed=checked, eps=-1.0, max_rounds=5)
             want = argsort_cross_validate(scores, query_ids, doc_ids, qrels,
                                           n_folds=n_folds, seed=checked,
                                           eps=-1.0, max_rounds=5)

@@ -5,6 +5,7 @@ from oracles import (argsort_average_precisions, argsort_curves,
                      argsort_hit_precisions, argsort_ranking,
                      brute_force_average_precision, brute_force_pr_curve)
 from ldikit import metrics
+from ldikit.corpus import judged_pairs
 from ldikit.metrics import (EvalReport, Judgments, ap_matrix,
                             average_precision, evaluate_scores,
                             macro_average_curve, mean_average_precision,
@@ -91,7 +92,7 @@ class TestEvaluateScores:
     QUERY_IDS = np.array([1, 2, 3])
 
     def test_basic_report(self):
-        qrels = {1: {10}, 2: {20, 30}, 3: {10}}
+        qrels = judged_pairs({1: {10}, 2: {20, 30}, 3: {10}})
         report = evaluate_scores(self.SCORES, self.QUERY_IDS, self.DOC_IDS, qrels)
         assert report.per_query_ap[1] == 1.0
         assert report.per_query_ap[2] == pytest.approx(1.0)
@@ -100,23 +101,24 @@ class TestEvaluateScores:
         assert report.skipped_queries == []
 
     def test_unjudged_queries_skipped_not_zeroed(self):
-        qrels = {1: {10}, 3: {30}}
+        qrels = judged_pairs({1: {10}, 3: {30}})
         report = evaluate_scores(self.SCORES, self.QUERY_IDS, self.DOC_IDS, qrels)
         assert report.skipped_queries == [2]
         assert set(report.per_query_ap) == {1, 3}
         assert report.map_score == pytest.approx((1.0 + 1.0) / 2)
 
     def test_no_judged_queries_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_scores(self.SCORES, self.QUERY_IDS, self.DOC_IDS, {})
+        with pytest.raises(ValueError, match="no judged queries"):
+            evaluate_scores(self.SCORES, self.QUERY_IDS, self.DOC_IDS,
+                            judged_pairs({}))
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
             evaluate_scores(self.SCORES[:, :2], self.QUERY_IDS, self.DOC_IDS,
-                            {1: {10}})
+                            judged_pairs({1: {10}}))
 
     def test_report_serializes(self):
-        qrels = {1: {10}}
+        qrels = judged_pairs({1: {10}})
         report = evaluate_scores(self.SCORES, self.QUERY_IDS, self.DOC_IDS, qrels)
         doc = report.to_dict()
         assert doc["map"] == report.map_score
@@ -133,14 +135,15 @@ class TestApMatrix:
     def test_judged_columns_only(self):
         scores_a = np.array([[0.9, 0.1], [0.1, 0.9], [0.5, 0.4]])
         scores_b = np.array([[0.1, 0.9], [0.9, 0.1], [0.4, 0.5]])
-        qrels = {1: {10}, 3: {20}}
+        qrels = judged_pairs({1: {10}, 3: {20}})
         table = ap_matrix([scores_a, scores_b], [1, 2, 3], [10, 20], qrels)
         assert table.shape == (2, 2)
         np.testing.assert_allclose(table[0], [1.0, 0.5])
         np.testing.assert_allclose(table[1], [0.5, 1.0])
 
     def test_no_judged_queries_gives_no_columns(self):
-        table = ap_matrix([np.zeros((2, 2))] * 3, [1, 2], [10, 20], {})
+        table = ap_matrix([np.zeros((2, 2))] * 3, [1, 2], [10, 20],
+                          judged_pairs({}))
         assert table.shape == (3, 0)
 
 
@@ -171,9 +174,10 @@ class TestBatchedKernel:
             scores, query_ids, doc_ids, qrels = random_layout(rng, kind)
             if not qrels:
                 continue
-            report = evaluate_scores(scores, query_ids, doc_ids, qrels)
-            table = ap_matrix([scores, -scores], query_ids, doc_ids, qrels)
-            judged = Judgments(query_ids, doc_ids, qrels)
+            pairs = judged_pairs(qrels)
+            report = evaluate_scores(scores, query_ids, doc_ids, pairs)
+            table = ap_matrix([scores, -scores], query_ids, doc_ids, pairs)
+            judged = Judgments(query_ids, doc_ids, pairs)
             assert judged.query_ids.tolist() == [q for q in query_ids.tolist()
                                                  if q in qrels]
             curves = []
@@ -200,7 +204,8 @@ class TestBatchedKernel:
         doc_ids = rng.permutation(500) + 1
         qrels = {q: set(rng.choice(doc_ids, size=20, replace=False).tolist())
                  for q in (1, 2, 3)}
-        report = evaluate_scores(scores, [1, 2, 3], doc_ids, qrels)
+        report = evaluate_scores(scores, [1, 2, 3], doc_ids,
+                                 judged_pairs(qrels))
         for row, q in zip(scores, (1, 2, 3)):
             ranked = argsort_ranking(row, doc_ids)
             assert rank_documents(row, doc_ids).tolist() == ranked.tolist()
@@ -211,16 +216,17 @@ class TestBatchedKernel:
         scores = np.array([[0.2, 0.1], [0.3, 0.4]])
         qrels = {1: {10}, 2: {20, 99}}
         with pytest.raises(ValueError, match="missing"):
-            evaluate_scores(scores, [1, 2], [10, 20], qrels)
+            evaluate_scores(scores, [1, 2], [10, 20], judged_pairs(qrels))
         with pytest.raises(ValueError, match="missing"):
-            ap_matrix([scores], [1, 2], [10, 20], qrels)
+            ap_matrix([scores], [1, 2], [10, 20], judged_pairs(qrels))
         with pytest.raises(ValueError, match="missing"):
             average_precision(rank_documents(scores[1], np.array([10, 20])),
                               qrels[2])
 
     def test_repeated_document_ids_rejected(self):
         with pytest.raises(ValueError, match="repeat"):
-            evaluate_scores(np.zeros((1, 3)), [1], [10, 20, 10], {1: {20}})
+            evaluate_scores(np.zeros((1, 3)), [1], [10, 20, 10],
+                            judged_pairs({1: {20}}))
 
     def test_explicit_ranking_counts_a_repeated_document_once(self):
         # the second 5 holds a rank but is not a second hit
@@ -271,19 +277,20 @@ class TestValueSortKernel:
             if not qrels:
                 continue
             checked += 1
-            judged = Judgments(query_ids, doc_ids, qrels)
+            pairs = judged_pairs(qrels)
+            judged = Judgments(query_ids, doc_ids, pairs)
             rows, want, _ = argsort_hit_precisions(scores, query_ids, doc_ids,
                                                    qrels)
             assert (judged.rows == rows).all()
             got = judged.hit_precisions(scores)
             assert got.shape == want.shape and (got == want).all()
-            layout = Judgments(judged.query_ids, judged.doc_ids, qrels)
+            layout = Judgments(judged.query_ids, judged.doc_ids, pairs)
             assert layout.in_layout
             assert (layout.hit_precisions(judged.gather(scores)) == want).all()
             aps = argsort_average_precisions(scores, query_ids, doc_ids, qrels)
             assert (judged.average_precisions(scores) == aps).all()
-            assert (ap_matrix([scores], query_ids, doc_ids, qrels)[0] == aps).all()
-            report = evaluate_scores(scores, query_ids, doc_ids, qrels)
+            assert (ap_matrix([scores], query_ids, doc_ids, pairs)[0] == aps).all()
+            report = evaluate_scores(scores, query_ids, doc_ids, pairs)
             assert list(report.per_query_ap.values()) == aps.tolist()
             curves = argsort_curves(scores, query_ids, doc_ids, qrels)
             assert (report.curve == curves.mean(axis=0)).all()
@@ -312,17 +319,94 @@ class TestValueSortKernel:
         query_ids = np.array([1, 2, 3, 4])
         qrels = {1: {20, 10}, 2: {60, 40}, 3: {30, 50}, 4: {60, 40, 50}}
         _, want, _ = argsort_hit_precisions(scores, query_ids, doc_ids, qrels)
-        assert (Judgments(query_ids, doc_ids, qrels).hit_precisions(scores)
-                == want).all()
+        assert (Judgments(query_ids, doc_ids, judged_pairs(qrels))
+                .hit_precisions(scores) == want).all()
         # ranks by hand for query 3: every score ties, so ids decide
         assert want[2, :2].tolist() == [1 / 3, 2 / 5]
 
     def test_judged_layout(self):
         scores = np.array([[0.2, 0.9, 0.1], [0.3, 0.3, 0.4]])
-        assert Judgments([1, 2], [5, 6, 7], {1: {6}, 2: {5, 7}}).in_layout
-        assert not Judgments([1, 2], [5, 6, 7], {2: {5, 7}}).in_layout
-        unsorted = Judgments([1, 2], [7, 6, 5], {1: {6}, 2: {5, 7}})
+        both = judged_pairs({1: {6}, 2: {5, 7}})
+        assert Judgments([1, 2], [5, 6, 7], both).in_layout
+        assert not Judgments([1, 2], [5, 6, 7],
+                             judged_pairs({2: {5, 7}})).in_layout
+        unsorted = Judgments([1, 2], [7, 6, 5], both)
         assert not unsorted.in_layout
         assert (unsorted.doc_ids == [5, 6, 7]).all()
         assert (unsorted.gather(scores) == scores[:, ::-1]).all()
         assert (unsorted.gather(scores, [1]) == scores[1:, ::-1]).all()
+
+
+def pairs_layout(rng):
+    """A score layout whose judgments exercise the pairs lookup: query ids
+    that repeat in the matrix, unjudged queries, shuffled gapped doc ids,
+    and judged pairs (some of unknown documents) for queries the matrix
+    does not hold."""
+    n_rows, n_docs = int(rng.integers(1, 14)), int(rng.integers(1, 70))
+    pool = rng.choice(60, size=8, replace=False) + 1
+    query_ids = rng.choice(pool[:6], size=n_rows)
+    doc_ids = rng.permutation(rng.choice(4 * n_docs + 4, size=n_docs,
+                                         replace=False) + 1)
+    qrels = {int(q): set(rng.choice(doc_ids, size=int(rng.integers(1, n_docs + 1)),
+                                    replace=False).tolist())
+             for q in pool[:6] if rng.random() < 0.7}
+    for q in pool[6:]:
+        qrels[int(q)] = set((rng.choice(8 * n_docs, size=3) + 1).tolist())
+    if rng.random() < 0.5:
+        scores = rng.integers(0, 3, (n_rows, n_docs)).astype(float)
+    else:
+        scores = rng.random((n_rows, n_docs))
+    return scores, query_ids, doc_ids, qrels
+
+
+class TestJudgedPairs:
+    """``Judgments`` reads the sorted pairs array; the dict-based argsort
+    oracle gives the same rows, counts and hit precisions."""
+
+    def test_equals_the_dict_oracle(self):
+        rng = np.random.default_rng(53)
+        seen = dict.fromkeys(["repeat", "unjudged", "unsorted", "absent"], 0)
+        for _ in range(300):
+            scores, query_ids, doc_ids, qrels = pairs_layout(rng)
+            judged = Judgments(query_ids, doc_ids, judged_pairs(qrels))
+            rows, want, counts = argsort_hit_precisions(scores, query_ids,
+                                                        doc_ids, qrels)
+            assert judged.rows.tolist() == rows.tolist()
+            assert judged.counts.tolist() == counts.tolist()
+            assert (judged.query_ids == query_ids[rows]).all()
+            got = judged.hit_precisions(scores)
+            assert got.shape == want.shape and (got == want).all()
+            if len(rows):
+                assert (judged.average_precisions(scores)
+                        == argsort_average_precisions(scores, query_ids,
+                                                      doc_ids, qrels)).all()
+            seen["repeat"] += len(set(query_ids[rows].tolist())) < len(rows)
+            seen["unjudged"] += len(rows) < len(query_ids)
+            seen["unsorted"] += bool((np.diff(doc_ids) < 0).any())
+            seen["absent"] += bool(set(qrels) - set(query_ids.tolist()))
+        assert min(seen.values()) >= 30, seen
+
+    @pytest.mark.parametrize("pairs", [
+        [[2, 10], [1, 20]],             # queries out of order
+        [[1, 20], [1, 10]],             # docs out of order
+        [[1, 10], [1, 10]],             # a repeated pair
+    ])
+    def test_unsorted_or_repeated_pairs_rejected(self, pairs):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Judgments([1, 2], [10, 20], np.array(pairs))
+
+    @pytest.mark.parametrize("qrels", [
+        np.array([1, 10]),
+        np.zeros((2, 3), dtype=np.int64),
+        np.array([[1.0, 10.0]]),
+        {1: {10}},
+    ])
+    def test_wrong_shape_or_type_rejected(self, qrels):
+        with pytest.raises(ValueError, match=r"\(n, 2\) integer array"):
+            Judgments([1, 2], [10, 20], qrels)
+
+    def test_missing_relevant_document_is_named(self):
+        pairs = judged_pairs({1: {10}, 2: {20, 99, 98}, 5: {77}})
+        with pytest.raises(ValueError, match=r"relevant documents missing "
+                                             r"from ranking: \[98, 99\]$"):
+            Judgments([1, 2], [10, 20], pairs)

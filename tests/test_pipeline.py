@@ -4,8 +4,8 @@ import pytest
 from ldikit import config, pipeline
 from ldikit.config import (data_root, default_topic_count,
                            find_collection_files, resolve_out_path)
-from ldikit.corpus import Corpus, load_corpus, save_corpus
-from ldikit.demo import demo_corpus
+from ldikit.corpus import Corpus, judged_pairs, load_corpus, save_corpus
+from ldikit.demo import RELEVANT, demo_corpus
 from ldikit.pipeline import (FittedModel, evaluate_matrix, load_fitted,
                              resolve_method, save_fitted, score_corpus,
                              sweep_topics, train_model)
@@ -20,6 +20,14 @@ pytestmark = pytest.mark.filterwarnings(
 @pytest.fixture(scope="module")
 def corpus():
     return demo_corpus()
+
+
+def demo_corpus_with_extra_judgment():
+    """The demo corpus with one more judged pair for its first query."""
+    corpus = demo_corpus()
+    qid = int(corpus.query_ids[0])
+    corpus.qrels = judged_pairs({**RELEVANT, qid: RELEVANT[qid] | {9999}})
+    return corpus
 
 
 def fit(corpus, method):
@@ -69,8 +77,7 @@ class TestTrainScoreEvaluate:
 
     def test_scoring_refuses_changed_corpus(self, corpus):
         fitted = fit(corpus, "tfidf")
-        altered = demo_corpus()
-        altered.qrels[int(altered.query_ids[0])].add(9999)
+        altered = demo_corpus_with_extra_judgment()
         with pytest.raises(ValueError, match="content hash"):
             score_corpus(fitted, altered)
 
@@ -125,8 +132,7 @@ class TestPersistence:
         fitted = fit(corpus, "tfidf")
         save_fitted(fitted, tmp_path / "m")
         loaded = load_fitted(tmp_path / "m")
-        altered = demo_corpus()
-        altered.qrels[int(altered.query_ids[0])].add(9999)
+        altered = demo_corpus_with_extra_judgment()
         with pytest.raises(ValueError, match="content hash"):
             score_corpus(loaded, altered)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from ldikit.corpus import Corpus, build_vocabulary, count_matrix
+from ldikit.corpus import Corpus, build_vocabulary, count_matrix, judged_pairs
 from ldikit.lda import train_lda
 from ldikit.pipeline import evaluate_matrix, score_corpus, train_model
 
@@ -64,7 +64,7 @@ def planted_corpus(n_docs, n_words, k, seed, doc_length=60, n_queries=40,
                     query_ids=np.arange(1, n_queries + 1, dtype=np.int64),
                     vocabulary=vocab, counts=count_matrix(docs, vocab),
                     query_counts=count_matrix(queries, vocab).matrix,
-                    qrels={q: d for q, d in qrels.items() if d})
+                    qrels=judged_pairs(qrels))
     return Planted(corpus=corpus, topics=topics)
 
 

@@ -112,5 +112,6 @@ class TestDemoBehavior:
         aps = []
         for qi, qid in enumerate(corpus.query_ids):
             ranked = rank_documents(scores[qi], corpus.doc_ids)
-            aps.append(average_precision(ranked, corpus.qrels[int(qid)]))
+            relevant = corpus.qrels[corpus.qrels[:, 0] == qid, 1]
+            aps.append(average_precision(ranked, relevant))
         np.testing.assert_allclose(aps, [1.0, 5 / 6, 1.0])
