@@ -444,7 +444,11 @@ def merge_collections(collections: Sequence[Collection], name: str = "merged") -
     """Concatenate collections, offsetting ids so they stay globally unique.
 
     Document and query ids are offset independently by the running maximum of
-    the collections already merged; judgments are remapped accordingly.
+    the collections already merged, each collection counting the ids it
+    parsed and the ids it judged; judgments are remapped accordingly.  A
+    judgment naming an id a collection did not parse thus stays unknown,
+    for ``validate_qrels`` to report, instead of landing on (or being
+    overwritten by) a later collection's query or document.
     """
     docs: list[RawDocument] = []
     queries: list[Query] = []
@@ -464,8 +468,11 @@ def merge_collections(collections: Sequence[Collection], name: str = "merged") -
             ))
         for qid, dids in coll.qrels.items():
             qrels[qid + query_offset] = {d + doc_offset for d in dids}
-        doc_offset += max((d.doc_id for d in coll.documents), default=0)
-        query_offset += max((q.query_id for q in coll.queries), default=0)
+        judged_docs = [d for dids in coll.qrels.values() for d in dids]
+        doc_offset += max([d.doc_id for d in coll.documents] + judged_docs,
+                          default=0)
+        query_offset += max([q.query_id for q in coll.queries]
+                            + list(coll.qrels), default=0)
     return Collection(name=name, documents=docs, queries=queries, qrels=qrels)
 
 

@@ -153,26 +153,20 @@ def demo_score_matrices(seed: int = 0):
     return corpus, mats
 
 
-def demo_boosting(seed: int = 0, live_topics: bool = False) -> EnsembleWeights:
+def demo_boosting() -> EnsembleWeights:
     """Fuse the keyword ranker with a topic ranker; reaches perfect MAP.
 
-    By default the topic side uses REFERENCE_TOPIC_SIMS, whose one weak
-    query complements the keyword ranker's one weak query, so the rounds
-    play out the same way every run: the keyword model is picked first,
-    its failing query gets up-weighted, the topic model repairs it, and
-    training MAP reaches one.  With live_topics=True the topic scores
-    come from a freshly fitted model instead; a good fit can be perfect
-    on its own, which ends the run in one round.
+    The topic side uses REFERENCE_TOPIC_SIMS, whose one weak query
+    complements the keyword ranker's one weak query, so the rounds play out
+    the same way every run: the keyword model is picked first, its failing
+    query gets up-weighted, the topic model repairs it, and training MAP
+    reaches one.
     """
     corpus = demo_corpus()
-    if live_topics:
-        corpus, mats = demo_score_matrices(seed=seed)
-    else:
-        tfidf = train_tfidf(corpus.counts)
-        keyword = score_tfidf(tfidf, corpus.query_counts)
-        mats = [
-            ScoreMatrix("tfidf", keyword, corpus.query_ids, corpus.doc_ids),
-            ScoreMatrix("ldi", REFERENCE_TOPIC_SIMS.copy(),
-                        corpus.query_ids, corpus.doc_ids),
-        ]
+    keyword = score_tfidf(train_tfidf(corpus.counts), corpus.query_counts)
+    mats = [
+        ScoreMatrix("tfidf", keyword, corpus.query_ids, corpus.doc_ids),
+        ScoreMatrix("ldi", REFERENCE_TOPIC_SIMS.copy(),
+                    corpus.query_ids, corpus.doc_ids),
+    ]
     return train_ensemble(mats, corpus.qrels)

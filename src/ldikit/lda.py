@@ -51,7 +51,6 @@ class LdaModel:
     alpha: float
     beta: np.ndarray            # (k, vocabulary) rows sum to one
     seed: int = 0
-    n_em_iters: int = 0
 
 
 @dataclass
@@ -371,14 +370,12 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
     sweeps_trace: list[int] = []
     unsettled_trace: list[int] = []
     converged = False
-    n_iters = 0
     for em_iter in range(MAX_EM_ITERS):
-        n_iters = em_iter + 1
         stats, alpha_stat, bound, sweeps, unsettled = _estep(
             blocks, gamma, beta, alpha)
         if not np.isfinite(bound):
-            raise RuntimeError(
-                f"variational bound became non-finite at pass {n_iters}")
+            raise RuntimeError("variational bound became non-finite at "
+                               f"pass {em_iter + 1}")
         elbos.append(bound)
         sweeps_trace.append(sweeps)
         unsettled_trace.append(unsettled)
@@ -398,7 +395,7 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
         warnings.warn(f"EM stopped at the pass limit ({MAX_EM_ITERS}) "
                       "before the bound settled")
 
-    model = LdaModel(k=k, alpha=alpha, beta=beta, seed=seed, n_em_iters=n_iters)
+    model = LdaModel(k=k, alpha=alpha, beta=beta, seed=seed)
     return LdaTrainResult(model=model, gamma=gamma, elbo_trace=elbos,
                           alpha_trace=alphas, converged=converged,
                           sweeps_trace=sweeps_trace,

@@ -47,11 +47,6 @@ def _average_rows(w: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
     return vectors, has_evidence
 
 
-def document_vectors(w: np.ndarray, counts: TermDocCounts):
-    """Topic-space vectors for every document plus an evidence mask."""
-    return _average_rows(w, counts.matrix)
-
-
 @dataclass
 class LdiIndex:
     """Precomputed topic-space document vectors ready for query scoring."""
@@ -63,19 +58,17 @@ class LdiIndex:
 
 def build_index(model: LdaModel, counts: TermDocCounts) -> LdiIndex:
     w = word_topic_matrix(model.beta)
-    vectors, evidence = document_vectors(w, counts)
+    vectors, evidence = _average_rows(w, counts.matrix)
     return LdiIndex(w=w, doc_vectors=vectors, doc_evidence=evidence)
 
 
 def score_ldi(index: LdiIndex, query_counts) -> np.ndarray:
-    """Cosine of each document against each query count row in topic space.
+    """(rows x docs) cosine in topic space of each (rows x terms) query
+    count row against each document.
 
     Queries or documents without topic evidence score zero against
     everything rather than matching the uniform fallback vector.
     """
-    single = not sp.issparse(query_counts) and np.ndim(query_counts) == 1
-    q_vecs, q_evidence = _average_rows(index.w, query_counts if sp.issparse(query_counts)
-                                       else np.atleast_2d(np.asarray(query_counts)))
-    scores = cosine_scores(q_vecs, index.doc_vectors, q_evidence,
-                           index.doc_evidence)
-    return scores[0] if single else scores
+    q_vecs, q_evidence = _average_rows(index.w, query_counts)
+    return cosine_scores(q_vecs, index.doc_vectors, q_evidence,
+                         index.doc_evidence)

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import svds
 
 from .corpus import TermDocCounts
-from .vsm import TfIdfModel, cosine_scores, tfidf_query_matrix, train_tfidf
+from .vsm import cosine_scores, tfidf_query_matrix, train_tfidf
 
 SVD_TOL = 1e-8                  # largest relative residual of a kept triplet
 
@@ -99,9 +99,10 @@ def truncated_svd(matrix, k: int, seed: int = 0) -> SvdFactors:
 
 @dataclass
 class LsiModel:
-    """Latent factors over the tf-idf space, plus the weighting that made it."""
+    """Latent factors of the tf-idf space plus the idf weights that turn a
+    (rows x terms) query count matrix into that space."""
 
-    tfidf: TfIdfModel
+    idf: np.ndarray
     factors: SvdFactors
 
 
@@ -109,23 +110,19 @@ def train_lsi(counts: TermDocCounts, k: int, seed: int = 0) -> LsiModel:
     """Factor the unit-normalized tf-idf matrix arranged terms x documents."""
     tfidf = train_tfidf(counts)
     factors = truncated_svd(tfidf.doc_vectors.T, k, seed=seed)
-    return LsiModel(tfidf=tfidf, factors=factors)
+    return LsiModel(idf=tfidf.idf, factors=factors)
 
 
 def score_lsi(model: LsiModel, query_counts) -> np.ndarray:
-    """Weight count-vector queries, fold them in, rank by cosine.
+    """(rows x docs) cosine of each (rows x terms) query count row, weighted
+    and folded into latent space, against each document.
 
-    A query folds into latent space as inv(S) Ut q; queries and documents
-    are both scaled by S before the cosine, so a document used as its own
-    query scores exactly 1.
+    A query folds in as inv(S) Ut q; queries and documents are both scaled
+    by S before the cosine, so a document used as its own query scores
+    exactly 1.
     """
-    q = tfidf_query_matrix(model.tfidf, np.atleast_2d(query_counts)
-                           if not sp.issparse(query_counts) else query_counts)
-    q = q.toarray()
+    q = tfidf_query_matrix(model.idf, query_counts).toarray()
     latent = (model.factors.u.T @ q.T) / model.factors.s[:, None]
     docs = model.factors.vt * model.factors.s[:, None]
     uq = latent * model.factors.s[:, None]
-    scores = cosine_scores(uq.T, docs.T)
-    if not sp.issparse(query_counts) and np.ndim(query_counts) == 1:
-        return scores[0]
-    return scores
+    return cosine_scores(uq.T, docs.T)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import bundle
 from .corpus import Corpus
@@ -52,36 +51,25 @@ def _fit_lda(corpus, k, seed):
                           "elbo": result.elbo_trace[-1]}
 
 
-def _unpack_lsi(manifest, arrays) -> LsiModel:
-    # Scoring needs only the idf weights, so the document vectors stay empty.
-    n_docs = int(manifest["n_docs"])
-    empty = sp.csr_matrix((n_docs, len(arrays["idf"])))
-    factors = SvdFactors(u=arrays["u"], s=arrays["s"], vt=arrays["vt"],
-                         requested_k=int(manifest["requested_k"]))
-    return LsiModel(tfidf=TfIdfModel(idf=arrays["idf"], doc_vectors=empty,
-                                     n_docs=n_docs),
-                    factors=factors)
-
-
 RANKERS = {
     "tfidf": Ranker(
         fit=lambda corpus, k, seed: (train_tfidf(corpus.counts), None),
         score=lambda m, corpus: score_tfidf(m, corpus.query_counts),
-        pack=lambda m: ({"n_docs": m.n_docs},
-                        {"idf": m.idf, "doc_vectors": m.doc_vectors}),
+        pack=lambda m: ({}, {"idf": m.idf, "doc_vectors": m.doc_vectors}),
         unpack=lambda manifest, a: TfIdfModel(
-            idf=a["idf"], doc_vectors=a["doc_vectors"].astype(float),
-            n_docs=int(manifest["n_docs"])),
+            idf=a["idf"], doc_vectors=a["doc_vectors"].astype(float)),
         needs_k=False),
     "lsi": Ranker(
         fit=lambda corpus, k, seed: (train_lsi(corpus.counts, k=k, seed=seed),
                                      None),
         score=lambda m, corpus: score_lsi(m, corpus.query_counts),
-        pack=lambda m: ({"n_docs": m.tfidf.n_docs,
-                         "requested_k": m.factors.requested_k},
-                        {"idf": m.tfidf.idf, "u": m.factors.u,
-                         "s": m.factors.s, "vt": m.factors.vt}),
-        unpack=_unpack_lsi),
+        pack=lambda m: ({"requested_k": m.factors.requested_k},
+                        {"idf": m.idf, "u": m.factors.u, "s": m.factors.s,
+                         "vt": m.factors.vt}),
+        unpack=lambda manifest, a: LsiModel(
+            idf=a["idf"],
+            factors=SvdFactors(u=a["u"], s=a["s"], vt=a["vt"],
+                               requested_k=int(manifest["requested_k"])))),
     "plsi": Ranker(
         fit=lambda corpus, k, seed: (train_plsa(corpus.counts, k=k,
                                                 seed=seed).model, None),

@@ -230,15 +230,14 @@ def train_plsa(counts: TermDocCounts, k: int,
 
 
 def fold_in(model: PlsaModel, query_counts):
-    """Topic mixtures for held-out texts with the word tables frozen.
+    """Topic mixtures for a (rows x terms) count matrix of held-out texts,
+    with the word tables frozen.
 
     EM over P(z|q) only, run at the model's final temperature.  Returns the
-    mixture rows and a mask of rows that had any in-vocabulary term (others
-    are uniform).
+    (rows x k) mixtures and a mask of rows that had any in-vocabulary term
+    (others are uniform).
     """
-    rows = sp.csr_matrix(query_counts if sp.issparse(query_counts)
-                         else np.atleast_2d(np.asarray(query_counts)),
-                         dtype=float).tocsr()
+    rows = sp.csr_matrix(query_counts, dtype=float)
     k = model.k
     cells = TokenCells(rows)
     lengths = np.asarray(rows.sum(axis=1)).ravel()
@@ -260,11 +259,10 @@ def fold_in(model: PlsaModel, query_counts):
 
 
 def score_plsa(model: PlsaModel, query_counts) -> np.ndarray:
-    """Cosine between folded-in query mixtures and document mixtures.
+    """(rows x docs) cosine between the folded-in mixtures of a (rows x
+    terms) query count matrix and the document mixtures.
 
     Rows (queries or documents) without topic evidence score zero.
     """
-    single = not sp.issparse(query_counts) and np.ndim(query_counts) == 1
     q_mix, q_evidence = fold_in(model, query_counts)
-    scores = cosine_scores(q_mix, model.p_dz, q_evidence)
-    return scores[0] if single else scores
+    return cosine_scores(q_mix, model.p_dz, q_evidence)

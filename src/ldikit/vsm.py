@@ -16,7 +16,6 @@ class TfIdfModel:
 
     idf: np.ndarray
     doc_vectors: sp.csr_matrix
-    n_docs: int
 
 
 def _row_normalize(matrix: sp.csr_matrix) -> sp.csr_matrix:
@@ -58,31 +57,24 @@ def train_tfidf(counts: TermDocCounts) -> TfIdfModel:
         raise ValueError("vocabulary term with zero document frequency")
     idf = np.log(m / df)
     weighted = matrix.multiply(idf).tocsr()
-    return TfIdfModel(idf=idf, doc_vectors=_row_normalize(weighted), n_docs=m)
+    return TfIdfModel(idf=idf, doc_vectors=_row_normalize(weighted))
 
 
-def tfidf_query_matrix(model: TfIdfModel, query_counts) -> sp.csr_matrix:
-    """Apply the training idf weights to query count rows and normalize."""
+def tfidf_query_matrix(idf: np.ndarray, query_counts) -> sp.csr_matrix:
+    """Weight a (rows x terms) count matrix by the training ``idf`` and
+    scale each row to unit length."""
     q = sp.csr_matrix(query_counts, dtype=float)
-    if q.shape[1] != model.idf.shape[0]:
+    if q.shape[1] != idf.shape[0]:
         raise ValueError("query vector length does not match the vocabulary")
-    return _row_normalize(q.multiply(model.idf).tocsr())
+    return _row_normalize(q.multiply(idf).tocsr())
 
 
 def score_tfidf(model: TfIdfModel, query_counts) -> np.ndarray:
-    """Cosine similarity of each document against each query count row.
+    """(rows x docs) cosine of each (rows x terms) query count row against
+    each document.
 
-    Accepts a single count vector or a (queries x vocabulary) matrix; since
-    both sides are unit length the cosine reduces to a dot product.  Queries
-    with no in-vocabulary term score zero everywhere.
+    Both sides are unit length, so the cosine is a dot product.  Rows with
+    no in-vocabulary term score zero everywhere.
     """
-    if sp.issparse(query_counts):
-        single = False
-        q_in = query_counts
-    else:
-        arr = np.asarray(query_counts, dtype=float)
-        single = arr.ndim == 1
-        q_in = np.atleast_2d(arr)
-    q = tfidf_query_matrix(model, q_in)
-    scores = (q @ model.doc_vectors.T).toarray()
-    return scores[0] if single else scores
+    q = tfidf_query_matrix(model.idf, query_counts)
+    return (q @ model.doc_vectors.T).toarray()

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import os
 import shlex
@@ -444,6 +446,27 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(line)[1:])
         except cli.UsageError as exc:
             pytest.fail(f"README line {line!r} does not parse: {exc}")
+
+
+def test_readme_imports_resolve():
+    # every `from ldikit... import ...` of the README's python blocks names
+    # a module and attribute that exist; the blocks themselves never run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0]
+              for part in readme.split("```python\n")[1:]]
+    assert blocks
+    checked = 0
+    for block in blocks:
+        for node in ast.walk(ast.parse(block)):
+            if not (isinstance(node, ast.ImportFrom)
+                    and node.module.split(".")[0] == "ldikit"):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), \
+                    f"README imports {alias.name} from {node.module}"
+                checked += 1
+    assert checked >= 5
 
 
 class TestEntryPoints:

@@ -305,6 +305,27 @@ class TestCollections:
         assert merged.qrels[3] == {4, 6}
         assert merged.documents[3].source == "b"
 
+    def test_merge_keeps_judgments_of_unparsed_ids_apart(self):
+        # a judges query 5 and document 9, neither of which it parsed; the
+        # next collection's ids start above them, so the pairs stay unknown
+        # instead of being overwritten by or attributed to b's ids
+        a = tiny_collection("a")
+        a.qrels[5] = {4}
+        a.qrels[2] = {2, 9}
+        docs = [RawDocument(i, "", "alpha", "b") for i in (1, 2, 3)]
+        b = Collection(name="b", documents=docs,
+                       queries=[Query(i, "alpha", "b") for i in (1, 2, 3)],
+                       qrels={1: {1}, 3: {3}})
+        merged = merge_collections([a, b], name="ab")
+        assert [q.query_id for q in merged.queries] == [1, 2, 6, 7, 8]
+        assert [d.doc_id for d in merged.documents] == [1, 2, 3, 10, 11, 12]
+        assert merged.qrels == {1: {1, 3}, 2: {2, 9}, 5: {4},
+                                6: {10}, 8: {12}}
+        assert validate_qrels(merged) == [
+            "query 2: judged document 9 not parsed",
+            "judgments for unknown query 5",
+            "query 5: judged document 4 not parsed"]
+
     def test_merge_keeps_disjoint_ids_stable(self):
         a = tiny_collection("a")
         merged = merge_collections([a], name="solo")

@@ -6,6 +6,7 @@ from ldikit.demo import (DOC_LABELS, DOC_TERM_COUNTS, QUERY_TERMS, RELEVANT,
                          REFERENCE_TOPIC_SIMS, TERMS, demo_boosting,
                          demo_corpus, demo_score_matrices, fit_demo_topics,
                          raw_collection)
+from ldikit.ensemble import train_ensemble
 from ldikit.metrics import evaluate_scores
 
 # document rows per subject group, following DOC_LABELS order
@@ -158,6 +159,7 @@ class TestDemoBoosting:
         assert self.weights.rounds[1].pool_reset
 
     def test_live_topic_fit_also_fuses_cleanly(self):
-        live = demo_boosting(live_topics=True)
+        corpus, mats = demo_score_matrices()
+        live = train_ensemble(mats, corpus.qrels)
         assert live.train_map == 1.0
         assert live.converged

@@ -242,7 +242,6 @@ class TestBoundMonotonicity:
                 warnings.simplefilter("ignore")
                 result = train_lda(counts, k=5, seed=seed)
             assert elbo_non_decreasing(result.elbo_trace)
-            assert len(result.elbo_trace) == result.model.n_em_iters
 
     def test_fixed_alpha(self):
         counts = random_counts(20, 25, 1)

