@@ -63,13 +63,19 @@ RANKERS = {
         fit=lambda corpus, k, seed: (train_lsi(corpus.counts, k=k, seed=seed),
                                      None),
         score=lambda m, corpus: score_lsi(m, corpus.query_counts),
-        pack=lambda m: ({"requested_k": m.factors.requested_k},
+        pack=lambda m: ({"requested_k": m.factors.requested_k,
+                         "svd_residual": m.factors.residual,
+                         "gram_products": m.factors.gram_products},
                         {"idf": m.idf, "u": m.factors.u, "s": m.factors.s,
                          "vt": m.factors.vt}),
+        # bundles written before the fit was recorded lack its two keys
         unpack=lambda manifest, a: LsiModel(
             idf=a["idf"],
-            factors=SvdFactors(u=a["u"], s=a["s"], vt=a["vt"],
-                               requested_k=int(manifest["requested_k"])))),
+            factors=SvdFactors(
+                u=a["u"], s=a["s"], vt=a["vt"],
+                requested_k=int(manifest["requested_k"]),
+                residual=float(manifest.get("svd_residual", "nan")),
+                gram_products=int(manifest.get("gram_products", 0))))),
     "plsi": Ranker(
         fit=lambda corpus, k, seed: (train_plsa(corpus.counts, k=k,
                                                 seed=seed).model, None),
@@ -118,6 +124,8 @@ class FittedModel:
     corpus_name: str
     k: int | None = None
     seed: int = 0
+    # manifest scalars beyond the header: the fit summary (and, on a loaded
+    # model, the ranker's own scalars too)
     extra: dict | None = None
 
 
@@ -173,14 +181,21 @@ def save_fitted(fitted: FittedModel, out_dir):
     return bundle.save_model(out_dir, fitted.kind, manifest, arrays)
 
 
+_HEADER = ("bundle_version", "kind", "corpus_checksum", "corpus_name", "k",
+           "seed")
+
+
 def load_fitted(in_dir) -> FittedModel:
     manifest, arrays = bundle.load_model(in_dir)
     kind = manifest["kind"]
     payload = _ranker(kind).unpack(manifest, arrays)
+    extra = {key: value for key, value in manifest.items()
+             if key not in _HEADER}
     return FittedModel(kind=kind, payload=payload,
                        corpus_checksum=manifest["corpus_checksum"],
                        corpus_name=manifest.get("corpus_name", ""),
-                       k=manifest.get("k"), seed=manifest.get("seed", 0))
+                       k=manifest.get("k"), seed=manifest.get("seed", 0),
+                       extra=extra or None)
 
 
 def sweep_topics(corpus: Corpus, method: str, ks, seeds) -> list[dict]:

@@ -4,14 +4,39 @@ import scipy.sparse as sp
 
 from oracles import jacobi_svd
 from ldikit.corpus import TermDocCounts
-from ldikit.lsa import SvdFactors, score_lsi, train_lsi, truncated_svd
-from ldikit.vsm import tfidf_query_matrix
+from ldikit.lsa import (SVD_TOL, SvdFactors, _residuals, score_lsi, train_lsi,
+                        truncated_svd)
+from ldikit.vsm import tfidf_query_matrix, train_tfidf
 
 
 def make_counts(rows):
     matrix = sp.csr_matrix(np.asarray(rows, dtype=np.int64))
     return TermDocCounts(matrix=matrix,
                          doc_lengths=np.asarray(matrix.sum(axis=1)).ravel())
+
+
+def planted_tfidf(n_docs=200, n_words=400, n_topics=5, doc_length=40, seed=3):
+    """(terms x docs) tf-idf of documents drawn from a few planted topics,
+    the shape perfbench's generator makes: a handful of large singular
+    values, then a flat tail of sampling noise."""
+    rng = np.random.default_rng(seed)
+    topics = rng.dirichlet(np.full(n_words, 0.05), n_topics)
+    prior = np.full((n_docs, n_topics), 0.1)
+    prior[np.arange(n_docs), rng.integers(n_topics, size=n_docs)] += 2.0
+    mixtures = np.array([rng.dirichlet(row) for row in prior])
+    counts = rng.multinomial(doc_length, mixtures @ topics)
+    keep = counts.sum(axis=0) > 0
+    return train_tfidf(make_counts(counts[:, keep])).doc_vectors.T.tocsr()
+
+
+def assert_verified(factors, matrix, k):
+    """Singular values of dense LAPACK, residuals within the contract."""
+    s_ref = np.linalg.svd(matrix.toarray(), compute_uv=False)[:k]
+    np.testing.assert_allclose(factors.s, s_ref, rtol=0, atol=1e-10)
+    assert np.all(np.isfinite(factors.u)) and np.all(np.isfinite(factors.vt))
+    res = _residuals(matrix, factors.u, factors.s, factors.vt)
+    assert res.max() <= SVD_TOL
+    assert factors.residual == res.max()
 
 
 class TestTruncatedSvd:
@@ -73,6 +98,54 @@ class TestTruncatedSvd:
             truncated_svd(np.ones((3, 3)), 0)
         with pytest.raises(ValueError):
             truncated_svd(np.zeros((4, 4)), 2)
+
+
+class TestGramLanczos:
+    """The Lanczos path: the Gram matrix of the smaller side, either way."""
+
+    @pytest.mark.parametrize("shape", [(120, 45), (45, 120)])
+    def test_either_side_matches_lapack(self, shape):
+        matrix = sp.random(*shape, density=0.15, random_state=4, format="csr")
+        factors = truncated_svd(matrix, 10, seed=2)
+        assert_verified(factors, matrix, 10)
+        assert factors.u.shape == (shape[0], 10)
+        assert factors.vt.shape == (10, shape[1])
+        np.testing.assert_allclose(factors.u.T @ factors.u, np.eye(10),
+                                   atol=1e-8)
+        np.testing.assert_allclose(factors.vt @ factors.vt.T, np.eye(10),
+                                   atol=1e-8)
+        assert factors.gram_products > 0
+
+    def test_flat_tail_past_planted_rank(self):
+        matrix = planted_tfidf()
+        s_all = np.linalg.svd(matrix.toarray(), compute_uv=False)
+        # past the planted rank the spectrum is flat: neighbours within 5%
+        assert s_all[4] / s_all[5] > 2 and np.all(s_all[6:31] / s_all[5:30] > 0.95)
+        assert_verified(truncated_svd(matrix, 30, seed=0), matrix, 30)
+
+    def test_rank_deficient_sparse_trimmed(self):
+        rng = np.random.default_rng(12)
+        low = rng.random((60, 4)) @ rng.random((4, 40))
+        low[low < 0.6] = 0.0                      # sparse, rank well below k
+        matrix = sp.csr_matrix(np.hstack([low, low]))
+        rank = np.linalg.matrix_rank(matrix.toarray())
+        with np.errstate(all="raise"):
+            factors = truncated_svd(matrix, rank + 8)
+        assert factors.k == rank and factors.rank_deficient
+        assert np.all(np.isfinite(factors.u)) and np.all(np.isfinite(factors.vt))
+        assert factors.residual <= SVD_TOL
+
+    def test_same_seed_same_bits(self):
+        matrix = planted_tfidf()
+        a, b = truncated_svd(matrix, 12, seed=7), truncated_svd(matrix, 12, seed=7)
+        for name in ("u", "s", "vt"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.gram_products == b.gram_products
+
+    def test_dense_branch_makes_no_gram_products(self):
+        factors = truncated_svd(np.random.default_rng(1).standard_normal((9, 5)), 5)
+        assert factors.gram_products == 0
+        assert factors.residual <= SVD_TOL
 
 
 class TestLsiRanking:

@@ -10,6 +10,7 @@ from ldikit.config import (data_root, default_topic_count,
                            find_collection_files, resolve_out_path)
 from ldikit.corpus import Corpus, judged_pairs, load_corpus, save_corpus
 from ldikit.demo import RELEVANT, demo_corpus
+from ldikit.lsa import SVD_TOL
 from ldikit.pipeline import (FittedModel, evaluate_matrix, load_fitted,
                              resolve_method, save_fitted, score_corpus,
                              sweep_topics, train_model)
@@ -109,6 +110,12 @@ class TestTrainScoreEvaluate:
         assert set(fitted.extra) == {"alpha", "converged", "elbo"}
         assert fitted.extra["alpha"] > 0
 
+    def test_lsi_records_how_its_svd_ended(self, corpus, tmp_path):
+        save_fitted(fit(corpus, "lsi"), tmp_path / "m")
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert 0 <= manifest["svd_residual"] <= SVD_TOL
+        assert manifest["gram_products"] > 0
+
 
 class TestDispatch:
     """The method table reaches the ranker functions through this module."""
@@ -157,6 +164,19 @@ class TestPersistence:
         save_fitted(fitted, tmp_path / method)
         assert_same_fields(load_fitted(tmp_path / method).payload,
                            fitted.payload)
+
+    @pytest.mark.parametrize("method", ["lsi", "lda"])
+    def test_resaved_model_writes_the_same_manifest(self, corpus, method,
+                                                   tmp_path):
+        fitted = fit(corpus, method)
+        save_fitted(fitted, tmp_path / "first")
+        loaded = load_fitted(tmp_path / "first")
+        save_fitted(loaded, tmp_path / "second")
+        first, second = ((tmp_path / d / "manifest.json").read_bytes()
+                         for d in ("first", "second"))
+        assert first == second
+        if method == "lda":
+            assert loaded.extra == fitted.extra
 
     @pytest.mark.parametrize("method", ["tfidf", "lsi"])
     def test_bundle_with_document_count_still_loads(self, corpus, method,
