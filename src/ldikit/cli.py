@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage problems, 2 unreadable or malformed data,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -51,7 +52,12 @@ def _counts_from(least: int):
     return counts
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The process's one parser, built on first use (``__wrapped__`` builds
+    a fresh one).  ``parse_args`` keeps no state between calls: each
+    returns a fresh namespace, and list options (``--spec``, ``--ks``) get
+    new lists every call."""
     parser = _Parser(prog="ldikit",
                      description="Topic-space indexing and rank fusion over "
                                  "classic retrieval test collections.")
@@ -337,9 +343,10 @@ _NUMERIC_ERRORS = (RuntimeError, FloatingPointError, np.linalg.LinAlgError,
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command; returns its exit code.  Callable repeatedly in one
+    process: the parser is built once, handlers are looked up per call."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -10,6 +10,7 @@ array.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -275,8 +276,12 @@ class StopList:
         return iter(sorted(self.terms))
 
 
+@functools.cache
 def smart_stoplist() -> StopList:
-    """The bundled 571-term stoplist used by the classic retrieval systems."""
+    """The bundled 571-term stoplist used by the classic retrieval systems.
+
+    Parsed once per process; every call returns that one (immutable) list.
+    """
     text = resources.files("ldikit.data").joinpath("smart_stopwords.txt").read_text()
     stop = StopList(text.splitlines())
     if len(stop) != 571:

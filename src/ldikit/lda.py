@@ -335,7 +335,10 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
     The bound is recorded once per pass, evaluated at the fresh variational
     parameters under the model that produced them, so the recorded sequence
     is non-decreasing.  Stops on relative bound change below ``EM_TOL``, or
-    after ``MAX_EM_ITERS`` passes with a warning.  ``alpha`` None starts the
+    after ``MAX_EM_ITERS`` passes with a warning.  ``converged`` is set only
+    when the bound settled and the last pass left no document unsettled by
+    the ``VAR_MAX_ITERS`` sweep cap; a settled bound with unsettled
+    documents warns with their count.  ``alpha`` None starts the
     symmetric prior weight at 50 / k and estimates it each pass; a number
     holds it fixed at that value (clamped to [ALPHA_MIN, ALPHA_MAX]).
     ``beta_init`` overrides the random topic start, e.g. with rows built
@@ -369,7 +372,7 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
     alphas: list[float] = [alpha]
     sweeps_trace: list[int] = []
     unsettled_trace: list[int] = []
-    converged = False
+    bound_settled = False
     for em_iter in range(MAX_EM_ITERS):
         stats, alpha_stat, bound, sweeps, unsettled = _estep(
             blocks, gamma, beta, alpha)
@@ -389,11 +392,15 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
         if em_iter > 0:
             prev, cur = elbos[-2], elbos[-1]
             if abs(cur - prev) / max(abs(prev), 1e-12) < EM_TOL:
-                converged = True
+                bound_settled = True
                 break
-    if not converged:
+    converged = bound_settled and unsettled == 0
+    if not bound_settled:
         warnings.warn(f"EM stopped at the pass limit ({MAX_EM_ITERS}) "
                       "before the bound settled")
+    elif unsettled:
+        warnings.warn(f"the bound settled, but the sweep cap ({VAR_MAX_ITERS}) "
+                      f"left {unsettled} documents unsettled in the last pass")
 
     model = LdaModel(k=k, alpha=alpha, beta=beta, seed=seed)
     return LdaTrainResult(model=model, gamma=gamma, elbo_trace=elbos,

@@ -52,11 +52,25 @@ def _average_precisions(precisions: np.ndarray, counts: np.ndarray) -> np.ndarra
 
 
 def _curves(precisions: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Interpolated precision at the 11 recall levels, one row per ranking."""
+    """Interpolated precision at the 11 recall levels, one row per ranking.
+
+    Level l reads the best precision from the first hit ``m`` (0-based)
+    whose recall ``(m + 1) / count`` is not below ``l - 1e-12``.  That is
+    ``ceil(l * count) - 1`` up to float rounding, which the same float
+    test settles by single steps.
+    """
     best_from = np.maximum.accumulate(precisions[:, ::-1], axis=1)[:, ::-1]
-    recalls = np.arange(1, precisions.shape[1] + 1) / counts[:, None]
-    first = (recalls[:, :, None] < RECALL_LEVELS - 1e-12).sum(axis=1)
-    return np.take_along_axis(best_from, first, axis=1)
+    counts = counts[:, None]
+    floor = RECALL_LEVELS - 1e-12
+    first = np.maximum(np.ceil(RECALL_LEVELS * counts).astype(np.int64) - 1, 0)
+    while True:
+        # hit ``first`` is still below the level; hit ``first - 1`` is not
+        below = (first + 1) / counts < floor
+        reached = (first > 0) & ~(first / counts < floor)
+        if not (below.any() or reached.any()):
+            return np.take_along_axis(best_from, first, axis=1)
+        first += below
+        first -= reached
 
 
 def _ranking_precisions(ranked_ids, relevant) -> tuple[np.ndarray, np.ndarray]:

@@ -252,6 +252,13 @@ def argsort_curves(scores, query_ids, doc_ids, qrels):
     """11-point interpolated precision of every judged row."""
     _, precisions, counts = argsort_hit_precisions(scores, query_ids, doc_ids,
                                                    qrels)
+    return cube_curves(precisions, counts)
+
+
+def cube_curves(precisions, counts):
+    """11-point curves of zero-padded hit-precision rows, each recall
+    level's first hit found by comparing every hit's recall with every
+    level (a queries x hits x 11 cube)."""
     best_from = np.maximum.accumulate(precisions[:, ::-1], axis=1)[:, ::-1]
     recalls = np.arange(1, precisions.shape[1] + 1) / counts[:, None]
     levels = np.linspace(0.0, 1.0, 11)

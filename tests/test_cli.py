@@ -432,6 +432,74 @@ class TestLdiInspect:
         assert "lda model" in err
 
 
+class TestParserReuse:
+    """main builds its parser once per process; no call sees another's
+    values."""
+
+    def test_built_once_across_calls(self, ws, tmp_path, capsys):
+        cli._build_parser.cache_clear()
+        codes = [run(capsys, argv)[0] for argv in (
+            ["eval", "--corpus", str(ws["corpus"]),
+             "--scores", str(ws["tfidf_scores"])],
+            ["train", "--corpus", str(ws["corpus"]), "--method", "tfidf",
+             "--out", str(tmp_path / "m")],
+            ["eval", "--corpus", str(ws["corpus"])],
+            [])]
+        assert codes == [0, 0, 1, 1]
+        calls = cli._build_parser.cache_info()
+        assert (calls.misses, calls.hits) == (1, 3)
+
+    def test_corpus_builds_do_not_share_specs_or_names(self, ws, tmp_path,
+                                                       capsys):
+        spec2 = f"again={ws['docs']},{ws['queries']},{ws['qrels']}"
+        assert run(capsys, ["corpus", "build", "--spec", ws["spec"],
+                            "--spec", spec2, "--name", "both", "--no-stoplist",
+                            "--out", str(tmp_path / "merged")])[0] == 0
+        code, out, _ = run(capsys, ["corpus", "build", "--spec", spec2,
+                                    "--out", str(tmp_path / "single")])
+        assert code == 0
+        assert "6 documents" in out
+        single = load_corpus(tmp_path / "single")
+        assert single.name == "again"
+        assert "the" not in single.vocabulary
+        assert load_corpus(tmp_path / "merged").n_docs == 12
+
+    def test_train_k_does_not_carry_over(self, ws, tmp_path, capsys):
+        argv = ["train", "--corpus", str(ws["corpus"]), "--method", "lsi",
+                "--out", str(tmp_path / "m")]
+        code, out, _ = run(capsys, [*argv, "--k", "2"])
+        assert code == 0 and "k=2" in out
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "topic count" in err
+
+    def test_usage_error_after_success_exits_1(self, ws, capsys):
+        assert run(capsys, ["eval", "--corpus", str(ws["corpus"]),
+                            "--scores", str(ws["tfidf_scores"])])[0] == 0
+        code, _, err = run(capsys, ["eval", "--scores",
+                                    str(ws["tfidf_scores"])])
+        assert code == 1
+        assert "usage error" in err and "--corpus" in err
+
+    # every parser main can print help for, by its argv prefix
+    @pytest.mark.parametrize("prefix", [
+        [], ["corpus"], ["corpus", "build"], ["train"], ["score"], ["eval"],
+        ["ensemble"], ["ensemble", "train"], ["ensemble", "apply"],
+        ["ensemble", "crossval"], ["sweep"], ["ldi"], ["ldi", "inspect"],
+    ], ids=lambda p: "-".join(p) or "ldikit")
+    def test_help_equals_a_fresh_parser(self, ws, capsys, prefix):
+        run(capsys, ["eval", "--corpus", str(ws["corpus"]),
+                     "--scores", str(ws["tfidf_scores"])])
+        with pytest.raises(SystemExit) as shown:
+            cli.main([*prefix, "--help"])
+        assert shown.value.code == 0
+        text = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli._build_parser.__wrapped__().parse_args([*prefix, "--help"])
+        assert capsys.readouterr().out == text
+        assert text.startswith(" ".join(["usage: ldikit", *prefix]))
+
+
 def test_readme_commands_parse():
     # every ldikit line of the README's command-line block; globs such as
     # scores/*.bin stay literal, since parsing reads no files

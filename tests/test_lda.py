@@ -440,11 +440,14 @@ class TestSweepRecord:
         monkeypatch.setattr(lda, "DOC_CHUNK", 8)
         rows = random_counts(20, 15, 15).matrix.toarray()
         rows[[3, 17]] = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        # the bound settles before the pass limit, but a fit whose last
+        # pass the cap cut short is not converged, and says why
+        with pytest.warns(UserWarning, match=r"sweep cap \(1\) left 18 "):
             result = train_lda(make_counts(rows), k=3, seed=0)
+        assert len(result.elbo_trace) < lda.MAX_EM_ITERS
         assert result.sweeps_trace == [1] * len(result.elbo_trace)
         assert result.unsettled_trace == [18] * len(result.elbo_trace)
+        assert not result.converged
 
 
 class TestTrainingGuards:

@@ -3,7 +3,8 @@ import pytest
 
 from oracles import (argsort_average_precisions, argsort_curves,
                      argsort_hit_precisions, argsort_ranking,
-                     brute_force_average_precision, brute_force_pr_curve)
+                     brute_force_average_precision, brute_force_pr_curve,
+                     cube_curves)
 from ldikit import metrics
 from ldikit.corpus import judged_pairs
 from ldikit.metrics import (EvalReport, Judgments, ap_matrix,
@@ -84,6 +85,16 @@ class TestPrCurve:
             relevant = set(rng.choice(ids, size=5, replace=False).tolist())
             curve = pr_curve(ids.tolist(), relevant)
             assert np.all(np.diff(curve) <= 1e-12)
+
+    def test_closed_form_equals_comparison_cube_for_every_count(self):
+        # relevant counts 1..5,000; precisions fall strictly along each
+        # row, so every level's value names the hit it was read from
+        for lo in range(1, 5001, 250):
+            counts = np.arange(lo, lo + 250)
+            hit = np.arange(counts.max())
+            precisions = np.where(hit < counts[:, None], 1.0 / (hit + 1), 0.0)
+            assert (metrics._curves(precisions, counts)
+                    == cube_curves(precisions, counts)).all(), lo
 
 
 class TestEvaluateScores:
