@@ -1,8 +1,9 @@
-"""Experiment configuration: collection locations, defaults, environment.
+"""Experiment configuration: the paper's topic counts and the output
+directory.
 
-The classic test collections are not bundled; point ``LDIKIT_DATA_DIR`` at a
-directory containing them under their customary file names and the lookup
-helpers below will find them, case-insensitively, in any subdirectory.
+``LDIKIT_OUT_DIR``, when set, is where relative output paths land.  The
+classic test collections are not bundled; every command takes their file
+paths explicitly.
 """
 
 from __future__ import annotations
@@ -10,16 +11,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-DATA_DIR_ENV = "LDIKIT_DATA_DIR"
 OUT_DIR_ENV = "LDIKIT_OUT_DIR"
-
-# Customary file triples (documents, queries, judgments) per collection.
-STANDARD_FILES = {
-    "MED": ("MED.ALL", "MED.QRY", "MED.REL"),
-    "CRAN": ("cran.all.1400", "cran.qry", "cranqrel"),
-    "CISI": ("CISI.ALL", "CISI.QRY", "CISI.REL"),
-    "CACM": ("cacm.all", "query.text", "qrels.text"),
-}
 
 # Topic counts that maximized retrieval quality per method and collection.
 DEFAULT_TOPIC_COUNTS = {
@@ -36,17 +28,6 @@ def default_topic_count(method: str, collection: str) -> int | None:
         collection.upper())
 
 
-def data_root(explicit=None) -> Path | None:
-    """The collection directory: explicit flag, environment, or ./data."""
-    if explicit:
-        return Path(explicit)
-    env = os.environ.get(DATA_DIR_ENV)
-    if env:
-        return Path(env)
-    fallback = Path("data")
-    return fallback if fallback.is_dir() else None
-
-
 def resolve_out_path(path) -> Path:
     """Relative output paths land under ``LDIKIT_OUT_DIR`` when it is set."""
     path = Path(path)
@@ -55,26 +36,3 @@ def resolve_out_path(path) -> Path:
         return Path(base) / path
     return path
 
-
-def find_collection_files(root, name: str):
-    """Locate the (documents, queries, judgments) files for one collection.
-
-    Searches ``root`` recursively, matching the customary names without
-    case sensitivity.  Returns None when any of the three is missing.
-    """
-    if root is None:
-        return None
-    root = Path(root)
-    if not root.is_dir():
-        return None
-    wanted = STANDARD_FILES.get(name.upper())
-    if wanted is None:
-        return None
-    lowered = {p.name.lower(): p for p in sorted(root.rglob("*")) if p.is_file()}
-    found = []
-    for filename in wanted:
-        hit = lowered.get(filename.lower())
-        if hit is None:
-            return None
-        found.append(hit)
-    return tuple(found)

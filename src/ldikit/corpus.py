@@ -272,9 +272,6 @@ class StopList:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __iter__(self):
-        return iter(sorted(self.terms))
-
 
 @functools.cache
 def smart_stoplist() -> StopList:
@@ -301,7 +298,10 @@ class Vocabulary:
     """Fixed term list; index order is first occurrence in the corpus."""
 
     terms: list[str]
-    index: dict[str, int]
+    index: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.index = {t: j for j, t in enumerate(self.terms)}
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -324,29 +324,22 @@ class TermDocCounts:
     def n_docs(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def n_terms(self) -> int:
-        return self.matrix.shape[1]
 
+class _TermIds(dict):
+    """Split-text token -> term id, numbering ``terms`` in the order they are
+    first looked up, or -1 where the tokenizer drops the token; the rule is
+    checked once per distinct token."""
 
-class _FirstSeen(dict):
-    """term -> id, numbering terms in the order they are first looked up."""
-
-    def __missing__(self, term):
-        self[term] = n = len(self)
-        return n
-
-
-class _TextTerms(dict):
-    """Split-text token -> its id in ``ids``, or -1 where the tokenizer drops
-    the token; the rule is checked once per distinct token."""
-
-    def __init__(self, ids: _FirstSeen):
+    def __init__(self):
         super().__init__()
-        self.ids = ids
+        self.terms: list[str] = []
 
     def __missing__(self, token):
-        self[token] = n = self.ids[token] if _is_term(token) else -1
+        n = -1
+        if _is_term(token):
+            n = len(self.terms)
+            self.terms.append(token)
+        self[token] = n
         return n
 
 
@@ -360,31 +353,31 @@ class _TokenIds:
 
 
 def _token_ids(docs: Sequence) -> _TokenIds:
-    """Map the tokens of RawDocuments, texts or token lists to term ids.
+    """Map the tokens of RawDocuments or texts to term ids.
 
-    One dict lookup per token.  Texts are tokenized as `tokenize` does;
-    token lists are taken as they are.
+    One dict lookup per token; texts are tokenized as `tokenize` does.
     """
-    ids = _FirstSeen()
-    text_ids = _TextTerms(ids)
+    ids = _TermIds()
     flat: list[int] = []
     lengths: list[int] = []
     for doc in docs:
         if isinstance(doc, RawDocument):
             doc = doc.text
         start = len(flat)
-        if isinstance(doc, str):
-            flat.extend(map(text_ids.__getitem__, _clean(doc).split()))
-        else:
-            flat.extend(map(ids.__getitem__, doc))
+        flat.extend(map(ids.__getitem__, _clean(doc).split()))
         lengths.append(len(flat) - start)
     return _TokenIds(ids=np.array(flat, dtype=np.int64),
-                     lengths=np.array(lengths, dtype=np.int64), terms=list(ids))
+                     lengths=np.array(lengths, dtype=np.int64), terms=ids.terms)
 
 
 def _vocabulary(tokens: _TokenIds, stoplist: StopList | None):
-    """The vocabulary of `build_vocabulary`, and each term id's column in it
-    (-1 outside it, and at index -1 for dropped tokens)."""
+    """The vocabulary: tokens minus stop terms minus singletons, and each
+    term id's column in it (-1 outside it, and at index -1 for dropped
+    tokens).
+
+    A term must occur at least twice across the whole corpus to enter the
+    vocabulary.  Index order is first occurrence among surviving terms.
+    """
     n_ids = len(tokens.terms)
     keep = np.bincount(tokens.ids[tokens.ids >= 0], minlength=n_ids) >= 2
     if stoplist is not None:
@@ -394,7 +387,7 @@ def _vocabulary(tokens: _TokenIds, stoplist: StopList | None):
         raise ValueError("vocabulary is empty after preprocessing")
     column = np.full(n_ids + 1, -1, dtype=np.int64)
     column[:-1][keep] = np.arange(len(terms))
-    return Vocabulary(terms=terms, index={t: j for j, t in enumerate(terms)}), column
+    return Vocabulary(terms=terms), column
 
 
 def _counts(tokens: _TokenIds, column: np.ndarray, n_terms: int) -> TermDocCounts:
@@ -413,15 +406,6 @@ def _counts(tokens: _TokenIds, column: np.ndarray, n_terms: int) -> TermDocCount
     )
     lengths = np.bincount(rows, minlength=n_docs).astype(np.int64)
     return TermDocCounts(matrix=matrix, doc_lengths=lengths)
-
-
-def build_vocabulary(docs: Sequence, stoplist: StopList | None = None) -> Vocabulary:
-    """Build the vocabulary: tokens minus stop terms minus singletons.
-
-    A term must occur at least twice across the whole corpus to enter the
-    vocabulary.  Index order is first occurrence among surviving terms.
-    """
-    return _vocabulary(_token_ids(docs), stoplist)[0]
 
 
 def count_matrix(docs: Sequence, vocab: Vocabulary) -> TermDocCounts:
@@ -529,12 +513,6 @@ class Corpus:
     def n_queries(self) -> int:
         return len(self.query_ids)
 
-    def doc_row(self, doc_id: int) -> int:
-        rows = np.nonzero(self.doc_ids == doc_id)[0]
-        if len(rows) == 0:
-            raise KeyError(f"unknown document id {doc_id}")
-        return int(rows[0])
-
     def checksum(self) -> str:
         """Content hash covering vocabulary, ids, counts and judged pairs."""
         h = hashlib.sha256()
@@ -639,16 +617,14 @@ def load_corpus(in_dir) -> Corpus:
         raise ValueError(f"unsupported corpus format version {version}; "
                          "rebuild the bundle with `ldikit corpus build`")
     manifest, arrays = bundle.load_model(in_dir, manifest)
-    terms = manifest["terms"]
     matrix = arrays["counts"]
     pairs = _sorted_pairs(arrays["qrels"])
     pairs.flags.writeable = False
-    vocab = Vocabulary(terms=terms, index={t: j for j, t in enumerate(terms)})
     corpus = Corpus(
         name=manifest["name"],
         doc_ids=arrays["doc_ids"],
         query_ids=arrays["query_ids"],
-        vocabulary=vocab,
+        vocabulary=Vocabulary(terms=manifest["terms"]),
         counts=TermDocCounts(
             matrix=matrix,
             doc_lengths=np.asarray(matrix.sum(axis=1)).ravel().astype(np.int64),

@@ -3,9 +3,8 @@
 Ten one-line documents span four subjects (technology, business, diet,
 genetics), with fourteen content terms and three ready-made queries whose
 relevant documents are known.  The canonical count table uses normalized
-term forms ("products" counts as "product"), so it is provided directly as
-data; the raw sentences are also included for exercising the plain text
-pipeline, which does no such normalization.
+term forms ("products" counts as "product"), which the plain text pipeline
+does not produce, so it is provided directly as data.
 """
 
 from __future__ import annotations
@@ -13,30 +12,15 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import (Collection, Corpus, Query, RawDocument, TermDocCounts,
-                     Vocabulary, judged_pairs)
+from .corpus import Corpus, TermDocCounts, Vocabulary, judged_pairs
 from .ensemble import EnsembleWeights, ScoreMatrix, train_ensemble
 from .lda import LdaTrainResult, seeded_topic_start, train_lda
-from .ldi import build_index, score_ldi
 from .vsm import score_tfidf, train_tfidf
 
 DEMO_TOPICS = 4                 # one per subject
 DEMO_ALPHA = 0.25               # fixed symmetric prior of the demo fit
 
 DOC_LABELS = ["T1", "T2", "T3", "B1", "B2", "D1", "D2", "D3", "G1", "G2"]
-
-DOC_TEXTS = [
-    "the OS in Apple smartphones",
-    "the OS system in Apple products",
-    "the sign system in Samsung smartphones",
-    "Samsung and Apple signed a contract",
-    "there are many kinds of product contracts",
-    "fry the apple pie with some peas",
-    "the pie should be fried in oil",
-    "the way to fry dumplings",
-    "the oil is made from genetically-modified bean",
-    "the bean is genetically-modified from peas",
-]
 
 TERMS = [
     "apple", "smartphone", "os", "system", "product", "contract", "sign",
@@ -58,12 +42,6 @@ DOC_TERM_COUNTS = np.array([
     [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1],   # G1
     [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1],   # G2
 ], dtype=np.int64)
-
-QUERY_TEXTS = [
-    "the sign system in Apple",
-    "the contract for Apple products",
-    "the Apple OS",
-]
 
 QUERY_TERMS = [
     ["sign", "system", "apple"],
@@ -90,8 +68,7 @@ REFERENCE_TOPIC_SIMS = np.array([
 def demo_corpus() -> Corpus:
     """The canonical counts wrapped as a ready-to-use corpus."""
     matrix = sp.csr_matrix(DOC_TERM_COUNTS)
-    vocab = Vocabulary(terms=list(TERMS),
-                       index={t: j for j, t in enumerate(TERMS)})
+    vocab = Vocabulary(terms=list(TERMS))
     query_rows = np.zeros((len(QUERY_TERMS), len(TERMS)), dtype=np.int64)
     for i, toks in enumerate(QUERY_TERMS):
         for tok in toks:
@@ -110,20 +87,6 @@ def demo_corpus() -> Corpus:
     )
 
 
-def raw_collection() -> Collection:
-    """The same sentences as unparsed text, for pipeline tests.
-
-    Plain tokenization keeps inflected forms distinct, so the vocabulary
-    this produces differs from TERMS.
-    """
-    docs = [RawDocument(doc_id=i + 1, title="", body=text, source="demo")
-            for i, text in enumerate(DOC_TEXTS)]
-    queries = [Query(query_id=i + 1, text=text, source="demo")
-               for i, text in enumerate(QUERY_TEXTS)]
-    return Collection(name="demo-raw", documents=docs, queries=queries,
-                      qrels={q: set(d) for q, d in RELEVANT.items()})
-
-
 def fit_demo_topics(seed: int = 0) -> LdaTrainResult:
     """Fit the topic model used by the demonstrations: one topic per subject.
 
@@ -136,21 +99,6 @@ def fit_demo_topics(seed: int = 0) -> LdaTrainResult:
     start = seeded_topic_start(corpus.counts, DEMO_TOPICS, seed=seed)
     return train_lda(corpus.counts, k=DEMO_TOPICS, seed=seed, alpha=DEMO_ALPHA,
                      beta_init=start)
-
-
-def demo_score_matrices(seed: int = 0):
-    """Keyword and topic-space score matrices for the three demo queries."""
-    corpus = demo_corpus()
-    tfidf = train_tfidf(corpus.counts)
-    keyword = score_tfidf(tfidf, corpus.query_counts)
-    fit = fit_demo_topics(seed=seed)
-    index = build_index(fit.model, corpus.counts)
-    topical = score_ldi(index, corpus.query_counts)
-    mats = [
-        ScoreMatrix("tfidf", keyword, corpus.query_ids, corpus.doc_ids),
-        ScoreMatrix("ldi", topical, corpus.query_ids, corpus.doc_ids),
-    ]
-    return corpus, mats
 
 
 def demo_boosting() -> EnsembleWeights:

@@ -22,6 +22,7 @@ until the next call on the same block.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,6 +42,16 @@ ALPHA_MIN = 1e-3                # range of the symmetric prior weight
 ALPHA_MAX = 10.0
 NORM_FLOOR = 1e-100             # least mixture normaliser of a cell
 GATHER_SIZE = 1 << 16           # floats per gather buffer in TokenCells.norms
+
+
+def warn_every_fit(message: str) -> None:
+    """``warnings.warn`` from the caller's line, with a fresh registry in
+    place of the module's, which would hide a repeat from the same line:
+    each fit that stops at a cap says so.  Filters still apply."""
+    caller = sys._getframe(1)
+    warnings.warn_explicit(message, UserWarning, caller.f_code.co_filename,
+                           caller.f_lineno, module=caller.f_globals["__name__"],
+                           registry={}, module_globals=caller.f_globals)
 
 
 @dataclass
@@ -338,7 +349,8 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
     after ``MAX_EM_ITERS`` passes with a warning.  ``converged`` is set only
     when the bound settled and the last pass left no document unsettled by
     the ``VAR_MAX_ITERS`` sweep cap; a settled bound with unsettled
-    documents warns with their count.  ``alpha`` None starts the
+    documents warns with their count.  Each fit that stops at a cap warns
+    (``warn_every_fit``).  ``alpha`` None starts the
     symmetric prior weight at 50 / k and estimates it each pass; a number
     holds it fixed at that value (clamped to [ALPHA_MIN, ALPHA_MAX]).
     ``beta_init`` overrides the random topic start, e.g. with rows built
@@ -396,21 +408,14 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
                 break
     converged = bound_settled and unsettled == 0
     if not bound_settled:
-        warnings.warn(f"EM stopped at the pass limit ({MAX_EM_ITERS}) "
-                      "before the bound settled")
+        warn_every_fit(f"EM stopped at the pass limit ({MAX_EM_ITERS}) "
+                       "before the bound settled")
     elif unsettled:
-        warnings.warn(f"the bound settled, but the sweep cap ({VAR_MAX_ITERS}) "
-                      f"left {unsettled} documents unsettled in the last pass")
+        warn_every_fit(f"the bound settled, but the sweep cap ({VAR_MAX_ITERS}) "
+                       f"left {unsettled} documents unsettled in the last pass")
 
     model = LdaModel(k=k, alpha=alpha, beta=beta, seed=seed)
     return LdaTrainResult(model=model, gamma=gamma, elbo_trace=elbos,
                           alpha_trace=alphas, converged=converged,
                           sweeps_trace=sweeps_trace,
                           unsettled_trace=unsettled_trace)
-
-
-def corpus_bound(model: LdaModel, counts: TermDocCounts) -> float:
-    """Evidence lower bound of a count matrix under a fitted model."""
-    gamma = _start_gamma(model.alpha, counts, model.k)
-    blocks = TokenCells.blocks(counts.matrix.tocsr(), DOC_CHUNK)
-    return _estep(blocks, gamma, model.beta, model.alpha)[2]

@@ -39,10 +39,6 @@ class SvdFactors:
     def k(self) -> int:
         return len(self.s)
 
-    @property
-    def rank_deficient(self) -> bool:
-        return self.k < self.requested_k
-
 
 def _normalize_signs(u: np.ndarray, vt: np.ndarray) -> None:
     """Fix the sign ambiguity: largest-magnitude entry of each u column > 0."""
@@ -109,8 +105,9 @@ def truncated_svd(matrix, k: int, seed: int = 0) -> SvdFactors:
     Lanczos (ARPACK) on the Gram matrix of the smaller side finds the
     triplets, stopped at ``SVD_TOL / 10``; a dense LAPACK SVD serves when
     ``k`` reaches the smaller matrix dimension.  Negligible trailing
-    singular values (matrix rank below k) are trimmed and flagged instead
-    of padded; a residual above ``SVD_TOL`` raises.
+    singular values (matrix rank below k) are trimmed, leaving ``k`` below
+    ``requested_k``, instead of padded; a residual above ``SVD_TOL``
+    raises.
     """
     if k < 1:
         raise ValueError("k must be positive")

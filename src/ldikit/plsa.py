@@ -25,14 +25,13 @@ perplexity use the same product, through lda's ``TokenCells``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .corpus import TermDocCounts
-from .lda import TokenCells
+from .lda import TokenCells, warn_every_fit
 from .vsm import cosine_scores
 
 _PERPLEXITY_FLOOR_MIX = 1e-6    # uniform mass mixed in for held-out scoring
@@ -114,21 +113,13 @@ def _em_pass(blocks, p_dz: np.ndarray, p_wz: np.ndarray, beta_temp: float):
     return new_dz, stats_wz, objective
 
 
-def tempered_objective(matrix: sp.csr_matrix, p_dz, p_wz, beta_temp: float) -> float:
-    """sum over cells of n * log sum_z P(z|d) P(w|z)^beta, as an EM pass
-    from these tables computes it."""
-    return _em_pass(TokenCells.blocks(matrix.tocsr(), EM_CHUNK),
-                    p_dz, p_wz, beta_temp)[2]
-
-
-def holdout_perplexity(held, p_dz, p_wz) -> float:
+def holdout_perplexity(cells: TokenCells, p_dz, p_wz) -> float:
     """Perplexity of held-out tokens under the untempered mixture.
 
-    ``held`` is the held-out count matrix, or its ``TokenCells`` when one
-    fit scores it pass after pass.  A vanishing uniform component keeps
-    fully-held-out terms finite.
+    ``cells`` are the held-out count matrix's, built once per fit and scored
+    pass after pass.  A vanishing uniform component keeps fully-held-out
+    terms finite.
     """
-    cells = held if isinstance(held, TokenCells) else TokenCells(held)
     total = cells.counts.sum()
     if total == 0:
         return float("nan")
@@ -213,7 +204,7 @@ def train_plsa(counts: TermDocCounts, k: int,
         if best is None or snapshot[0] < best[0]:
             best = (*snapshot, beta_temp)
         if not finished:
-            warnings.warn("tempered EM hit the total iteration cap")
+            warn_every_fit("tempered EM hit the total iteration cap")
             break
         if (held is None
                 or not snapshot[0] < prev_perp * (1.0 - IMPROVEMENT_TOL)

@@ -1,23 +1,55 @@
-"""Shared fixtures: classic collection discovery and cached demo fits.
+"""Shared fixtures and helpers: classic collection discovery, cached demo
+fits and small count matrices.
 
 The classic test collections are not redistributable with the package.
 Tests that need one look under LDIKIT_DATA_DIR (or ./data) and skip with
 an explicit message when the files are absent.
 """
 
+import os
+from pathlib import Path
+
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from ldikit import config
-from ldikit.corpus import build_corpus, load_collection, smart_stoplist
+from ldikit.corpus import (TermDocCounts, build_corpus, load_collection,
+                           smart_stoplist)
+
+DATA_DIR_ENV = "LDIKIT_DATA_DIR"
+
+# Customary file triples (documents, queries, judgments) per collection.
+STANDARD_FILES = {
+    "MED": ("MED.ALL", "MED.QRY", "MED.REL"),
+    "CRAN": ("cran.all.1400", "cran.qry", "cranqrel"),
+    "CISI": ("CISI.ALL", "CISI.QRY", "CISI.REL"),
+    "CACM": ("cacm.all", "query.text", "qrels.text"),
+}
 
 
-def collection_paths(name):
-    root = config.data_root()
-    return config.find_collection_files(root, name)
+def data_root(explicit=None):
+    """The collection directory: explicit argument, environment, or ./data."""
+    explicit = explicit or os.environ.get(DATA_DIR_ENV)
+    if explicit:
+        return Path(explicit)
+    return Path("data") if Path("data").is_dir() else None
+
+
+def find_collection_files(root, name):
+    """The (documents, queries, judgments) files of one collection under
+    ``root``, found recursively by their customary names in any case; None
+    when any of the three is missing."""
+    wanted = STANDARD_FILES.get(name.upper())
+    if root is None or wanted is None or not Path(root).is_dir():
+        return None
+    lowered = {p.name.lower(): p for p in sorted(Path(root).rglob("*"))
+               if p.is_file()}
+    found = tuple(lowered.get(filename.lower()) for filename in wanted)
+    return None if None in found else found
 
 
 def require_collection(name):
-    found = collection_paths(name)
+    found = find_collection_files(data_root(), name)
     if found is None:
         pytest.skip(f"collection {name} not found; place its files under "
                     f"$LDIKIT_DATA_DIR or ./data to run this test")
@@ -59,3 +91,22 @@ def token_cells_built(monkeypatch):
 
     monkeypatch.setattr(TokenCells, "__init__", counting_init)
     return built
+
+
+def make_counts(rows):
+    matrix = sp.csr_matrix(np.asarray(rows, dtype=np.int64))
+    return TermDocCounts(matrix=matrix,
+                         doc_lengths=np.asarray(matrix.sum(axis=1)).ravel())
+
+
+def random_counts(n_docs, n_terms, seed, max_count=4):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, max_count, size=(n_docs, n_terms))
+    rows[np.arange(n_docs), rng.integers(0, n_terms, n_docs)] += 1
+    return make_counts(rows)
+
+
+def bound_never_drops(trace, slack=1e-8):
+    values = np.asarray(trace, dtype=float)
+    floor = slack * np.maximum(np.abs(values[:-1]), 1.0)
+    return bool(np.all(np.diff(values) >= -floor))

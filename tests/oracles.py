@@ -118,13 +118,8 @@ def loop_tokenize(text):
 
 
 def _loop_tokens(doc):
-    """A RawDocument (anything with ``.text``) or a text is tokenized; a
-    token list is taken as it is."""
-    if hasattr(doc, "text"):
-        return loop_tokenize(doc.text)
-    if isinstance(doc, str):
-        return loop_tokenize(doc)
-    return list(doc)
+    """The tokens of a RawDocument (anything with ``.text``) or a text."""
+    return loop_tokenize(getattr(doc, "text", doc))
 
 
 def loop_vocabulary(docs, stoplist=None):
@@ -591,17 +586,23 @@ def numeric_best_step(weights, aps, grid=20000, span=20.0):
     return 0.5 * (lo + hi)
 
 
-def exhaustive_map(score_rows, doc_ids, qrels, query_ids) -> float:
-    """MAP computed with explicit sorting and the brute-force AP above."""
-    aps = []
-    for qi, qid in enumerate(query_ids):
-        relevant = qrels.get(int(qid), set())
-        if not relevant:
-            continue
-        scores = score_rows[qi]
-        order = sorted(range(len(doc_ids)), key=lambda i: (-scores[i], doc_ids[i]))
-        ranked = [int(doc_ids[i]) for i in order]
-        aps.append(brute_force_average_precision(ranked, relevant))
-    if not aps:
-        raise ValueError("no judged queries")
-    return float(np.mean(aps))
+# ---------------------------------------------------------------------------
+# Not independent: the library's own objectives at parameters no fit made
+
+def corpus_bound(model, counts) -> float:
+    """lda's evidence lower bound of a count matrix under a model, from one
+    E-step at the fit's starting gamma."""
+    from ldikit import lda
+
+    gamma = lda._start_gamma(model.alpha, counts, model.k)
+    blocks = lda.TokenCells.blocks(counts.matrix.tocsr(), lda.DOC_CHUNK)
+    return lda._estep(blocks, gamma, model.beta, model.alpha)[2]
+
+
+def tempered_objective(matrix, p_dz, p_wz, beta_temp) -> float:
+    """sum over cells of n * log sum_z P(z|d) P(w|z)^beta, as plsa's EM
+    pass from these tables computes it."""
+    from ldikit import plsa
+
+    blocks = plsa.TokenCells.blocks(matrix.tocsr(), plsa.EM_CHUNK)
+    return plsa._em_pass(blocks, p_dz, p_wz, beta_temp)[2]

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from ldikit.corpus import build_corpus, smart_stoplist
 from ldikit.demo import (DOC_LABELS, DOC_TERM_COUNTS, QUERY_TERMS, RELEVANT,
                          REFERENCE_TOPIC_SIMS, TERMS, demo_boosting,
-                         demo_corpus, demo_score_matrices, fit_demo_topics,
-                         raw_collection)
-from ldikit.ensemble import train_ensemble
+                         demo_corpus, fit_demo_topics)
+from ldikit.ensemble import ScoreMatrix, train_ensemble
+from ldikit.ldi import build_index, score_ldi
 from ldikit.metrics import evaluate_scores
+from ldikit.vsm import score_tfidf, train_tfidf
 
 # document rows per subject group, following DOC_LABELS order
 GROUPS = {"technology": [0, 1, 2], "business": [3, 4],
@@ -67,22 +67,6 @@ class TestCanonicalCounts:
         assert demo_corpus().checksum() == demo_corpus().checksum()
 
 
-class TestRawCollection:
-    def test_collection_contents(self):
-        collection = raw_collection()
-        assert len(collection.documents) == 10
-        assert len(collection.queries) == 3
-        assert collection.qrels == {q: set(d) for q, d in RELEVANT.items()}
-
-    def test_plain_pipeline_builds_different_vocabulary(self):
-        corpus = build_corpus(raw_collection(), smart_stoplist())
-        assert corpus.n_docs == 10
-        assert "apple" in corpus.vocabulary
-        # no normalization: inflected forms stay split, so the canonical
-        # fourteen-term vocabulary is not reproduced
-        assert set(corpus.vocabulary.terms) != set(TERMS)
-
-
 class TestDemoFit:
     def test_fit_converges(self, demo_fit):
         assert demo_fit.converged
@@ -122,16 +106,6 @@ class TestReferenceSims:
         assert report.per_query_ap[3] == 1.0
 
 
-class TestDemoScoreMatrices:
-    def test_alignment_and_tags(self):
-        corpus, mats = demo_score_matrices(seed=0)
-        assert [m.tag for m in mats] == ["tfidf", "ldi"]
-        for m in mats:
-            assert m.scores.shape == (3, 10)
-            np.testing.assert_array_equal(m.query_ids, corpus.query_ids)
-            np.testing.assert_array_equal(m.doc_ids, corpus.doc_ids)
-
-
 class TestDemoBoosting:
     def setup_method(self):
         self.weights = demo_boosting()
@@ -158,8 +132,15 @@ class TestDemoBoosting:
     def test_pool_refills_after_both_picked(self):
         assert self.weights.rounds[1].pool_reset
 
-    def test_live_topic_fit_also_fuses_cleanly(self):
-        corpus, mats = demo_score_matrices()
+    def test_live_topic_fit_also_fuses_cleanly(self, demo_fit):
+        # the keyword ranker fused with the fitted topic index in place of
+        # the reference similarities
+        corpus = demo_corpus()
+        keyword = score_tfidf(train_tfidf(corpus.counts), corpus.query_counts)
+        topical = score_ldi(build_index(demo_fit.model, corpus.counts),
+                            corpus.query_counts)
+        mats = [ScoreMatrix(tag, scores, corpus.query_ids, corpus.doc_ids)
+                for tag, scores in (("tfidf", keyword), ("ldi", topical))]
         live = train_ensemble(mats, corpus.qrels)
         assert live.train_map == 1.0
         assert live.converged

@@ -5,33 +5,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import gammaln, polygamma, psi
 
+from conftest import bound_never_drops, make_counts, random_counts
 import ldikit.lda as lda
-from oracles import (dirichlet_multinomial_log_likelihood,
+from oracles import (corpus_bound, dirichlet_multinomial_log_likelihood,
                      log_space_chunk_estep, log_space_terms_at,
                      two_topic_log_likelihood_quadrature)
 from ldikit.corpus import TermDocCounts
 from ldikit.lda import (ALPHA_MAX, ALPHA_MIN, NORM_FLOOR, TOPIC_SMOOTHING,
-                        LdaModel, TokenCells, corpus_bound,
-                        seeded_topic_start, train_lda)
-
-
-def make_counts(rows):
-    matrix = sp.csr_matrix(np.asarray(rows, dtype=np.int64))
-    return TermDocCounts(matrix=matrix,
-                         doc_lengths=np.asarray(matrix.sum(axis=1)).ravel())
-
-
-def random_counts(n_docs, n_terms, seed, max_count=4):
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, max_count, size=(n_docs, n_terms))
-    rows[np.arange(n_docs), rng.integers(0, n_terms, n_docs)] += 1
-    return make_counts(rows)
-
-
-def elbo_non_decreasing(trace, slack=1e-8):
-    trace = np.asarray(trace)
-    floor = slack * np.maximum(np.abs(trace[:-1]), 1.0)
-    return np.all(np.diff(trace) >= -floor)
+                        LdaModel, TokenCells, seeded_topic_start, train_lda)
 
 
 def block_with_empty_ends():
@@ -231,7 +212,7 @@ class TestKernelAgainstLogSpace:
                                  counts)
         assert np.all(np.isfinite(result.gamma))
         assert np.all(np.isfinite(result.elbo_trace)) and np.isfinite(bound)
-        assert elbo_non_decreasing(result.elbo_trace)
+        assert bound_never_drops(result.elbo_trace)
 
 
 class TestBoundMonotonicity:
@@ -241,12 +222,12 @@ class TestBoundMonotonicity:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 result = train_lda(counts, k=5, seed=seed)
-            assert elbo_non_decreasing(result.elbo_trace)
+            assert bound_never_drops(result.elbo_trace)
 
     def test_fixed_alpha(self):
         counts = random_counts(20, 25, 1)
         result = train_lda(counts, k=3, seed=0, alpha=0.5)
-        assert elbo_non_decreasing(result.elbo_trace)
+        assert bound_never_drops(result.elbo_trace)
         assert all(a == 0.5 for a in result.alpha_trace)
 
 
@@ -409,14 +390,6 @@ class TestBlocksPerFit:
         assert len(result.elbo_trace) > 1
         assert token_cells_built == [8, 8, 4]
 
-    def test_corpus_bound_builds_each_block_once(self, monkeypatch,
-                                                 token_cells_built):
-        monkeypatch.setattr(lda, "DOC_CHUNK", 8)
-        beta = random_beta(3, 15, 2)
-        corpus_bound(LdaModel(k=3, alpha=0.5, beta=beta),
-                     random_counts(20, 15, 13))
-        assert token_cells_built == [8, 8, 4]
-
 
 class TestSweepRecord:
     def test_record_per_pass(self):
@@ -456,6 +429,20 @@ class TestTrainingGuards:
         counts = random_counts(20, 15, 10)
         with pytest.warns(UserWarning, match="pass limit"):
             train_lda(counts, k=3, seed=0)
+
+    @pytest.mark.parametrize("cap, value, message", [
+        ("MAX_EM_ITERS", 2, "pass limit"), ("VAR_MAX_ITERS", 1, "sweep cap")])
+    def test_every_capped_fit_warns(self, monkeypatch, cap, value, message):
+        # the default filter shows a text once per code location; each fit
+        # that stops at a cap still says so, and "ignore" still silences it
+        monkeypatch.setattr(lda, cap, value)
+        for action, n_warnings in (("default", 3), ("ignore", 0)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                for _ in range(3):
+                    train_lda(random_counts(20, 15, 10), k=3, seed=0)
+            assert [w.filename for w in caught] == [lda.__file__] * n_warnings
+            assert all(message in str(w.message) for w in caught)
 
     def test_empty_corpus_rejected(self):
         empty = TermDocCounts(matrix=sp.csr_matrix((0, 5)),

@@ -1,18 +1,11 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from ldikit.corpus import TermDocCounts
-from ldikit.demo import TERMS, demo_corpus, fit_demo_topics
+from conftest import make_counts
+from ldikit.demo import DOC_LABELS, TERMS, demo_corpus
 from ldikit.lda import LdaModel
 from ldikit.ldi import build_index, score_ldi, word_topic_matrix
 from ldikit.vsm import cosine_scores
-
-
-def make_counts(rows):
-    matrix = sp.csr_matrix(np.asarray(rows, dtype=np.int64))
-    return TermDocCounts(matrix=matrix,
-                         doc_lengths=np.asarray(matrix.sum(axis=1)).ravel())
 
 
 BETA = np.array([
@@ -112,7 +105,7 @@ class TestDemoModel:
         corpus = demo_corpus()
         w = word_topic_matrix(demo_fit.model.beta)
         vecs = build_index(demo_fit.model, corpus.counts).doc_vectors
-        fry_doc = corpus.doc_row(8)
+        fry_doc = DOC_LABELS.index("D3")
         np.testing.assert_allclose(vecs[fry_doc], w[TERMS.index("fry")])
 
     def test_polysemy_resolved(self, demo_fit):
@@ -121,7 +114,7 @@ class TestDemoModel:
         scores = score_ldi(index, corpus.query_counts)
         q3 = scores[2]
         # T3 shares no query term, D1 shares "apple"; topics still win
-        assert q3[corpus.doc_row(3)] > q3[corpus.doc_row(6)]
+        assert q3[DOC_LABELS.index("T3")] > q3[DOC_LABELS.index("D1")]
 
     def test_self_similarity_one(self, demo_fit):
         corpus = demo_corpus()

@@ -2,17 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import make_counts
 from oracles import jacobi_svd
-from ldikit.corpus import TermDocCounts
 from ldikit.lsa import (SVD_TOL, SvdFactors, _residuals, score_lsi, train_lsi,
                         truncated_svd)
 from ldikit.vsm import tfidf_query_matrix, train_tfidf
-
-
-def make_counts(rows):
-    matrix = sp.csr_matrix(np.asarray(rows, dtype=np.int64))
-    return TermDocCounts(matrix=matrix,
-                         doc_lengths=np.asarray(matrix.sum(axis=1)).ravel())
 
 
 def planted_tfidf(n_docs=200, n_words=400, n_topics=5, doc_length=40, seed=3):
@@ -76,8 +70,7 @@ class TestTruncatedSvd:
     def test_rank_deficient_trimmed_and_flagged(self):
         base = np.outer(np.arange(1.0, 7.0), np.ones(4))  # rank 1
         factors = truncated_svd(base, 3)
-        assert factors.k == 1
-        assert factors.rank_deficient
+        assert factors.k == 1 and factors.requested_k == 3
 
     def test_sign_convention(self):
         rng = np.random.default_rng(9)
@@ -131,7 +124,7 @@ class TestGramLanczos:
         rank = np.linalg.matrix_rank(matrix.toarray())
         with np.errstate(all="raise"):
             factors = truncated_svd(matrix, rank + 8)
-        assert factors.k == rank and factors.rank_deficient
+        assert factors.k == rank and factors.requested_k == rank + 8
         assert np.all(np.isfinite(factors.u)) and np.all(np.isfinite(factors.vt))
         assert factors.residual <= SVD_TOL
 
@@ -204,4 +197,4 @@ class TestFactorsDataclass:
     def test_rank_properties(self):
         f = SvdFactors(u=np.eye(3), s=np.array([2.0, 1.0]),
                        vt=np.eye(3)[:2], requested_k=2)
-        assert f.k == 2 and not f.rank_deficient
+        assert f.k == 2 == f.requested_k

@@ -1,13 +1,14 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import DATA_DIR_ENV, data_root, find_collection_files
 from ldikit import config, pipeline
-from ldikit.config import (data_root, default_topic_count,
-                           find_collection_files, resolve_out_path)
+from ldikit.config import default_topic_count, resolve_out_path
 from ldikit.corpus import Corpus, judged_pairs, load_corpus, save_corpus
 from ldikit.demo import RELEVANT, demo_corpus
 from ldikit.lsa import SVD_TOL
@@ -250,19 +251,19 @@ class TestSweep:
 
 class TestDataRoot:
     def test_explicit_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(config.DATA_DIR_ENV, "/elsewhere")
+        monkeypatch.setenv(DATA_DIR_ENV, "/elsewhere")
         assert data_root(tmp_path) == tmp_path
 
     def test_environment_used(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(config.DATA_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
         assert data_root() == tmp_path
 
     def test_falls_back_to_local_directory(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(config.DATA_DIR_ENV, raising=False)
+        monkeypatch.delenv(DATA_DIR_ENV, raising=False)
         monkeypatch.chdir(tmp_path)
         assert data_root() is None
         (tmp_path / "data").mkdir()
-        assert data_root() == config.Path("data")
+        assert data_root() == Path("data")
 
 
 class TestOutPath:
@@ -277,7 +278,7 @@ class TestOutPath:
 
     def test_no_env_means_identity(self, monkeypatch):
         monkeypatch.delenv(config.OUT_DIR_ENV, raising=False)
-        assert resolve_out_path("scores.bin") == config.Path("scores.bin")
+        assert resolve_out_path("scores.bin") == Path("scores.bin")
 
 
 class TestCollectionLookup:

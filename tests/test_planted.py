@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from ldikit.corpus import Corpus, build_vocabulary, count_matrix, judged_pairs
+from conftest import bound_never_drops
+from ldikit.corpus import Collection, Corpus, Query, RawDocument, build_corpus
 from ldikit.lda import train_lda
 from ldikit.pipeline import evaluate_matrix, score_corpus, train_model
 
@@ -49,23 +50,19 @@ def planted_corpus(n_docs, n_words, k, seed, doc_length=60, n_queries=40,
         out = []
         for length, p in zip(lengths, mix @ topics):
             n = rng.multinomial(length, p / p.sum())
-            out.append([f"w{j}" for j in np.repeat(np.arange(n_words), n)])
+            out.append(" ".join(f"w{j}" for j in np.repeat(np.arange(n_words), n)))
         return out
 
     doc_cluster = rng.integers(k, size=n_docs)
     query_cluster = rng.permutation(np.arange(n_queries) % k)
-    docs = texts(doc_cluster, doc_length)
-    queries = texts(query_cluster, query_length)
-    vocab = build_vocabulary(docs)
+    docs = [RawDocument(d + 1, "", text)
+            for d, text in enumerate(texts(doc_cluster, doc_length))]
+    queries = [Query(q + 1, text)
+               for q, text in enumerate(texts(query_cluster, query_length))]
     qrels = {q + 1: {int(d) + 1 for d in np.flatnonzero(doc_cluster == c)}
              for q, c in enumerate(query_cluster)}
-    corpus = Corpus(name=f"planted-{seed}",
-                    doc_ids=np.arange(1, n_docs + 1, dtype=np.int64),
-                    query_ids=np.arange(1, n_queries + 1, dtype=np.int64),
-                    vocabulary=vocab, counts=count_matrix(docs, vocab),
-                    query_counts=count_matrix(queries, vocab).matrix,
-                    qrels=judged_pairs(qrels))
-    return Planted(corpus=corpus, topics=topics)
+    collection = Collection(f"planted-{seed}", docs, queries, qrels)
+    return Planted(corpus=build_corpus(collection), topics=topics)
 
 
 def topic_recovery(planted: Planted, beta: np.ndarray) -> float:
@@ -76,12 +73,6 @@ def topic_recovery(planted: Planted, beta: np.ndarray) -> float:
     a = a / np.linalg.norm(a, axis=1, keepdims=True)
     b = beta / np.linalg.norm(beta, axis=1, keepdims=True)
     return float((a @ b.T).max(axis=1).mean())
-
-
-def bound_never_drops(trace, slack=1e-8):
-    values = np.asarray(trace, dtype=float)
-    floor = slack * np.maximum(np.abs(values[:-1]), 1.0)
-    return bool(np.all(np.diff(values) >= -floor))
 
 
 def fit_lda(counts, k, seed):
@@ -138,6 +129,12 @@ def test_bound_never_drops_at_twenty_topics(recovery):
 def test_planted_topics_recovered(recovery):
     result = fit_lda(recovery.corpus.counts, 10, 0)
     assert topic_recovery(recovery, result.model.beta) >= 0.97
+
+
+def test_pinned_corpus_checksum(pinned):
+    # the corpus the pins below were measured on
+    assert pinned.corpus.checksum() == (
+        "2c1b88051d9a4773a1076e58fa98fe8ec7983fc71cdb693112c33494132dd324")
 
 
 def test_pinned_final_bound(pinned_lda):

@@ -5,26 +5,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import make_counts, random_counts
 import ldikit.plsa as plsa
-from oracles import dense_tempered_em_step, dense_tempered_objective
-from ldikit.corpus import TermDocCounts
+from oracles import (dense_tempered_em_step, dense_tempered_objective,
+                     tempered_objective)
 from ldikit.lda import TokenCells
 from ldikit.plsa import (PlsaModel, _em_pass, fold_in, holdout_perplexity,
-                         score_plsa, split_holdout, tempered_objective,
-                         train_plsa)
-
-
-def make_counts(rows):
-    matrix = sp.csr_matrix(np.asarray(rows, dtype=np.int64))
-    return TermDocCounts(matrix=matrix,
-                         doc_lengths=np.asarray(matrix.sum(axis=1)).ravel())
-
-
-def random_counts(n_docs, n_terms, seed, max_count=4):
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, max_count, size=(n_docs, n_terms))
-    rows[np.arange(n_docs), rng.integers(0, n_terms, n_docs)] += 1
-    return make_counts(rows)
+                         score_plsa, split_holdout, train_plsa)
 
 
 def random_tables(n_docs, n_terms, k, seed):
@@ -121,32 +108,25 @@ class TestHoldoutPerplexity:
         p_dz = np.full((9, 3), 1.0 / 3)
         p_wz = np.full((3, 12), 1.0 / 12)
         np.testing.assert_allclose(
-            holdout_perplexity(counts.matrix, p_dz, p_wz), 12.0, rtol=1e-9)
+            holdout_perplexity(TokenCells(counts.matrix), p_dz, p_wz), 12.0,
+            rtol=1e-9)
 
     def test_empty_holdout_is_nan(self):
         empty = sp.csr_matrix((4, 5), dtype=np.int64)
         p_dz, p_wz = random_tables(4, 5, 2, 8)
-        assert np.isnan(holdout_perplexity(empty, p_dz, p_wz))
+        assert np.isnan(holdout_perplexity(TokenCells(empty), p_dz, p_wz))
 
     def test_unmodeled_term_stays_finite(self):
         held = make_counts([[3, 0]]).matrix
         p_dz = np.array([[1.0]])
         p_wz = np.array([[0.0, 1.0]])
-        perp = holdout_perplexity(held, p_dz, p_wz)
+        perp = holdout_perplexity(TokenCells(held), p_dz, p_wz)
         assert np.isfinite(perp) and perp > 1.0
-
-    def test_cells_score_as_their_matrix(self):
-        # a fit hands the held-out cells it built once; they score exactly
-        # as the matrix they were built from
-        counts = random_counts(8, 6, 10)
-        p_dz, p_wz = random_tables(8, 6, 3, 91)
-        assert (holdout_perplexity(TokenCells(counts.matrix), p_dz, p_wz)
-                == holdout_perplexity(counts.matrix, p_dz, p_wz))
 
     def test_perplexity_at_least_one(self):
         counts = random_counts(8, 6, 9)
         p_dz, p_wz = random_tables(8, 6, 3, 90)
-        assert holdout_perplexity(counts.matrix, p_dz, p_wz) >= 1.0
+        assert holdout_perplexity(TokenCells(counts.matrix), p_dz, p_wz) >= 1.0
 
 
 def blocks_monotone(trace, slack=1e-8):
@@ -193,7 +173,7 @@ class TestTraining:
         counts = random_counts(30, 20, 11)
         result = train_plsa(counts, k=3, seed=5)
         assert result.held_matrix is not None
-        refit_perp = holdout_perplexity(result.held_matrix,
+        refit_perp = holdout_perplexity(TokenCells(result.held_matrix),
                                         result.model.p_dz, result.model.p_wz)
         np.testing.assert_allclose(refit_perp, min(result.perplexity_trace),
                                    rtol=1e-12)
@@ -253,6 +233,17 @@ class TestTraining:
         counts = random_counts(12, 8, 18)
         with pytest.warns(UserWarning, match="iteration cap"):
             train_plsa(counts, k=2, seed=0)
+
+    def test_every_capped_fit_warns(self, monkeypatch):
+        # once per fit, not once per process as the default filter would
+        monkeypatch.setattr(plsa, "MAX_TOTAL_ITERS", 1)
+        counts = random_counts(12, 8, 18)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for _ in range(3):
+                train_plsa(counts, k=2, seed=0)
+        assert [str(w.message) for w in caught] == [
+            "tempered EM hit the total iteration cap"] * 3
 
 
 # One seeded fit under four schedules, pinned as the per-temperature anneal

@@ -2,17 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ldikit.corpus import TermDocCounts
+from conftest import make_counts
 from ldikit.demo import demo_corpus
 from ldikit.metrics import average_precision, rank_documents
 from ldikit.vsm import (cosine_scores, score_tfidf, tfidf_query_matrix,
                         train_tfidf)
-
-
-def make_counts(rows):
-    matrix = sp.csr_matrix(np.asarray(rows, dtype=np.int64))
-    lengths = np.asarray(matrix.sum(axis=1)).ravel()
-    return TermDocCounts(matrix=matrix, doc_lengths=lengths)
 
 
 class TestTrain:
