@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import Judgments, ap_matrix, mean_average_precision
+from .metrics import (Judgments, ap_matrix, mean_average_precision,
+                      weighted_sum)
 # Not called here; kept importable for callers that reach them through this
 # module.
 from .metrics import average_precision, rank_documents  # noqa: F401
@@ -51,15 +52,14 @@ def validate_alignment(matrices: list[ScoreMatrix]) -> None:
 
 
 def combined_scores(alpha: np.ndarray, matrices: list[ScoreMatrix]) -> np.ndarray:
-    """Weighted sum of constituent score matrices."""
+    """Weighted sum of constituent score matrices (``metrics.weighted_sum``,
+    the sum boosting ranks)."""
     validate_alignment(matrices)
     alpha = np.asarray(alpha, dtype=float)
     if len(alpha) != len(matrices):
         raise ValueError("one weight per constituent required")
-    out = np.zeros_like(matrices[0].scores)
-    for a, m in zip(alpha, matrices):
-        out += a * m.scores
-    return out
+    return weighted_sum(alpha, [m.scores for m in matrices],
+                        np.empty_like(matrices[0].scores))
 
 
 def normalize_weights(alpha: np.ndarray) -> np.ndarray:
@@ -154,9 +154,10 @@ def train_ensemble(matrices: list[ScoreMatrix], qrels: np.ndarray,
     already has it.
 
     Boosting reads only the judged rows: constituents not already in the
-    judged layout are gathered into it once (``Judgments.gather``), and
-    every round rebuilds the fused matrix there, from zero in constituent
-    order, into the same buffer.
+    judged layout are gathered into it once (``Judgments.gather``).  Every
+    round ranks the fused scores one block of rows at a time
+    (``Judgments.weighted_average_precisions``), so no full fused matrix is
+    built; they are bitwise the scores ``combined_scores`` gives.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
@@ -178,8 +179,7 @@ def train_ensemble(matrices: list[ScoreMatrix], qrels: np.ndarray,
                          "column per judged query")
     n_models = len(matrices)
     n_queries = len(judged.rows)
-    fused = np.empty_like(matrices[0].scores)
-    term = np.empty_like(fused)
+    scores = [m.scores for m in matrices]
     weights = np.full(n_queries, 1.0 / n_queries)
     alpha = np.zeros(n_models)
     pool = set(range(n_models))
@@ -191,10 +191,7 @@ def train_ensemble(matrices: list[ScoreMatrix], qrels: np.ndarray,
         chosen = select_constituent(weights, ap_table, pool, selection)
         delta = step_size(weights, ap_table[chosen])
         alpha[chosen] += delta
-        fused.fill(0.0)
-        for a, m in zip(alpha, matrices):
-            fused += np.multiply(a, m.scores, out=term)
-        h_aps = judged.average_precisions(fused)
+        h_aps = judged.weighted_average_precisions(alpha, scores)
         current_map = mean_average_precision(h_aps)
         change = abs(current_map - prev_map)
 
@@ -290,8 +287,10 @@ def cross_validate(matrices: list[ScoreMatrix], qrels: np.ndarray,
     judged = Judgments(matrices[0].query_ids, matrices[0].doc_ids, qrels)
     if len(judged.rows) < n_folds:
         raise ValueError("not enough judged queries for the fold count")
-    ap_table = np.array([judged.average_precisions(m.scores)
-                         for m in matrices])
+    # ranked through a Judgments of its own, whose block plan is freed
+    # before the folds train; ``judged`` only cuts the folds
+    ap_table = ap_matrix([m.scores for m in matrices], matrices[0].query_ids,
+                         matrices[0].doc_ids, qrels)
     # positions into judged.rows, in the seeded shuffle
     shuffled = np.random.default_rng(seed).permutation(len(judged.rows))
 

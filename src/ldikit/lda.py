@@ -71,6 +71,10 @@ class LdaTrainResult:
     elbo_trace: list[float] = field(default_factory=list)
     alpha_trace: list[float] = field(default_factory=list)
     converged: bool = False
+    # what ended the fit: "bound" (converged), "pass_cap" (MAX_EM_ITERS
+    # passes before the bound settled) or "sweep_cap" (the bound settled,
+    # but VAR_MAX_ITERS left documents unsettled in the last pass)
+    stopped_by: str = "bound"
     # per pass: the most inner sweeps any block ran, and the documents
     # still unsettled when VAR_MAX_ITERS stopped their block
     sweeps_trace: list[int] = field(default_factory=list)
@@ -350,7 +354,8 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
     when the bound settled and the last pass left no document unsettled by
     the ``VAR_MAX_ITERS`` sweep cap; a settled bound with unsettled
     documents warns with their count.  Each fit that stops at a cap warns
-    (``warn_every_fit``).  ``alpha`` None starts the
+    (``warn_every_fit``), and ``stopped_by`` names what ended the fit.
+    ``alpha`` None starts the
     symmetric prior weight at 50 / k and estimates it each pass; a number
     holds it fixed at that value (clamped to [ALPHA_MIN, ALPHA_MAX]).
     ``beta_init`` overrides the random topic start, e.g. with rows built
@@ -407,6 +412,8 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
                 bound_settled = True
                 break
     converged = bound_settled and unsettled == 0
+    stopped_by = ("pass_cap" if not bound_settled
+                  else "sweep_cap" if unsettled else "bound")
     if not bound_settled:
         warn_every_fit(f"EM stopped at the pass limit ({MAX_EM_ITERS}) "
                        "before the bound settled")
@@ -417,5 +424,6 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
     model = LdaModel(k=k, alpha=alpha, beta=beta, seed=seed)
     return LdaTrainResult(model=model, gamma=gamma, elbo_trace=elbos,
                           alpha_trace=alphas, converged=converged,
+                          stopped_by=stopped_by,
                           sweeps_trace=sweeps_trace,
                           unsettled_trace=unsettled_trace)

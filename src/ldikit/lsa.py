@@ -35,10 +35,6 @@ class SvdFactors:
     residual: float = float("nan")
     gram_products: int = 0
 
-    @property
-    def k(self) -> int:
-        return len(self.s)
-
 
 def _normalize_signs(u: np.ndarray, vt: np.ndarray) -> None:
     """Fix the sign ambiguity: largest-magnitude entry of each u column > 0."""

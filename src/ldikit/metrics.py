@@ -12,11 +12,17 @@ document's rank is 1 + (number of scores ranked above it) + (number of
 equal scores at a lower column).  A value-only sort of the negated row puts
 the scores in descending order with the NaNs last, so one ``searchsorted``
 of the document's own negated score gives the first count: the higher
-numbers for a number, every number for a NaN.  Only a score that repeats
-in its row (for a NaN: the row holds two) needs the second count, taken
-exactly.  Explicit rankings (``average_precision``, ``pr_curve``) give each
-relevant document's rank directly, and both kinds of rank become
-precisions in one step.
+numbers for a number, every number for a NaN.  The relevant documents'
+negated scores are sorted within their row first, so their ranks come out
+ascending, in the order the precisions are written.  Only a score that
+repeats in its row (for a NaN: the row holds two) needs the second count,
+taken exactly.  Where each block's relevant cells sit is worked out once
+per ``Judgments`` and reused for every matrix it ranks.  Explicit rankings
+(``average_precision``, ``pr_curve``) give each relevant document's rank
+directly, and both kinds of rank become precisions in one step.
+
+Fused scores are one definition, ``weighted_sum``: boosting ranks that sum
+one block at a time, and ``ensemble.combined_scores`` writes it whole.
 
 Average precision accumulates ``hits / rank`` with ``np.cumsum`` in rank
 order, the order of its definition, so it is bitwise equal to the plain
@@ -36,15 +42,22 @@ RECALL_LEVELS = np.linspace(0.0, 1.0, 11)
 BLOCK_CELLS = 1 << 15
 
 
-def _fill_precisions(out: np.ndarray, row: np.ndarray, starts: np.ndarray,
-                     rank: np.ndarray, n_docs: int) -> None:
-    """Precision at each relevant document's rank, written left-aligned
-    into the zero-filled ``out``: ``rank`` holds the 0-based ranks of the
-    relevant documents of rows ``row`` (ascending, ``starts[r]`` the first
-    of row ``r``) in rankings of ``n_docs`` documents."""
-    key = np.sort(row * (n_docs + 1) + rank + 1)
-    nth = np.arange(len(key)) - starts[row]
-    out[row, nth] = (nth + 1) / (key - row * (n_docs + 1))
+def weighted_sum(weights, matrices, out: np.ndarray) -> np.ndarray:
+    """``out`` = the sum of ``weights[i] * matrices[i]``, added from zero in
+    constituent order: the one definition of fused scores, whole or one
+    block of rows at a time."""
+    out.fill(0.0)
+    term = np.empty_like(out)
+    for w, m in zip(weights, matrices):
+        out += np.multiply(w, m, out=term)
+    return out
+
+
+def _precisions(hits: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Precision at each hit of a ranking: ``hits`` relevant documents
+    (the 1-based hit count, as floats) found down to 0-based ``rank``; an
+    infinite rank, which pads a row, gives 0."""
+    return hits / (rank + 1)
 
 
 def _average_precisions(precisions: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -59,7 +72,6 @@ def _curves(precisions: np.ndarray, counts: np.ndarray) -> np.ndarray:
     ``ceil(l * count) - 1`` up to float rounding, which the same float
     test settles by single steps.
     """
-    best_from = np.maximum.accumulate(precisions[:, ::-1], axis=1)[:, ::-1]
     counts = counts[:, None]
     floor = RECALL_LEVELS - 1e-12
     first = np.maximum(np.ceil(RECALL_LEVELS * counts).astype(np.int64) - 1, 0)
@@ -68,9 +80,16 @@ def _curves(precisions: np.ndarray, counts: np.ndarray) -> np.ndarray:
         below = (first + 1) / counts < floor
         reached = (first > 0) & ~(first / counts < floor)
         if not (below.any() or reached.any()):
-            return np.take_along_axis(best_from, first, axis=1)
+            break
         first += below
         first -= reached
+    # the maximum of each stretch between picked hits, then from each level
+    # on; level 0 picks hit 0, so a row's last stretch ends where the next
+    # row begins, and the zero padding never exceeds a precision
+    starts = first + precisions.shape[1] * np.arange(len(first))[:, None]
+    stretch = np.maximum.reduceat(precisions.ravel(), starts.ravel())
+    stretch = stretch.reshape(first.shape)
+    return np.maximum.accumulate(stretch[:, ::-1], axis=1)[:, ::-1]
 
 
 def _ranking_precisions(ranked_ids, relevant) -> tuple[np.ndarray, np.ndarray]:
@@ -85,11 +104,9 @@ def _ranking_precisions(ranked_ids, relevant) -> tuple[np.ndarray, np.ndarray]:
     if hit.sum() != len(relevant):
         missing = sorted(relevant - set(ids.tolist()))
         raise ValueError(f"relevant documents missing from ranking: {missing[:5]}")
-    precisions = np.zeros((1, len(relevant)))
-    rank = first[hit]
-    _fill_precisions(precisions, np.zeros_like(rank), np.array([0]), rank,
-                     len(ranked))
-    return precisions, np.array([len(relevant)])
+    rank = np.sort(first[hit])
+    precisions = _precisions(np.arange(1.0, len(rank) + 1), rank)
+    return precisions[None], np.array([len(relevant)])
 
 
 def rank_documents(scores: np.ndarray, doc_ids: np.ndarray) -> np.ndarray:
@@ -158,8 +175,9 @@ def _checked_pairs(qrels) -> np.ndarray:
 
 class Judgments:
     """The judged queries of one (queries x docs) score layout, with the
-    column of each relevant document found once and reused for every
-    matrix of that layout.
+    column of each relevant document found once, and the blocks the kernel
+    ranks planned at the first ranking (``_layout_plan``), both reused for
+    every matrix of that layout.
 
     ``qrels`` is the sorted (query id, doc id) pairs array of
     ``Corpus.qrels``; pairs of queries outside ``query_ids`` are ignored.
@@ -199,6 +217,7 @@ class Judgments:
             missing = sorted(ids[~found].tolist())
             raise ValueError(
                 f"relevant documents missing from ranking: {missing[:5]}")
+        self._blocks: list[_Block] | None = None
 
     def gather(self, scores: np.ndarray, positions=slice(None)) -> np.ndarray:
         """The judged layout of ``scores``: the judged rows (or those at
@@ -210,57 +229,133 @@ class Judgments:
         """Precision at each relevant document's rank, per judged query of
         ``scores`` (rows in rank order, zero-padded to the longest)."""
         scores = np.asarray(scores, dtype=float)
-        out = np.zeros((len(self.rows), self.counts.max(initial=1)))
-        step = max(1, BLOCK_CELLS // max(self.n_docs, 1))
-        for start in range(0, len(self.rows), step):
-            stop = min(start + step, len(self.rows))
-            if self.in_layout:
-                values = scores[start:stop]
-            else:
-                values = self.gather(scores, slice(start, stop))
-            self._fill_block(values, start, out[start:stop])
-        return out
+        return self._by_block(lambda block: self._block_of(scores, block))
 
     def average_precisions(self, scores: np.ndarray) -> np.ndarray:
         """AP of every judged query of ``scores``, in ``rows`` order."""
         return _average_precisions(self.hit_precisions(scores), self.counts)
 
-    def _fill_block(self, values: np.ndarray, first: int,
-                    out: np.ndarray) -> None:
-        """Hit precisions of judged rows ``first``... (``values`` in the
-        judged layout) into the zero-filled ``out``, from each relevant
-        document's rank alone: #ranked above + #equal at a lower column."""
-        n_rows, n_docs = values.shape
-        starts = self._starts[first:first + n_rows + 1] - self._starts[first]
-        cols = self._cols[self._starts[first]:self._starts[first + n_rows]]
-        row = np.repeat(np.arange(n_rows), np.diff(starts))
-        value = values[row, cols]
-        neg = -value
-        ordered = -values
-        ordered.sort(axis=1)                    # descending, NaNs last
-        rank = np.empty(len(cols), dtype=np.int64)      # scores ranked above
-        bounds = starts.tolist()
-        for line, lo, hi in zip(ordered, bounds, bounds[1:]):
-            rank[lo:hi] = line.searchsorted(neg[lo:hi])
-        # a score that repeats in its row (its successor in the sorted row
-        # equals it; for a NaN, is a NaN) also needs the equal scores at
-        # lower columns, counted exactly: one pass per (row, tied score),
-        # each group keyed by its count so far
-        nan = np.isnan(value)
-        after = ordered[row, np.minimum(rank + 1, n_docs - 1)]
-        tied = np.flatnonzero((rank + 1 < n_docs)
-                              & ((after == neg) | (nan & np.isnan(after))))
-        if len(tied):
-            _, lead, group = np.unique(row[tied] * (n_docs + 1) + rank[tied],
-                                       return_index=True, return_inverse=True)
-            lead = tied[lead]
-            equal = values[row[lead]] == value[lead, None]
-            # NaN == NaN is false: NaN groups alone take the isnan mask
-            nan_group = nan[lead]
-            equal[nan_group] = np.isnan(values[row[lead[nan_group]]])
-            up_to = np.cumsum(equal, axis=1)
-            rank[tied] += up_to[group, cols[tied]] - 1
-        _fill_precisions(out, row, starts, rank, n_docs)
+    def weighted_average_precisions(self, weights, matrices) -> np.ndarray:
+        """AP of every judged query of ``weighted_sum(weights, matrices)``.
+        Each block of the sum is built in one block-sized buffer and ranked
+        while it is still in cache; the whole sum is never made."""
+        matrices = [np.asarray(m, dtype=float) for m in matrices]
+        rows = max((block.stop - block.start for block in self._plan()),
+                   default=0)
+        buffer = np.empty((rows, self.n_docs))
+
+        def block_sum(block):
+            parts = [self._block_of(m, block) for m in matrices]
+            return weighted_sum(weights, parts,
+                                buffer[:block.stop - block.start])
+        return _average_precisions(self._by_block(block_sum), self.counts)
+
+    def _block_of(self, scores: np.ndarray, block: _Block) -> np.ndarray:
+        rows = slice(block.start, block.stop)
+        return scores[rows] if self.in_layout else self.gather(scores, rows)
+
+    def _plan(self) -> list[_Block]:
+        if self._blocks is None:
+            self._blocks = self._layout_plan()
+        return self._blocks
+
+    def _layout_plan(self) -> list[_Block]:
+        """Blocks of judged rows of up to ``BLOCK_CELLS`` score cells, and
+        where each block's relevant cells are read and sorted."""
+        step = max(1, BLOCK_CELLS // max(self.n_docs, 1))
+        cell_row = np.repeat(np.arange(len(self.rows)), self.counts)
+        nth = np.arange(self._starts[-1]) - self._starts[cell_row]
+        blocks = []
+        for start in range(0, len(self.rows), step):
+            stop = min(start + step, len(self.rows))
+            cells = slice(self._starts[start], self._starts[stop])
+            row = cell_row[cells] - start
+            needles = self.counts[start:stop].max()
+            blocks.append(_Block(
+                start=start, stop=stop, row=row,
+                cells=row * self.n_docs + self._cols[cells],
+                starts=self._starts[start:stop + 1] - self._starts[start],
+                needles=needles, needle=row * needles + nth[cells]))
+        return blocks
+
+    def _by_block(self, block_values) -> np.ndarray:
+        """Hit precisions of every judged row, ``block_values(block)``
+        giving each block's scores in the judged layout."""
+        out = np.zeros((len(self.rows), self.counts.max(initial=1)))
+        for block in self._plan():
+            _fill_block(block, block_values(block),
+                        out[block.start:block.stop])
+        return out
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Judged rows ``start:stop`` and their relevant cells, in row then
+    column order: ``row`` (in the block), ``cells`` (flat in the block),
+    ``starts`` each row's first cell, and ``needle``, each cell's place in
+    the NaN-padded (rows x ``needles``) array that sorts them by score
+    within their row; the n-th place of a row is that row's n-th hit."""
+
+    start: int
+    stop: int
+    row: np.ndarray
+    cells: np.ndarray
+    starts: np.ndarray
+    needles: int
+    needle: np.ndarray
+
+
+def _fill_block(block: _Block, values: np.ndarray, out: np.ndarray) -> None:
+    """Hit precisions of ``block`` (``values``, its scores in the judged
+    layout) into its rows ``out`` of the zero-filled output, from each
+    relevant document's rank alone: #ranked above + #equal at a lower
+    column."""
+    n_docs = values.shape[1]
+    # each row's relevant negated scores, ascending (NaNs, like the pads,
+    # last), so their ranks come out ascending
+    padded = np.full((block.stop - block.start, block.needles), np.nan)
+    padded.reshape(-1)[block.needle] = -values.take(block.cells)
+    padded.sort(axis=1)
+    neg = padded.reshape(-1)[block.needle]
+    ordered = -values
+    ordered.sort(axis=1)                        # descending, NaNs last
+    rank = np.empty(len(neg), dtype=np.int64)   # scores ranked above
+    bounds = block.starts.tolist()
+    for line, lo, hi in zip(ordered, bounds, bounds[1:]):
+        rank[lo:hi] = line.searchsorted(neg[lo:hi])
+    # a score that repeats in its row (its successor in the sorted row
+    # equals it; for a NaN, is a NaN) also needs the equal scores at lower
+    # columns, counted exactly.  One tie group is one (row, score); its
+    # members hold consecutive places, and their ranks in column order are
+    # the group's count so far plus the running count of equal scores read
+    # at the members' columns.
+    nan = np.isnan(neg)
+    after = ordered.reshape(-1).take(block.row * n_docs
+                                     + np.minimum(rank + 1, n_docs - 1))
+    tied = np.flatnonzero((rank + 1 < n_docs)
+                          & ((after == neg) | (nan & np.isnan(after))))
+    if len(tied):
+        lead = tied[np.concatenate([[True], (np.diff(rank[tied]) != 0)
+                                    | (np.diff(block.row[tied]) != 0)])]
+        rows = block.row[lead]
+        equal = values[rows] == -neg[lead, None]
+        # NaN == NaN is false: NaN groups alone take the isnan mask
+        nan_group = nan[lead]
+        equal[nan_group] = np.isnan(values[rows[nan_group]])
+        up_to = np.cumsum(equal, axis=1)
+        # each group's candidates: its row's relevant cells, column order
+        size = np.diff(block.starts)[rows]
+        group = np.repeat(np.arange(len(lead)), size)
+        cell = np.arange(size.sum()) + np.repeat(
+            block.starts[rows] - np.cumsum(size) + size, size)
+        col = block.cells[cell] - rows[group] * n_docs
+        member = equal[group, col]
+        group, col = group[member], col[member]
+        rank[tied] = rank[lead][group] + up_to[group, col] - 1
+    ranks = np.full(padded.shape, np.inf)       # a pad's precision is 0
+    ranks.reshape(-1)[block.needle] = rank
+    out[:, :block.needles] = _precisions(np.arange(1.0, block.needles + 1),
+                                         ranks)
 
 
 @dataclass

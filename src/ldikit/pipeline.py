@@ -48,6 +48,7 @@ def _fit_lda(corpus, k, seed):
     result = train_lda(corpus.counts, k=k, seed=seed)
     return result.model, {"alpha": result.model.alpha,
                           "converged": result.converged,
+                          "stopped_by": result.stopped_by,
                           "elbo": result.elbo_trace[-1]}
 
 

@@ -479,6 +479,20 @@ class TestAgainstTheArgsortLoop:
                 assert fold.uniform_test_map == uniform_map
                 assert list(fold.constituent_test_maps.values()) == constituent_maps
 
+    @pytest.mark.parametrize("doc_ids", [[1, 2, 3, 4], [4, 3, 2, 1]])
+    def test_a_boosting_run_builds_one_layout_plan(self, monkeypatch, doc_ids):
+        # the constituents' table and all 20 rounds rank through one plan,
+        # whether or not the matrices start in the judged layout
+        built = []
+        plan = metrics.Judgments._layout_plan
+        monkeypatch.setattr(metrics.Judgments, "_layout_plan",
+                            lambda judged: built.append(judged) or plan(judged))
+        mats = [ScoreMatrix(m.tag, m.scores, QUERY_IDS, doc_ids)
+                for m in (lexical_matrix(), semantic_matrix())]
+        weights = train_ensemble(mats, QRELS, eps=-1.0, max_rounds=20)
+        assert len(weights.rounds) == 20
+        assert len(built) == 1
+
     def test_constituent_table_from_the_caller_is_used(self):
         mats = [lexical_matrix(), semantic_matrix()]
         table = ap_matrix([m.scores for m in mats], QUERY_IDS, DOC_IDS, QRELS)

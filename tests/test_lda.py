@@ -421,6 +421,7 @@ class TestSweepRecord:
         assert result.sweeps_trace == [1] * len(result.elbo_trace)
         assert result.unsettled_trace == [18] * len(result.elbo_trace)
         assert not result.converged
+        assert result.stopped_by == "sweep_cap"
 
 
 class TestTrainingGuards:
@@ -428,7 +429,8 @@ class TestTrainingGuards:
         monkeypatch.setattr(lda, "MAX_EM_ITERS", 2)
         counts = random_counts(20, 15, 10)
         with pytest.warns(UserWarning, match="pass limit"):
-            train_lda(counts, k=3, seed=0)
+            result = train_lda(counts, k=3, seed=0)
+        assert not result.converged and result.stopped_by == "pass_cap"
 
     @pytest.mark.parametrize("cap, value, message", [
         ("MAX_EM_ITERS", 2, "pass limit"), ("VAR_MAX_ITERS", 1, "sweep cap")])
@@ -461,4 +463,4 @@ class TestTrainingGuards:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             loose = train_lda(counts, k=2, seed=0, alpha=1.0)
-        assert loose.converged
+        assert loose.converged and loose.stopped_by == "bound"

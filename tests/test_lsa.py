@@ -70,13 +70,13 @@ class TestTruncatedSvd:
     def test_rank_deficient_trimmed_and_flagged(self):
         base = np.outer(np.arange(1.0, 7.0), np.ones(4))  # rank 1
         factors = truncated_svd(base, 3)
-        assert factors.k == 1 and factors.requested_k == 3
+        assert len(factors.s) == 1 and factors.requested_k == 3
 
     def test_sign_convention(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((12, 7))
         factors = truncated_svd(a, 4)
-        for i in range(factors.k):
+        for i in range(len(factors.s)):
             j = int(np.argmax(np.abs(factors.u[:, i])))
             assert factors.u[j, i] > 0
 
@@ -124,7 +124,7 @@ class TestGramLanczos:
         rank = np.linalg.matrix_rank(matrix.toarray())
         with np.errstate(all="raise"):
             factors = truncated_svd(matrix, rank + 8)
-        assert factors.k == rank and factors.requested_k == rank + 8
+        assert len(factors.s) == rank and factors.requested_k == rank + 8
         assert np.all(np.isfinite(factors.u)) and np.all(np.isfinite(factors.vt))
         assert factors.residual <= SVD_TOL
 
@@ -189,7 +189,7 @@ class TestLsiRanking:
 
     def test_requested_k_capped_by_shape(self):
         factors = truncated_svd(np.random.default_rng(0).standard_normal((6, 4)), 10)
-        assert factors.k <= 4
+        assert len(factors.s) <= 4
         assert factors.requested_k == 10
 
 
@@ -197,4 +197,4 @@ class TestFactorsDataclass:
     def test_rank_properties(self):
         f = SvdFactors(u=np.eye(3), s=np.array([2.0, 1.0]),
                        vt=np.eye(3)[:2], requested_k=2)
-        assert f.k == 2 == f.requested_k
+        assert len(f.s) == 2 == f.requested_k

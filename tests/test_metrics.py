@@ -7,6 +7,7 @@ from oracles import (argsort_average_precisions, argsort_curves,
                      cube_curves)
 from ldikit import metrics
 from ldikit.corpus import judged_pairs
+from ldikit.ensemble import ScoreMatrix, combined_scores
 from ldikit.metrics import (EvalReport, Judgments, ap_matrix,
                             average_precision, evaluate_scores,
                             macro_average_curve, mean_average_precision,
@@ -346,6 +347,100 @@ class TestValueSortKernel:
         assert (unsorted.doc_ids == [5, 6, 7]).all()
         assert (unsorted.gather(scores) == scores[:, ::-1]).all()
         assert (unsorted.gather(scores, [1]) == scores[1:, ::-1]).all()
+
+
+def ulp_layout(rng):
+    """A score layout whose rows hold ulp neighbours: each cell is one of a
+    few base values stepped up to three ulps either way (``np.nextafter``),
+    so scores differ in their last bit or tie exactly, with 0.0 against
+    -0.0 among the bases."""
+    n_queries, n_docs = int(rng.integers(1, 12)), int(rng.integers(1, 90))
+    shape = (n_queries, n_docs)
+    bases = rng.choice([0.0, -0.0, 0.1, 1.0 / 3.0, 1.0, 1e-300],
+                       size=int(rng.integers(1, 4)))
+    scores = rng.choice(bases, size=shape)
+    for _ in range(3):
+        step = rng.integers(-1, 2, shape)
+        scores = np.where(step > 0, np.nextafter(scores, np.inf),
+                          np.where(step < 0, np.nextafter(scores, -np.inf),
+                                   scores))
+    doc_ids = rng.choice(5 * n_docs + 5, size=n_docs, replace=False) + 1
+    query_ids = np.arange(n_queries) + 1
+    qrels = {int(q): set(rng.choice(doc_ids, size=int(rng.integers(1, n_docs + 1)),
+                                    replace=False).tolist())
+             for q in query_ids if rng.random() < 0.85}
+    return scores, query_ids, doc_ids, qrels
+
+
+class TestUlpNeighbours:
+    @pytest.mark.parametrize("block_cells", [metrics.BLOCK_CELLS, 40, 1])
+    def test_equals_the_argsort_kernel(self, monkeypatch, block_cells):
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(61)
+        checked = 0
+        while checked < 100:
+            scores, query_ids, doc_ids, qrels = ulp_layout(rng)
+            if not qrels:
+                continue
+            checked += 1
+            _, want, _ = argsort_hit_precisions(scores, query_ids, doc_ids,
+                                                qrels)
+            got = Judgments(query_ids, doc_ids,
+                            judged_pairs(qrels)).hit_precisions(scores)
+            assert got.shape == want.shape and (got == want).all()
+
+
+class TestWeightedSum:
+    """AP of a weighted sum ranked block by block equals AP of the whole
+    sum ``combined_scores`` writes, bit for bit."""
+
+    @pytest.mark.parametrize("block_cells", [metrics.BLOCK_CELLS, 40, 1])
+    @pytest.mark.parametrize("make, seed", [(hard_layout, 67), (ulp_layout, 71)])
+    def test_blockwise_sum_equals_the_whole_sum(self, monkeypatch, block_cells,
+                                                make, seed):
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(seed)
+        checked = 0
+        while checked < 60:
+            scores, query_ids, doc_ids, qrels = make(rng)
+            if not qrels:
+                continue
+            checked += 1
+            # the other constituents: the same layout's scores reversed
+            # along each row, and integer scores that tie
+            parts = [scores, scores[:, ::-1],
+                     rng.integers(0, 3, scores.shape).astype(float)]
+            n = int(rng.integers(1, 4))
+            weights = rng.choice([0.0, 0.5, 1.0, rng.random()], size=n)
+            mats = [ScoreMatrix(f"m{i}", parts[i], query_ids, doc_ids)
+                    for i in range(n)]
+            pairs = judged_pairs(qrels)
+            judged = Judgments(query_ids, doc_ids, pairs)
+            with np.errstate(invalid="ignore"):
+                whole = combined_scores(weights, mats)
+                got = judged.weighted_average_precisions(weights, parts[:n])
+            want = judged.average_precisions(whole)
+            assert (got == want).all()
+            assert (got == argsort_average_precisions(
+                whole, query_ids, doc_ids, qrels)).all()
+
+    def test_rows_on_both_sides_of_a_block_boundary(self, monkeypatch):
+        # rows of six documents, two rows per block: the sum ties relevant
+        # and non-relevant documents in every row
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", 12)
+        first = np.array([[0.5, 0.25, 0.5, 0.0, 0.25, 0.5]] * 5)
+        second = np.array([[0.0, 0.25, 0.0, 0.5, 0.25, 0.0]] * 5)
+        doc_ids = np.array([60, 20, 50, 10, 40, 30])
+        query_ids = np.arange(5) + 1
+        qrels = {1: {20, 10}, 2: {60, 40}, 3: {30, 50}, 4: {60, 40, 50},
+                 5: {10}}
+        judged = Judgments(query_ids, doc_ids, judged_pairs(qrels))
+        got = judged.weighted_average_precisions([1.0, 1.0], [first, second])
+        want = argsort_average_precisions(first + second, query_ids, doc_ids,
+                                          qrels)
+        assert (got == want).all()
+        # every sum ties at 0.5, so ids decide: ranks 3 and 5 for query 3
+        assert got[2] == (1 / 3 + 2 / 5) / 2
 
 
 def pairs_layout(rng):

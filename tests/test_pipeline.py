@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import DATA_DIR_ENV, data_root, find_collection_files
-from ldikit import config, pipeline
+from ldikit import config, lda, pipeline
 from ldikit.config import default_topic_count, resolve_out_path
 from ldikit.corpus import Corpus, judged_pairs, load_corpus, save_corpus
 from ldikit.demo import RELEVANT, demo_corpus
@@ -108,8 +109,26 @@ class TestTrainScoreEvaluate:
 
     def test_lda_records_fit_summary(self, corpus):
         fitted = fit(corpus, "lda")
-        assert set(fitted.extra) == {"alpha", "converged", "elbo"}
+        assert set(fitted.extra) == {"alpha", "converged", "stopped_by",
+                                     "elbo"}
         assert fitted.extra["alpha"] > 0
+
+    @pytest.mark.parametrize("caps, stopped_by", [
+        ({"MAX_EM_ITERS": 1000}, "bound"),
+        ({"MAX_EM_ITERS": 2}, "pass_cap"),
+        ({"MAX_EM_ITERS": 1000, "VAR_MAX_ITERS": 1}, "sweep_cap")])
+    def test_lda_manifest_names_what_stopped_the_fit(self, corpus, tmp_path,
+                                                     monkeypatch, caps,
+                                                     stopped_by):
+        for name, value in caps.items():
+            monkeypatch.setattr(lda, name, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            save_fitted(fit(corpus, "lda"), tmp_path / "m")
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        assert manifest["stopped_by"] == stopped_by
+        assert manifest["converged"] == (stopped_by == "bound")
+        assert load_fitted(tmp_path / "m").extra["stopped_by"] == stopped_by
 
     def test_lsi_records_how_its_svd_ended(self, corpus, tmp_path):
         save_fitted(fit(corpus, "lsi"), tmp_path / "m")
