@@ -5,7 +5,8 @@ judgments) in the dotted-marker record format used by the classic retrieval
 test collections.  This module turns them into an in-memory `Corpus`: a
 term-document count matrix over a fixed vocabulary, query count vectors over
 the same vocabulary, and the judged (query id, doc id) pairs as one sorted
-array.
+array.  The judgments parser returns that array, and it stays the one form
+of the judgments from the file to the bundle.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import functools
 import hashlib
 import json
 import re
+import string
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -70,16 +72,8 @@ _KNOWN_SECTIONS = frozenset("ITABWXN")
 _TEXT_SECTIONS = {"T": "title", "W": "body"}
 
 
-def _iter_lines(source) -> Iterable[str]:
-    if isinstance(source, str):
-        return source.splitlines()
-    if isinstance(source, Path):
-        return source.read_text(errors="replace").splitlines()
-    return (line.rstrip("\n") for line in source)
-
-
-def _parse_records(source, source_tag: str):
-    """Yield (doc_id, sections, line_no) for each .I record in the stream."""
+def _parse_records(path: Path, source_tag: str):
+    """Yield (doc_id, sections, line_no) for each .I record of the file."""
     doc_id = None
     start_line = 0
     sections: dict[str, list[str]] = {}
@@ -89,7 +83,8 @@ def _parse_records(source, source_tag: str):
         if doc_id is not None:
             yield doc_id, sections, start_line
 
-    for line_no, line in enumerate(_iter_lines(source), 1):
+    lines = path.read_text(errors="replace").splitlines()
+    for line_no, line in enumerate(lines, 1):
         m = _MARKER_RE.match(line) if line.startswith(".") else None
         if m:
             tag, rest = m.group(1), m.group(2)
@@ -126,7 +121,7 @@ def _parse_records(source, source_tag: str):
     yield from flush()
 
 
-def parse_documents(source, source_tag: str = "") -> list[RawDocument]:
+def parse_documents(path: Path, source_tag: str = "") -> list[RawDocument]:
     """Parse a document file into RawDocuments.
 
     Records begin at ``.I <id>``; ``.T`` and ``.W`` sections supply the
@@ -135,7 +130,7 @@ def parse_documents(source, source_tag: str = "") -> list[RawDocument]:
     """
     docs: list[RawDocument] = []
     seen: set[int] = set()
-    for doc_id, sections, line_no in _parse_records(source, source_tag or "documents"):
+    for doc_id, sections, line_no in _parse_records(path, source_tag or "documents"):
         if doc_id in seen:
             raise ParseError(f"duplicate document id {doc_id}", line_no)
         seen.add(doc_id)
@@ -145,11 +140,11 @@ def parse_documents(source, source_tag: str = "") -> list[RawDocument]:
     return docs
 
 
-def parse_queries(source, source_tag: str = "") -> list[Query]:
+def parse_queries(path: Path, source_tag: str = "") -> list[Query]:
     """Parse a query file; query text comes from .W (falling back to .T)."""
     queries: list[Query] = []
     seen: set[int] = set()
-    for query_id, sections, line_no in _parse_records(source, source_tag or "queries"):
+    for query_id, sections, line_no in _parse_records(path, source_tag or "queries"):
         if query_id in seen:
             raise ParseError(f"duplicate query id {query_id}", line_no)
         seen.add(query_id)
@@ -160,8 +155,10 @@ def parse_queries(source, source_tag: str = "") -> list[Query]:
     return queries
 
 
-def parse_qrels(source, dialect: str = "auto") -> dict[int, set[int]]:
-    """Parse relevance judgments into {query_id: {doc_id, ...}}.
+def parse_qrels(path: Path, dialect: str = "auto") -> np.ndarray:
+    """Parse relevance judgments into the judged (query id, doc id) pairs:
+    the read-only ``(n, 2)`` int64 array `Corpus.qrels` holds, sorted by
+    query, then doc, repeats dropped.
 
     Two whitespace-separated layouts exist in the wild:
 
@@ -169,23 +166,28 @@ def parse_qrels(source, dialect: str = "auto") -> dict[int, set[int]]:
     - ``trec``: constant 0 in column 2, document id in column 3
 
     ``auto`` picks ``trec`` when every row's column 2 equals 0.  Ids are
-    read by ``int`` and must fit in 64 bits.
+    read as ``int`` reads them and must fit in 64 bits.
     """
-    lines = list(_iter_lines(source))
+    text = path.read_text(errors="replace")
+    lines = text.splitlines()
     widths = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    del lines   # freed before the list of fields is built
     rows = np.flatnonzero(widths)   # 0-based line index of each judgment row
     if not len(rows):
-        return {}
+        return judged_pairs({})
     widths = widths[rows]
     narrow = np.flatnonzero(widths < 2)
     if len(narrow):
         raise ParseError("judgment row needs at least two columns",
                          int(rows[narrow[0]]) + 1)
-    fields = "\n".join(lines).split()
-    starts = np.cumsum(widths) - widths
+    fields = text.split()
+    width = int(widths[0]) if (widths == widths[0]).all() else 0
+    starts = None if width else np.cumsum(widths) - widths
 
     def column(c: int, n: int) -> list[str]:
         """Field ``c`` of the first ``n`` rows."""
+        if width:
+            return fields[c:n * width:width]
         return list(map(fields.__getitem__, (starts[:n] + c).tolist()))
 
     if dialect == "auto":
@@ -199,7 +201,7 @@ def parse_qrels(source, dialect: str = "auto") -> dict[int, set[int]]:
     n = int(short[0]) if len(short) else len(rows)   # rows before the first short one
     qids, dids = column(0, n), column(doc_col, n)
     try:
-        pairs = np.fromiter(map(int, qids + dids), np.int64, 2 * n).reshape(2, n)
+        pairs = np.column_stack((_int64_ids(qids), _int64_ids(dids)))
     except (ValueError, OverflowError):
         for row, ids in enumerate(zip(qids, dids)):
             try:
@@ -210,27 +212,50 @@ def parse_qrels(source, dialect: str = "auto") -> dict[int, set[int]]:
     if n < len(rows):
         raise ParseError(f"judgment row too short for {dialect!r} layout",
                          int(rows[n]) + 1)
-    return _group_pairs(pairs[0], pairs[1])
+    pairs = _sorted_pairs(pairs)
+    pairs.flags.writeable = False
+    return pairs
 
 
-def _group_pairs(qids: np.ndarray, dids: np.ndarray) -> dict[int, set[int]]:
-    """{qid: {did, ...}} from paired id columns, queries in order of first
-    appearance."""
-    if not len(qids):
-        return {}
-    order = np.argsort(qids, kind="stable")
-    qids, dids = qids[order], dids[order]
-    first = np.flatnonzero(np.r_[True, qids[1:] != qids[:-1]])
-    groups = np.split(dids, first[1:])
-    # the stable sort keeps each query's earliest row first in its group
-    return {int(qids[first[g]]): set(groups[g].tolist())
-            for g in np.argsort(order[first]).tolist()}
+def _int64_ids(ids: list[str]) -> np.ndarray:
+    """The ids as ``int`` reads them, as int64; ValueError or OverflowError
+    when one is not an integer or does not fit in 64 bits."""
+    joined = " ".join(ids)
+    if ids and joined.isascii():
+        codes = np.frombuffer(joined.encode(), np.uint8)
+        gaps = np.flatnonzero(codes == ord(" "))
+        # only digits, at most 18 between separators: numpy's text reader
+        # reads them as int does, and none overflows
+        if (np.count_nonzero(codes - ord("0") < 10) == len(codes) - len(gaps)
+                and np.diff(gaps, prepend=-1, append=len(codes)).max() <= 19):
+            return np.fromstring(joined, np.int64, sep=" ")
+    return np.fromiter(map(int, ids), np.int64, len(ids))
 
 
 # ---------------------------------------------------------------------------
 # Tokenization and stoplisting
 
-_STRIP_RE = re.compile(r"[^a-z0-9\s]+")
+_KEPT = frozenset(string.ascii_lowercase + string.digits)
+
+
+class _CleanTable(dict):
+    """`str.translate` table that keeps a-z, 0-9 and whitespace and deletes
+    every other character.
+
+    The first 256 code points are entries; the rest are answered by
+    ``__missing__`` and never stored, so the table does not grow with the
+    text it cleans.
+    """
+
+    def __init__(self):
+        super().__init__((c, self.__missing__(c)) for c in range(256))
+
+    def __missing__(self, code: int) -> int | None:
+        char = chr(code)
+        return code if char in _KEPT or char.isspace() else None
+
+
+_CLEAN_TABLE = _CleanTable()
 
 
 def _clean(text: str) -> str:
@@ -239,7 +264,7 @@ def _clean(text: str) -> str:
     Deleting (not blanking) punctuation keeps hyphenated and apostrophized
     forms as single tokens: "don't" -> "dont", "x-ray" -> "xray".
     """
-    return _STRIP_RE.sub("", text.lower())
+    return text.lower().translate(_CLEAN_TABLE)
 
 
 def _is_term(token: str) -> bool:
@@ -298,10 +323,11 @@ class Vocabulary:
     """Fixed term list; index order is first occurrence in the corpus."""
 
     terms: list[str]
-    index: dict[str, int] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.index = {t: j for j, t in enumerate(self.terms)}
+    @functools.cached_property
+    def index(self) -> dict[str, int]:
+        """Term -> column, built at the first lookup."""
+        return {t: j for j, t in enumerate(self.terms)}
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -421,12 +447,15 @@ def count_matrix(docs: Sequence, vocab: Vocabulary) -> TermDocCounts:
 
 @dataclass
 class Collection:
-    """One parsed test collection: raw documents, queries, judgments."""
+    """One parsed test collection: raw documents, queries, judgments.
+
+    ``qrels`` holds the judged pairs as `parse_qrels` returns them.
+    """
 
     name: str
     documents: list[RawDocument]
     queries: list[Query]
-    qrels: dict[int, set[int]] = field(default_factory=dict)
+    qrels: np.ndarray = field(default_factory=lambda: judged_pairs({}))
 
 
 def merge_collections(collections: Sequence[Collection], name: str = "merged") -> Collection:
@@ -441,7 +470,7 @@ def merge_collections(collections: Sequence[Collection], name: str = "merged") -
     """
     docs: list[RawDocument] = []
     queries: list[Query] = []
-    qrels: dict[int, set[int]] = {}
+    pairs = [judged_pairs({})]
     doc_offset = 0
     query_offset = 0
     for coll in collections:
@@ -455,26 +484,30 @@ def merge_collections(collections: Sequence[Collection], name: str = "merged") -
                 query_id=q.query_id + query_offset, text=q.text,
                 source=q.source or coll.name,
             ))
-        for qid, dids in coll.qrels.items():
-            qrels[qid + query_offset] = {d + doc_offset for d in dids}
-        judged_docs = [d for dids in coll.qrels.values() for d in dids]
-        doc_offset += max([d.doc_id for d in coll.documents] + judged_docs,
-                          default=0)
+        pairs.append(coll.qrels + [query_offset, doc_offset])
+        doc_offset += max([d.doc_id for d in coll.documents]
+                          + coll.qrels[:, 1].tolist(), default=0)
         query_offset += max([q.query_id for q in coll.queries]
-                            + list(coll.qrels), default=0)
+                            + coll.qrels[:, 0].tolist(), default=0)
+    qrels = _sorted_pairs(np.concatenate(pairs))
+    qrels.flags.writeable = False
     return Collection(name=name, documents=docs, queries=queries, qrels=qrels)
 
 
 def validate_qrels(collection: Collection) -> list[str]:
-    """Report judgment pairs whose ids resolve to no parsed document/query."""
-    doc_ids = {d.doc_id for d in collection.documents}
-    query_ids = {q.query_id for q in collection.queries}
+    """Report judgment pairs whose ids resolve to no parsed document/query,
+    in pair order: an unknown query once, before its first pair."""
+    qids, dids = collection.qrels.T
+    unknown_query = ~np.isin(qids, [q.query_id for q in collection.queries])
+    unknown_query[1:] &= qids[1:] != qids[:-1]
+    unknown_doc = ~np.isin(dids, [d.doc_id for d in collection.documents])
     problems = []
-    for qid in sorted(collection.qrels):
-        if qid not in query_ids:
+    for row in np.flatnonzero(unknown_query | unknown_doc).tolist():
+        qid, did = int(qids[row]), int(dids[row])
+        if unknown_query[row]:
             problems.append(f"judgments for unknown query {qid}")
-        problems.extend(f"query {qid}: judged document {did} not parsed"
-                        for did in sorted(set(collection.qrels[qid]) - doc_ids))
+        if unknown_doc[row]:
+            problems.append(f"query {qid}: judged document {did} not parsed")
     return problems
 
 
@@ -517,13 +550,12 @@ class Corpus:
         """Content hash covering vocabulary, ids, counts and judged pairs."""
         h = hashlib.sha256()
         h.update("\n".join(self.vocabulary.terms).encode())
-        h.update(self.doc_ids.tobytes())
-        h.update(self.query_ids.tobytes())
+        arrays = [self.doc_ids, self.query_ids]
         for m in (self.counts.matrix, self.query_counts):
             m = m.tocsr()
-            h.update(m.indptr.tobytes())
-            h.update(m.indices.tobytes())
-            h.update(np.asarray(m.data, dtype=np.int64).tobytes())
+            arrays += [m.indptr, m.indices, np.asarray(m.data, dtype=np.int64)]
+        for a in arrays:
+            h.update(np.ascontiguousarray(a))   # the buffer, not a copy
         h.update(np.ascontiguousarray(self.qrels, dtype="<i8"))
         return h.hexdigest()
 
@@ -541,8 +573,8 @@ def judged_pairs(qrels: Mapping[int, set[int]]) -> np.ndarray:
 
 
 def _sorted_pairs(pairs: np.ndarray) -> np.ndarray:
-    """Stored judged pairs in `judged_pairs` order, repeats dropped; the
-    array itself when it already is."""
+    """Judged pairs in `judged_pairs` order, repeats dropped; the array
+    itself when it already is."""
     if strictly_increasing(pairs):
         return pairs
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
@@ -571,10 +603,11 @@ def build_corpus(collection: Collection, stoplist: StopList | None = None) -> Co
         )
     doc_ids = np.array([d.doc_id for d in collection.documents], dtype=np.int64)
     query_ids = np.array([q.query_id for q in collection.queries], dtype=np.int64)
-    pairs = judged_pairs(collection.qrels)
-    pairs = pairs[np.isin(pairs[:, 0], query_ids)
-                  & np.isin(pairs[:, 1], doc_ids)]
-    pairs.flags.writeable = False
+    pairs = collection.qrels
+    if problems:
+        pairs = pairs[np.isin(pairs[:, 0], query_ids)
+                      & np.isin(pairs[:, 1], doc_ids)]
+        pairs.flags.writeable = False
     return Corpus(
         name=collection.name,
         doc_ids=doc_ids,
@@ -646,5 +679,6 @@ def load_collection(doc_path, query_path=None, qrels_path=None,
     tag = name or doc_path.stem
     docs = parse_documents(doc_path, tag)
     queries = parse_queries(Path(query_path), tag) if query_path else []
-    qrels = parse_qrels(Path(qrels_path), qrels_dialect) if qrels_path else {}
+    qrels = (parse_qrels(Path(qrels_path), qrels_dialect) if qrels_path
+             else judged_pairs({}))
     return Collection(name=tag, documents=docs, queries=queries, qrels=qrels)

@@ -1,4 +1,4 @@
-import io
+import itertools
 import json
 import os
 import subprocess
@@ -12,8 +12,9 @@ import pytest
 import ldikit
 import oracles
 from ldikit import cli
+from ldikit import corpus as corpus_mod
 from ldikit.corpus import (Collection, ParseError, Query, RawDocument,
-                           StopList, build_corpus, count_matrix,
+                           StopList, build_corpus, count_matrix, judged_pairs,
                            load_collection, load_corpus, load_stoplist,
                            merge_collections, parse_documents, parse_qrels,
                            parse_queries, save_corpus, smart_stoplist,
@@ -50,9 +51,21 @@ cardiac enzyme levels
 """
 
 
+@pytest.fixture
+def write(tmp_path):
+    """Writes a text to a new file under ``tmp_path``; returns its path."""
+    names = itertools.count()
+
+    def write(text: str) -> Path:
+        path = tmp_path / f"{next(names)}.txt"
+        path.write_bytes(text.encode())
+        return path
+    return write
+
+
 class TestRecordParsing:
-    def test_documents_parse_sections(self):
-        docs = parse_documents(DOC_FILE, "t")
+    def test_documents_parse_sections(self, write):
+        docs = parse_documents(write(DOC_FILE), "t")
         assert [d.doc_id for d in docs] == [1, 2, 3]
         assert docs[0].title == "Growth factors in the nervous system."
         assert "mouse tissue" in docs[0].body
@@ -61,151 +74,165 @@ class TestRecordParsing:
         assert "1 5 1" not in docs[0].text
         assert docs[2].title == ""
 
-    def test_text_joins_title_and_body(self):
-        docs = parse_documents(DOC_FILE, "t")
+    def test_text_joins_title_and_body(self, write):
+        docs = parse_documents(write(DOC_FILE), "t")
         assert docs[0].text.startswith("Growth factors")
         assert docs[0].text.endswith("mouse tissue.")
 
-    def test_marker_with_inline_text(self):
-        docs = parse_documents(".I 7\n.W some inline text\nmore text\n", "t")
+    def test_marker_with_inline_text(self, write):
+        docs = parse_documents(write(".I 7\n.W some inline text\nmore text\n"), "t")
         assert docs[0].doc_id == 7
         assert docs[0].body == "some inline text\nmore text"
 
-    def test_duplicate_id_rejected(self):
+    def test_duplicate_id_rejected(self, write):
         with pytest.raises(ParseError):
-            parse_documents(".I 1\n.W\na b\n.I 1\n.W\nc d\n", "t")
+            parse_documents(write(".I 1\n.W\na b\n.I 1\n.W\nc d\n"), "t")
 
-    def test_non_integer_id_rejected(self):
+    def test_non_integer_id_rejected(self, write):
         with pytest.raises(ParseError) as err:
-            parse_documents(".I abc\n.W\nx\n", "t")
+            parse_documents(write(".I abc\n.W\nx\n"), "t")
         assert err.value.line_no == 1
 
-    def test_section_before_record_rejected(self):
+    def test_section_before_record_rejected(self, write):
         with pytest.raises(ParseError):
-            parse_documents(".W\norphan text\n", "t")
+            parse_documents(write(".W\norphan text\n"), "t")
 
-    def test_unknown_section_warns_and_skips(self):
+    def test_unknown_section_warns_and_skips(self, write):
+        path = write(".I 1\n.Q\nstrange\n.W\nreal text here\n")
         with pytest.warns(UserWarning):
-            docs = parse_documents(".I 1\n.Q\nstrange\n.W\nreal text here\n", "t")
+            docs = parse_documents(path, "t")
         assert docs[0].body == "real text here"
 
-    def test_queries_fall_back_to_title(self):
-        queries = parse_queries(QUERY_FILE, "t")
+    def test_queries_fall_back_to_title(self, write):
+        queries = parse_queries(write(QUERY_FILE), "t")
         assert queries[0].text == "nerve growth factor experiments"
         assert queries[1].text == "cardiac enzyme levels"
 
 
+@pytest.fixture
+def parse(write):
+    """`parse_qrels` of a text written to a file, as [query id, doc id] rows."""
+    return lambda text, *args: parse_qrels(write(text), *args).tolist()
+
+
 class TestQrels:
-    def test_pair_dialect(self):
-        qrels = parse_qrels("1 12\n1 17\n2 9\n", dialect="pair")
-        assert qrels == {1: {12, 17}, 2: {9}}
+    def test_pair_dialect(self, parse):
+        assert parse("1 12\n1 17\n2 9\n", "pair") == [[1, 12], [1, 17], [2, 9]]
 
-    def test_trec_dialect(self):
-        qrels = parse_qrels("1 0 12 1\n1 0 17 1\n", dialect="trec")
-        assert qrels == {1: {12, 17}}
+    def test_trec_dialect(self, parse):
+        assert parse("1 0 12 1\n1 0 17 1\n", "trec") == [[1, 12], [1, 17]]
 
-    def test_auto_detects_trec(self):
-        assert parse_qrels("3 0 44 2\n3 0 45 0\n") == {3: {44, 45}}
+    def test_auto_detects_trec(self, parse):
+        assert parse("3 0 44 2\n3 0 45 0\n") == [[3, 44], [3, 45]]
 
-    def test_auto_detects_pair(self):
+    def test_auto_detects_pair(self, parse):
         # column 2 is a real document id here, not a constant zero
-        assert parse_qrels("1 12 0 0\n1 13 0 0\n") == {1: {12, 13}}
+        assert parse("1 12 0 0\n1 13 0 0\n") == [[1, 12], [1, 13]]
 
-    def test_pair_with_extra_columns(self):
-        assert parse_qrels("1 12 0.8\n", dialect="pair") == {1: {12}}
+    def test_pair_with_extra_columns(self, parse):
+        assert parse("1 12 0.8\n", "pair") == [[1, 12]]
 
-    def test_short_row_rejected(self):
+    def test_short_row_rejected(self, parse):
         with pytest.raises(ParseError):
-            parse_qrels("1\n")
+            parse("1\n")
         with pytest.raises(ParseError):
-            parse_qrels("1 0\n", dialect="trec")
+            parse("1 0\n", "trec")
 
-    def test_bad_dialect_rejected(self):
+    def test_bad_dialect_rejected(self, parse):
         with pytest.raises(ValueError):
-            parse_qrels("1 2\n", dialect="nope")
+            parse("1 2\n", "nope")
 
-    def test_non_integer_rejected(self):
+    def test_non_integer_rejected(self, parse):
         with pytest.raises(ParseError):
-            parse_qrels("one 2\n", dialect="pair")
+            parse("one 2\n", "pair")
 
-    def test_empty_input(self):
-        assert parse_qrels("") == {}
+    def test_empty_input(self, write):
+        for text in ("", "\n \n\t\n"):
+            pairs = parse_qrels(write(text))
+            assert pairs.shape == (0, 2) and pairs.dtype == np.int64
 
-    def test_malformed_row_deep_in_a_long_file_names_its_line(self):
+    def test_malformed_row_deep_in_a_long_file_names_its_line(self, parse):
         lines = []
         for q in range(1, 401):
             lines += [f"{q} 0 {d} 1" for d in range(1, 11)] + [""]
         good = len(lines)
         lines += ["", "  ", "401 0 7 1", "401 0 x 1", "402 0 3 1"]
         with pytest.raises(ParseError) as err:
-            parse_qrels("\n".join(lines))
+            parse("\n".join(lines))
         assert err.value.line_no == good + 4
         assert str(err.value).startswith(f"line {good + 4}: ")
         lines[good + 3] = "401"
         with pytest.raises(ParseError, match="two columns") as err:
-            parse_qrels("\n".join(lines))
+            parse("\n".join(lines))
         assert err.value.line_no == good + 4
 
-    def test_earliest_bad_row_wins(self):
+    def test_earliest_bad_row_wins(self, parse):
         # a one-column row is found before any id is read
         with pytest.raises(ParseError, match="two columns") as err:
-            parse_qrels("x 1\n2 3\n4\n")
+            parse("x 1\n2 3\n4\n")
         assert err.value.line_no == 3
         # otherwise the first row that is short or not integer
         with pytest.raises(ParseError) as err:
-            parse_qrels("1 0 4\n2 0 y\n3 0\n", dialect="trec")
+            parse("1 0 4\n2 0 y\n3 0\n", "trec")
         assert err.value.line_no == 2
         with pytest.raises(ParseError, match="too short") as err:
-            parse_qrels("1 0 4\n3 0\n2 0 y\n", dialect="trec")
+            parse("1 0 4\n3 0\n2 0 y\n", "trec")
         assert err.value.line_no == 2
 
-    def test_non_integer_ids_in_either_column(self):
+    def test_non_integer_ids_in_either_column(self, parse):
         for text, line_no in (("1 2\n1.5 3\n", 2), ("1 2\n1 3e2\n", 2),
-                              ("q1 0 2 1\n", 1), ("1 0 d2 1\n", 1)):
+                              ("q1 0 2 1\n", 1), ("1 0 d2 1\n", 1),
+                              ("1 2\n1 -\n", 2), ("1 2\n2 3 x\n1 ²\n", 3)):
             with pytest.raises(ParseError, match="integers") as err:
-                parse_qrels(text)
+                parse(text)
             assert err.value.line_no == line_no
 
-    def test_ids_beyond_64_bits_rejected(self):
+    def test_ids_beyond_64_bits_rejected(self, parse):
         with pytest.raises(ParseError) as err:
-            parse_qrels("1 2\n1 99999999999999999999\n")
+            parse("1 2\n1 99999999999999999999\n")
         assert err.value.line_no == 2
-
-    def test_ids_parse_as_python_int_does(self):
-        assert parse_qrels("+1 0 007 1\n1 0 1_000 1\n") == {1: {7, 1000}}
-
-    def test_row_too_short_for_trec(self):
-        with pytest.raises(ParseError, match="too short for 'trec'") as err:
-            parse_qrels("1 0 5 1\n\n2 0\n", dialect="trec")
+        with pytest.raises(ParseError) as err:   # 2**63
+            parse("1 0 4 1\n\n1 0 9223372036854775808 1\n2 0 5 1\n")
         assert err.value.line_no == 3
 
-    def test_auto_with_mixed_widths_is_pair(self):
+    def test_ids_parse_as_python_int_does(self, parse):
+        assert parse("+1 0 007 1\n1 0 1_000 1\n") == [[1, 7], [1, 1000]]
+        assert parse("١٢ 0 3 1\n-1 0 ٧ 1\n") == [[-1, 7], [12, 3]]
+
+    def test_ids_on_both_sides_of_eighteen_digits(self, parse):
+        # 18 digits or fewer, ASCII only: read by numpy; anything else by int
+        big = 2 ** 63 - 1
+        assert parse(f"1 {10 ** 18 - 1}\n1 {big}\n1 {10 ** 18}\n") == [
+            [1, 10 ** 18 - 1], [1, 10 ** 18], [1, big]]
+        assert parse("0000000000000000007 1\n000000000000000008 1\n") == [
+            [7, 1], [8, 1]]
+        assert parse(f"1 {-big - 1}\n") == [[1, -big - 1]]
+
+    def test_row_too_short_for_trec(self, parse):
+        with pytest.raises(ParseError, match="too short for 'trec'") as err:
+            parse("1 0 5 1\n\n2 0\n", "trec")
+        assert err.value.line_no == 3
+
+    def test_auto_with_mixed_widths_is_pair(self, parse):
         # one row without a third column: not every row is a trec row
-        assert parse_qrels("1 0 5 1\n2 7\n") == {1: {0}, 2: {7}}
-        assert parse_qrels("1 0 5\n2 0\n") == {1: {0}, 2: {0}}
-        assert parse_qrels("1 0 5 1\n2 0 6\n") == {1: {5}, 2: {6}}
+        assert parse("1 0 5 1\n2 7\n") == [[1, 0], [2, 7]]
+        assert parse("1 0 5\n2 0\n") == [[1, 0], [2, 0]]
+        assert parse("1 0 5 1\n2 0 6\n") == [[1, 5], [2, 6]]
+        assert parse("1 2\n1 3 0.5\n2 +4\n", "pair") == [[1, 2], [1, 3], [2, 4]]
 
-    def test_queries_keep_their_first_appearance_order(self):
-        qrels = parse_qrels("9 1\n2 5\n9 3\n4 4\n2 1\n")
-        assert list(qrels) == [9, 2, 4]
-        assert qrels == {9: {1, 3}, 2: {5, 1}, 4: {4}}
+    def test_pairs_sorted_by_query_then_doc_without_repeats(self, write):
+        pairs = parse_qrels(write("9 1\n2 5\n9 3\n4 4\n2 1\n9 1\n"))
+        assert pairs.tolist() == [[2, 1], [2, 5], [4, 4], [9, 1], [9, 3]]
+        assert pairs.dtype == np.int64 and pairs.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            pairs[0, 0] = 1
 
-    def test_str_path_and_file_object_inputs(self, tmp_path):
-        text = "3 0 44 1\r\n\n3 0 45 0\n1 0 2 1\n"
-        path = tmp_path / "rels.txt"
-        path.write_bytes(text.encode())
-        expected = {3: {44, 45}, 1: {2}}
-        assert parse_qrels(text) == expected
-        assert parse_qrels(path) == expected
-        with path.open() as fh:
-            assert parse_qrels(fh) == expected
-        assert parse_qrels(io.StringIO(text)) == expected
-        bad = "1 0 4 1\n\n1 0 four 1\n"
-        path.write_text(bad)
-        for source in (bad, path, io.StringIO(bad)):
-            with pytest.raises(ParseError) as err:
-                parse_qrels(source)
-            assert err.value.line_no == 3
+    def test_file_with_crlf_and_blank_lines(self, parse):
+        assert parse("3 0 44 1\r\n\n3 0 45 0\n1 0 2 1\n") == [
+            [1, 2], [3, 44], [3, 45]]
+        with pytest.raises(ParseError) as err:
+            parse("1 0 4 1\r\n\r\n1 0 four 1\n")
+        assert err.value.line_no == 3
 
 
 class TestTokenize:
@@ -293,13 +320,16 @@ class TestVocabulary:
         np.testing.assert_array_equal(counts.matrix.toarray()[0], [0, 2, 0, 1])
 
 
-def tiny_collection(name="tiny"):
+TINY_QRELS = {1: {1, 3}, 2: {2}}
+
+
+def tiny_collection(name="tiny", qrels=TINY_QRELS):
     docs = [RawDocument(1, "alpha beta", "alpha gamma delta", name),
             RawDocument(2, "", "beta beta gamma", name),
             RawDocument(3, "delta", "alpha delta", name)]
     queries = [Query(1, "alpha delta", name), Query(2, "beta", name)]
     return Collection(name=name, documents=docs, queries=queries,
-                      qrels={1: {1, 3}, 2: {2}})
+                      qrels=judged_pairs(qrels))
 
 
 class TestCollections:
@@ -309,25 +339,24 @@ class TestCollections:
         merged = merge_collections([a, b], name="ab")
         assert [d.doc_id for d in merged.documents] == [1, 2, 3, 4, 5, 6]
         assert [q.query_id for q in merged.queries] == [1, 2, 3, 4]
-        assert merged.qrels[3] == {4, 6}
+        assert merged.qrels.tolist() == [[1, 1], [1, 3], [2, 2],
+                                         [3, 4], [3, 6], [4, 5]]
         assert merged.documents[3].source == "b"
 
     def test_merge_keeps_judgments_of_unparsed_ids_apart(self):
         # a judges query 5 and document 9, neither of which it parsed; the
         # next collection's ids start above them, so the pairs stay unknown
         # instead of being overwritten by or attributed to b's ids
-        a = tiny_collection("a")
-        a.qrels[5] = {4}
-        a.qrels[2] = {2, 9}
+        a = tiny_collection("a", {1: {1, 3}, 2: {2, 9}, 5: {4}})
         docs = [RawDocument(i, "", "alpha", "b") for i in (1, 2, 3)]
         b = Collection(name="b", documents=docs,
                        queries=[Query(i, "alpha", "b") for i in (1, 2, 3)],
-                       qrels={1: {1}, 3: {3}})
+                       qrels=judged_pairs({1: {1}, 3: {3}}))
         merged = merge_collections([a, b], name="ab")
         assert [q.query_id for q in merged.queries] == [1, 2, 6, 7, 8]
         assert [d.doc_id for d in merged.documents] == [1, 2, 3, 10, 11, 12]
-        assert merged.qrels == {1: {1, 3}, 2: {2, 9}, 5: {4},
-                                6: {10}, 8: {12}}
+        assert merged.qrels.tolist() == [[1, 1], [1, 3], [2, 2], [2, 9],
+                                         [5, 4], [6, 10], [8, 12]]
         assert validate_qrels(merged) == [
             "query 2: judged document 9 not parsed",
             "judgments for unknown query 5",
@@ -336,20 +365,18 @@ class TestCollections:
     def test_merge_keeps_disjoint_ids_stable(self):
         a = tiny_collection("a")
         merged = merge_collections([a], name="solo")
-        assert merged.qrels == a.qrels
+        np.testing.assert_array_equal(merged.qrels, a.qrels)
 
     def test_validate_reports_unknown_ids(self):
-        coll = tiny_collection()
-        coll.qrels[9] = {1}
-        coll.qrels[1].add(99)
-        problems = validate_qrels(coll)
-        assert any("unknown query 9" in p for p in problems)
-        assert any("document 99" in p for p in problems)
+        # an unknown query is reported once, however many pairs it has
+        coll = tiny_collection(qrels={1: {1, 3, 99}, 2: {2}, 9: {1, 2, 98}})
+        assert validate_qrels(coll) == [
+            "query 1: judged document 99 not parsed",
+            "judgments for unknown query 9",
+            "query 9: judged document 98 not parsed"]
 
     def test_build_corpus_drops_bad_judgments(self):
-        coll = tiny_collection()
-        coll.qrels[1].add(99)
-        coll.qrels[9] = {1}
+        coll = tiny_collection(qrels={1: {1, 3, 99}, 2: {2}, 9: {1}})
         with pytest.warns(UserWarning):
             corpus = build_corpus(coll)
         assert corpus.qrels.tolist() == [[1, 1], [1, 3], [2, 2]]
@@ -367,8 +394,7 @@ class TestCollections:
         c1 = build_corpus(tiny_collection())
         c2 = build_corpus(tiny_collection())
         assert c1.checksum() == c2.checksum()
-        coll = tiny_collection()
-        coll.qrels[2].add(1)
+        coll = tiny_collection(qrels={1: {1, 3}, 2: {1, 2}})
         assert c1.checksum() != build_corpus(coll).checksum()
 
     def test_judgments_are_read_only(self, tmp_path):
@@ -460,7 +486,7 @@ class TestDamagedCorpusBundle:
         out = save_corpus(build_corpus(tiny_collection()), tmp_path / "bundle")
         corpus = load_corpus(out)
         edit_manifest(out, format_version=2, checksum=oracles.loop_checksum(
-            corpus, tiny_collection().qrels))
+            corpus, TINY_QRELS))
         self.assert_rejected(out, tmp_path, "rebuild .*ldikit corpus build")
 
     def test_csv_bundle_must_be_rebuilt(self, tmp_path):
@@ -484,12 +510,12 @@ class TestLoadCollection:
                                tmp_path / "rels.txt", name="mini")
         assert coll.name == "mini"
         assert len(coll.documents) == 3 and len(coll.queries) == 2
-        assert coll.qrels == {1: {1}, 2: {2}}
+        assert coll.qrels.tolist() == [[1, 1], [2, 2]]
 
     def test_documents_only(self, tmp_path):
         (tmp_path / "docs.all").write_text(DOC_FILE)
         coll = load_collection(tmp_path / "docs.all")
-        assert coll.queries == [] and coll.qrels == {}
+        assert coll.queries == [] and coll.qrels.shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +574,22 @@ def assert_same_counts(counts, expected):
     np.testing.assert_array_equal(counts.doc_lengths, lengths)
 
 
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def random_id(rng, value):
+    """``value`` as ``int`` reads it: mostly plain digits, now and then
+    signed, zero-padded to 19 digits or in Arabic-Indic digits."""
+    spelling = rng.random()
+    if spelling < 0.03:
+        return f"+{value}"
+    if spelling < 0.06:
+        return str(value).zfill(19)
+    if spelling < 0.08:
+        return str(value).translate(ARABIC_INDIC)
+    return str(value)
+
+
 def random_qrels_text(rng):
     """Judgment rows in either layout, with blank lines, ragged extras and
     now and then a malformed row."""
@@ -557,8 +599,9 @@ def random_qrels_text(rng):
         if rng.random() < 0.15:
             lines.append(str(rng.choice(["", "  ", "\t"])))
             continue
-        qid, did = int(rng.integers(1, 6)), int(rng.integers(0, 30))
-        row = [str(qid), "0", str(did), "1"] if trec else [str(qid), str(did)]
+        qid = random_id(rng, int(rng.integers(1, 6)))
+        did = random_id(rng, int(rng.integers(0, 30)))
+        row = [qid, "0", did, "1"] if trec else [qid, did]
         row += ["0.5"] * int(rng.integers(0, 2))
         damage = rng.random()
         if damage < 0.03:
@@ -602,6 +645,16 @@ class TestAgainstTheLoopOracles:
             text = random_text(np.random.default_rng(seed), 30)
             assert tokenize(text) == oracles.loop_tokenize(text), seed
 
+    def test_tokenize_every_code_point(self):
+        # in one string and one code point at a time; the cleaning table
+        # answers code points above 255 without storing them
+        table = dict(corpus_mod._CLEAN_TABLE)
+        chars = list(map(chr, range(sys.maxunicode + 1)))
+        text = "".join(chars)
+        assert tokenize(text) == oracles.loop_tokenize(text)
+        assert list(map(tokenize, chars)) == list(map(oracles.loop_tokenize, chars))
+        assert dict(corpus_mod._CLEAN_TABLE) == table
+
     def test_build_corpus_and_its_bundle(self, tmp_path):
         for seed in range(self.N_COLLECTIONS):
             rng = np.random.default_rng(seed)
@@ -612,7 +665,7 @@ class TestAgainstTheLoopOracles:
             qrels = oracles.loop_parse_qrels(
                 "\n".join(f"{rng.integers(1, 6)} {rng.integers(1, 14)}"
                           for _ in range(int(rng.integers(0, 20)))))
-            collection = Collection("r", docs, queries, qrels)
+            collection = Collection("r", docs, queries, judged_pairs(qrels))
             stop = random_stoplist(rng)
             try:
                 terms = oracles.loop_vocabulary(docs, stop)
@@ -642,21 +695,23 @@ class TestAgainstTheLoopOracles:
                 np.testing.assert_array_equal(loaded.qrels, corpus.qrels)
                 assert loaded.checksum() == corpus.checksum()
 
-    def test_parse_qrels(self):
+    def test_parse_qrels(self, write):
         for seed in range(2 * self.N_COLLECTIONS):
             rng = np.random.default_rng(seed)
             text = random_qrels_text(rng)
             dialect = str(rng.choice(["auto", "auto", "pair", "trec"]))
+            path = write(text)
             try:
-                expected = oracles.loop_parse_qrels(text, dialect)
+                expected = judged_pairs(oracles.loop_parse_qrels(text, dialect))
             except oracles.LoopParseError as exc:
                 with pytest.raises(ParseError) as err:
-                    parse_qrels(text, dialect)
+                    parse_qrels(path, dialect)
                 assert err.value.line_no == exc.line_no, seed
                 continue
-            got = parse_qrels(text, dialect)
-            assert got == expected, seed
-            assert list(got) == list(expected), seed
+            got = parse_qrels(path, dialect)
+            assert got.dtype == expected.dtype, seed
+            assert got.tobytes() == expected.tobytes(), seed
+            assert got.shape == expected.shape and not got.flags.writeable, seed
 
 
 def test_corpus_build_is_independent_of_string_hashing(tmp_path):

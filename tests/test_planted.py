@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from conftest import bound_never_drops
-from ldikit.corpus import Collection, Corpus, Query, RawDocument, build_corpus
+from ldikit.corpus import (Collection, Corpus, Query, RawDocument, build_corpus,
+                           judged_pairs)
 from ldikit.lda import train_lda
 from ldikit.pipeline import evaluate_matrix, score_corpus, train_model
 
@@ -61,7 +62,7 @@ def planted_corpus(n_docs, n_words, k, seed, doc_length=60, n_queries=40,
                for q, text in enumerate(texts(query_cluster, query_length))]
     qrels = {q + 1: {int(d) + 1 for d in np.flatnonzero(doc_cluster == c)}
              for q, c in enumerate(query_cluster)}
-    collection = Collection(f"planted-{seed}", docs, queries, qrels)
+    collection = Collection(f"planted-{seed}", docs, queries, judged_pairs(qrels))
     return Planted(corpus=build_corpus(collection), topics=topics)
 
 
