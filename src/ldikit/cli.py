@@ -107,8 +107,6 @@ def _build_parser() -> _Parser:
     etrain.add_argument("--scores", nargs="+", required=True)
     etrain.add_argument("--eps", type=float, default=1e-4)
     etrain.add_argument("--max-rounds", type=_count_from(1), default=200)
-    etrain.add_argument("--selection", default="weighted-ap",
-                        choices=["weighted-ap", "min-sqrt-loss"])
     etrain.add_argument("--out", required=True, help="weights JSON file")
     eapply = ens_sub.add_parser("apply", help="combine score files")
     eapply.add_argument("--scores", nargs="+", required=True)
@@ -235,7 +233,7 @@ def _cmd_ensemble_train(args) -> int:
     built = corpus_mod.load_corpus(args.corpus)
     matrices = _load_score_files(args.scores)
     weights = train_ensemble(matrices, built.qrels, eps=args.eps,
-                        max_rounds=args.max_rounds, selection=args.selection)
+                             max_rounds=args.max_rounds)
     doc = {
         "tags": weights.tags,
         "alpha": weights.alpha.tolist(),

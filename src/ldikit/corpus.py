@@ -17,7 +17,7 @@ import json
 import re
 import string
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from itertools import compress
 from pathlib import Path
@@ -46,7 +46,6 @@ class RawDocument:
     doc_id: int
     title: str
     body: str
-    source: str = ""
 
     @property
     def text(self) -> str:
@@ -58,7 +57,6 @@ class RawDocument:
 class Query:
     query_id: int
     text: str
-    source: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -72,16 +70,17 @@ _KNOWN_SECTIONS = frozenset("ITABWXN")
 _TEXT_SECTIONS = {"T": "title", "W": "body"}
 
 
-def _parse_records(path: Path, source_tag: str):
-    """Yield (doc_id, sections, line_no) for each .I record of the file."""
+def _parse_records(path: Path, kind: str, source_tag: str):
+    """Yield (id, sections) for each .I record of the file; a repeated id
+    is an error naming the ``kind`` of record."""
+    seen: set[int] = set()
     doc_id = None
-    start_line = 0
     sections: dict[str, list[str]] = {}
     text: list[str] | None = None   # the open .T/.W section's lines
 
     def flush():
         if doc_id is not None:
-            yield doc_id, sections, start_line
+            yield doc_id, sections
 
     lines = path.read_text(errors="replace").splitlines()
     for line_no, line in enumerate(lines, 1):
@@ -98,7 +97,9 @@ def _parse_records(path: Path, source_tag: str):
                     raise ParseError(
                         f"record id {rest.strip()!r} is not an integer", line_no
                     ) from None
-                start_line = line_no
+                if doc_id in seen:
+                    raise ParseError(f"duplicate {kind} id {doc_id}", line_no)
+                seen.add(doc_id)
                 sections = {}
                 text = None
                 continue
@@ -129,29 +130,23 @@ def parse_documents(path: Path, source_tag: str = "") -> list[RawDocument]:
     are ignored.  Duplicate ids within one file are an error.
     """
     docs: list[RawDocument] = []
-    seen: set[int] = set()
-    for doc_id, sections, line_no in _parse_records(path, source_tag or "documents"):
-        if doc_id in seen:
-            raise ParseError(f"duplicate document id {doc_id}", line_no)
-        seen.add(doc_id)
+    for doc_id, sections in _parse_records(path, "document",
+                                           source_tag or "documents"):
         title = "\n".join(sections.get("T", [])).strip()
         body = "\n".join(sections.get("W", [])).strip()
-        docs.append(RawDocument(doc_id=doc_id, title=title, body=body, source=source_tag))
+        docs.append(RawDocument(doc_id=doc_id, title=title, body=body))
     return docs
 
 
 def parse_queries(path: Path, source_tag: str = "") -> list[Query]:
     """Parse a query file; query text comes from .W (falling back to .T)."""
     queries: list[Query] = []
-    seen: set[int] = set()
-    for query_id, sections, line_no in _parse_records(path, source_tag or "queries"):
-        if query_id in seen:
-            raise ParseError(f"duplicate query id {query_id}", line_no)
-        seen.add(query_id)
+    for query_id, sections in _parse_records(path, "query",
+                                             source_tag or "queries"):
         text = "\n".join(sections.get("W", [])).strip()
         if not text:
             text = "\n".join(sections.get("T", [])).strip()
-        queries.append(Query(query_id=query_id, text=text, source=source_tag))
+        queries.append(Query(query_id=query_id, text=text))
     return queries
 
 
@@ -461,37 +456,43 @@ class Collection:
 def merge_collections(collections: Sequence[Collection], name: str = "merged") -> Collection:
     """Concatenate collections, offsetting ids so they stay globally unique.
 
-    Document and query ids are offset independently by the running maximum of
-    the collections already merged, each collection counting the ids it
-    parsed and the ids it judged; judgments are remapped accordingly.  A
-    judgment naming an id a collection did not parse thus stays unknown,
-    for ``validate_qrels`` to report, instead of landing on (or being
-    overwritten by) a later collection's query or document.
+    Document and query ids are offset independently: each collection's
+    smallest id lands above the largest id merged before it, counting the
+    ids each collection parsed and the ids it judged (a collection whose
+    ids are all at least 1 is offset by that largest id exactly);
+    judgments are remapped accordingly.  A judgment naming an id a
+    collection did not parse thus stays unknown, for ``validate_qrels`` to
+    report, instead of landing on (or being overwritten by) a later
+    collection's query or document.
     """
     docs: list[RawDocument] = []
     queries: list[Query] = []
     pairs = [judged_pairs({})]
-    doc_offset = 0
-    query_offset = 0
+    doc_top = query_top = 0
     for coll in collections:
-        for d in coll.documents:
-            docs.append(RawDocument(
-                doc_id=d.doc_id + doc_offset, title=d.title, body=d.body,
-                source=d.source or coll.name,
-            ))
-        for q in coll.queries:
-            queries.append(Query(
-                query_id=q.query_id + query_offset, text=q.text,
-                source=q.source or coll.name,
-            ))
+        doc_offset, doc_top = _id_offset(
+            [d.doc_id for d in coll.documents] + coll.qrels[:, 1].tolist(),
+            doc_top)
+        query_offset, query_top = _id_offset(
+            [q.query_id for q in coll.queries] + coll.qrels[:, 0].tolist(),
+            query_top)
+        docs += [replace(d, doc_id=d.doc_id + doc_offset)
+                 for d in coll.documents]
+        queries += [replace(q, query_id=q.query_id + query_offset)
+                    for q in coll.queries]
         pairs.append(coll.qrels + [query_offset, doc_offset])
-        doc_offset += max([d.doc_id for d in coll.documents]
-                          + coll.qrels[:, 1].tolist(), default=0)
-        query_offset += max([q.query_id for q in coll.queries]
-                            + coll.qrels[:, 0].tolist(), default=0)
     qrels = _sorted_pairs(np.concatenate(pairs))
     qrels.flags.writeable = False
     return Collection(name=name, documents=docs, queries=queries, qrels=qrels)
+
+
+def _id_offset(ids: list[int], top: int) -> tuple[int, int]:
+    """(offset, largest id after it) that puts the smallest of ``ids``
+    above ``top``, the largest id merged so far."""
+    if not ids:
+        return top, top
+    offset = top + max(0, 1 - min(ids))
+    return offset, offset + max(ids)
 
 
 def validate_qrels(collection: Collection) -> list[str]:
@@ -584,9 +585,17 @@ def _sorted_pairs(pairs: np.ndarray) -> np.ndarray:
 def build_corpus(collection: Collection, stoplist: StopList | None = None) -> Corpus:
     """Tokenize, build vocabulary from the documents, count docs and queries.
 
-    Judged pairs pointing at unparsed documents are reported through a
-    warning and recorded on the corpus, then excluded from evaluation.
+    Repeated document or query ids are an error.  Judged pairs pointing at
+    unparsed documents are reported through a warning and recorded on the
+    corpus, then excluded from evaluation.
     """
+    doc_ids = np.array([d.doc_id for d in collection.documents], dtype=np.int64)
+    query_ids = np.array([q.query_id for q in collection.queries], dtype=np.int64)
+    for kind, ids in (("document", doc_ids), ("query", query_ids)):
+        repeats = np.delete(ids, np.unique(ids, return_index=True)[1])
+        if len(repeats):
+            raise ValueError(f"{collection.name}: repeated {kind} id "
+                             f"{repeats[0]}")
     tokens = _token_ids(collection.documents)
     vocab, column = _vocabulary(tokens, stoplist)
     counts = _counts(tokens, column, len(vocab))
@@ -601,8 +610,6 @@ def build_corpus(collection: Collection, stoplist: StopList | None = None) -> Co
             f"(first: {problems[0]})",
             stacklevel=2,
         )
-    doc_ids = np.array([d.doc_id for d in collection.documents], dtype=np.int64)
-    query_ids = np.array([q.query_id for q in collection.queries], dtype=np.int64)
     pairs = collection.qrels
     if problems:
         pairs = pairs[np.isin(pairs[:, 0], query_ids)

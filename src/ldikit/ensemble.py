@@ -1,11 +1,14 @@
 """Boosted fusion of constituent rankers over shared score matrices.
 
 Constituents are frozen rankers represented by their full query-by-document
-score matrices.  Fusion learns one nonnegative weight per constituent by an
-iterative reweighting scheme: each round picks the constituent that looks
-best under the current query weights, grants it a closed-form weight
-increment, then re-focuses the query weights on whatever the combined
-ranking still gets wrong.
+score matrices.  Fusion (the paper's EnM.B) learns one nonnegative weight per
+constituent by query-weighted boosting: each round picks the constituent
+with the highest weighted mean average precision r under the current query
+weights, grants it Schapire & Singer's confidence-rated step
+1/2 ln((1 + r) / (1 - r)) ("Improved boosting algorithms using
+confidence-rated predictions", 1999), then re-focuses the query weights on
+whatever the combined ranking still gets wrong.  That pick minimises the
+round's normaliser sqrt(1 - r^2) under this step.
 """
 
 from __future__ import annotations
@@ -119,29 +122,17 @@ class EnsembleWeights:
 
 
 def select_constituent(weights: np.ndarray, ap_table: np.ndarray,
-                       pool: set[int], rule: str = "weighted-ap") -> int:
-    """Pick the constituent the current query weights like best.
-
-    ``weighted-ap`` maximizes the weighted mean average precision;
-    ``min-sqrt-loss`` minimizes sum_i d_i sqrt(1 - ap_i^2).  Ties go to the
-    lowest index.
-    """
+                       pool: set[int]) -> int:
+    """Pick the constituent of ``pool`` with the highest weighted mean
+    average precision under the current query weights; ties go to the
+    lowest index."""
     candidates = sorted(pool)
-    if rule == "weighted-ap":
-        values = [ap_table[j] @ weights for j in candidates]
-        best = int(np.argmax(values))
-    elif rule == "min-sqrt-loss":
-        clipped = np.clip(ap_table, AP_CLIP, 1.0 - AP_CLIP)
-        values = [weights @ np.sqrt(1.0 - clipped[j] ** 2) for j in candidates]
-        best = int(np.argmin(values))
-    else:
-        raise ValueError(f"unknown selection rule {rule!r}")
-    return candidates[best]
+    values = [ap_table[j] @ weights for j in candidates]
+    return candidates[int(np.argmax(values))]
 
 
 def train_ensemble(matrices: list[ScoreMatrix], qrels: np.ndarray,
-              eps: float = 1e-4, max_rounds: int = 200,
-              selection: str = "weighted-ap", *,
+              eps: float = 1e-4, max_rounds: int = 200, *,
               ap_table: np.ndarray | None = None) -> EnsembleWeights:
     """Learn fusion weights by query-weighted boosting.
 
@@ -188,7 +179,7 @@ def train_ensemble(matrices: list[ScoreMatrix], qrels: np.ndarray,
     converged = False
 
     for number in range(1, max_rounds + 1):
-        chosen = select_constituent(weights, ap_table, pool, selection)
+        chosen = select_constituent(weights, ap_table, pool)
         delta = step_size(weights, ap_table[chosen])
         alpha[chosen] += delta
         h_aps = judged.weighted_average_precisions(alpha, scores)

@@ -262,7 +262,7 @@ def cube_curves(precisions, counts):
 
 
 def argsort_boost(score_list, query_ids, doc_ids, qrels, eps=1e-4,
-                  max_rounds=200, selection="weighted-ap", clip=1e-6):
+                  max_rounds=200, clip=1e-6):
     """The boosting loop with the fused matrix rebuilt in full each round
     and ranked by the argsort kernel.  Returns one (chosen, delta, map,
     change, query weights, alpha, pool reset) tuple per round."""
@@ -278,15 +278,11 @@ def argsort_boost(score_list, query_ids, doc_ids, qrels, eps=1e-4,
     prev_map = 0.0
     for _ in range(max_rounds):
         candidates = sorted(pool)
-        clipped = np.clip(table, clip, 1.0 - clip)
-        if selection == "weighted-ap":
-            chosen = candidates[int(np.argmax(
-                [table[j] @ weights for j in candidates]))]
-        else:
-            chosen = candidates[int(np.argmin(
-                [weights @ np.sqrt(1.0 - clipped[j] ** 2) for j in candidates]))]
-        up = float(weights @ (1.0 + clipped[chosen]))
-        down = float(weights @ (1.0 - clipped[chosen]))
+        chosen = candidates[int(np.argmax(
+            [table[j] @ weights for j in candidates]))]
+        clipped = np.clip(table[chosen], clip, 1.0 - clip)
+        up = float(weights @ (1.0 + clipped))
+        down = float(weights @ (1.0 - clipped))
         delta = 0.5 * np.log(up / down)
         alpha[chosen] += delta
         fused = np.zeros_like(np.asarray(score_list[0], dtype=float))
@@ -343,6 +339,27 @@ def argsort_cross_validate(score_list, query_ids, doc_ids, qrels, n_folds=2,
                     test_map(fused(uniform)),
                     [test_map(s[test_rows]) for s in score_list]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Fusion weights by exhaustive search over the simplex
+
+def grid_maps(score_list, query_ids, doc_ids, qrels, steps=20):
+    """(points, MAPs): every weight vector of nonnegative multiples of
+    ``1/steps`` that sum to one, in lexicographic order of the multiples,
+    and the MAP of the constituents summed at each, ranked by the argsort
+    kernel."""
+    points = np.array([p for p in itertools.product(range(steps + 1),
+                                                    repeat=len(score_list))
+                       if sum(p) == steps]) / steps
+    maps = []
+    for alpha in points:
+        fused = np.zeros_like(np.asarray(score_list[0], dtype=float))
+        for a, s in zip(alpha, score_list):
+            fused += a * s
+        maps.append(float(np.mean(argsort_average_precisions(
+            fused, query_ids, doc_ids, qrels))))
+    return points, np.array(maps)
 
 
 # ---------------------------------------------------------------------------

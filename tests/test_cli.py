@@ -318,6 +318,15 @@ class TestEnsembleCommands:
         assert len(cross["folds"]) == 2
         assert set(cross["mean_constituent_test_maps"]) == {"tfidf", "lda"}
 
+    def test_selection_flag_is_unknown(self, ws, tmp_path, capsys):
+        code, _, err = run(capsys, [
+            "ensemble", "train", "--corpus", str(ws["corpus"]),
+            "--scores", str(ws["tfidf_scores"]), str(ws["lda_scores"]),
+            "--selection", "weighted-ap", "--out", str(tmp_path / "w.json")])
+        assert code == 1 and "usage error" in err
+        assert "--selection" in err
+        assert not (tmp_path / "w.json").exists()
+
     def test_apply_uniform(self, ws, tmp_path, capsys):
         out_path = tmp_path / "uniform.bin"
         code, _, _ = run(capsys, [

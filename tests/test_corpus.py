@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -85,8 +86,12 @@ class TestRecordParsing:
         assert docs[0].body == "some inline text\nmore text"
 
     def test_duplicate_id_rejected(self, write):
-        with pytest.raises(ParseError):
-            parse_documents(write(".I 1\n.W\na b\n.I 1\n.W\nc d\n"), "t")
+        text = ".I 1\n.W\na b\n.I 2\n.W\nc\n.I 1\n.W\nc d\n"
+        for parse, kind in ((parse_documents, "document"),
+                            (parse_queries, "query")):
+            with pytest.raises(ParseError, match=f"duplicate {kind} id 1") as err:
+                parse(write(text), "t")
+            assert err.value.line_no == 7
 
     def test_non_integer_id_rejected(self, write):
         with pytest.raises(ParseError) as err:
@@ -276,8 +281,8 @@ class TestStopList:
 
 def vocabulary(docs, stoplist=None):
     """The vocabulary `build_corpus` makes of these documents or texts."""
-    docs = [d if isinstance(d, RawDocument) else RawDocument(i, "", d)
-            for i, d in enumerate(docs, 1)]
+    docs = [replace(d, doc_id=i) if isinstance(d, RawDocument)
+            else RawDocument(i, "", d) for i, d in enumerate(docs, 1)]
     return build_corpus(Collection("v", docs, []), stoplist).vocabulary
 
 
@@ -324,10 +329,10 @@ TINY_QRELS = {1: {1, 3}, 2: {2}}
 
 
 def tiny_collection(name="tiny", qrels=TINY_QRELS):
-    docs = [RawDocument(1, "alpha beta", "alpha gamma delta", name),
-            RawDocument(2, "", "beta beta gamma", name),
-            RawDocument(3, "delta", "alpha delta", name)]
-    queries = [Query(1, "alpha delta", name), Query(2, "beta", name)]
+    docs = [RawDocument(1, "alpha beta", "alpha gamma delta"),
+            RawDocument(2, "", "beta beta gamma"),
+            RawDocument(3, "delta", "alpha delta")]
+    queries = [Query(1, "alpha delta"), Query(2, "beta")]
     return Collection(name=name, documents=docs, queries=queries,
                       qrels=judged_pairs(qrels))
 
@@ -341,16 +346,16 @@ class TestCollections:
         assert [q.query_id for q in merged.queries] == [1, 2, 3, 4]
         assert merged.qrels.tolist() == [[1, 1], [1, 3], [2, 2],
                                          [3, 4], [3, 6], [4, 5]]
-        assert merged.documents[3].source == "b"
+        assert merged.documents[3] == replace(b.documents[0], doc_id=4)
 
     def test_merge_keeps_judgments_of_unparsed_ids_apart(self):
         # a judges query 5 and document 9, neither of which it parsed; the
         # next collection's ids start above them, so the pairs stay unknown
         # instead of being overwritten by or attributed to b's ids
         a = tiny_collection("a", {1: {1, 3}, 2: {2, 9}, 5: {4}})
-        docs = [RawDocument(i, "", "alpha", "b") for i in (1, 2, 3)]
+        docs = [RawDocument(i, "", "alpha") for i in (1, 2, 3)]
         b = Collection(name="b", documents=docs,
-                       queries=[Query(i, "alpha", "b") for i in (1, 2, 3)],
+                       queries=[Query(i, "alpha") for i in (1, 2, 3)],
                        qrels=judged_pairs({1: {1}, 3: {3}}))
         merged = merge_collections([a, b], name="ab")
         assert [q.query_id for q in merged.queries] == [1, 2, 6, 7, 8]
@@ -361,6 +366,32 @@ class TestCollections:
             "query 2: judged document 9 not parsed",
             "judgments for unknown query 5",
             "query 5: judged document 4 not parsed"]
+
+    def test_merge_shifts_ids_from_zero_or_below(self):
+        a = Collection("a", [RawDocument(0, "a0", ""), RawDocument(1, "a1", "")],
+                       [Query(1, "qa")], judged_pairs({1: {0}}))
+        b = Collection("b", [RawDocument(0, "b0", ""), RawDocument(2, "b2", "")],
+                       [Query(0, "qb")], judged_pairs({0: {2}}))
+        c = Collection("c", [RawDocument(-1, "c-1", "")], [Query(-2, "qc")],
+                       judged_pairs({-2: {-1}}))
+        merged = merge_collections([a, b, c], name="abc")
+        assert [d.doc_id for d in merged.documents] == [1, 2, 3, 5, 6]
+        assert [q.query_id for q in merged.queries] == [1, 2, 3]
+        assert validate_qrels(merged) == []
+        title = {d.doc_id: d.title for d in merged.documents}
+        text = {q.query_id: q.text for q in merged.queries}
+        assert [(text[q], title[d]) for q, d in merged.qrels.tolist()] == [
+            ("qa", "a0"), ("qb", "b2"), ("qc", "c-1")]
+
+    def test_build_rejects_repeated_ids(self):
+        coll = tiny_collection()
+        docs = coll.documents + [RawDocument(2, "", "alpha"),
+                                 RawDocument(1, "", "beta")]
+        with pytest.raises(ValueError, match="repeated document id 2"):
+            build_corpus(replace(coll, documents=docs))
+        queries = coll.queries + [Query(1, "gamma")]
+        with pytest.raises(ValueError, match="repeated query id 1"):
+            build_corpus(replace(coll, queries=queries))
 
     def test_merge_keeps_disjoint_ids_stable(self):
         a = tiny_collection("a")
@@ -658,9 +689,9 @@ class TestAgainstTheLoopOracles:
     def test_build_corpus_and_its_bundle(self, tmp_path):
         for seed in range(self.N_COLLECTIONS):
             rng = np.random.default_rng(seed)
-            docs = [RawDocument(d, random_text(rng, 4), random_text(rng), "r")
+            docs = [RawDocument(d, random_text(rng, 4), random_text(rng))
                     for d in range(1, int(rng.integers(2, 12)))]
-            queries = [Query(q, random_text(rng, 6), "r")
+            queries = [Query(q, random_text(rng, 6))
                        for q in range(1, int(rng.integers(1, 5)))]
             qrels = oracles.loop_parse_qrels(
                 "\n".join(f"{rng.integers(1, 6)} {rng.integers(1, 14)}"

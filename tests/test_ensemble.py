@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import argsort_boost, argsort_cross_validate, numeric_best_step
+from oracles import (argsort_boost, argsort_cross_validate, grid_maps,
+                     numeric_best_step)
 from ldikit import metrics
 from ldikit.corpus import judged_pairs
 from ldikit.ensemble import (AP_CLIP, ScoreMatrix, combined_scores,
@@ -179,15 +180,6 @@ class TestSelection:
         weights = np.array([0.9, 0.1])
         assert select_constituent(weights, table, {0, 1, 2}) == 1
 
-    def test_rules_can_disagree(self):
-        # one ranker is flawless on half the queries and useless on the
-        # rest, the other is mediocre everywhere; the sqrt loss prefers
-        # the spiky one, the weighted mean prefers the steady one
-        table = np.array([[1.0, 0.0], [0.6, 0.6]])
-        weights = np.array([0.5, 0.5])
-        assert select_constituent(weights, table, {0, 1}, "weighted-ap") == 1
-        assert select_constituent(weights, table, {0, 1}, "min-sqrt-loss") == 0
-
     def test_tie_goes_to_lowest_index(self):
         table = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
         weights = np.array([0.5, 0.5])
@@ -198,10 +190,6 @@ class TestSelection:
         table = np.array([[0.9, 0.9], [0.2, 0.2]])
         weights = np.array([0.5, 0.5])
         assert select_constituent(weights, table, {1}) == 1
-
-    def test_unknown_rule_raises(self):
-        with pytest.raises(ValueError, match="selection rule"):
-            select_constituent(np.array([1.0]), np.array([[0.5]]), {0}, "best")
 
 
 class TestTraining:
@@ -425,8 +413,7 @@ class TestAgainstTheArgsortLoop:
     loop that ranked the full fused matrix by argsort, bit for bit."""
 
     @pytest.mark.parametrize("block_cells", [metrics.BLOCK_CELLS, 30])
-    @pytest.mark.parametrize("selection", ["weighted-ap", "min-sqrt-loss"])
-    def test_every_round_is_equal(self, monkeypatch, block_cells, selection):
+    def test_every_round_is_equal(self, monkeypatch, block_cells):
         monkeypatch.setattr(metrics, "BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(41)
         checked = 0
@@ -439,9 +426,9 @@ class TestAgainstTheArgsortLoop:
             mats = [ScoreMatrix(f"m{i}", s, query_ids, doc_ids)
                     for i, s in enumerate(scores)]
             got = train_ensemble(mats, judged_pairs(qrels), eps=-1.0,
-                                 max_rounds=8, selection=selection)
+                                 max_rounds=8)
             want = argsort_boost(scores, query_ids, doc_ids, qrels, eps=-1.0,
-                                 max_rounds=8, selection=selection)
+                                 max_rounds=8)
             assert len(got.rounds) == len(want)
             for r, (chosen, delta, map_, change, weights, alpha, reset) in zip(
                     got.rounds, want):
@@ -504,3 +491,43 @@ class TestAgainstTheArgsortLoop:
         assert swapped.rounds[0].tag == "sem"
         with pytest.raises(ValueError, match="ap_table"):
             train_ensemble(mats, QRELS, ap_table=table[:, :2])
+
+
+def planted_fusion(seed, n_queries=60, n_docs=200):
+    """Three constituents of one planted relevance, on different score
+    scales: each query's relevant documents score higher than noise by a
+    skill drawn per constituent and query, so the constituents err on
+    different queries.  Returns (score list, query ids, doc ids, qrels)."""
+    rng = np.random.default_rng(seed)
+    relevant = rng.random((n_queries, n_docs)) < 0.05
+    relevant[np.arange(n_queries), rng.integers(n_docs, size=n_queries)] = True
+    skill = rng.gamma(1.0, 1.0, size=(3, n_queries))
+    scores = [scale * (skill[i][:, None] * relevant
+                       + rng.normal(size=(n_queries, n_docs)))
+              for i, scale in enumerate([1.0, 0.3, 3.0])]
+    query_ids, doc_ids = np.arange(1, n_queries + 1), np.arange(1, n_docs + 1)
+    qrels = {int(q): set(doc_ids[row].tolist())
+             for q, row in zip(query_ids, relevant)}
+    return scores, query_ids, doc_ids, qrels
+
+
+class TestAgainstTheWeightGrid:
+    """Boosting's training MAP comes within GAP of the best weights on the
+    simplex grid at step 1/20, every point ranked by the argsort kernel.
+
+    The gap is wide because boosting's step reads only AP, not the
+    constituents' score scales, which differ tenfold here: at SEED the grid
+    reaches MAP 0.5086 and boosting 0.4389 (a gap of 0.0697), while the
+    best single constituent reaches 0.3363."""
+
+    SEED = 0
+    GAP = 0.08
+
+    def test_boosting_reaches_the_grid_optimum(self):
+        scores, query_ids, doc_ids, qrels = planted_fusion(self.SEED)
+        points, maps = grid_maps(scores, query_ids, doc_ids, qrels, steps=20)
+        assert len(points) == 231
+        mats = [ScoreMatrix(f"m{i}", s, query_ids, doc_ids)
+                for i, s in enumerate(scores)]
+        weights = train_ensemble(mats, judged_pairs(qrels))
+        assert weights.train_map >= maps.max() - self.GAP
