@@ -78,7 +78,7 @@ def _build_parser() -> _Parser:
                        help="path to a custom stop term list")
     build.add_argument("--no-stoplist", action="store_true",
                        help="index every term")
-    build.add_argument("--out", required=True, help="bundle directory")
+    build.add_argument("--out", required=True, help="corpus bundle file")
 
     train = sub.add_parser("train", help="fit a ranker on a corpus bundle")
     train.add_argument("--corpus", required=True)
@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
     train.add_argument("--k", type=_count_from(1), default=None,
                        help="topic count")
     train.add_argument("--seed", type=_count_from(0), default=0)
-    train.add_argument("--out", required=True, help="model bundle directory")
+    train.add_argument("--out", required=True, help="model bundle file")
 
     score = sub.add_parser("score", help="score all corpus queries")
     score.add_argument("--corpus", required=True)
@@ -147,10 +147,11 @@ def _build_parser() -> _Parser:
 
 def _write_json(path, doc) -> Path:
     """Write ``doc`` as indented JSON to ``path`` (under ``LDIKIT_OUT_DIR``
-    when relative), creating parent directories."""
+    when relative), creating parent directories and replacing the file
+    whole."""
     out = config.resolve_out_path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=1))
+    with bundle.replacing(out) as fh:
+        fh.write(json.dumps(doc, indent=1).encode())
     return out
 
 
@@ -334,8 +335,9 @@ def _cmd_ldi_inspect(args) -> int:
     return 0
 
 
-_DATA_ERRORS = (corpus_mod.ParseError, FileNotFoundError, NotADirectoryError,
-                PermissionError, KeyError, ValueError, json.JSONDecodeError)
+_DATA_ERRORS = (corpus_mod.ParseError, FileNotFoundError, FileExistsError,
+                NotADirectoryError, IsADirectoryError, PermissionError,
+                KeyError, ValueError, json.JSONDecodeError)
 _NUMERIC_ERRORS = (RuntimeError, FloatingPointError, np.linalg.LinAlgError,
                    OverflowError)
 

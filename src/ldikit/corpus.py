@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import re
 import string
 import warnings
@@ -29,7 +28,7 @@ import scipy.sparse as sp
 from . import bundle
 from .metrics import strictly_increasing
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 TOKENIZER_VERSION = 1
 
 
@@ -630,12 +629,12 @@ def build_corpus(collection: Collection, stoplist: StopList | None = None) -> Co
 # ---------------------------------------------------------------------------
 # Corpus bundle persistence
 
-def save_corpus(corpus: Corpus, out_dir) -> Path:
+def save_corpus(corpus: Corpus, path) -> Path:
     """Write a corpus bundle: counts, ids and judged pairs as raw arrays.
 
-    The vocabulary, name and content checksum go into the manifest.
+    The vocabulary, name and content checksum go into the header.
     """
-    manifest = {
+    fields = {
         "format_version": FORMAT_VERSION,
         "tokenizer_version": TOKENIZER_VERSION,
         "name": corpus.name,
@@ -646,36 +645,35 @@ def save_corpus(corpus: Corpus, out_dir) -> Path:
     arrays = {"counts": corpus.counts.matrix, "query_counts": corpus.query_counts,
               "doc_ids": corpus.doc_ids, "query_ids": corpus.query_ids,
               "qrels": corpus.qrels}
-    return bundle.save_model(out_dir, "corpus", manifest, arrays)
+    return bundle.save_model(path, "corpus", fields, arrays)
 
 
-def load_corpus(in_dir) -> Corpus:
+def load_corpus(path) -> Corpus:
     """Load a corpus bundle written by save_corpus; verifies the checksum."""
-    manifest = json.loads((Path(in_dir) / "manifest.json").read_text())
-    version = manifest.get("format_version")
+    header, arrays = bundle.load_model(path, "corpus")
+    version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported corpus format version {version}; "
                          "rebuild the bundle with `ldikit corpus build`")
-    manifest, arrays = bundle.load_model(in_dir, manifest)
     matrix = arrays["counts"]
     pairs = _sorted_pairs(arrays["qrels"])
     pairs.flags.writeable = False
     corpus = Corpus(
-        name=manifest["name"],
+        name=header["name"],
         doc_ids=arrays["doc_ids"],
         query_ids=arrays["query_ids"],
-        vocabulary=Vocabulary(terms=manifest["terms"]),
+        vocabulary=Vocabulary(terms=header["terms"]),
         counts=TermDocCounts(
             matrix=matrix,
             doc_lengths=np.asarray(matrix.sum(axis=1)).ravel().astype(np.int64),
         ),
         query_counts=arrays["query_counts"],
         qrels=pairs,
-        dropped_judgments=list(manifest.get("dropped_judgments", [])),
+        dropped_judgments=header["dropped_judgments"],
     )
-    if corpus.checksum() != manifest["checksum"]:
+    if corpus.checksum() != header["checksum"]:
         raise ValueError("corpus bundle checksum mismatch")
-    corpus.loaded_checksum = manifest["checksum"]
+    corpus.loaded_checksum = header["checksum"]
     return corpus
 
 

@@ -33,13 +33,13 @@ from .vsm import TfIdfModel, score_tfidf, train_tfidf
 class Ranker:
     """One method's fit, score and bundle round trip."""
 
-    # (corpus, k, seed) -> (payload, fit summary for the manifest)
+    # (corpus, k, seed) -> (payload, fit summary for the header)
     fit: Callable
     # (payload, corpus) -> (queries x documents) scores
     score: Callable
-    # payload -> (manifest scalars, named arrays)
+    # payload -> (header scalars, named arrays)
     pack: Callable
-    # (manifest, arrays) -> payload
+    # (header, arrays) -> payload
     unpack: Callable
     needs_k: bool = True
 
@@ -57,7 +57,7 @@ RANKERS = {
         fit=lambda corpus, k, seed: (train_tfidf(corpus.counts), None),
         score=lambda m, corpus: score_tfidf(m, corpus.query_counts),
         pack=lambda m: ({}, {"idf": m.idf, "doc_vectors": m.doc_vectors}),
-        unpack=lambda manifest, a: TfIdfModel(
+        unpack=lambda header, a: TfIdfModel(
             idf=a["idf"], doc_vectors=a["doc_vectors"].astype(float)),
         needs_k=False),
     "lsi": Ranker(
@@ -69,32 +69,30 @@ RANKERS = {
                          "gram_products": m.factors.gram_products},
                         {"idf": m.idf, "u": m.factors.u, "s": m.factors.s,
                          "vt": m.factors.vt}),
-        # bundles written before the fit was recorded lack its two keys
-        unpack=lambda manifest, a: LsiModel(
+        unpack=lambda header, a: LsiModel(
             idf=a["idf"],
             factors=SvdFactors(
                 u=a["u"], s=a["s"], vt=a["vt"],
-                requested_k=int(manifest["requested_k"]),
-                residual=float(manifest.get("svd_residual", "nan")),
-                gram_products=int(manifest.get("gram_products", 0))))),
+                requested_k=int(header["requested_k"]),
+                residual=float(header["svd_residual"]),
+                gram_products=int(header["gram_products"])))),
     "plsi": Ranker(
         fit=lambda corpus, k, seed: (train_plsa(corpus.counts, k=k,
                                                 seed=seed).model, None),
         score=lambda m, corpus: score_plsa(m, corpus.query_counts),
         pack=lambda m: ({"beta_temp": m.beta_temp},
                         {"p_dz": m.p_dz, "p_wz": m.p_wz}),
-        unpack=lambda manifest, a: PlsaModel(
-            k=int(manifest["k"]), p_dz=a["p_dz"], p_wz=a["p_wz"],
-            beta_temp=float(manifest["beta_temp"]),
-            seed=manifest.get("seed", 0))),
+        unpack=lambda header, a: PlsaModel(
+            k=int(header["k"]), p_dz=a["p_dz"], p_wz=a["p_wz"],
+            beta_temp=float(header["beta_temp"]), seed=header["seed"])),
     "lda": Ranker(
         fit=_fit_lda,
         score=lambda m, corpus: score_ldi(build_index(m, corpus.counts),
                                           corpus.query_counts),
         pack=lambda m: ({"alpha": m.alpha}, {"beta": m.beta}),
-        unpack=lambda manifest, a: LdaModel(
-            k=int(manifest["k"]), alpha=float(manifest["alpha"]),
-            beta=a["beta"], seed=manifest.get("seed", 0))),
+        unpack=lambda header, a: LdaModel(
+            k=int(header["k"]), alpha=float(header["alpha"]),
+            beta=a["beta"], seed=header["seed"])),
 }
 
 METHODS = tuple(RANKERS)
@@ -125,8 +123,8 @@ class FittedModel:
     corpus_name: str
     k: int | None = None
     seed: int = 0
-    # manifest scalars beyond the header: the fit summary (and, on a loaded
-    # model, the ranker's own scalars too)
+    # header scalars beyond the common ones: the fit summary (and, on a
+    # loaded model, the ranker's own scalars too)
     extra: dict | None = None
 
 
@@ -168,10 +166,10 @@ def evaluate_matrix(matrix: ScoreMatrix, corpus: Corpus) -> EvalReport:
                            corpus.qrels)
 
 
-def save_fitted(fitted: FittedModel, out_dir):
-    """Persist a fitted model as a bundle directory."""
+def save_fitted(fitted: FittedModel, path):
+    """Persist a fitted model as one bundle file."""
     scalars, arrays = _ranker(fitted.kind).pack(fitted.payload)
-    manifest = {
+    fields = {
         "corpus_checksum": fitted.corpus_checksum,
         "corpus_name": fitted.corpus_name,
         "k": fitted.k,
@@ -179,24 +177,23 @@ def save_fitted(fitted: FittedModel, out_dir):
         **(fitted.extra or {}),
         **scalars,
     }
-    return bundle.save_model(out_dir, fitted.kind, manifest, arrays)
+    return bundle.save_model(path, fitted.kind, fields, arrays)
 
 
 _HEADER = ("bundle_version", "kind", "corpus_checksum", "corpus_name", "k",
            "seed")
 
 
-def load_fitted(in_dir) -> FittedModel:
-    manifest, arrays = bundle.load_model(in_dir)
-    kind = manifest["kind"]
-    payload = _ranker(kind).unpack(manifest, arrays)
-    extra = {key: value for key, value in manifest.items()
+def load_fitted(path) -> FittedModel:
+    header, arrays = bundle.load_model(path)
+    kind = header["kind"]
+    payload = _ranker(kind).unpack(header, arrays)
+    extra = {key: value for key, value in header.items()
              if key not in _HEADER}
     return FittedModel(kind=kind, payload=payload,
-                       corpus_checksum=manifest["corpus_checksum"],
-                       corpus_name=manifest.get("corpus_name", ""),
-                       k=manifest.get("k"), seed=manifest.get("seed", 0),
-                       extra=extra or None)
+                       corpus_checksum=header["corpus_checksum"],
+                       corpus_name=header["corpus_name"], k=header["k"],
+                       seed=header["seed"], extra=extra or None)
 
 
 def sweep_topics(corpus: Corpus, method: str, ks, seeds) -> list[dict]:

@@ -1,11 +1,12 @@
 """Shared fixtures and helpers: classic collection discovery, cached demo
-fits and small count matrices.
+fits, small count matrices and bundle header edits.
 
 The classic test collections are not redistributable with the package.
 Tests that need one look under LDIKIT_DATA_DIR (or ./data) and skip with
 an explicit message when the files are absent.
 """
 
+import json
 import os
 from pathlib import Path
 
@@ -110,3 +111,13 @@ def bound_never_drops(trace, slack=1e-8):
     values = np.asarray(trace, dtype=float)
     floor = slack * np.maximum(np.abs(values[:-1]), 1.0)
     return bool(np.all(np.diff(values) >= -floor))
+
+
+def edit_header(path, **changes):
+    """Update fields of a bundle file's JSON header line in place, keeping
+    its payload bytes."""
+    path = Path(path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    doc.update(changes)
+    path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)

@@ -1,15 +1,24 @@
+import dataclasses
+import errno
+import io
 import json
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ldikit import cli
+from conftest import edit_header
+from ldikit import bundle, cli
 from ldikit.bundle import load_model, load_scores, save_model, save_scores
 from ldikit.corpus import load_corpus, save_corpus
 from ldikit.demo import demo_corpus
 from ldikit.ensemble import ScoreMatrix
 from ldikit.pipeline import load_fitted, save_fitted, train_model
+
+
+def header_and_payload(path):
+    header, payload = path.read_bytes().split(b"\n", 1)
+    return json.loads(header), payload
 
 
 class TestModelBundle:
@@ -53,61 +62,90 @@ class TestModelBundle:
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="dtype"):
             save_model(tmp_path / "m", "x", {}, {"v": np.array([1 + 2j])})
+        assert list(tmp_path.iterdir()) == []
 
     def test_version_gate(self, tmp_path):
         save_model(tmp_path / "m", "x", {}, {"v": np.zeros(2)})
-        manifest_path = tmp_path / "m" / "manifest.json"
-        doc = json.loads(manifest_path.read_text())
-        doc["bundle_version"] = 99
-        manifest_path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="bundle version"):
+        edit_header(tmp_path / "m", bundle_version=99)
+        with pytest.raises(ValueError, match="bundle version 99"):
             load_model(tmp_path / "m")
 
-    def test_missing_array_file_fails(self, tmp_path):
-        save_model(tmp_path / "m", "x", {}, {"v": np.zeros(2)})
-        (tmp_path / "m" / "v.bin").unlink()
-        with pytest.raises(FileNotFoundError):
-            load_model(tmp_path / "m")
+    def test_missing_array_fails(self, tmp_path):
+        path = save_model(tmp_path / "m", "x", {},
+                          {"v": np.zeros(2), "w": np.ones(3)})
+        path.write_bytes(path.read_bytes()[:-24])
+        with pytest.raises(ValueError, match="holds 16 payload bytes.*need 40"):
+            load_model(path)
 
-    def test_one_file_per_array_plus_manifest(self, tmp_path):
-        out = save_model(tmp_path / "m", "x", {},
-                         {"a": np.zeros(2), "b": np.ones((2, 2))})
-        names = sorted(p.name for p in out.iterdir())
-        assert names == ["a.bin", "b.bin", "manifest.json"]
+    def test_one_file_per_bundle(self, tmp_path):
+        a, b = np.arange(2.0), np.ones((2, 2))
+        counts = sp.csr_matrix(np.array([[0, 3], [4, 0]]))
+        out = save_model(tmp_path / "m", "x", {"k": 2},
+                         {"a": a, "b": b, "counts": counts})
+        assert list(tmp_path.iterdir()) == [out]
+        header, payload = header_and_payload(out)
+        assert header == {
+            "bundle_version": 2, "kind": "x", "k": 2,
+            "sparse": {"counts": [2, 2]}, "arrays": {
+                "a": {"shape": [2], "dtype": "<f8"},
+                "b": {"shape": [2, 2], "dtype": "<f8"},
+                "counts.data": {"shape": [2], "dtype": "<i8"},
+                "counts.indices": {"shape": [2], "dtype": "<i8"},
+                "counts.indptr": {"shape": [3], "dtype": "<i8"}}}
+        assert b" " not in out.read_bytes().split(b"\n", 1)[0]
+        stored = (a, b, counts.data.astype("<i8"),
+                  counts.indices.astype("<i8"), counts.indptr.astype("<i8"))
+        assert payload == b"".join(x.tobytes() for x in stored)
+
+    def test_other_kind_rejected(self, tmp_path):
+        save_model(tmp_path / "m", "lsi", {}, {"v": np.zeros(2)})
+        with pytest.raises(ValueError, match="'lsi' bundle, not a 'corpus'"):
+            load_model(tmp_path / "m", "corpus")
+
+    @pytest.mark.parametrize("garble", ["not json", "no newline", "a list"])
+    def test_garbled_header_rejected(self, tmp_path, garble):
+        path = save_model(tmp_path / "m", "x", {}, {"v": np.zeros(2)})
+        header, payload = path.read_bytes().split(b"\n", 1)
+        path.write_bytes({"not json": b"{" + header[2:] + b"\n" + payload,
+                          "no newline": header[:-1],
+                          "a list": b"[2]\n" + payload}[garble])
+        with pytest.raises(ValueError):
+            load_model(path)
 
 
 @pytest.mark.parametrize("damage", ["truncated", "padded"])
 @pytest.mark.parametrize("target", ["model", "corpus"])
 def test_array_file_length_checked(tmp_path, capsys, target, damage):
     corpus = demo_corpus()
-    dirs = {"corpus": save_corpus(corpus, tmp_path / "corpus"),
-            "model": save_fitted(train_model(corpus, "tfidf"), tmp_path / "model")}
-    name = {"model": "idf.bin", "corpus": "doc_ids.bin"}[target]
-    path = dirs[target] / name
+    paths = {"corpus": save_corpus(corpus, tmp_path / "corpus"),
+             "model": save_fitted(train_model(corpus, "tfidf"), tmp_path / "model")}
+    path = paths[target]
     blob = path.read_bytes()
+    need = len(blob) - blob.index(b"\n") - 1
     path.write_bytes(blob[:-8] if damage == "truncated" else blob + b"\0" * 8)
-    held = len(blob) - 8 if damage == "truncated" else len(blob) + 8
-    message = f"{name} holds {held} bytes; its manifest entry needs {len(blob)}"
+    held = need - 8 if damage == "truncated" else need + 8
+    message = (f"{target} holds {held} payload bytes; its header's arrays "
+               f"need {need}")
     load = {"model": load_fitted, "corpus": load_corpus}[target]
     with pytest.raises(ValueError, match=message):
-        load(dirs[target])
+        load(path)
     out = tmp_path / "scores.bin"
-    code = cli.main(["score", "--corpus", str(dirs["corpus"]),
-                     "--model", str(dirs["model"]), "--out", str(out)])
+    code = cli.main(["score", "--corpus", str(paths["corpus"]),
+                     "--model", str(paths["model"]), "--out", str(out)])
     assert code == 2 and message in capsys.readouterr().err
     assert not out.exists()
 
 
-class TestScoreFiles:
-    def make_matrix(self, seed=0, n_queries=4, n_docs=6):
-        rng = np.random.default_rng(seed)
-        return ScoreMatrix(tag="keyword",
-                           scores=rng.random((n_queries, n_docs)),
-                           query_ids=np.arange(1, n_queries + 1),
-                           doc_ids=np.arange(101, 101 + n_docs))
+def score_matrix(seed=0, n_queries=4, n_docs=6, tag="keyword"):
+    rng = np.random.default_rng(seed)
+    return ScoreMatrix(tag=tag, scores=rng.random((n_queries, n_docs)),
+                       query_ids=np.arange(1, n_queries + 1),
+                       doc_ids=np.arange(101, 101 + n_docs))
 
+
+class TestScoreFiles:
     def test_binary_roundtrip_is_bitwise(self, tmp_path):
-        matrix = self.make_matrix()
+        matrix = score_matrix()
         save_scores(tmp_path / "scores.bin", matrix)
         loaded = load_scores(tmp_path / "scores.bin")
         assert loaded.tag == "keyword"
@@ -116,16 +154,18 @@ class TestScoreFiles:
         np.testing.assert_array_equal(loaded.doc_ids, matrix.doc_ids)
 
     def test_binary_layout_is_header_line_then_payload(self, tmp_path):
-        matrix = self.make_matrix()
+        matrix = score_matrix()
         path = save_scores(tmp_path / "scores.bin", matrix)
-        blob = path.read_bytes()
-        header, payload = blob.split(b"\n", 1)
-        doc = json.loads(header)
-        assert doc["tag"] == "keyword" and doc["dtype"] == "<f8"
-        assert len(payload) == 8 * matrix.scores.size
+        header, payload = header_and_payload(path)
+        assert header["kind"] == "scores" and header["tag"] == "keyword"
+        assert list(header["arrays"]) == ["query_ids", "doc_ids", "scores"]
+        assert header["arrays"]["scores"] == {"shape": [4, 6], "dtype": "<f8"}
+        assert payload == (matrix.query_ids.astype("<i8").tobytes()
+                           + matrix.doc_ids.astype("<i8").tobytes()
+                           + matrix.scores.tobytes())
 
     def test_csv_roundtrip_is_exact(self, tmp_path):
-        matrix = self.make_matrix(seed=3)
+        matrix = score_matrix(seed=3)
         save_scores(tmp_path / "keyword.csv", matrix)
         loaded = load_scores(tmp_path / "keyword.csv")
         # repr of a float parses back to the identical value
@@ -134,29 +174,31 @@ class TestScoreFiles:
         np.testing.assert_array_equal(loaded.doc_ids, matrix.doc_ids)
 
     def test_csv_tag_comes_from_filename(self, tmp_path):
-        save_scores(tmp_path / "other_name.csv", self.make_matrix())
+        save_scores(tmp_path / "other_name.csv", score_matrix())
         assert load_scores(tmp_path / "other_name.csv").tag == "other_name"
 
     def test_csv_is_readable_text(self, tmp_path):
-        matrix = self.make_matrix(n_queries=2, n_docs=2)
+        matrix = score_matrix(n_queries=2, n_docs=2)
         path = save_scores(tmp_path / "s.csv", matrix)
         lines = path.read_text().splitlines()
         assert lines[0] == "query,101,102"
         assert len(lines) == 3 and lines[1].startswith("1,")
 
     def test_binary_version_gate(self, tmp_path):
-        header = {"bundle_version": 99, "tag": "x", "query_ids": [1],
+        # a version-1 score file: the ids in the header, then the scores
+        header = {"bundle_version": 1, "tag": "x", "query_ids": [1],
                   "doc_ids": [1], "dtype": "<f8"}
         path = tmp_path / "bad.bin"
         path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 8)
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError,
+                           match="bundle version 1.*rebuild it with `ldikit score`"):
             load_scores(path)
 
     @pytest.mark.parametrize("damage", ["truncated", "padded", "csv-short-row",
                                         "csv-long-row"])
     def test_payload_length_checked(self, tmp_path, damage):
         if damage.startswith("csv"):
-            path = save_scores(tmp_path / "s.csv", self.make_matrix())
+            path = save_scores(tmp_path / "s.csv", score_matrix())
             lines = path.read_text().splitlines()
             # the third query's row sits on line 4, after the header
             lines[3] = (lines[3].rsplit(",", 1)[0] if damage == "csv-short-row"
@@ -167,17 +209,17 @@ class TestScoreFiles:
                                match=f"s.csv line 4 holds {held} scores.*6 doc ids"):
                 load_scores(path)
             return
-        path = save_scores(tmp_path / "s.bin", self.make_matrix())
+        path = save_scores(tmp_path / "s.bin", score_matrix())
         blob = path.read_bytes()
-        # 4 x 6 float64 scores make a 192-byte payload
+        # 4 query ids, 6 doc ids and 4 x 6 scores, 8 bytes each
         path.write_bytes(blob[:-8] if damage == "truncated" else blob + b"\0" * 8)
-        held = 184 if damage == "truncated" else 200
-        with pytest.raises(ValueError, match=f"holds {held} payload bytes.*need 192"):
+        held = 264 if damage == "truncated" else 280
+        with pytest.raises(ValueError, match=f"holds {held} payload bytes.*need 272"):
             load_scores(path)
 
     def test_parent_directories_created(self, tmp_path):
         deep = tmp_path / "a" / "b" / "scores.bin"
-        save_scores(deep, self.make_matrix())
+        save_scores(deep, score_matrix())
         assert deep.exists()
 
     def test_empty_query_set_roundtrips(self, tmp_path):
@@ -187,3 +229,92 @@ class TestScoreFiles:
         save_scores(tmp_path / "s.bin", matrix)
         loaded = load_scores(tmp_path / "s.bin")
         assert loaded.scores.shape == (0, 3)
+
+
+# Two different artifacts of each kind (by ``version``), their writers and
+# readers; the readers return something comparable with ==.
+ARTIFACTS = {
+    "corpus": (
+        lambda path, version: save_corpus(
+            dataclasses.replace(demo_corpus(), name=f"demo{version}"), path),
+        lambda path: load_corpus(path).name),
+    "model": (
+        lambda path, version: save_fitted(
+            train_model(demo_corpus(), "lsi", k=2, seed=version), path),
+        lambda path: load_fitted(path).seed),
+    "scores": (
+        lambda path, version: save_scores(path, score_matrix(seed=version)),
+        lambda path: load_scores(path).scores.tobytes()),
+    "csv": (
+        lambda path, version: save_scores(path, score_matrix(seed=version)),
+        lambda path: load_scores(path).scores.tobytes()),
+}
+
+
+def artifact_path(directory, kind):
+    return directory / ("scores.csv" if kind == "csv" else kind)
+
+
+class _CutFile(io.FileIO):
+    """A file that takes ``limit`` bytes, then fails partway through the
+    write that would pass it."""
+
+    limit = 0
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        room = self.limit - self.tell()
+        if len(data) <= room:
+            return super().write(data)
+        super().write(data[:room])
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+
+@pytest.mark.parametrize("kind", list(ARTIFACTS))
+class TestReplacedWhole:
+    def test_interrupted_save_keeps_the_old_artifact(self, tmp_path,
+                                                     monkeypatch, kind):
+        save, load = ARTIFACTS[kind]
+        path = save(artifact_path(tmp_path / "out", kind), 1)
+        before, loaded = path.read_bytes(), load(path)
+        # cut the new artifact halfway through its payload
+        new = save(artifact_path(tmp_path / "new", kind), 2).read_bytes()
+        header_bytes = new.index(b"\n") + 1
+        monkeypatch.setattr(_CutFile, "limit",
+                            header_bytes + (len(new) - header_bytes) // 2)
+        monkeypatch.setattr(bundle, "open",
+                            lambda file, mode: _CutFile(file, mode),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save(path, 2)
+        assert list(path.parent.iterdir()) == [path]
+        assert path.read_bytes() == before and load(path) == loaded
+
+    def test_save_leaves_one_file(self, tmp_path, kind):
+        save, load = ARTIFACTS[kind]
+        path = artifact_path(tmp_path, kind)
+        save(path, 1)
+        assert list(tmp_path.iterdir()) == [path]
+        first = load(path)
+        save(path, 2)
+        assert list(tmp_path.iterdir()) == [path]
+        assert load(path) != first
+
+    def test_symlinked_target_is_written_through(self, tmp_path, kind):
+        save, load = ARTIFACTS[kind]
+        real = save(artifact_path(tmp_path / "real", kind), 1)
+        link = artifact_path(tmp_path, kind)
+        link.symlink_to(real)
+        expected = load(save(artifact_path(tmp_path / "new", kind), 2))
+        save(link, 2)
+        assert link.is_symlink() and load(real) == expected
+        assert list(real.parent.iterdir()) == [real]
+
+    def test_directory_target_is_refused(self, tmp_path, kind):
+        save, _ = ARTIFACTS[kind]
+        path = artifact_path(tmp_path, kind)
+        (path / "inside").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError, match="refusing to replace"):
+            save(path, 1)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert [p.name for p in path.iterdir()] == ["inside"]

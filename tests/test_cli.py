@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ldikit import cli
-from ldikit.bundle import load_scores, save_scores
+from ldikit.bundle import load_model, load_scores, save_scores
 from ldikit.config import OUT_DIR_ENV
 from ldikit.corpus import load_corpus
 
@@ -162,8 +162,8 @@ class TestCorpusBuild:
 
 class TestTrainAndScore:
     def test_artifacts_exist(self, ws):
-        assert (ws["tfidf_model"] / "manifest.json").exists()
-        assert (ws["lda_model"] / "manifest.json").exists()
+        assert load_model(ws["tfidf_model"])[0]["kind"] == "tfidf"
+        assert load_model(ws["lda_model"])[0]["kind"] == "lda"
         matrix = load_scores(ws["tfidf_scores"])
         assert matrix.scores.shape == (4, 6)
 
@@ -280,6 +280,91 @@ class TestEval:
                                     "--scores", str(tmp_path / "absent.bin")])
         assert code == 2
         assert "data error" in err
+
+
+class TestDirectoriesAndOldBundles:
+    """A directory where a file belongs, or a bundle from before bundle
+    version 2, is a data error (exit 2) that names the command to run."""
+
+    @staticmethod
+    def old_bundle(tmp_path, kind):
+        # bundle version 1 kept a model or corpus as a directory
+        path = tmp_path / kind
+        path.mkdir()
+        (path / "manifest.json").write_text(
+            json.dumps({"bundle_version": 1, "kind": kind}))
+        return path
+
+    def test_corpus_bundle_directory(self, tmp_path, capsys):
+        code, _, err = run(capsys, [
+            "train", "--corpus", str(self.old_bundle(tmp_path, "corpus")),
+            "--method", "tfidf", "--out", str(tmp_path / "m")])
+        assert code == 2 and "data error" in err
+        assert "rebuild it with `ldikit corpus build`" in err
+        assert not (tmp_path / "m").exists()
+
+    def test_model_bundle_directory(self, ws, tmp_path, capsys):
+        code, _, err = run(capsys, [
+            "score", "--corpus", str(ws["corpus"]),
+            "--model", str(self.old_bundle(tmp_path, "lsi")),
+            "--out", str(tmp_path / "s.bin")])
+        assert code == 2 and "data error" in err
+        assert "rebuild it with `ldikit train`" in err
+        assert not (tmp_path / "s.bin").exists()
+
+    def test_version_1_score_file(self, ws, tmp_path, capsys):
+        # version 1 put the ids in the header line, then the scores
+        path = tmp_path / "old.bin"
+        header = {"bundle_version": 1, "tag": "tfidf",
+                  "query_ids": [1, 2, 3, 4], "doc_ids": [1, 2, 3, 4, 5, 6],
+                  "dtype": "<f8"}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * 192)
+        code, _, err = run(capsys, ["eval", "--corpus", str(ws["corpus"]),
+                                    "--scores", str(path)])
+        assert code == 2 and "data error" in err
+        assert "rebuild it with `ldikit score`" in err
+
+    @pytest.mark.parametrize("suffix", ["", ".bin", ".csv"])
+    def test_score_directory(self, ws, tmp_path, capsys, suffix):
+        path = tmp_path / f"scores{suffix}"
+        path.mkdir()
+        code, _, err = run(capsys, ["eval", "--corpus", str(ws["corpus"]),
+                                    "--scores", str(path)])
+        assert code == 2 and "data error" in err
+
+    def test_file_in_place_of_an_output_directory(self, ws, tmp_path,
+                                                  capsys):
+        (tmp_path / "afile").write_text("kept")
+        code, _, err = run(capsys, [
+            "score", "--corpus", str(ws["corpus"]),
+            "--model", str(ws["tfidf_model"]),
+            "--out", str(tmp_path / "afile" / "s.bin")])
+        assert code == 2 and "data error" in err
+        assert (tmp_path / "afile").read_text() == "kept"
+
+    @pytest.mark.parametrize("command", [
+        ["corpus", "build", "--spec", "{spec}"],
+        ["train", "--corpus", "{corpus}", "--method", "tfidf"],
+        ["score", "--corpus", "{corpus}", "--model", "{tfidf_model}"],
+        ["eval", "--corpus", "{corpus}", "--scores", "{tfidf_scores}"],
+        ["ensemble", "train", "--corpus", "{corpus}", "--scores",
+         "{tfidf_scores}", "{lda_scores}"],
+        ["ensemble", "apply", "--scores", "{tfidf_scores}", "--uniform"],
+        ["ensemble", "crossval", "--corpus", "{corpus}", "--scores",
+         "{tfidf_scores}", "{lda_scores}"],
+        ["sweep", "--corpus", "{corpus}", "--method", "tfidf", "--ks", "1"],
+    ], ids=["corpus-build", "train", "score", "eval", "ensemble-train",
+            "ensemble-apply", "ensemble-crossval", "sweep"])
+    def test_directory_target_is_never_replaced(self, ws, tmp_path, capsys,
+                                                command):
+        target = tmp_path / "target"
+        (target / "kept").mkdir(parents=True)
+        argv = [a.format(**ws) for a in command] + ["--out", str(target)]
+        code, _, err = run(capsys, argv)
+        assert code == 2 and "data error" in err
+        assert f"refusing to replace directory {target}" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["target"]
+        assert [p.name for p in target.iterdir()] == ["kept"]
 
 
 class TestEnsembleCommands:

@@ -12,7 +12,9 @@ import pytest
 
 import ldikit
 import oracles
+from conftest import edit_header
 from ldikit import cli
+from ldikit.bundle import load_model, save_model
 from ldikit import corpus as corpus_mod
 from ldikit.corpus import (Collection, ParseError, Query, RawDocument,
                            StopList, build_corpus, count_matrix, judged_pairs,
@@ -437,13 +439,6 @@ class TestCollections:
             assert corpus.checksum() == built.checksum()
 
 
-def edit_manifest(bundle_dir, **changes):
-    path = bundle_dir / "manifest.json"
-    doc = json.loads(path.read_text())
-    doc.update(changes)
-    path.write_text(json.dumps(doc))
-
-
 class TestCorpusBundle:
     def test_roundtrip(self, tmp_path):
         corpus = build_corpus(tiny_collection())
@@ -460,31 +455,26 @@ class TestCorpusBundle:
         assert loaded.checksum() == corpus.checksum()
         # judged pairs stored in any order, or repeated, load to the same
         # judgments
-        pairs = tmp_path / "bundle" / "qrels.bin"
-        stored = np.fromfile(pairs, dtype="<i8").reshape(-1, 2)
-        pairs.write_bytes(stored[::-1].tobytes())
-        np.testing.assert_array_equal(load_corpus(tmp_path / "bundle").qrels,
-                                      corpus.qrels)
-        pairs.write_bytes(np.vstack([stored, stored[:1]]).tobytes())
-        arrays = json.loads((tmp_path / "bundle" / "manifest.json")
-                            .read_text())["arrays"]
-        arrays["qrels"]["shape"] = [len(stored) + 1, 2]
-        edit_manifest(tmp_path / "bundle", arrays=arrays)
-        np.testing.assert_array_equal(load_corpus(tmp_path / "bundle").qrels,
-                                      corpus.qrels)
+        header, arrays = load_model(tmp_path / "bundle")
+        stored = arrays["qrels"]
+        for pairs in (stored[::-1], np.vstack([stored, stored[:1]])):
+            save_model(tmp_path / "bundle", "corpus", header,
+                       {**arrays, "qrels": pairs})
+            np.testing.assert_array_equal(
+                load_corpus(tmp_path / "bundle").qrels, corpus.qrels)
 
     def test_tampered_bundle_rejected(self, tmp_path):
         corpus = build_corpus(tiny_collection())
         out = save_corpus(corpus, tmp_path / "bundle")
-        terms = json.loads((out / "manifest.json").read_text())["terms"]
-        edit_manifest(out, terms=["omega" if t == "alpha" else t for t in terms])
+        terms = load_model(out)[0]["terms"]
+        edit_header(out, terms=["omega" if t == "alpha" else t for t in terms])
         with pytest.raises(ValueError, match="checksum"):
             load_corpus(out)
 
     def test_version_gate(self, tmp_path):
         corpus = build_corpus(tiny_collection())
         out = save_corpus(corpus, tmp_path / "bundle")
-        edit_manifest(out, format_version=99)
+        edit_header(out, format_version=99)
         with pytest.raises(ValueError, match="version"):
             load_corpus(out)
 
@@ -492,36 +482,47 @@ class TestCorpusBundle:
 class TestDamagedCorpusBundle:
     """Damage is a ValueError on load and a data error (exit 2) on the CLI."""
 
-    def assert_rejected(self, bundle_dir, tmp_path, match):
-        with pytest.raises(ValueError, match=match):
-            load_corpus(bundle_dir)
-        code = cli.main(["train", "--corpus", str(bundle_dir), "--method",
+    def assert_rejected(self, path, tmp_path, match, error=ValueError):
+        with pytest.raises(error, match=match):
+            load_corpus(path)
+        code = cli.main(["train", "--corpus", str(path), "--method",
                          "tfidf", "--out", str(tmp_path / "model")])
         assert code == 2
 
     def test_flipped_byte_in_counts(self, tmp_path):
         out = save_corpus(build_corpus(tiny_collection()), tmp_path / "bundle")
-        data = bytearray((out / "counts.data.bin").read_bytes())
-        data[0] ^= 0x01
-        (out / "counts.data.bin").write_bytes(bytes(data))
+        blob = bytearray(out.read_bytes())
+        # the payload opens with the counts' data
+        blob[blob.index(b"\n") + 1] ^= 0x01
+        out.write_bytes(bytes(blob))
         self.assert_rejected(out, tmp_path, "checksum")
 
-    def test_truncated_array_file(self, tmp_path):
+    def test_truncated_payload(self, tmp_path):
         out = save_corpus(build_corpus(tiny_collection()), tmp_path / "bundle")
-        indices = out / "counts.indices.bin"
-        indices.write_bytes(indices.read_bytes()[:-8])
-        self.assert_rejected(out, tmp_path, "bytes")
+        out.write_bytes(out.read_bytes()[:-8])
+        self.assert_rejected(out, tmp_path, "payload bytes")
+
+    def test_padded_payload(self, tmp_path):
+        out = save_corpus(build_corpus(tiny_collection()), tmp_path / "bundle")
+        out.write_bytes(out.read_bytes() + b"\0" * 8)
+        self.assert_rejected(out, tmp_path, "payload bytes")
+
+    def test_garbled_header(self, tmp_path):
+        out = save_corpus(build_corpus(tiny_collection()), tmp_path / "bundle")
+        blob = out.read_bytes()
+        out.write_bytes(blob.replace(b'"terms":', b'"terms"', 1))
+        self.assert_rejected(out, tmp_path, "delimiter")
 
     def test_format_2_bundle_must_be_rebuilt(self, tmp_path):
         # format 2 hashed the judgments as per-query text
         out = save_corpus(build_corpus(tiny_collection()), tmp_path / "bundle")
         corpus = load_corpus(out)
-        edit_manifest(out, format_version=2, checksum=oracles.loop_checksum(
+        edit_header(out, format_version=2, checksum=oracles.loop_checksum(
             corpus, TINY_QRELS))
         self.assert_rejected(out, tmp_path, "rebuild .*ldikit corpus build")
 
     def test_csv_bundle_must_be_rebuilt(self, tmp_path):
-        # the per-row CSV layout of format version 1
+        # the per-row CSV layout of format version 1, a directory
         out = tmp_path / "bundle"
         out.mkdir()
         (out / "vocabulary.txt").write_text("alpha\nbeta\n")
@@ -529,7 +530,8 @@ class TestDamagedCorpusBundle:
         (out / "manifest.json").write_text(json.dumps(
             {"format_version": 1, "tokenizer_version": 1, "name": "tiny",
              "doc_ids": [1], "query_ids": [], "checksum": "0"}))
-        self.assert_rejected(out, tmp_path, "rebuild .*ldikit corpus build")
+        self.assert_rejected(out, tmp_path, "rebuild .*ldikit corpus build",
+                             IsADirectoryError)
 
 
 class TestLoadCollection:
@@ -720,7 +722,7 @@ class TestAgainstTheLoopOracles:
                 corpus, kept, pairs_as_bytes=True)
             if seed % 10 == 0:
                 out = save_corpus(corpus, tmp_path / str(seed))
-                assert ((out / "qrels.bin").read_bytes() ==
+                assert (load_model(out)[1]["qrels"].tobytes() ==
                         oracles.loop_judged_pairs(kept).tobytes())
                 loaded = load_corpus(out)
                 np.testing.assert_array_equal(loaded.qrels, corpus.qrels)
@@ -761,9 +763,5 @@ def test_corpus_build_is_independent_of_string_hashing(tmp_path):
         subprocess.run([sys.executable, "-m", "ldikit", "corpus", "build",
                         "--spec", spec, "--out", str(tmp_path / f"bundle{seed}")],
                        check=True, env=env, capture_output=True)
-    files = sorted(p.name for p in (tmp_path / "bundle0").iterdir())
-    assert files == sorted(p.name for p in (tmp_path / "bundle1").iterdir())
-    assert "qrels.bin" in files and "manifest.json" in files
-    for name in files:
-        assert ((tmp_path / "bundle0" / name).read_bytes() ==
-                (tmp_path / "bundle1" / name).read_bytes()), name
+    assert ((tmp_path / "bundle0").read_bytes() ==
+            (tmp_path / "bundle1").read_bytes())

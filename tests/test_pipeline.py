@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import warnings
 from pathlib import Path
 
@@ -7,8 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import DATA_DIR_ENV, data_root, find_collection_files
+from conftest import (DATA_DIR_ENV, data_root, edit_header,
+                      find_collection_files)
 from ldikit import config, lda, pipeline
+from ldikit.bundle import load_model
 from ldikit.config import default_topic_count, resolve_out_path
 from ldikit.corpus import Corpus, judged_pairs, load_corpus, save_corpus
 from ldikit.demo import RELEVANT, demo_corpus
@@ -125,14 +126,14 @@ class TestTrainScoreEvaluate:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             save_fitted(fit(corpus, "lda"), tmp_path / "m")
-        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        manifest = load_model(tmp_path / "m")[0]
         assert manifest["stopped_by"] == stopped_by
         assert manifest["converged"] == (stopped_by == "bound")
         assert load_fitted(tmp_path / "m").extra["stopped_by"] == stopped_by
 
     def test_lsi_records_how_its_svd_ended(self, corpus, tmp_path):
         save_fitted(fit(corpus, "lsi"), tmp_path / "m")
-        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        manifest = load_model(tmp_path / "m")[0]
         assert 0 <= manifest["svd_residual"] <= SVD_TOL
         assert manifest["gram_products"] > 0
 
@@ -192,9 +193,11 @@ class TestPersistence:
         save_fitted(fitted, tmp_path / "first")
         loaded = load_fitted(tmp_path / "first")
         save_fitted(loaded, tmp_path / "second")
-        first, second = ((tmp_path / d / "manifest.json").read_bytes()
+        first, second = (load_model(tmp_path / d)[0]
                          for d in ("first", "second"))
         assert first == second
+        assert ((tmp_path / "first").read_bytes()
+                == (tmp_path / "second").read_bytes())
         if method == "lda":
             assert loaded.extra == fitted.extra
 
@@ -206,10 +209,7 @@ class TestPersistence:
         fitted = fit(corpus, method)
         before = score_corpus(fitted, corpus)
         save_fitted(fitted, tmp_path / method)
-        manifest_path = tmp_path / method / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["n_docs"] = corpus.n_docs
-        manifest_path.write_text(json.dumps(manifest, indent=1))
+        edit_header(tmp_path / method, n_docs=corpus.n_docs)
         loaded = load_fitted(tmp_path / method)
         assert_same_fields(loaded.payload, fitted.payload)
         after = score_corpus(loaded, corpus)
