@@ -6,15 +6,20 @@ under ``sparse``, and under ``arrays`` each stored array's shape and dtype
 follow back to back, in header order.  A ``.csv`` score path is plain CSV.
 Every write goes to a temp sibling renamed over the target, so the target
 is whole or absent after a killed process (there is no fsync, so not after
-a power loss).
+a power loss).  The writer holds an exclusive ``flock`` on its temp until
+the rename; a temp sibling that no process holds was left by a killed save,
+and the next save to that target removes it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
+import glob
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -28,26 +33,71 @@ _DTYPE_TAGS = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 # the command that writes each kind of artifact; every other kind is a model
 _MAKERS = {"corpus": "ldikit corpus build", "scores": "ldikit score"}
 _CSR_PARTS = ("data", "indices", "indptr")
+# what follows ``.NAME.`` in the name of a temp sibling of NAME
+_TEMP_SUFFIX = re.compile(r"[0-9]+-[0-9a-f]{8}")
 
 
 @contextlib.contextmanager
 def replacing(path):
     """Write ``path`` (through any symlink) as a temp sibling opened for
     binary writing, renamed into place when the block ends and removed if
-    it fails."""
+    it fails.  Temp siblings that killed saves left are removed first."""
     if Path(path).is_dir():
         raise IsADirectoryError(f"refusing to replace directory {path} "
                                 "with a file")
     real = Path(os.path.realpath(path))
     real.parent.mkdir(parents=True, exist_ok=True)
-    tmp = real.with_name(f".{real.name}.{os.getpid()}-{os.urandom(4).hex()}")
+    _remove_stale_temps(real)
+    tmp, fh = _locked_temp(real)
     try:
-        with open(tmp, "xb") as fh:
+        with fh:
             yield fh
-        os.replace(tmp, real)
+            fh.flush()
+            # renamed while still locked, so no save takes it for stale
+            os.replace(tmp, real)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _locked_temp(real: Path):
+    """A new temp sibling ``.NAME.PID-RANDOM`` of ``real``, opened for
+    binary writing under an exclusive ``flock`` held until it is closed."""
+    while True:
+        tmp = real.with_name(
+            f".{real.name}.{os.getpid()}-{os.urandom(4).hex()}")
+        fh = open(tmp, "xb")
+        try:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+            # another save may have found the new file unlocked, taken it
+            # for stale and removed it before the lock was taken
+            if os.path.samestat(os.fstat(fh.fileno()), os.stat(tmp)):
+                return tmp, fh
+        except FileNotFoundError:
+            pass
+        except BaseException:
+            fh.close()
+            tmp.unlink(missing_ok=True)
+            raise
+        fh.close()
+
+
+def _remove_stale_temps(real: Path) -> None:
+    """Remove the temp siblings of ``real`` that no writer holds locked."""
+    for tmp in real.parent.glob(f".{glob.escape(real.name)}.*"):
+        if not _TEMP_SUFFIX.fullmatch(tmp.name[len(real.name) + 2:]):
+            continue
+        try:
+            fd = os.open(tmp, os.O_RDONLY)
+        except OSError:         # removed meanwhile, or not readable
+            continue
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            tmp.unlink()
+        except OSError:         # its writer is live, or it is gone
+            pass
+        finally:
+            os.close(fd)
 
 
 def _stored(array) -> np.ndarray:
@@ -129,11 +179,12 @@ def save_scores(path, matrix: ScoreMatrix) -> Path:
                           {"query_ids": matrix.query_ids,
                            "doc_ids": matrix.doc_ids,
                            "scores": np.asarray(matrix.scores, dtype=float)})
-    lines = ["query," + ",".join(str(d) for d in matrix.doc_ids)]
-    lines += [f"{int(qid)}," + ",".join(repr(float(v)) for v in row)
-              for qid, row in zip(matrix.query_ids, matrix.scores)]
     with replacing(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode())
+        fh.write(("query," + ",".join(str(d) for d in matrix.doc_ids)
+                  + "\n").encode())
+        for qid, row in zip(matrix.query_ids, matrix.scores):
+            fh.write((f"{int(qid)}," + ",".join(repr(float(v)) for v in row)
+                      + "\n").encode())
     return path
 
 

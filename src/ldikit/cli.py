@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage problems, 2 unreadable or malformed data,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -15,10 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import bundle, config, corpus as corpus_mod, pipeline
-from .ensemble import (combined_scores, cross_validate, train_ensemble,
-                       uniform_weights, ScoreMatrix)
+from .ensemble import (cross_validate, train_ensemble, validate_alignment,
+                       ScoreMatrix)
+# Not called here; kept importable for callers that reach it through this
+# module.
+from .ensemble import combined_scores  # noqa: F401
 from .ldi import word_topic_matrix
-from .metrics import evaluate_scores
+from .metrics import evaluate_scores, weighted_sum
 from .vsm import cosine_scores
 
 
@@ -256,24 +260,34 @@ def _cmd_ensemble_train(args) -> int:
 
 
 def _cmd_ensemble_apply(args) -> int:
+    """Add the score files into the fused matrix one at a time: each file
+    is checked against the first file's ids, weighted (by its tag under
+    ``--weights``) and released before the next loads, so the fused scores
+    and one input are the only whole matrices held."""
     if args.uniform == bool(args.weights):
         raise UsageError("pass exactly one of --weights or --uniform")
-    matrices = _load_score_files(args.scores)
-    if args.uniform:
-        alpha = uniform_weights(matrices).alpha
-    else:
+    if args.weights:
         doc = json.loads(Path(args.weights).read_text())
         by_tag = dict(zip(doc["tags"], doc["alpha"]))
-        missing = [m.tag for m in matrices if m.tag not in by_tag]
-        if missing:
-            raise ValueError(f"weights file lacks tags {missing}")
-        alpha = np.array([by_tag[m.tag] for m in matrices])
-    combined = combined_scores(alpha, matrices)
-    matrix = ScoreMatrix(tag=args.tag, scores=combined,
-                         query_ids=matrices[0].query_ids,
-                         doc_ids=matrices[0].doc_ids)
-    out = bundle.save_scores(config.resolve_out_path(args.out), matrix)
-    print(f"combined {len(matrices)} score files -> {out}")
+    loaded = [bundle.load_scores(args.scores[0])]
+    # the first file's tag and ids, which every file is checked against,
+    # until the sum is done
+    fused = dataclasses.replace(loaded[0],
+                                scores=np.empty_like(loaded[0].scores))
+
+    def term(path):
+        matrix = loaded.pop() if loaded else bundle.load_scores(path)
+        validate_alignment([fused, matrix])
+        if args.uniform:
+            return 1.0 / len(args.scores), matrix.scores
+        if matrix.tag not in by_tag:
+            raise ValueError(f"weights file lacks tags {[matrix.tag]}")
+        return by_tag[matrix.tag], matrix.scores
+
+    weighted_sum(map(term, args.scores), fused.scores)
+    fused.tag = args.tag
+    out = bundle.save_scores(config.resolve_out_path(args.out), fused)
+    print(f"combined {len(args.scores)} score files -> {out}")
     return 0
 
 

@@ -56,12 +56,13 @@ def validate_alignment(matrices: list[ScoreMatrix]) -> None:
 
 def combined_scores(alpha: np.ndarray, matrices: list[ScoreMatrix]) -> np.ndarray:
     """Weighted sum of constituent score matrices (``metrics.weighted_sum``,
-    the sum boosting ranks)."""
+    the sum boosting ranks).  The sum is the only new whole matrix; each
+    weighted term is one block of rows at a time."""
     validate_alignment(matrices)
     alpha = np.asarray(alpha, dtype=float)
     if len(alpha) != len(matrices):
         raise ValueError("one weight per constituent required")
-    return weighted_sum(alpha, [m.scores for m in matrices],
+    return weighted_sum(zip(alpha, [m.scores for m in matrices]),
                         np.empty_like(matrices[0].scores))
 
 

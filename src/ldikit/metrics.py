@@ -21,8 +21,11 @@ per ``Judgments`` and reused for every matrix it ranks.  Explicit rankings
 (``average_precision``, ``pr_curve``) give each relevant document's rank
 directly, and both kinds of rank become precisions in one step.
 
-Fused scores are one definition, ``weighted_sum``: boosting ranks that sum
-one block at a time, and ``ensemble.combined_scores`` writes it whole.
+Fused scores are one definition, ``weighted_sum``: the sum is whole only in
+the output it fills, and each constituent's weighted term is added one
+block of rows at a time (``row_blocks``).  Boosting ranks the sum one
+block at a time, so its output is one block too; ``ensemble.combined_scores``
+and ``ldikit ensemble apply`` fill a whole matrix.
 
 Average precision accumulates ``hits / rank`` with ``np.cumsum`` in rank
 order, the order of its definition, so it is bitwise equal to the plain
@@ -38,18 +41,38 @@ import numpy as np
 
 RECALL_LEVELS = np.linspace(0.0, 1.0, 11)
 
-# Score cells ranked per block; bounds the temporaries of ``Judgments``.
+# Score cells per block of rows; bounds the temporaries of ``Judgments``,
+# ``weighted_sum`` and ``vsm``'s scorers.
 BLOCK_CELLS = 1 << 15
 
 
-def weighted_sum(weights, matrices, out: np.ndarray) -> np.ndarray:
-    """``out`` = the sum of ``weights[i] * matrices[i]``, added from zero in
-    constituent order: the one definition of fused scores, whole or one
-    block of rows at a time."""
+def row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive slices of ``n_rows`` rows, each of at most
+    ``BLOCK_CELLS`` cells of ``n_cols`` columns (at least one row)."""
+    step = max(1, BLOCK_CELLS // max(n_cols, 1))
+    return [slice(start, min(start + step, n_rows))
+            for start in range(0, n_rows, step)]
+
+
+def weighted_sum(constituents, out: np.ndarray) -> np.ndarray:
+    """``out`` = the sum of ``weight * matrix`` over the (weight, matrix)
+    pairs of ``constituents``, added from zero in their order: the one
+    definition of fused scores.
+
+    ``out`` is the only whole matrix this makes: each product is taken one
+    block of rows at a time.  ``constituents`` may load its matrices
+    lazily; each is released before the next is drawn, so only one is
+    held at a time.
+    """
     out.fill(0.0)
-    term = np.empty_like(out)
-    for w, m in zip(weights, matrices):
-        out += np.multiply(w, m, out=term)
+    blocks = row_blocks(*out.shape)
+    term = np.empty((max((b.stop - b.start for b in blocks), default=0),
+                     out.shape[1]))
+    for weight, matrix in constituents:
+        for rows in blocks:
+            fused = out[rows]
+            fused += np.multiply(weight, matrix[rows], out=term[:len(fused)])
+        del matrix
     return out
 
 
@@ -236,9 +259,10 @@ class Judgments:
         return _average_precisions(self.hit_precisions(scores), self.counts)
 
     def weighted_average_precisions(self, weights, matrices) -> np.ndarray:
-        """AP of every judged query of ``weighted_sum(weights, matrices)``.
-        Each block of the sum is built in one block-sized buffer and ranked
-        while it is still in cache; the whole sum is never made."""
+        """AP of every judged query of the sum of ``weights[i] *
+        matrices[i]`` (``weighted_sum``).  Each block of the sum is built
+        in one block-sized buffer and ranked while it is still in cache;
+        the whole sum is never made."""
         matrices = [np.asarray(m, dtype=float) for m in matrices]
         rows = max((block.stop - block.start for block in self._plan()),
                    default=0)
@@ -246,7 +270,7 @@ class Judgments:
 
         def block_sum(block):
             parts = [self._block_of(m, block) for m in matrices]
-            return weighted_sum(weights, parts,
+            return weighted_sum(zip(weights, parts),
                                 buffer[:block.stop - block.start])
         return _average_precisions(self._by_block(block_sum), self.counts)
 
@@ -262,12 +286,11 @@ class Judgments:
     def _layout_plan(self) -> list[_Block]:
         """Blocks of judged rows of up to ``BLOCK_CELLS`` score cells, and
         where each block's relevant cells are read and sorted."""
-        step = max(1, BLOCK_CELLS // max(self.n_docs, 1))
         cell_row = np.repeat(np.arange(len(self.rows)), self.counts)
         nth = np.arange(self._starts[-1]) - self._starts[cell_row]
         blocks = []
-        for start in range(0, len(self.rows), step):
-            stop = min(start + step, len(self.rows))
+        for rows in row_blocks(len(self.rows), self.n_docs):
+            start, stop = rows.start, rows.stop
             cells = slice(self._starts[start], self._starts[stop])
             row = cell_row[cells] - start
             needles = self.counts[start:stop].max()

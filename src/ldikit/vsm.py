@@ -8,6 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import TermDocCounts
+from .metrics import row_blocks
 
 
 @dataclass
@@ -32,15 +33,26 @@ def cosine_scores(queries: np.ndarray, docs: np.ndarray,
 
     Rows of zero norm score zero.  A row whose evidence mask is False scores
     zero against everything, whatever its vector.
+
+    The product ``queries @ docs.T`` is the only whole matrix made: it is
+    divided by the norms, zeroed where their product is not positive and
+    multiplied by the masks in place, one block of rows at a time
+    (``metrics.row_blocks``).
     """
-    raw = queries @ docs.T
-    denom = np.outer(np.linalg.norm(queries, axis=1),
-                     np.linalg.norm(docs, axis=1))
-    scores = np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
-    if query_mask is not None:
-        scores = scores * query_mask[:, None]
-    if doc_mask is not None:
-        scores = scores * doc_mask[None, :]
+    scores = queries @ docs.T
+    q_norms = np.linalg.norm(queries, axis=1)
+    d_norms = np.linalg.norm(docs, axis=1)
+    for rows in row_blocks(*scores.shape):
+        block = scores[rows]
+        denom = np.outer(q_norms[rows], d_norms)
+        positive = denom > 0
+        np.divide(block, denom, out=block, where=positive)
+        block[~positive] = 0.0
+        if query_mask is not None:
+            block *= query_mask[rows, None]
+        if doc_mask is not None:
+            block *= doc_mask[None, :]
+        del denom, positive     # before the next block's are made
     return scores
 
 
@@ -74,7 +86,14 @@ def score_tfidf(model: TfIdfModel, query_counts) -> np.ndarray:
     each document.
 
     Both sides are unit length, so the cosine is a dot product.  Rows with
-    no in-vocabulary term score zero everywhere.
+    no in-vocabulary term score zero everywhere.  The dense output is the
+    only whole score matrix made: the sparse product fills it one block of
+    query rows at a time (``metrics.row_blocks``), and adds each row's
+    cells in the order the whole product would.
     """
     q = tfidf_query_matrix(model.idf, query_counts)
-    return (q @ model.doc_vectors.T).toarray()
+    docs_t = model.doc_vectors.T.tocsr()
+    scores = np.empty((q.shape[0], docs_t.shape[1]))
+    for rows in row_blocks(*scores.shape):
+        (q[rows] @ docs_t).toarray(out=scores[rows])
+    return scores

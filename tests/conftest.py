@@ -8,6 +8,7 @@ an explicit message when the files are absent.
 
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -121,3 +122,16 @@ def edit_header(path, **changes):
     doc = json.loads(header)
     doc.update(changes)
     path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+
+
+def traced_peak(call):
+    """(result, peak bytes) of ``call()``: the most memory that Python and
+    numpy held at once during the call beyond what was held when it
+    started (``tracemalloc``)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

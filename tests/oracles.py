@@ -20,6 +20,31 @@ from scipy.special import gammaln, logsumexp, psi
 
 
 # ---------------------------------------------------------------------------
+# Whole-matrix score formulas: every temporary as large as the output
+
+def whole_cosine_scores(queries, docs, query_mask=None, doc_mask=None):
+    """Cosine from the raw product, the outer product of the row norms and a
+    zero-filled output, then each evidence mask multiplied in."""
+    raw = queries @ docs.T
+    denom = np.outer(np.linalg.norm(queries, axis=1),
+                     np.linalg.norm(docs, axis=1))
+    scores = np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
+    if query_mask is not None:
+        scores = scores * query_mask[:, None]
+    if doc_mask is not None:
+        scores = scores * doc_mask[None, :]
+    return scores
+
+
+def whole_weighted_sum(weights, matrices):
+    """Zeros, then each whole weighted matrix added in constituent order."""
+    out = np.zeros(np.shape(matrices[0]))
+    for w, m in zip(weights, matrices):
+        out += w * np.asarray(m, dtype=float)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Ranking metrics
 
 def brute_force_average_precision(ranked_ids, relevant) -> float:

@@ -1,7 +1,14 @@
 import dataclasses
 import errno
+import fcntl
 import io
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,3 +325,58 @@ class TestReplacedWhole:
             save(path, 1)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
         assert [p.name for p in path.iterdir()] == ["inside"]
+
+
+class TestStaleTemps:
+    """A save killed inside ``replacing`` leaves its temp sibling behind;
+    the next save to that target removes it, unless its writer still holds
+    it locked."""
+
+    def test_unlocked_temp_is_removed_and_the_rest_kept(self, tmp_path):
+        stale = tmp_path / ".m.4242-0123abcd"
+        stale.write_bytes(b"partial")
+        live = tmp_path / ".m.4243-89abcdef"
+        kept = [".m.notes", ".m.4242-0123abcz", ".m.4242-0123abcd.x",
+                ".mm.4242-0123abcd", ".n.4242-0123abcd", "m.4242-0123abcd",
+                ".m.4242-0123abc"]
+        for name in kept:
+            (tmp_path / name).write_bytes(b"keep")
+        with open(live, "wb") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            path = save_scores(tmp_path / "m", score_matrix())
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [path.name, live.name, *kept])
+        assert all((tmp_path / name).read_bytes() == b"keep" for name in kept)
+
+    def test_killed_save_is_cleaned_up_by_the_next(self, tmp_path):
+        path = tmp_path / "m"
+        writer_code = (
+            "import sys, time\n"
+            "from ldikit import bundle\n"
+            "with bundle.replacing(sys.argv[1]) as fh:\n"
+            "    fh.write(b'partial')\n"
+            "    fh.flush()\n"
+            "    print('writing', flush=True)\n"
+            "    time.sleep(60)\n")
+        src = str(Path(bundle.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        writer = subprocess.Popen([sys.executable, "-c", writer_code,
+                                   str(path)], stdout=subprocess.PIPE, env=env)
+        try:
+            ready, _, _ = select.select([writer.stdout], [], [], 60)
+            assert ready and writer.stdout.readline() == b"writing\n"
+            [temp] = tmp_path.iterdir()
+            # the writer is live: its temp stays
+            save_scores(path, score_matrix(seed=1))
+            assert sorted(tmp_path.iterdir()) == sorted([path, temp])
+        finally:
+            writer.kill()
+            writer.stdout.close()
+            writer.wait(timeout=30)
+        assert writer.returncode == -signal.SIGKILL
+        assert temp.read_bytes() == b"partial"
+        save_scores(path, score_matrix(seed=2))
+        assert list(tmp_path.iterdir()) == [path]
+        assert load_scores(path).scores.tobytes() == \
+            score_matrix(seed=2).scores.tobytes()

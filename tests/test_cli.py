@@ -10,10 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldikit import cli
+from conftest import traced_peak
+from oracles import whole_weighted_sum
+from ldikit import cli, metrics
 from ldikit.bundle import load_model, load_scores, save_scores
 from ldikit.config import OUT_DIR_ENV
 from ldikit.corpus import load_corpus
+from ldikit.ensemble import ScoreMatrix
 
 DOCS = """\
 .I 1
@@ -67,6 +70,18 @@ QRELS = """\
 4 5
 4 6
 """
+
+
+def four_score_files(directory):
+    """Four aligned 200 x 1,000 score files, tagged w0..w3, and their
+    matrices."""
+    rng = np.random.default_rng(41)
+    paths, parts = [], []
+    for i in range(4):
+        parts.append(rng.normal(size=(200, 1000)))
+        paths.append(save_scores(directory / f"w{i}.bin", ScoreMatrix(
+            f"w{i}", parts[-1], np.arange(200) + 1, np.arange(1000))))
+    return paths, parts
 
 
 def run(capsys, argv):
@@ -453,6 +468,53 @@ class TestEnsembleCommands:
         code, _, err = run(capsys, ["ensemble", *argv[:1], "--scores", absent,
                                     *argv[1:]])
         assert code == 1 and "usage error" in err
+
+    def test_apply_holds_the_sum_and_one_input(self, tmp_path, capsys):
+        # four 200 x 1,000 inputs: each is loaded after the one before it
+        # is released, and each weighted term is one block of rows
+        paths, parts = four_score_files(tmp_path)
+        weights = {"w0": 0.5, "w1": -1.25, "w2": 2.0, "w3": 0.125}
+        weights_path = tmp_path / "weights.json"
+        # looked up by tag, whatever the order
+        weights_path.write_text(json.dumps({
+            "tags": list(weights)[::-1],
+            "alpha": list(weights.values())[::-1]}))
+        out_path = tmp_path / "fused.bin"
+        (code, _, _), peak = traced_peak(lambda: run(capsys, [
+            "ensemble", "apply", "--scores", *map(str, paths),
+            "--weights", str(weights_path), "--out", str(out_path)]))
+        assert code == 0
+        # the fused matrix, one input, one block of weighted terms, and an
+        # allowance for the parser, the headers, the ids and the numpy
+        # iterator's buffers
+        matrix = parts[0].nbytes
+        assert peak <= 2 * matrix + metrics.BLOCK_CELLS * 8 + (256 << 10)
+        fused = load_scores(out_path)
+        want = whole_weighted_sum(list(weights.values()), parts)
+        assert fused.scores.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("damage, message", [
+        ("ids", "w2: query ids differ from w0"),
+        ("tag", "weights file lacks tags ['w1']"),
+    ])
+    def test_apply_error_leaves_no_file(self, tmp_path, capsys, damage,
+                                        message):
+        paths, parts = four_score_files(tmp_path)
+        if damage == "ids":
+            save_scores(paths[2], ScoreMatrix("w2", parts[2],
+                                              np.arange(200) + 2,
+                                              np.arange(1000)))
+        tags = ["w0", "w2", "w3"] + (["w1"] if damage == "ids" else [])
+        weights_path = tmp_path / "weights.json"
+        weights_path.write_text(json.dumps({"tags": tags,
+                                            "alpha": [1.0] * len(tags)}))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, _, err = run(capsys, [
+            "ensemble", "apply", "--scores", *map(str, paths), "--weights",
+            str(weights_path), "--out", str(out_dir / "fused.bin")])
+        assert code == 2 and f"data error: {message}" in err
+        assert list(out_dir.iterdir()) == []
 
     def test_apply_rejects_unknown_tag(self, ws, tmp_path, capsys):
         weights_path = tmp_path / "w.json"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from oracles import (argsort_average_precisions, argsort_curves,
                      argsort_hit_precisions, argsort_ranking,
                      brute_force_average_precision, brute_force_pr_curve,
-                     cube_curves)
+                     cube_curves, whole_weighted_sum)
 from ldikit import metrics
 from ldikit.corpus import judged_pairs
 from ldikit.ensemble import ScoreMatrix, combined_scores
@@ -392,7 +393,8 @@ class TestUlpNeighbours:
 
 class TestWeightedSum:
     """AP of a weighted sum ranked block by block equals AP of the whole
-    sum ``combined_scores`` writes, bit for bit."""
+    sum ``combined_scores`` writes, bit for bit; the sum itself, taken one
+    block of rows at a time, is bitwise the whole-matrix formula."""
 
     @pytest.mark.parametrize("block_cells", [metrics.BLOCK_CELLS, 40, 1])
     @pytest.mark.parametrize("make, seed", [(hard_layout, 67), (ulp_layout, 71)])
@@ -441,6 +443,36 @@ class TestWeightedSum:
         assert (got == want).all()
         # every sum ties at 0.5, so ids decide: ranks 3 and 5 for query 3
         assert got[2] == (1 / 3 + 2 / 5) / 2
+
+    @pytest.mark.parametrize("block_cells", [15, 1])
+    def test_sum_equals_the_whole_formula(self, monkeypatch, block_cells):
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(73)
+        parts = [rng.normal(size=(11, 7)) for _ in range(3)]
+        # -0.0 terms: a sum that starts from +0.0 gives +0.0 there, one
+        # that starts from its first term gives -0.0
+        parts[0][2, :] = -0.0
+        parts[1][2, :3] = -0.0
+        parts[2][2, :] = 0.0            # times -0.5: -0.0
+        parts[1][5, 4] = np.nan
+        parts[2][8] = np.nan
+        weights = [0.75, 1.0, -0.5]
+        for n in (1, 2, 3):
+            want = whole_weighted_sum(weights[:n], parts[:n])
+            got = metrics.weighted_sum(zip(weights, parts[:n]),
+                                       np.empty((11, 7)))
+            assert got.tobytes() == want.tobytes()
+        assert len(metrics.row_blocks(11, 7)) > 1
+
+    def test_term_buffer_is_one_block(self):
+        # each product is one block of rows; only ``out`` is whole
+        parts = [np.ones((400, 500)) for _ in range(3)]
+        out = np.empty((400, 500))
+        _, peak = traced_peak(
+            lambda: metrics.weighted_sum(zip([1.0, 2.0, 3.0], parts), out))
+        assert peak <= metrics.BLOCK_CELLS * 8 + (16 << 10)
+        assert out.nbytes > 4 * metrics.BLOCK_CELLS * 8
+        assert (out == 6.0).all()
 
 
 def pairs_layout(rng):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import make_counts
+from conftest import make_counts, random_counts, traced_peak
+from oracles import whole_cosine_scores
+from ldikit import metrics
 from ldikit.demo import demo_corpus
 from ldikit.metrics import average_precision, rank_documents
 from ldikit.vsm import (cosine_scores, score_tfidf, tfidf_query_matrix,
@@ -85,6 +87,87 @@ class TestCosineScores:
         np.testing.assert_array_equal(masked[1], 0.0)
         np.testing.assert_array_equal(masked[:, 2], 0.0)
         np.testing.assert_array_equal(masked[0, :2], plain[0, :2])
+
+
+# What a scorer may allocate besides its output: one block of rows of
+# temporaries, what its inputs take, the buffers of the numpy iterator
+# (up to three operands of ``np.getbufsize()`` float64 elements) and a
+# fixed allowance for the Python and numpy objects of the call.
+ALLOWANCE = 3 * np.getbufsize() * 8 + (64 << 10)
+
+
+def block_bytes(per_cell):
+    return metrics.BLOCK_CELLS * per_cell
+
+
+def csr_bytes(matrix):
+    """A float64 CSR copy of ``matrix`` with int32 indices."""
+    return matrix.nnz * (8 + 4) + (matrix.shape[0] + 1) * 4
+
+
+class TestBlockedScores:
+    """The scorers fill their output one block of rows at a time: bitwise
+    the whole-matrix formulas, and no other temporary as large as it."""
+
+    @pytest.mark.parametrize("block_cells", [metrics.BLOCK_CELLS, 12, 1])
+    def test_cosine_equals_the_whole_formula(self, monkeypatch, block_cells):
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(3)
+        queries = rng.normal(size=(9, 4))
+        docs = rng.normal(size=(7, 4))
+        queries[2] = 0.0                    # zero norm
+        docs[4] = 0.0
+        queries[5] = np.nan                 # NaN norm
+        docs[1, 3] = np.nan
+        query_mask = np.array([1, 1, 1, 0, 1, 1, 0, 1, 1], dtype=bool)
+        doc_mask = np.array([1, 0, 1, 1, 1, 1, 0], dtype=bool)
+        for masks in [(), (query_mask,), (None, doc_mask),
+                      (query_mask, doc_mask)]:
+            with np.errstate(invalid="ignore"):
+                want = whole_cosine_scores(queries, docs, *masks)
+            got = cosine_scores(queries, docs, *masks)
+            # bytes compare -0.0 and each NaN's bits, not just values
+            assert got.tobytes() == want.tobytes()
+        # masked-out negative cosines are -0.0
+        assert (np.signbit(got) & (got == 0)).any()
+
+    @pytest.mark.parametrize("block_cells", [90, 1])
+    def test_tfidf_equals_the_whole_product(self, monkeypatch, block_cells):
+        monkeypatch.setattr(metrics, "BLOCK_CELLS", block_cells)
+        model = train_tfidf(random_counts(30, 11, seed=4))
+        queries = random_counts(25, 11, seed=5).matrix
+        q = tfidf_query_matrix(model.idf, queries)
+        want = (q @ model.doc_vectors.T).toarray()
+        got = score_tfidf(model, queries)
+        assert len(metrics.row_blocks(*got.shape)) > 1
+        assert got.tobytes() == want.tobytes()
+
+    def test_cosine_holds_the_output_and_one_block(self):
+        rng = np.random.default_rng(6)
+        queries = rng.normal(size=(300, 4))
+        docs = rng.normal(size=(400, 4))
+        scores, peak = traced_peak(lambda: cosine_scores(
+            queries, docs, rng.random(300) > 0.2, rng.random(400) > 0.2))
+        # per cell of a block: the norm products (8 bytes), where they are
+        # positive and where not (1 each)
+        bound = (scores.nbytes + block_bytes(8 + 1 + 1)
+                 + queries.nbytes + docs.nbytes + ALLOWANCE)
+        assert peak <= bound
+        assert scores.nbytes > 2 * block_bytes(8 + 1 + 1)
+
+    def test_tfidf_holds_the_output_and_one_block(self):
+        # few terms in most documents and queries: a dense product
+        model = train_tfidf(random_counts(600, 6, seed=7))
+        queries = random_counts(400, 6, seed=8).matrix
+        scores, peak = traced_peak(lambda: score_tfidf(model, queries))
+        # a block's sparse product (8-byte value and 4-byte column per
+        # cell); the transposed documents; the weighted query rows and the
+        # copies taken to weight and normalise them
+        bound = (scores.nbytes + block_bytes(8 + 4)
+                 + csr_bytes(model.doc_vectors) + 4 * csr_bytes(queries)
+                 + ALLOWANCE)
+        assert peak <= bound
+        assert scores.nbytes > 2 * block_bytes(8 + 4)
 
 
 class TestDemoBehavior:
