@@ -2,8 +2,10 @@
 a score matrix is one file.  Its first line is a compact JSON header:
 ``bundle_version``, the ``kind``, scalar fields, each CSR matrix's shape
 under ``sparse``, and under ``arrays`` each stored array's shape and dtype
-(a CSR matrix as its three parts).  The arrays' little-endian C-order bytes
-follow back to back, in header order.  A ``.csv`` score path is plain CSV.
+(a CSR matrix as its three parts), and for a bundle saved with digests
+(a corpus) its sha256.  The arrays' little-endian C-order bytes follow
+back to back, in header order, so a reader can read some arrays and seek
+past the rest.  A ``.csv`` score path is plain CSV.
 Every write goes to a temp sibling renamed over the target, so the target
 is whole or absent after a killed process (there is no fsync, so not after
 a power loss).  The writer holds an exclusive ``flock`` on its temp until
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import glob
+import hashlib
 import json
 import math
 import os
@@ -109,9 +112,11 @@ def _stored(array) -> np.ndarray:
     raise TypeError(f"cannot persist array of dtype {array.dtype}")
 
 
-def save_model(path, kind: str, fields: dict, arrays: dict) -> Path:
+def save_model(path, kind: str, fields: dict, arrays: dict,
+               digests: bool = False) -> Path:
     """Write one artifact file.  ``arrays`` values are dense arrays or CSR
-    matrices; everything else belongs in ``fields``."""
+    matrices; everything else belongs in ``fields``.  With ``digests``,
+    each stored array's entry records the sha256 of its bytes."""
     stored, sparse = {}, {}
     for name, value in arrays.items():
         if sp.issparse(value):
@@ -121,10 +126,13 @@ def save_model(path, kind: str, fields: dict, arrays: dict) -> Path:
                 stored[f"{name}.{part}"] = _stored(getattr(csr, part))
         else:
             stored[name] = _stored(value)
+    entries = {name: {"shape": list(a.shape), "dtype": a.dtype.str}
+               for name, a in stored.items()}
+    if digests:
+        for name, array in stored.items():
+            entries[name]["sha256"] = hashlib.sha256(array).hexdigest()
     header = {"bundle_version": BUNDLE_VERSION, "kind": kind, **fields,
-              "sparse": sparse,
-              "arrays": {name: {"shape": list(a.shape), "dtype": a.dtype.str}
-                         for name, a in stored.items()}}
+              "sparse": sparse, "arrays": entries}
     with replacing(path) as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
         for array in stored.values():
@@ -132,9 +140,16 @@ def save_model(path, kind: str, fields: dict, arrays: dict) -> Path:
     return Path(path)
 
 
-def load_model(path, kind: str | None = None):
+def load_model(path, kind: str | None = None, names=None):
     """Read an artifact file back as (header, arrays), checking that it
-    holds a ``kind`` artifact when ``kind`` is given."""
+    holds a ``kind`` artifact when ``kind`` is given.
+
+    With ``names``, only those arrays (a CSR matrix by its own name) are
+    read, and each is checked against the sha256 its header records
+    before it is returned; the reader seeks past the others.  A whole
+    read hashes nothing: models and scores record no digests, and
+    ``corpus.load_corpus`` checks a whole corpus by its content hash.
+    """
     path = Path(path)
     remedy = f"rebuild it with `{_MAKERS.get(kind, 'ldikit train')}`"
     if path.is_dir():
@@ -151,24 +166,66 @@ def load_model(path, kind: str | None = None):
             raise ValueError(f"{path.name} holds a {header['kind']!r} "
                              f"bundle, not a {kind!r} one")
         sparse = header.pop("sparse")
+        entries = header.pop("arrays")
         layout = {name: (_DTYPE_TAGS[e["dtype"]], tuple(map(int, e["shape"])))
-                  for name, e in header.pop("arrays").items()}
-        expected = sum(dtype.itemsize * math.prod(shape)
-                       for dtype, shape in layout.values())
+                  for name, e in entries.items()}
+        if names is None:
+            wanted = layout
+        else:
+            sparse = {name: sparse[name] for name in names if name in sparse}
+            wanted = _named_digests(path, names, sparse, entries, remedy)
+        sizes = {name: dtype.itemsize * math.prod(shape)
+                 for name, (dtype, shape) in layout.items()}
+        expected = sum(sizes.values())
         # sized from the file before anything is allocated for the payload
         held = os.fstat(fh.fileno()).st_size - fh.tell()
         if held == expected:
-            arrays = {name: np.empty(shape, dtype=dtype)
-                      for name, (dtype, shape) in layout.items()}
-            held = sum(fh.readinto(array) for array in arrays.values())
+            arrays, held = {}, 0
+            for name, (dtype, shape) in layout.items():
+                if name in wanted:
+                    arrays[name] = np.empty(shape, dtype=dtype)
+                    held += fh.readinto(arrays[name])
+                else:
+                    fh.seek(sizes[name], os.SEEK_CUR)
+                    held += sizes[name]
     if held != expected:
         raise ValueError(f"{path.name} holds {held} payload bytes; its "
                          f"header's arrays need {expected}")
+    if names is not None:
+        for name, array in arrays.items():
+            _check_digest(path, name, array, wanted[name])
     for name, shape in sparse.items():
         arrays[name] = sp.csr_matrix(
             tuple(arrays.pop(f"{name}.{part}") for part in _CSR_PARTS),
             shape=shape)
     return header, arrays
+
+
+def _check_digest(path: Path, name: str, array: np.ndarray,
+                  digest: str) -> None:
+    """Raise unless the bytes of ``array`` (stored as ``name``) have the
+    sha256 ``digest``."""
+    if hashlib.sha256(array).hexdigest() != digest:
+        raise ValueError(f"{path.name}: array {name!r} does not match its "
+                         "sha256 checksum")
+
+
+def _named_digests(path: Path, names, sparse: dict, entries: dict,
+              remedy: str) -> dict:
+    """{stored name: sha256} of the arrays ``names`` calls for (a CSR
+    matrix as its three parts); each must be stored with a digest."""
+    wanted = {}
+    for name in names:
+        parts = ([f"{name}.{part}" for part in _CSR_PARTS]
+                 if name in sparse else [name])
+        for part in parts:
+            if part not in entries:
+                raise ValueError(f"{path.name} holds no {part!r} array")
+            if "sha256" not in entries[part]:
+                raise ValueError(f"{path.name} records no sha256 of its "
+                                 f"{part!r} array; {remedy}")
+            wanted[part] = entries[part]["sha256"]
+    return wanted
 
 
 def save_scores(path, matrix: ScoreMatrix) -> Path:
@@ -189,6 +246,8 @@ def save_scores(path, matrix: ScoreMatrix) -> Path:
 
 
 def load_scores(path) -> ScoreMatrix:
+    """A score artifact, or a ``.csv`` score file read one line at a time
+    into a matrix sized by a first pass that counts the lines."""
     path = Path(path)
     if path.suffix != ".csv":
         header, arrays = load_model(path, "scores")
@@ -196,18 +255,20 @@ def load_scores(path) -> ScoreMatrix:
                            query_ids=arrays["query_ids"],
                            doc_ids=arrays["doc_ids"])
     with path.open() as fh:
+        n_rows = max(sum(1 for _ in fh) - 1, 0)
+        fh.seek(0)
         header = fh.readline().rstrip("\n").split(",")
         doc_ids = np.array([int(d) for d in header[1:]], dtype=np.int64)
-        query_ids, rows = [], []
-        for line_no, line in enumerate(fh, start=2):
+        query_ids = np.empty(n_rows, dtype=np.int64)
+        scores = np.empty((n_rows, len(doc_ids)))
+        for row, line in enumerate(fh):
             parts = line.rstrip("\n").split(",")
             if len(parts) - 1 != len(doc_ids):
                 raise ValueError(
-                    f"score file {path.name} line {line_no} holds "
+                    f"score file {path.name} line {row + 2} holds "
                     f"{len(parts) - 1} scores; its header has "
                     f"{len(doc_ids)} doc ids")
-            query_ids.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-    return ScoreMatrix(tag=path.stem, scores=np.array(rows),
-                       query_ids=np.array(query_ids, dtype=np.int64),
+            query_ids[row] = int(parts[0])
+            scores[row] = [float(v) for v in parts[1:]]
+    return ScoreMatrix(tag=path.stem, scores=scores, query_ids=query_ids,
                        doc_ids=doc_ids)

@@ -207,20 +207,27 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    built = corpus_mod.load_corpus(args.corpus)
     fitted = pipeline.load_fitted(args.model)
-    matrix = pipeline.score_corpus(fitted, built, tag=args.tag)
+    header, arrays = corpus_mod.load_corpus_arrays(
+        args.corpus, pipeline.score_reads(fitted.kind))
+    matrix = pipeline.score_arrays(fitted, header["checksum"], arrays,
+                                   tag=args.tag)
     out = bundle.save_scores(config.resolve_out_path(args.out), matrix)
     print(f"scored {matrix.scores.shape[0]} queries x "
           f"{matrix.scores.shape[1]} documents -> {out}")
     return 0
 
 
+def _judged_pairs(path):
+    """The judged pairs of a corpus bundle, read and verified alone."""
+    return corpus_mod.load_corpus_arrays(path, ("qrels",))[1]["qrels"]
+
+
 def _cmd_eval(args) -> int:
-    built = corpus_mod.load_corpus(args.corpus)
+    qrels = _judged_pairs(args.corpus)
     matrix = bundle.load_scores(args.scores)
     report = evaluate_scores(matrix.scores, matrix.query_ids, matrix.doc_ids,
-                             built.qrels)
+                             qrels)
     print(f"MAP {report.map_score:.4f} over {len(report.per_query_ap)} "
           f"judged queries ({len(report.skipped_queries)} skipped)")
     print("interpolated precision: "
@@ -235,9 +242,9 @@ def _load_score_files(paths) -> list[ScoreMatrix]:
 
 
 def _cmd_ensemble_train(args) -> int:
-    built = corpus_mod.load_corpus(args.corpus)
+    qrels = _judged_pairs(args.corpus)
     matrices = _load_score_files(args.scores)
-    weights = train_ensemble(matrices, built.qrels, eps=args.eps,
+    weights = train_ensemble(matrices, qrels, eps=args.eps,
                              max_rounds=args.max_rounds)
     doc = {
         "tags": weights.tags,
@@ -292,9 +299,9 @@ def _cmd_ensemble_apply(args) -> int:
 
 
 def _cmd_ensemble_crossval(args) -> int:
-    built = corpus_mod.load_corpus(args.corpus)
+    qrels = _judged_pairs(args.corpus)
     matrices = _load_score_files(args.scores)
-    report = cross_validate(matrices, built.qrels, n_folds=args.folds,
+    report = cross_validate(matrices, qrels, n_folds=args.folds,
                             seed=args.seed, eps=args.eps,
                             max_rounds=args.max_rounds)
     doc = {

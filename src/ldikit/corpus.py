@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from . import bundle
 from .metrics import strictly_increasing
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 TOKENIZER_VERSION = 1
 
 
@@ -546,6 +546,13 @@ class Corpus:
     def n_queries(self) -> int:
         return len(self.query_ids)
 
+    def arrays(self) -> dict:
+        """The arrays a corpus bundle stores, under their names there."""
+        return {"counts": self.counts.matrix,
+                "query_counts": self.query_counts,
+                "doc_ids": self.doc_ids, "query_ids": self.query_ids,
+                "qrels": self.qrels}
+
     def checksum(self) -> str:
         """Content hash covering vocabulary, ids, counts and judged pairs."""
         h = hashlib.sha256()
@@ -630,7 +637,8 @@ def build_corpus(collection: Collection, stoplist: StopList | None = None) -> Co
 # Corpus bundle persistence
 
 def save_corpus(corpus: Corpus, path) -> Path:
-    """Write a corpus bundle: counts, ids and judged pairs as raw arrays.
+    """Write a corpus bundle: counts, ids and judged pairs as raw arrays,
+    each with its sha256.
 
     The vocabulary, name and content checksum go into the header.
     """
@@ -642,22 +650,29 @@ def save_corpus(corpus: Corpus, path) -> Path:
         "dropped_judgments": corpus.dropped_judgments,
         "checksum": corpus.checksum(),
     }
-    arrays = {"counts": corpus.counts.matrix, "query_counts": corpus.query_counts,
-              "doc_ids": corpus.doc_ids, "query_ids": corpus.query_ids,
-              "qrels": corpus.qrels}
-    return bundle.save_model(path, "corpus", fields, arrays)
+    return bundle.save_model(path, "corpus", fields, corpus.arrays(),
+                             digests=True)
+
+
+def _check_format(header: dict) -> None:
+    version = header.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported corpus format version {version}; "
+                         "rebuild the bundle with `ldikit corpus build`")
+
+
+def _judgments(pairs: np.ndarray) -> np.ndarray:
+    """The stored judged pairs as ``Corpus.qrels`` holds them."""
+    pairs = _sorted_pairs(pairs)
+    pairs.flags.writeable = False
+    return pairs
 
 
 def load_corpus(path) -> Corpus:
     """Load a corpus bundle written by save_corpus; verifies the checksum."""
     header, arrays = bundle.load_model(path, "corpus")
-    version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported corpus format version {version}; "
-                         "rebuild the bundle with `ldikit corpus build`")
+    _check_format(header)
     matrix = arrays["counts"]
-    pairs = _sorted_pairs(arrays["qrels"])
-    pairs.flags.writeable = False
     corpus = Corpus(
         name=header["name"],
         doc_ids=arrays["doc_ids"],
@@ -668,13 +683,25 @@ def load_corpus(path) -> Corpus:
             doc_lengths=np.asarray(matrix.sum(axis=1)).ravel().astype(np.int64),
         ),
         query_counts=arrays["query_counts"],
-        qrels=pairs,
+        qrels=_judgments(arrays["qrels"]),
         dropped_judgments=header["dropped_judgments"],
     )
     if corpus.checksum() != header["checksum"]:
         raise ValueError("corpus bundle checksum mismatch")
     corpus.loaded_checksum = header["checksum"]
     return corpus
+
+
+def load_corpus_arrays(path, names) -> tuple[dict, dict]:
+    """The header and the ``names`` arrays of a corpus bundle (named as
+    `Corpus.arrays` names them), each checked against the sha256 its
+    header records; the rest of the payload is not read.  The header's
+    ``checksum`` is the content hash the bundle was saved with."""
+    header, arrays = bundle.load_model(path, "corpus", names)
+    _check_format(header)
+    if "qrels" in arrays:
+        arrays["qrels"] = _judgments(arrays["qrels"])
+    return header, arrays
 
 
 def load_collection(doc_path, query_path=None, qrels_path=None,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import TermDocCounts
 from .lda import LdaModel
 from .vsm import cosine_scores
 
@@ -56,9 +55,10 @@ class LdiIndex:
     doc_evidence: np.ndarray    # docs with at least one in-vocabulary term
 
 
-def build_index(model: LdaModel, counts: TermDocCounts) -> LdiIndex:
+def build_index(model: LdaModel, doc_counts) -> LdiIndex:
+    """Topic-space vectors of the (documents x terms) count matrix."""
     w = word_topic_matrix(model.beta)
-    vectors, evidence = _average_rows(w, counts.matrix)
+    vectors, evidence = _average_rows(w, doc_counts)
     return LdiIndex(w=w, doc_vectors=vectors, doc_evidence=evidence)
 
 

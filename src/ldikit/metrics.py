@@ -350,8 +350,10 @@ def _fill_block(block: _Block, values: np.ndarray, out: np.ndarray) -> None:
     # equals it; for a NaN, is a NaN) also needs the equal scores at lower
     # columns, counted exactly.  One tie group is one (row, score); its
     # members hold consecutive places, and their ranks in column order are
-    # the group's count so far plus the running count of equal scores read
-    # at the members' columns.
+    # the group's count so far plus the equal scores before each member's
+    # column: the stretches from the row's start to the first member and
+    # from each member to the next, summed in one ``reduceat`` and added
+    # up within the group.
     nan = np.isnan(neg)
     after = ordered.reshape(-1).take(block.row * n_docs
                                      + np.minimum(rank + 1, n_docs - 1))
@@ -365,7 +367,6 @@ def _fill_block(block: _Block, values: np.ndarray, out: np.ndarray) -> None:
         # NaN == NaN is false: NaN groups alone take the isnan mask
         nan_group = nan[lead]
         equal[nan_group] = np.isnan(values[rows[nan_group]])
-        up_to = np.cumsum(equal, axis=1)
         # each group's candidates: its row's relevant cells, column order
         size = np.diff(block.starts)[rows]
         group = np.repeat(np.arange(len(lead)), size)
@@ -374,7 +375,22 @@ def _fill_block(block: _Block, values: np.ndarray, out: np.ndarray) -> None:
         col = block.cells[cell] - rows[group] * n_docs
         member = equal[group, col]
         group, col = group[member], col[member]
-        rank[tied] = rank[lead][group] + up_to[group, col] - 1
+        # stretch bounds, flat in ``equal``: each group's row start at
+        # ``head``, then its members' columns at ``at``; every group holds
+        # its lead, so each has a first member (``first``)
+        first = np.flatnonzero(np.diff(group, prepend=-1))
+        head = first + np.arange(len(first))
+        at = np.arange(1, len(group) + 1) + group
+        bounds = np.empty(len(at) + len(head), dtype=np.int64)
+        bounds[head] = np.arange(len(head)) * n_docs
+        bounds[at] = group * n_docs + col
+        stretch = np.add.reduceat(equal.reshape(-1), bounds, dtype=np.int64)
+        # reduceat reads one cell for an empty stretch: a first member at
+        # column 0
+        stretch[head] -= col[first] == 0
+        total = np.cumsum(stretch)
+        before = total[at - 1] - (total[head] - stretch[head])[group]
+        rank[tied] = rank[lead][group] + before
     ranks = np.full(padded.shape, np.inf)       # a pad's precision is 0
     ranks.reshape(-1)[block.needle] = rank
     out[:, :block.needles] = _precisions(np.arange(1.0, block.needles + 1),

@@ -1,8 +1,9 @@
 """Orchestration: train any ranker on a corpus, score its queries, persist.
 
 ``RANKERS`` is the one place that knows the four methods: per method it says
-how to fit on a corpus, how to score the corpus queries, which arrays and
-scalars go into a model bundle, and how to rebuild the model from them.
+how to fit on a corpus, which corpus arrays scoring reads and how it scores
+the corpus queries with them, which arrays and scalars go into a model
+bundle, and how to rebuild the model from them.
 Everything else here is one path for all methods.  The topic-space ranker is
 served by the ``lda`` method: its index derives from the fitted topic-term
 table and the corpus counts at scoring time.
@@ -35,13 +36,16 @@ class Ranker:
 
     # (corpus, k, seed) -> (payload, fit summary for the header)
     fit: Callable
-    # (payload, corpus) -> (queries x documents) scores
+    # (payload, *the corpus arrays named by ``reads``) -> (queries x
+    # documents) scores
     score: Callable
     # payload -> (header scalars, named arrays)
     pack: Callable
     # (header, arrays) -> payload
     unpack: Callable
     needs_k: bool = True
+    # the corpus arrays (``Corpus.arrays`` names) that ``score`` takes
+    reads: tuple[str, ...] = ("query_counts",)
 
 
 def _fit_lda(corpus, k, seed):
@@ -55,7 +59,7 @@ def _fit_lda(corpus, k, seed):
 RANKERS = {
     "tfidf": Ranker(
         fit=lambda corpus, k, seed: (train_tfidf(corpus.counts), None),
-        score=lambda m, corpus: score_tfidf(m, corpus.query_counts),
+        score=lambda m, queries: score_tfidf(m, queries),
         pack=lambda m: ({}, {"idf": m.idf, "doc_vectors": m.doc_vectors}),
         unpack=lambda header, a: TfIdfModel(
             idf=a["idf"], doc_vectors=a["doc_vectors"].astype(float)),
@@ -63,7 +67,7 @@ RANKERS = {
     "lsi": Ranker(
         fit=lambda corpus, k, seed: (train_lsi(corpus.counts, k=k, seed=seed),
                                      None),
-        score=lambda m, corpus: score_lsi(m, corpus.query_counts),
+        score=lambda m, queries: score_lsi(m, queries),
         pack=lambda m: ({"requested_k": m.factors.requested_k,
                          "svd_residual": m.factors.residual,
                          "gram_products": m.factors.gram_products},
@@ -79,7 +83,7 @@ RANKERS = {
     "plsi": Ranker(
         fit=lambda corpus, k, seed: (train_plsa(corpus.counts, k=k,
                                                 seed=seed).model, None),
-        score=lambda m, corpus: score_plsa(m, corpus.query_counts),
+        score=lambda m, queries: score_plsa(m, queries),
         pack=lambda m: ({"beta_temp": m.beta_temp},
                         {"p_dz": m.p_dz, "p_wz": m.p_wz}),
         unpack=lambda header, a: PlsaModel(
@@ -87,8 +91,9 @@ RANKERS = {
             beta_temp=float(header["beta_temp"]), seed=header["seed"])),
     "lda": Ranker(
         fit=_fit_lda,
-        score=lambda m, corpus: score_ldi(build_index(m, corpus.counts),
-                                          corpus.query_counts),
+        score=lambda m, docs, queries: score_ldi(build_index(m, docs),
+                                                 queries),
+        reads=("counts", "query_counts"),
         pack=lambda m: ({"alpha": m.alpha}, {"beta": m.beta}),
         unpack=lambda header, a: LdaModel(
             k=int(header["k"]), alpha=float(header["alpha"]),
@@ -149,16 +154,35 @@ def train_model(corpus: Corpus, method: str, k: int | None = None,
                        extra=extra)
 
 
+# the corpus arrays every score matrix takes its ids from
+_SCORE_IDS = ("query_ids", "doc_ids")
+
+
+def score_reads(kind: str) -> tuple[str, ...]:
+    """The corpus arrays that scoring with a ``kind`` model reads."""
+    return _SCORE_IDS + _ranker(kind).reads
+
+
 def score_corpus(fitted: FittedModel, corpus: Corpus,
                  tag: str | None = None) -> ScoreMatrix:
     """Score every corpus query against every document."""
-    if fitted.corpus_checksum != _content_checksum(corpus):
+    return score_arrays(fitted, _content_checksum(corpus), corpus.arrays(),
+                        tag)
+
+
+def score_arrays(fitted: FittedModel, checksum: str, arrays: dict,
+                 tag: str | None = None) -> ScoreMatrix:
+    """Score every query of the corpus with content hash ``checksum``
+    against every document, from its ``score_reads`` arrays."""
+    if fitted.corpus_checksum != checksum:
         raise ValueError(
             f"model was fitted on corpus {fitted.corpus_name!r} with a "
             "different content hash; refusing to score")
-    scores = _ranker(fitted.kind).score(fitted.payload, corpus)
+    ranker = _ranker(fitted.kind)
+    scores = ranker.score(fitted.payload, *(arrays[n] for n in ranker.reads))
     return ScoreMatrix(tag=tag or fitted.kind, scores=np.asarray(scores),
-                       query_ids=corpus.query_ids, doc_ids=corpus.doc_ids)
+                       query_ids=arrays["query_ids"],
+                       doc_ids=arrays["doc_ids"])
 
 
 def evaluate_matrix(matrix: ScoreMatrix, corpus: Corpus) -> EvalReport:

@@ -79,7 +79,7 @@ def test_criterion_03_topic_count_curve_peaks_interior_on_med():
 def toy_conditions_hold(seed):
     corpus = demo_corpus()
     fit = fit_demo_topics(seed=seed)
-    index = build_index(fit.model, corpus.counts)
+    index = build_index(fit.model, corpus.counts.matrix)
     scores = np.asarray(score_ldi(index, corpus.query_counts))
     tech, business = [0, 1, 2], [3, 4]
     others = list(range(3, 10))

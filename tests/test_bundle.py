@@ -1,8 +1,10 @@
 import dataclasses
 import errno
 import fcntl
+import hashlib
 import io
 import json
+import math
 import os
 import select
 import signal
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import edit_header
+from conftest import edit_header, traced_peak
 from ldikit import bundle, cli
 from ldikit.bundle import load_model, load_scores, save_model, save_scores
 from ldikit.corpus import load_corpus, save_corpus
@@ -104,6 +106,56 @@ class TestModelBundle:
                   counts.indices.astype("<i8"), counts.indptr.astype("<i8"))
         assert payload == b"".join(x.tobytes() for x in stored)
 
+    def test_digests_are_the_stored_bytes_sha256(self, tmp_path):
+        counts = sp.csr_matrix(np.array([[0, 3], [4, 0]]))
+        out = save_model(tmp_path / "m", "x", {},
+                         {"a": np.arange(3.0), "counts": counts},
+                         digests=True)
+        header, payload = header_and_payload(out)
+        offset = 0
+        for entry in header["arrays"].values():
+            size = 8 * math.prod(entry["shape"])
+            assert entry["sha256"] == hashlib.sha256(
+                payload[offset:offset + size]).hexdigest()
+            offset += size
+        assert offset == len(payload)
+
+    def test_named_arrays_are_read_alone_and_verified(self, tmp_path):
+        counts = sp.csr_matrix(np.array([[0, 3], [4, 0], [0, 5]]))
+        out = save_model(tmp_path / "m", "x", {"k": 2},
+                         {"a": np.arange(3.0), "counts": counts,
+                          "ids": np.array([5, 7, 9])}, digests=True)
+        whole = load_model(out)[1]
+        header, some = load_model(out, names=("counts", "ids"))
+        assert header["k"] == 2 and set(some) == {"counts", "ids"}
+        assert sp.issparse(some["counts"])
+        assert (some["counts"] != whole["counts"]).nnz == 0
+        np.testing.assert_array_equal(some["ids"], whole["ids"])
+        # damage to an array that is not read goes unseen
+        blob = bytearray(out.read_bytes())
+        blob[blob.index(b"\n") + 1] ^= 0x01        # the first byte of "a"
+        out.write_bytes(bytes(blob))
+        np.testing.assert_array_equal(load_model(out, names=("ids",))[1]["ids"],
+                                      whole["ids"])
+        with pytest.raises(ValueError, match="array 'a' .*checksum"):
+            load_model(out, names=("a",))
+
+    def test_named_read_needs_a_stored_digest(self, tmp_path):
+        plain = save_model(tmp_path / "m", "x", {}, {"v": np.zeros(2)})
+        with pytest.raises(ValueError, match="records no sha256 of its 'v'"):
+            load_model(plain, names=("v",))
+        hashed = save_model(tmp_path / "h", "x", {}, {"v": np.zeros(2)},
+                            digests=True)
+        with pytest.raises(ValueError, match="holds no 'w' array"):
+            load_model(hashed, names=("w",))
+
+    def test_named_read_checks_the_payload_length(self, tmp_path):
+        path = save_model(tmp_path / "m", "x", {},
+                          {"v": np.zeros(2), "w": np.ones(3)}, digests=True)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="holds 32 payload bytes.*need 40"):
+            load_model(path, names=("v",))
+
     def test_other_kind_rejected(self, tmp_path):
         save_model(tmp_path / "m", "lsi", {}, {"v": np.zeros(2)})
         with pytest.raises(ValueError, match="'lsi' bundle, not a 'corpus'"):
@@ -179,6 +231,15 @@ class TestScoreFiles:
         np.testing.assert_array_equal(loaded.scores, matrix.scores)
         np.testing.assert_array_equal(loaded.query_ids, matrix.query_ids)
         np.testing.assert_array_equal(loaded.doc_ids, matrix.doc_ids)
+
+    def test_csv_load_holds_the_matrix_and_one_row(self, tmp_path):
+        matrix = score_matrix(n_queries=1000, n_docs=500)
+        path = save_scores(tmp_path / "s.csv", matrix)
+        loaded, peak = traced_peak(lambda: load_scores(path))
+        assert loaded.scores.tobytes() == matrix.scores.tobytes()
+        # one row's text, strings and floats come to about 40 rows of the
+        # matrix; every row's floats held as lists would be 4 matrices more
+        assert peak < matrix.scores.nbytes * 1.25
 
     def test_csv_tag_comes_from_filename(self, tmp_path):
         save_scores(tmp_path / "other_name.csv", score_matrix())

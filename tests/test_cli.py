@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -10,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import edit_header, traced_peak
 from oracles import whole_weighted_sum
-from ldikit import cli, metrics
+from ldikit import bundle, cli, metrics, pipeline
 from ldikit.bundle import load_model, load_scores, save_scores
 from ldikit.config import OUT_DIR_ENV
 from ldikit.corpus import load_corpus
@@ -524,6 +525,141 @@ class TestEnsembleCommands:
             "--weights", str(weights_path), "--out", str(tmp_path / "x.bin")])
         assert code == 2
         assert "lacks tags" in err
+
+
+def payload_spans(path):
+    """{stored array name: (offset, byte count)} of a bundle file."""
+    blob = path.read_bytes()
+    offset = blob.index(b"\n") + 1
+    spans = {}
+    for name, entry in json.loads(blob[:offset])["arrays"].items():
+        spans[name] = (offset, 8 * math.prod(entry["shape"]))
+        offset += spans[name][1]
+    return spans
+
+
+def stored_names(name):
+    """The stored arrays of a corpus array: a CSR matrix's three parts."""
+    if name in ("counts", "query_counts"):
+        return [f"{name}.{part}" for part in ("data", "indices", "indptr")]
+    return [name]
+
+
+QUERY_SIDE = {"query_counts.data", "query_counts.indices",
+              "query_counts.indptr", "query_ids", "doc_ids"}
+DOC_COUNTS = {"counts.data", "counts.indices", "counts.indptr"}
+
+
+class TestCorpusArraysPerCommand:
+    """Commands that use part of a corpus bundle read and verify only that
+    part: the judged pairs for eval and the ensemble commands, the query
+    side (plus the document counts for lda) for score."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, ws, tmp_path_factory):
+        """Each command that reads part of the corpus: its argv without
+        ``--corpus`` and ``--out``, and the stored arrays it reads, listed
+        by hand (score once per method)."""
+        root = tmp_path_factory.mktemp("partial")
+        models = {"tfidf": ws["tfidf_model"], "lda": ws["lda_model"]}
+        for method in ("lsi", "plsi"):
+            models[method] = root / f"model-{method}"
+            assert cli.main(["train", "--corpus", str(ws["corpus"]),
+                             "--method", method, "--k", "2",
+                             "--out", str(models[method])]) == 0
+        scores = [str(ws["tfidf_scores"]), str(ws["lda_scores"])]
+        runs = {
+            "eval": (["eval", "--scores", scores[0]], {"qrels"}),
+            "ensemble-train": (["ensemble", "train", "--scores", *scores],
+                               {"qrels"}),
+            "ensemble-crossval": (["ensemble", "crossval", "--scores",
+                                   *scores], {"qrels"}),
+        }
+        for method, model in models.items():
+            reads = QUERY_SIDE | (DOC_COUNTS if method == "lda" else set())
+            runs[f"score-{method}"] = (
+                ["score", "--model", str(model)], reads)
+        return runs
+
+    @staticmethod
+    def run_on(capsys, argv, corpus, out):
+        code, _, err = run(capsys, [*argv, "--corpus", str(corpus),
+                                    "--out", str(out)])
+        return code, err
+
+    def test_declared_reads(self, runs):
+        for method in pipeline.METHODS:
+            assert {*pipeline.score_reads(method)} == (
+                {"query_counts", "query_ids", "doc_ids"}
+                | ({"counts"} if method == "lda" else set()))
+            assert runs[f"score-{method}"][1] == {
+                part for name in pipeline.score_reads(method)
+                for part in stored_names(name)}
+
+    @pytest.mark.parametrize("array", sorted(QUERY_SIDE | DOC_COUNTS
+                                             | {"qrels"}))
+    def test_flipped_byte_fails_exactly_the_commands_that_read_it(
+            self, ws, runs, tmp_path, capsys, array):
+        damaged = tmp_path / "corpus"
+        blob = bytearray(ws["corpus"].read_bytes())
+        offset, size = payload_spans(ws["corpus"])[array]
+        # the low byte of the middle element
+        blob[offset + 8 * (size // 16)] ^= 0x01
+        damaged.write_bytes(bytes(blob))
+        with pytest.raises(ValueError):
+            load_corpus(damaged)
+        for label, (argv, reads) in runs.items():
+            intact_out, out = tmp_path / f"{label}-intact", tmp_path / label
+            assert self.run_on(capsys, argv, ws["corpus"], intact_out)[0] == 0
+            code, err = self.run_on(capsys, argv, damaged, out)
+            if array in reads:
+                assert code == 2 and "checksum" in err and array in err, label
+                assert not out.exists()
+            else:
+                assert code == 0, (label, err)
+                assert out.read_bytes() == intact_out.read_bytes(), label
+
+    def test_each_command_verifies_its_declared_arrays(self, ws, runs,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+        verified = []
+        check = bundle._check_digest
+
+        def spy(path, name, array, digest):
+            verified.append(name)
+            check(path, name, array, digest)
+        monkeypatch.setattr(bundle, "_check_digest", spy)
+        for label, (argv, _) in runs.items():
+            verified.clear()
+            code, err = self.run_on(capsys, argv, ws["corpus"],
+                                    tmp_path / label)
+            assert code == 0, err
+            if label.startswith("score-"):
+                declared = pipeline.score_reads(label.split("-")[1])
+            else:
+                declared = ("qrels",)
+            assert sorted(verified) == sorted(
+                part for name in declared
+                for part in stored_names(name)), label
+
+    @pytest.mark.parametrize("digests", ["dropped", "kept"])
+    def test_format_4_bundle_is_refused(self, ws, runs, tmp_path, capsys,
+                                        digests):
+        old = tmp_path / "corpus"
+        old.write_bytes(ws["corpus"].read_bytes())
+        header = json.loads(old.read_bytes().split(b"\n", 1)[0])
+        entries = header["arrays"]
+        if digests == "dropped":
+            for entry in entries.values():
+                del entry["sha256"]
+        edit_header(old, format_version=4, arrays=entries)
+        for label, (argv, _) in [*runs.items(),
+                                 ("train", (["train", "--method", "tfidf"],
+                                            None))]:
+            code, err = self.run_on(capsys, argv, old, tmp_path / label)
+            assert code == 2, label
+            assert "ldikit corpus build" in err, label
+            assert not (tmp_path / label).exists()
 
 
 class TestSweep:

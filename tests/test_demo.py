@@ -137,7 +137,7 @@ class TestDemoBoosting:
         # the reference similarities
         corpus = demo_corpus()
         keyword = score_tfidf(train_tfidf(corpus.counts), corpus.query_counts)
-        topical = score_ldi(build_index(demo_fit.model, corpus.counts),
+        topical = score_ldi(build_index(demo_fit.model, corpus.counts.matrix),
                             corpus.query_counts)
         mats = [ScoreMatrix(tag, scores, corpus.query_ids, corpus.doc_ids)
                 for tag, scores in (("tfidf", keyword), ("ldi", topical))]

@@ -40,7 +40,7 @@ class TestWordTopicMatrix:
 class TestVectors:
     def test_document_vector_is_weighted_mean(self):
         w = word_topic_matrix(BETA)
-        index = build_index(MODEL, make_counts([[2, 0, 1, 0]]))
+        index = build_index(MODEL, make_counts([[2, 0, 1, 0]]).matrix)
         vecs, evidence = index.doc_vectors, index.doc_evidence
         expected = (2 * w[0] + w[2]) / 3
         np.testing.assert_allclose(vecs[0], expected)
@@ -48,11 +48,11 @@ class TestVectors:
 
     def test_single_term_document_equals_term_row(self):
         w = word_topic_matrix(BETA)
-        vecs = build_index(MODEL, make_counts([[0, 0, 0, 3]])).doc_vectors
+        vecs = build_index(MODEL, make_counts([[0, 0, 0, 3]]).matrix).doc_vectors
         np.testing.assert_allclose(vecs[0], w[3])
 
     def test_empty_document_gets_uniform_and_no_evidence(self):
-        index = build_index(MODEL, make_counts([[0, 0, 0, 0], [1, 0, 0, 0]]))
+        index = build_index(MODEL, make_counts([[0, 0, 0, 0], [1, 0, 0, 0]]).matrix)
         vecs, evidence = index.doc_vectors, index.doc_evidence
         np.testing.assert_allclose(vecs[0], 0.5)
         assert not evidence[0] and evidence[1]
@@ -61,7 +61,7 @@ class TestVectors:
         # a query is the length-weighted mean of its terms' topic rows
         w = word_topic_matrix(BETA)
         counts = make_counts([[2, 1, 0, 0], [0, 0, 3, 1]])
-        index = build_index(MODEL, counts)
+        index = build_index(MODEL, counts.matrix)
         query = (w[0] + w[1]) / 2
         expected = cosine_scores(query[None, :], index.doc_vectors)
         np.testing.assert_allclose(score_ldi(index, np.array([[1, 1, 0, 0]])),
@@ -79,12 +79,12 @@ class TestScoring:
     COUNTS = make_counts([[2, 1, 0, 0], [0, 0, 3, 1], [0, 0, 0, 0]])
 
     def test_scores_in_unit_interval(self):
-        index = build_index(MODEL, self.COUNTS)
+        index = build_index(MODEL, self.COUNTS.matrix)
         scores = score_ldi(index, self.COUNTS.matrix)
         assert np.all(scores >= 0.0) and np.all(scores <= 1.0 + 1e-12)
 
     def test_no_evidence_scores_zero(self):
-        index = build_index(MODEL, self.COUNTS)
+        index = build_index(MODEL, self.COUNTS.matrix)
         scores = score_ldi(index, self.COUNTS.matrix)
         # document 2 is empty: zero against every query, and an empty
         # query is zero against every document
@@ -104,13 +104,13 @@ class TestDemoModel:
     def test_single_term_document_matches_term(self, demo_fit):
         corpus = demo_corpus()
         w = word_topic_matrix(demo_fit.model.beta)
-        vecs = build_index(demo_fit.model, corpus.counts).doc_vectors
+        vecs = build_index(demo_fit.model, corpus.counts.matrix).doc_vectors
         fry_doc = DOC_LABELS.index("D3")
         np.testing.assert_allclose(vecs[fry_doc], w[TERMS.index("fry")])
 
     def test_polysemy_resolved(self, demo_fit):
         corpus = demo_corpus()
-        index = build_index(demo_fit.model, corpus.counts)
+        index = build_index(demo_fit.model, corpus.counts.matrix)
         scores = score_ldi(index, corpus.query_counts)
         q3 = scores[2]
         # T3 shares no query term, D1 shares "apple"; topics still win
@@ -118,6 +118,6 @@ class TestDemoModel:
 
     def test_self_similarity_one(self, demo_fit):
         corpus = demo_corpus()
-        index = build_index(demo_fit.model, corpus.counts)
+        index = build_index(demo_fit.model, corpus.counts.matrix)
         scores = score_ldi(index, corpus.counts.matrix)
         np.testing.assert_allclose(np.diag(scores), 1.0, atol=1e-12)
