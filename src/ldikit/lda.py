@@ -15,9 +15,13 @@ recorded each pass and must never decrease.
 A fit cuts its count matrix into ``TokenCells`` blocks once and keeps them
 for all its passes.  Each block owns the gather buffers, normaliser array
 and scaled count matrix its E-step writes into, and the sub-blocks an
-active set shrinks to share them, so a sweep allocates no per-cell array
-but the shrunken cells; every result written into those buffers is valid
-until the next call on the same block.
+active set shrinks to share them: a cut copies the kept cells and builds
+no sparse matrix, because a sub-block swaps its cells into the block's
+one scaled matrix, whose shape stays the block's.  So a sweep allocates
+no per-cell array but the shrunken cells, and every result written into
+those buffers is valid until the next call on any block that shares them.
+Between sweeps the active documents' gamma is kept compact, and a
+document's row of the block's gamma is written when it leaves the sweeps.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import gammaln, psi, polygamma
+from scipy.special import gammaln, psi, zeta
 
 from .corpus import TermDocCounts
 
@@ -128,26 +132,31 @@ class TokenCells:
     weights give the posterior sums per row and per term.
 
     A block is built once per fit and lives as long as the fit.  ``rows``
-    cuts a sub-block of some of its rows from the flat arrays.  ``norms``
-    writes into buffers the block allocates on first use and shares with
-    every sub-block cut from it, so like ``scaled`` its result is only
-    valid until the next call on that block or on any block sharing them.
+    cuts a sub-block of some of its rows from the flat arrays.  A sub-block
+    builds no matrix of its own: it shares the block's one scaled matrix,
+    which keeps the block's shape, and ``scaled`` swaps the sub-block's
+    cells into it, so the sub-block's m rows are the first m rows and the
+    rest are empty.  ``norms`` likewise writes into buffers the block
+    allocates on first use.  So a result of ``norms`` or ``scaled`` is only
+    valid until the next call on any block that shares them.
     """
 
     def __init__(self, matrix):
         matrix = matrix.tocsr()
-        self._fill(matrix.data.astype(float), matrix.indices, matrix.indptr,
-                   np.diff(matrix.indptr), matrix.shape[1])
-        self._capacity = len(self.counts)
-        self._buffers = {}          # k -> (rows, terms, norm), see norms
+        counts = matrix.data.astype(float)
+        self._scaled = sp.csr_matrix((np.empty_like(counts), matrix.indices,
+                                      matrix.indptr), shape=matrix.shape)
+        self._out = self._scaled.data   # scaled counts, a prefix per sub-block
+        self._buffers = {}              # k -> (rows, terms, norm), see norms
+        self._fill(counts, self._scaled.indices, self._scaled.indptr,
+                   np.diff(self._scaled.indptr))
 
-    def _fill(self, counts, term, indptr, lengths, n_terms):
+    def _fill(self, counts, term, indptr, lengths):
         self.counts = counts
         self.term = term
         self.doc = np.repeat(np.arange(len(lengths)), lengths)
+        self._indptr = indptr           # padded to the block's row count
         self._lengths = lengths
-        self._scaled = sp.csr_matrix((np.empty_like(counts), term, indptr),
-                                     shape=(len(lengths), n_terms))
 
     @classmethod
     def blocks(cls, matrix, size: int) -> list[tuple[slice, TokenCells]]:
@@ -161,15 +170,18 @@ class TokenCells:
     def rows(self, keep: np.ndarray) -> TokenCells:
         """The sub-block of the rows where the boolean ``keep`` is set, equal
         to ``TokenCells(matrix[keep])`` but cut from this block's cells and
-        sharing its buffers."""
+        sharing its buffers and scaled matrix."""
         cells = np.repeat(keep, self._lengths)
         lengths = self._lengths[keep]
-        indptr = np.zeros(len(lengths) + 1, dtype=self._scaled.indptr.dtype)
-        np.cumsum(lengths, out=indptr[1:])
+        m = len(lengths)
+        indptr = np.empty_like(self._indptr)
+        indptr[0] = 0
+        np.cumsum(lengths, out=indptr[1:m + 1])
+        indptr[m + 1:] = indptr[m]
         sub = TokenCells.__new__(TokenCells)
-        sub._fill(self.counts[cells], self.term[cells], indptr, lengths,
-                  self._scaled.shape[1])
-        sub._capacity = self._capacity
+        sub._fill(self.counts[cells], self.term[cells], indptr, lengths)
+        sub._scaled = self._scaled
+        sub._out = self._out
         sub._buffers = self._buffers
         return sub
 
@@ -184,8 +196,9 @@ class TokenCells:
         """
         n_cells, k = len(self.counts), doc_weights.shape[1]
         if k not in self._buffers:
-            rows = np.empty((min(max(1, GATHER_SIZE // k), self._capacity), k))
-            self._buffers[k] = rows, np.empty_like(rows), np.empty(self._capacity)
+            capacity = len(self._out)
+            rows = np.empty((min(max(1, GATHER_SIZE // k), capacity), k))
+            self._buffers[k] = rows, np.empty_like(rows), np.empty(capacity)
         rows, terms, norm = self._buffers[k]
         norm = norm[:n_cells]
         step = max(1, len(rows))
@@ -202,18 +215,27 @@ class TokenCells:
         return np.maximum(norm, NORM_FLOOR, out=norm)
 
     def scaled(self, norm: np.ndarray) -> sp.csr_matrix:
-        """The count matrix with each cell divided by its normaliser.
+        """The count matrix with each cell divided by its normaliser, in the
+        block's shape: this block's rows first, then empty rows.
 
-        One matrix is kept and refilled, so the result is only valid until
-        the next call.
+        The block's one matrix is refilled through its public ``data``,
+        ``indices`` and ``indptr``, so the result is only valid until the
+        next call on any block that shares it.
         """
-        np.divide(self.counts, norm, out=self._scaled.data)
-        return self._scaled
+        matrix = self._scaled
+        matrix.data = np.divide(self.counts, norm,
+                                out=self._out[:len(self.counts)])
+        matrix.indices = self.term
+        matrix.indptr = self._indptr
+        return matrix
 
 
-def _dirichlet_expectation(gamma: np.ndarray) -> np.ndarray:
-    """E[log theta] under Dirichlet(gamma), row by row."""
-    return psi(gamma) - psi(gamma.sum(axis=1, keepdims=True))
+def _dirichlet_expectation(gamma: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """E[log theta] under Dirichlet(gamma), row by row, given the row sums
+    ``total``."""
+    out = psi(gamma)
+    out -= psi(total)[:, None]
+    return out
 
 
 def _chunk_estep(cells: TokenCells, gamma_chunk: np.ndarray,
@@ -231,25 +253,37 @@ def _chunk_estep(cells: TokenCells, gamma_chunk: np.ndarray,
     """
     n_rows, k = gamma_chunk.shape
     gamma = gamma_chunk.copy()
+    # the active documents' rows, their gamma kept compact between sweeps
+    # and written back to ``gamma`` only when they leave the sweeps
     active = np.arange(n_rows)
+    old = gamma_chunk.copy()
     sweep = cells
     sweeps = unsettled = 0
     for sweeps in range(1, VAR_MAX_ITERS + 1):
-        old = gamma[active]
-        exp_elog = np.exp(_dirichlet_expectation(old))
+        total = old.sum(axis=1)
+        exp_elog = _dirichlet_expectation(old, total)
+        np.exp(exp_elog, out=exp_elog)
         scaled = sweep.scaled(sweep.norms(exp_elog, beta_t))
-        new = alpha + exp_elog * (scaled @ beta_t)
-        gamma[active] = new
-        settled = np.abs(new - old).sum(axis=1) < VAR_TOL * old.sum(axis=1)
-        if settled.all():
-            break
-        if settled.any():
-            active = active[~settled]
-            sweep = sweep.rows(~settled)
+        new = (scaled @ beta_t)[:len(old)]
+        new *= exp_elog
+        new += alpha
+        change = np.abs(np.subtract(new, old, out=old), out=old).sum(axis=1)
+        # a NaN change keeps its document active
+        keep = ~(change < VAR_TOL * total)
+        if not keep.all():
+            gamma[active[~keep]] = new[~keep]
+            if not keep.any():
+                break
+            active = active[keep]
+            new = new[keep]
+            sweep = sweep.rows(keep)
+        old = new
     else:
         unsettled = len(active)
+        gamma[active] = old
 
-    elog_theta = _dirichlet_expectation(gamma)
+    total = gamma.sum(axis=1)
+    elog_theta = _dirichlet_expectation(gamma, total)
     exp_elog = np.exp(elog_theta)
     norm = cells.norms(exp_elog, beta_t)
     stats = (cells.scaled(norm).T @ exp_elog).T * beta_t.T
@@ -261,7 +295,7 @@ def _chunk_estep(cells: TokenCells, gamma_chunk: np.ndarray,
     bound += float(
         n_rows * (gammaln(k * alpha) - k * gammaln(alpha))
         + (alpha - 1.0) * alpha_stat
-        - gammaln(gamma.sum(axis=1)).sum()
+        - gammaln(total).sum()
         + gammaln(gamma).sum()
         - ((gamma - 1.0) * elog_theta).sum()
     )
@@ -313,7 +347,8 @@ def _update_alpha(alpha: float, n_docs: int, k: int,
         return n_docs * k * (psi(k * a) - psi(a)) + alpha_stat
 
     def curvature(a: float) -> float:
-        return n_docs * (k * k * polygamma(1, k * a) - k * polygamma(1, a))
+        # trigamma: scipy's polygamma(1, x) is 1 * 1 * zeta(2, x)
+        return n_docs * (k * k * zeta(2, k * a) - k * zeta(2, a))
 
     a = float(np.clip(alpha, ALPHA_MIN, ALPHA_MAX))
     for _ in range(100):

@@ -558,6 +558,70 @@ def log_space_terms_at(matrix, gamma, log_beta, alpha):
 
 
 # ---------------------------------------------------------------------------
+# Linear-space variational E-step, every sweep's matrix rebuilt from scratch
+
+def _rebuilt_scaled(matrix, exp_elog, beta_t, norm_floor):
+    """A fresh CSR matrix of each cell's count over its mixture normaliser,
+    the normaliser taken by the same einsum as ``TokenCells.norms``."""
+    doc = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    norm = np.einsum("nk,nk->n", exp_elog[doc], beta_t[matrix.indices])
+    norm = np.maximum(norm, norm_floor)
+    scaled = sp.csr_matrix((matrix.data / norm, matrix.indices.copy(),
+                            matrix.indptr.copy()), shape=matrix.shape)
+    return scaled, norm
+
+
+def rebuilt_chunk_estep(matrix, gamma, beta_t, alpha, var_tol, max_iters,
+                        norm_floor):
+    """The linear-space E-step of one block the plain way.
+
+    Each sweep gathers the active documents' gamma, takes the active rows
+    of the count matrix as a new CSR matrix and multiplies it by scipy, and
+    scatters the new gamma back; a document whose relative gamma change is
+    below ``var_tol`` leaves the sweeps.  Then phi is taken at the final
+    gamma for the statistics and the exact bound.  Returns gamma, stats,
+    alpha statistic, bound, sweeps run and documents left unsettled.
+    """
+    matrix = sp.csr_matrix(matrix, dtype=float)
+    n_rows, k = gamma.shape
+    gamma = np.array(gamma, dtype=float)
+
+    def elog(g):
+        return psi(g) - psi(g.sum(axis=1, keepdims=True))
+
+    active = np.arange(n_rows)
+    sweeps = unsettled = 0
+    for sweeps in range(1, max_iters + 1):
+        old = gamma[active]
+        exp_elog = np.exp(elog(old))
+        scaled, _ = _rebuilt_scaled(matrix[active], exp_elog, beta_t,
+                                    norm_floor)
+        new = alpha + exp_elog * (scaled @ beta_t)
+        gamma[active] = new
+        settled = np.abs(new - old).sum(axis=1) < var_tol * old.sum(axis=1)
+        active = active[~settled]
+        if not len(active):
+            break
+    else:
+        unsettled = len(active)
+
+    elog_theta = elog(gamma)
+    exp_elog = np.exp(elog_theta)
+    scaled, norm = _rebuilt_scaled(matrix, exp_elog, beta_t, norm_floor)
+    stats = (scaled.T @ exp_elog).T * beta_t.T
+    alpha_stat = float(elog_theta.sum())
+    bound = float(matrix.data @ np.log(norm))
+    bound += float(
+        n_rows * (gammaln(k * alpha) - k * gammaln(alpha))
+        + (alpha - 1.0) * alpha_stat
+        - gammaln(gamma.sum(axis=1)).sum()
+        + gammaln(gamma).sum()
+        - ((gamma - 1.0) * elog_theta).sum()
+    )
+    return gamma, stats, alpha_stat, bound, sweeps, unsettled
+
+
+# ---------------------------------------------------------------------------
 # Tempered aspect-model objective, cell by cell
 
 def dense_tempered_objective(counts, p_dz, p_wz, beta_temp) -> float:

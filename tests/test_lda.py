@@ -3,13 +3,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.special import gammaln, polygamma, psi
+from scipy.special import gammaln, polygamma, psi, zeta
 
 from conftest import bound_never_drops, make_counts, random_counts
 import ldikit.lda as lda
 from oracles import (corpus_bound, dirichlet_multinomial_log_likelihood,
                      log_space_chunk_estep, log_space_terms_at,
-                     two_topic_log_likelihood_quadrature)
+                     rebuilt_chunk_estep, two_topic_log_likelihood_quadrature)
 from ldikit.corpus import TermDocCounts
 from ldikit.lda import (ALPHA_MAX, ALPHA_MIN, NORM_FLOOR, TOPIC_SMOOTHING,
                         LdaModel, TokenCells, seeded_topic_start, train_lda)
@@ -97,6 +97,40 @@ KEEPS = {
 }
 
 
+def assert_reads_as_rebuilt(sub, want, n_block_rows, doc_weights,
+                            term_weights):
+    # what the fits read of a sub-block's scaled matrix, which keeps its
+    # block's shape: the product with term weights in its first m rows, the
+    # transposed product with row weights, both bit for bit the rebuilt
+    # block's; every padded row is empty
+    want_norm = want.norms(doc_weights, term_weights)
+    want_scaled = want.scaled(want_norm)
+    m = want_scaled.shape[0]
+    row_weights = np.random.default_rng(7).random((n_block_rows, 3))
+    want_rows = want_scaled @ term_weights
+    want_terms = want_scaled.T @ row_weights[:m]
+    norm = sub.norms(doc_weights, term_weights)
+    np.testing.assert_array_equal(norm, want_norm)
+    got = sub.scaled(norm)
+    assert got.shape == (n_block_rows, want_scaled.shape[1])
+    rows = got @ term_weights
+    np.testing.assert_array_equal(rows[:m], want_rows)
+    np.testing.assert_array_equal(rows[m:], 0.0)
+    assert not np.diff(got.indptr)[m:].any()
+    np.testing.assert_array_equal(got.T @ row_weights, want_terms)
+
+
+def assert_block_reads_as_whole(block, matrix, doc_weights, term_weights):
+    # after its sub-blocks have filled the shared matrix, a block's own
+    # scaled matrix is again the whole block's
+    want = TokenCells(matrix)
+    got = block.scaled(block.norms(doc_weights, term_weights))
+    exp = want.scaled(want.norms(doc_weights, term_weights))
+    assert got.shape == exp.shape
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(exp, name))
+
+
 class TestSubBlocks:
     @pytest.mark.parametrize("gather_size", [lda.GATHER_SIZE, 5],
                              ids=["one-slice", "many-slices"])
@@ -104,8 +138,8 @@ class TestSubBlocks:
     def test_sub_block_equals_rebuilt_block(self, monkeypatch, gather_size,
                                             keep):
         # cut from the flat cells, a sub-block holds exactly what a block
-        # built from the selected rows holds, and its norms and scaled
-        # matrix are the rebuilt block's bit for bit
+        # built from the selected rows holds, and its norms and what the
+        # fits read of its scaled matrix are the rebuilt block's bit for bit
         monkeypatch.setattr(lda, "GATHER_SIZE", gather_size)
         matrix = block_with_empty_ends()
         rng = np.random.default_rng(5)
@@ -119,34 +153,117 @@ class TestSubBlocks:
             got, exp = getattr(sub, name), getattr(want, name)
             assert got.dtype == exp.dtype
             np.testing.assert_array_equal(got, exp)
-        norm = sub.norms(doc_weights[keep], term_weights)
-        want_norm = want.norms(doc_weights[keep], term_weights)
-        np.testing.assert_array_equal(norm, want_norm)
-        got, exp = sub.scaled(norm), want.scaled(want_norm)
-        assert got.shape == exp.shape
-        for name in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(exp, name))
+        assert_reads_as_rebuilt(sub, want, 9, doc_weights[keep], term_weights)
+        assert_block_reads_as_whole(block, matrix, doc_weights, term_weights)
 
     def test_sub_block_of_sub_block(self):
         matrix = block_with_empty_ends()
         first = np.arange(9) != 4
         second = np.arange(8) % 3 != 1
-        sub = TokenCells(matrix).rows(first).rows(second)
+        rng = np.random.default_rng(6)
+        doc_weights = rng.random((9, 3))
+        term_weights = rng.random((matrix.shape[1], 3))
+        block = TokenCells(matrix)
+        sub = block.rows(first).rows(second)
         want = TokenCells(matrix[first][second])
         np.testing.assert_array_equal(sub.doc, want.doc)
         np.testing.assert_array_equal(sub.term, want.term)
         np.testing.assert_array_equal(sub.counts, want.counts)
+        assert_reads_as_rebuilt(sub, want, 9, doc_weights[first][second],
+                                term_weights)
+        assert_block_reads_as_whole(block, matrix, doc_weights, term_weights)
 
     def test_sub_blocks_write_into_their_blocks_buffers(self):
         # norms allocates its output once per block; repeated calls and
-        # every sub-block write into that one array
+        # every sub-block write into that one array, and every sub-block
+        # fills the block's one scaled matrix
         matrix = block_with_empty_ends()
         weights = np.ones((9, 2)), np.ones((matrix.shape[1], 2))
         block = TokenCells(matrix)
         first = block.norms(*weights)
         assert np.shares_memory(first, block.norms(*weights))
+        whole = block.scaled(first)
         sub = block.rows(KEEPS["middle"])
-        assert np.shares_memory(first, sub.norms(weights[0][:3], weights[1]))
+        norm = sub.norms(weights[0][:3], weights[1])
+        assert np.shares_memory(first, norm)
+        assert sub.scaled(norm) is whole
+        twice = sub.rows(np.array([True, False, True]))
+        assert twice.scaled(twice.norms(weights[0][:2], weights[1])) is whole
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_estep_is_rebuilt(matrix, gamma, beta, alpha):
+    # the kernel cuts its active set into sub-blocks that share one scaled
+    # matrix, and keeps the active rows of gamma compact between sweeps;
+    # the reference rebuilds a CSR matrix of the active rows every sweep
+    # and gathers and scatters gamma.  Every output is the same bit for bit
+    beta_t = np.ascontiguousarray(beta.T)
+    got = lda._chunk_estep(TokenCells(matrix), gamma, beta_t, alpha)
+    want = rebuilt_chunk_estep(matrix, gamma, beta_t, alpha, lda.VAR_TOL,
+                               lda.VAR_MAX_ITERS, NORM_FLOOR)
+    names = ("gamma", "stats", "alpha_stat", "bound", "sweeps", "unsettled")
+    for name, g, w in zip(names, got, want):
+        assert type(g) is type(w), name
+        assert_bitwise(g, w)
+    return dict(zip(names, got))
+
+
+class TestKernelAgainstRebuiltSweeps:
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_block_with_empty_ends(self, k):
+        matrix = block_with_empty_ends()
+        assert_estep_is_rebuilt(matrix, start_gamma(matrix, 0.3, k),
+                                random_beta(k, matrix.shape[1], 20 + k), 0.3)
+
+    def test_block_with_many_cuts(self, monkeypatch):
+        # documents settle over many sweeps, so sub-blocks are cut from
+        # sub-blocks again and again
+        cuts = []
+        rows = TokenCells.rows
+
+        def counting_rows(self, keep):
+            cuts.append(int(keep.sum()))
+            return rows(self, keep)
+
+        monkeypatch.setattr(TokenCells, "rows", counting_rows)
+        matrix = random_counts(60, 40, 21).matrix
+        out = assert_estep_is_rebuilt(matrix, start_gamma(matrix, 2.0, 5),
+                                      random_beta(5, 40, 22), 2.0)
+        assert out["unsettled"] == 0 and len(cuts) >= 10
+
+    def test_block_stopped_by_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(lda, "VAR_MAX_ITERS", 3)
+        matrix = block_with_empty_ends()
+        out = assert_estep_is_rebuilt(matrix, start_gamma(matrix, 0.3, 5),
+                                      random_beta(5, matrix.shape[1], 23),
+                                      0.3)
+        assert out["sweeps"] == 3 and out["unsettled"] > 0
+
+    def test_block_settled_in_first_sweep(self, monkeypatch):
+        # started at a gamma settled to a far tighter tolerance, every
+        # document leaves the sweeps after the first
+        matrix = block_with_empty_ends()
+        beta = random_beta(5, matrix.shape[1], 24)
+        monkeypatch.setattr(lda, "VAR_TOL", 1e-14)
+        monkeypatch.setattr(lda, "VAR_MAX_ITERS", 1000)
+        settled = run_chunk(matrix, beta, 0.3)[0]
+        monkeypatch.undo()
+        out = assert_estep_is_rebuilt(matrix, settled, beta, 0.3)
+        assert out["sweeps"] == 1 and out["unsettled"] == 0
+
+    @pytest.mark.parametrize("k", [1, 5, 100])
+    def test_trigamma_is_zeta(self, k):
+        # _update_alpha takes trigamma as zeta(2, x), which is what scipy's
+        # polygamma(1, x) computes, times (-1)**2 * gamma(2)
+        x = np.concatenate([np.geomspace(ALPHA_MIN, ALPHA_MAX * k, 2001),
+                            np.linspace(ALPHA_MIN, ALPHA_MAX * k, 2001)])
+        assert_bitwise(zeta(2, x), polygamma(1, x))
+        assert all(zeta(2, v) == polygamma(1, v) for v in x[::50])
 
 
 class TestKernelAgainstLogSpace:
@@ -389,6 +506,39 @@ class TestBlocksPerFit:
             result = train_lda(counts, k=3, seed=0)
         assert len(result.elbo_trace) > 1
         assert token_cells_built == [8, 8, 4]
+
+    @pytest.mark.parametrize("doc_chunk", [lda.DOC_CHUNK, 24],
+                             ids=["one-block", "three-blocks"])
+    def test_sparse_matrices_built_do_not_grow_with_cuts(self, monkeypatch,
+                                                         doc_chunk):
+        # sub-blocks fill their block's one scaled matrix, so a fit builds
+        # two sparse matrices per block (its rows and that matrix) and one
+        # per block and pass (the transpose the statistics are read from),
+        # however often its active sets are cut: one block makes at most
+        # blocks + passes + 1
+        monkeypatch.setattr(lda, "DOC_CHUNK", doc_chunk)
+        counts = random_counts(60, 40, 21)
+        built, cuts = [], []
+        for cls in (sp.csr_matrix, sp.csc_matrix):
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self))
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        rows = TokenCells.rows
+
+        def counting_rows(self, keep):
+            cuts.append(int(keep.sum()))
+            return rows(self, keep)
+
+        monkeypatch.setattr(TokenCells, "rows", counting_rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = train_lda(counts, k=5, seed=0)
+        n_blocks = -(-60 // doc_chunk)
+        bound = n_blocks * (len(result.elbo_trace) + 2)
+        assert len(cuts) > bound
+        assert len(built) <= bound
+
 
 
 class TestSweepRecord:
