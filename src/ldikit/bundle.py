@@ -5,7 +5,7 @@ under ``sparse``, and under ``arrays`` each stored array's shape and dtype
 (a CSR matrix as its three parts), and for a bundle saved with digests
 (a corpus) its sha256.  The arrays' little-endian C-order bytes follow
 back to back, in header order, so a reader can read some arrays and seek
-past the rest.  A ``.csv`` score path is plain CSV.
+past the rest.
 Every write goes to a temp sibling renamed over the target, so the target
 is whole or absent after a killed process (there is no fsync, so not after
 a power loss).  The writer holds an exclusive ``flock`` on its temp until
@@ -229,46 +229,16 @@ def _named_digests(path: Path, names, sparse: dict, entries: dict,
 
 
 def save_scores(path, matrix: ScoreMatrix) -> Path:
-    """One file: a score artifact, or a plain CSV for a ``.csv`` path."""
-    path = Path(path)
-    if path.suffix != ".csv":
-        return save_model(path, "scores", {"tag": matrix.tag},
-                          {"query_ids": matrix.query_ids,
-                           "doc_ids": matrix.doc_ids,
-                           "scores": np.asarray(matrix.scores, dtype=float)})
-    with replacing(path) as fh:
-        fh.write(("query," + ",".join(str(d) for d in matrix.doc_ids)
-                  + "\n").encode())
-        for qid, row in zip(matrix.query_ids, matrix.scores):
-            fh.write((f"{int(qid)}," + ",".join(repr(float(v)) for v in row)
-                      + "\n").encode())
-    return path
+    """Write a score matrix as one ``scores`` artifact file."""
+    return save_model(path, "scores", {"tag": matrix.tag},
+                      {"query_ids": matrix.query_ids,
+                       "doc_ids": matrix.doc_ids,
+                       "scores": np.asarray(matrix.scores, dtype=float)})
 
 
 def load_scores(path) -> ScoreMatrix:
-    """A score artifact, or a ``.csv`` score file read one line at a time
-    into a matrix sized by a first pass that counts the lines."""
-    path = Path(path)
-    if path.suffix != ".csv":
-        header, arrays = load_model(path, "scores")
-        return ScoreMatrix(tag=header["tag"], scores=arrays["scores"],
-                           query_ids=arrays["query_ids"],
-                           doc_ids=arrays["doc_ids"])
-    with path.open() as fh:
-        n_rows = max(sum(1 for _ in fh) - 1, 0)
-        fh.seek(0)
-        header = fh.readline().rstrip("\n").split(",")
-        doc_ids = np.array([int(d) for d in header[1:]], dtype=np.int64)
-        query_ids = np.empty(n_rows, dtype=np.int64)
-        scores = np.empty((n_rows, len(doc_ids)))
-        for row, line in enumerate(fh):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) - 1 != len(doc_ids):
-                raise ValueError(
-                    f"score file {path.name} line {row + 2} holds "
-                    f"{len(parts) - 1} scores; its header has "
-                    f"{len(doc_ids)} doc ids")
-            query_ids[row] = int(parts[0])
-            scores[row] = [float(v) for v in parts[1:]]
-    return ScoreMatrix(tag=path.stem, scores=scores, query_ids=query_ids,
-                       doc_ids=doc_ids)
+    """Read a ``scores`` artifact file back as a score matrix."""
+    header, arrays = load_model(path, "scores")
+    return ScoreMatrix(tag=header["tag"], scores=arrays["scores"],
+                       query_ids=arrays["query_ids"],
+                       doc_ids=arrays["doc_ids"])

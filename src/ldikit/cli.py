@@ -52,8 +52,19 @@ def _counts_from(least: int):
     count = _count_from(least)
 
     def counts(text: str) -> list[int]:
-        return [count(v) for v in text.split(",") if v.strip()]
+        values = [count(v) for v in text.split(",") if v.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        return values
     return counts
+
+
+def _score_path(text: str) -> str:
+    """Argument type: a score file, which is a ``.bin`` bundle."""
+    if Path(text).suffix == ".csv":
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: score files are .bin bundles, not .csv text")
+    return text
 
 
 @functools.cache
@@ -97,32 +108,33 @@ def _build_parser() -> _Parser:
     score.add_argument("--corpus", required=True)
     score.add_argument("--model", required=True)
     score.add_argument("--tag", default=None)
-    score.add_argument("--out", required=True, help="score file (.bin or .csv)")
+    score.add_argument("--out", type=_score_path, required=True,
+                       help="score file (.bin)")
 
     evalp = sub.add_parser("eval", help="evaluate a score file")
     evalp.add_argument("--corpus", required=True)
-    evalp.add_argument("--scores", required=True)
+    evalp.add_argument("--scores", type=_score_path, required=True)
     evalp.add_argument("--out", default=None, help="write the report as JSON")
 
     ens = sub.add_parser("ensemble", help="rank fusion")
     ens_sub = ens.add_subparsers(dest="subcommand", required=True)
     etrain = ens_sub.add_parser("train", help="learn fusion weights")
     etrain.add_argument("--corpus", required=True)
-    etrain.add_argument("--scores", nargs="+", required=True)
+    etrain.add_argument("--scores", nargs="+", required=True, type=_score_path)
     etrain.add_argument("--eps", type=float, default=1e-4)
     etrain.add_argument("--max-rounds", type=_count_from(1), default=200)
     etrain.add_argument("--out", required=True, help="weights JSON file")
     eapply = ens_sub.add_parser("apply", help="combine score files")
-    eapply.add_argument("--scores", nargs="+", required=True)
+    eapply.add_argument("--scores", nargs="+", required=True, type=_score_path)
     eapply.add_argument("--weights", default=None,
                         help="weights JSON from 'ensemble train'")
     eapply.add_argument("--uniform", action="store_true",
                         help="equal weights instead of a weights file")
     eapply.add_argument("--tag", default="ensemble")
-    eapply.add_argument("--out", required=True)
+    eapply.add_argument("--out", type=_score_path, required=True)
     ecross = ens_sub.add_parser("crossval", help="two-fold cross-validation")
     ecross.add_argument("--corpus", required=True)
-    ecross.add_argument("--scores", nargs="+", required=True)
+    ecross.add_argument("--scores", nargs="+", required=True, type=_score_path)
     ecross.add_argument("--folds", type=_count_from(2), default=2)
     ecross.add_argument("--seed", type=_count_from(0), default=0)
     ecross.add_argument("--eps", type=float, default=1e-4)
@@ -237,8 +249,18 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _distinct(tags: list, where: str) -> list:
+    """``tags``, refused if one repeats: fusion weights are keyed by tag."""
+    repeated = [tag for tag in dict.fromkeys(tags) if tags.count(tag) > 1]
+    if repeated:
+        raise ValueError(f"{where}: tags {repeated} repeat")
+    return tags
+
+
 def _load_score_files(paths) -> list[ScoreMatrix]:
-    return [bundle.load_scores(p) for p in paths]
+    matrices = [bundle.load_scores(p) for p in paths]
+    _distinct([m.tag for m in matrices], "score files")
+    return matrices
 
 
 def _cmd_ensemble_train(args) -> int:
@@ -275,7 +297,13 @@ def _cmd_ensemble_apply(args) -> int:
         raise UsageError("pass exactly one of --weights or --uniform")
     if args.weights:
         doc = json.loads(Path(args.weights).read_text())
-        by_tag = dict(zip(doc["tags"], doc["alpha"]))
+        tags = _distinct(list(doc["tags"]), "weights file")
+        alpha = np.asarray(doc["alpha"], dtype=float)
+        if (alpha.shape != (len(tags),)
+                or not all(0 <= a < np.inf for a in alpha)):
+            raise ValueError(f"weights file: {len(tags)} tags need as many "
+                             f"finite alpha >= 0, not {alpha.tolist()}")
+        by_tag = dict(zip(tags, alpha.tolist()))
     loaded = [bundle.load_scores(args.scores[0])]
     # the first file's tag and ids, which every file is checked against,
     # until the sum is done

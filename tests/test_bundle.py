@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import edit_header, traced_peak
+from conftest import edit_header
 from ldikit import bundle, cli
 from ldikit.bundle import load_model, load_scores, save_model, save_scores
 from ldikit.corpus import load_corpus, save_corpus
@@ -223,35 +223,6 @@ class TestScoreFiles:
                            + matrix.doc_ids.astype("<i8").tobytes()
                            + matrix.scores.tobytes())
 
-    def test_csv_roundtrip_is_exact(self, tmp_path):
-        matrix = score_matrix(seed=3)
-        save_scores(tmp_path / "keyword.csv", matrix)
-        loaded = load_scores(tmp_path / "keyword.csv")
-        # repr of a float parses back to the identical value
-        np.testing.assert_array_equal(loaded.scores, matrix.scores)
-        np.testing.assert_array_equal(loaded.query_ids, matrix.query_ids)
-        np.testing.assert_array_equal(loaded.doc_ids, matrix.doc_ids)
-
-    def test_csv_load_holds_the_matrix_and_one_row(self, tmp_path):
-        matrix = score_matrix(n_queries=1000, n_docs=500)
-        path = save_scores(tmp_path / "s.csv", matrix)
-        loaded, peak = traced_peak(lambda: load_scores(path))
-        assert loaded.scores.tobytes() == matrix.scores.tobytes()
-        # one row's text, strings and floats come to about 40 rows of the
-        # matrix; every row's floats held as lists would be 4 matrices more
-        assert peak < matrix.scores.nbytes * 1.25
-
-    def test_csv_tag_comes_from_filename(self, tmp_path):
-        save_scores(tmp_path / "other_name.csv", score_matrix())
-        assert load_scores(tmp_path / "other_name.csv").tag == "other_name"
-
-    def test_csv_is_readable_text(self, tmp_path):
-        matrix = score_matrix(n_queries=2, n_docs=2)
-        path = save_scores(tmp_path / "s.csv", matrix)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "query,101,102"
-        assert len(lines) == 3 and lines[1].startswith("1,")
-
     def test_binary_version_gate(self, tmp_path):
         # a version-1 score file: the ids in the header, then the scores
         header = {"bundle_version": 1, "tag": "x", "query_ids": [1],
@@ -262,21 +233,8 @@ class TestScoreFiles:
                            match="bundle version 1.*rebuild it with `ldikit score`"):
             load_scores(path)
 
-    @pytest.mark.parametrize("damage", ["truncated", "padded", "csv-short-row",
-                                        "csv-long-row"])
+    @pytest.mark.parametrize("damage", ["truncated", "padded"])
     def test_payload_length_checked(self, tmp_path, damage):
-        if damage.startswith("csv"):
-            path = save_scores(tmp_path / "s.csv", score_matrix())
-            lines = path.read_text().splitlines()
-            # the third query's row sits on line 4, after the header
-            lines[3] = (lines[3].rsplit(",", 1)[0] if damage == "csv-short-row"
-                        else lines[3] + ",0.5")
-            path.write_text("\n".join(lines) + "\n")
-            held = 5 if damage == "csv-short-row" else 7
-            with pytest.raises(ValueError,
-                               match=f"s.csv line 4 holds {held} scores.*6 doc ids"):
-                load_scores(path)
-            return
         path = save_scores(tmp_path / "s.bin", score_matrix())
         blob = path.read_bytes()
         # 4 query ids, 6 doc ids and 4 x 6 scores, 8 bytes each
@@ -313,14 +271,7 @@ ARTIFACTS = {
     "scores": (
         lambda path, version: save_scores(path, score_matrix(seed=version)),
         lambda path: load_scores(path).scores.tobytes()),
-    "csv": (
-        lambda path, version: save_scores(path, score_matrix(seed=version)),
-        lambda path: load_scores(path).scores.tobytes()),
 }
-
-
-def artifact_path(directory, kind):
-    return directory / ("scores.csv" if kind == "csv" else kind)
 
 
 class _CutFile(io.FileIO):
@@ -343,10 +294,10 @@ class TestReplacedWhole:
     def test_interrupted_save_keeps_the_old_artifact(self, tmp_path,
                                                      monkeypatch, kind):
         save, load = ARTIFACTS[kind]
-        path = save(artifact_path(tmp_path / "out", kind), 1)
+        path = save(tmp_path / "out" / kind, 1)
         before, loaded = path.read_bytes(), load(path)
         # cut the new artifact halfway through its payload
-        new = save(artifact_path(tmp_path / "new", kind), 2).read_bytes()
+        new = save(tmp_path / "new" / kind, 2).read_bytes()
         header_bytes = new.index(b"\n") + 1
         monkeypatch.setattr(_CutFile, "limit",
                             header_bytes + (len(new) - header_bytes) // 2)
@@ -360,7 +311,7 @@ class TestReplacedWhole:
 
     def test_save_leaves_one_file(self, tmp_path, kind):
         save, load = ARTIFACTS[kind]
-        path = artifact_path(tmp_path, kind)
+        path = tmp_path / kind
         save(path, 1)
         assert list(tmp_path.iterdir()) == [path]
         first = load(path)
@@ -370,17 +321,17 @@ class TestReplacedWhole:
 
     def test_symlinked_target_is_written_through(self, tmp_path, kind):
         save, load = ARTIFACTS[kind]
-        real = save(artifact_path(tmp_path / "real", kind), 1)
-        link = artifact_path(tmp_path, kind)
+        real = save(tmp_path / "real" / kind, 1)
+        link = tmp_path / kind
         link.symlink_to(real)
-        expected = load(save(artifact_path(tmp_path / "new", kind), 2))
+        expected = load(save(tmp_path / "new" / kind, 2))
         save(link, 2)
         assert link.is_symlink() and load(real) == expected
         assert list(real.parent.iterdir()) == [real]
 
     def test_directory_target_is_refused(self, tmp_path, kind):
         save, _ = ARTIFACTS[kind]
-        path = artifact_path(tmp_path, kind)
+        path = tmp_path / kind
         (path / "inside").mkdir(parents=True)
         with pytest.raises(IsADirectoryError, match="refusing to replace"):
             save(path, 1)

@@ -208,13 +208,6 @@ class TestTrainAndScore:
         assert code == 2
         assert "content hash" in err
 
-    def test_csv_scores(self, ws, tmp_path, capsys):
-        code, _, _ = run(capsys, ["score", "--corpus", str(ws["corpus"]),
-                                  "--model", str(ws["tfidf_model"]),
-                                  "--out", str(tmp_path / "s.csv")])
-        assert code == 0
-        assert (tmp_path / "s.csv").read_text().startswith("query,")
-
     @pytest.mark.parametrize("method", ["tfidf", "lsi", "plsi", "lda"])
     def test_zero_topics_fails_before_reading(self, tmp_path, capsys, method):
         # the corpus is missing: a data error (2) would mean it was read
@@ -268,28 +261,16 @@ class TestEval:
         assert len(doc["interpolated_precision"]) == 11
         assert 0.0 < doc["map"] <= 1.0
 
-    @pytest.mark.parametrize("damage", ["truncated", "padded", "csv-short-row",
-                                        "csv-long-row"])
+    @pytest.mark.parametrize("damage", ["truncated", "padded"])
     def test_wrong_length_score_file_is_data_error(self, ws, tmp_path, capsys,
                                                    damage):
-        if damage.startswith("csv"):
-            damaged = save_scores(tmp_path / "damaged.csv",
-                                  load_scores(ws["tfidf_scores"]))
-            lines = damaged.read_text().splitlines()
-            lines[1] = (lines[1].rsplit(",", 1)[0] if damage == "csv-short-row"
-                        else lines[1] + ",0.0")
-            damaged.write_text("\n".join(lines) + "\n")
-            expected = "damaged.csv line 2"
-        else:
-            blob = ws["tfidf_scores"].read_bytes()
-            damaged = tmp_path / "damaged.bin"
-            damaged.write_bytes(blob[:-1] if damage == "truncated"
-                                else blob + b"\0")
-            expected = "payload bytes"
+        blob = ws["tfidf_scores"].read_bytes()
+        damaged = tmp_path / "damaged.bin"
+        damaged.write_bytes(blob[:-1] if damage == "truncated" else blob + b"\0")
         code, _, err = run(capsys, ["eval", "--corpus", str(ws["corpus"]),
                                     "--scores", str(damaged)])
         assert code == 2
-        assert "data error" in err and expected in err
+        assert "data error" in err and "payload bytes" in err
 
     def test_missing_score_file_is_data_error(self, ws, tmp_path, capsys):
         code, _, err = run(capsys, ["eval", "--corpus", str(ws["corpus"]),
@@ -340,7 +321,7 @@ class TestDirectoriesAndOldBundles:
         assert code == 2 and "data error" in err
         assert "rebuild it with `ldikit score`" in err
 
-    @pytest.mark.parametrize("suffix", ["", ".bin", ".csv"])
+    @pytest.mark.parametrize("suffix", ["", ".bin"])
     def test_score_directory(self, ws, tmp_path, capsys, suffix):
         path = tmp_path / f"scores{suffix}"
         path.mkdir()
@@ -474,7 +455,7 @@ class TestEnsembleCommands:
         # four 200 x 1,000 inputs: each is loaded after the one before it
         # is released, and each weighted term is one block of rows
         paths, parts = four_score_files(tmp_path)
-        weights = {"w0": 0.5, "w1": -1.25, "w2": 2.0, "w3": 0.125}
+        weights = {"w0": 0.5, "w1": 1.25, "w2": 2.0, "w3": 0.125}
         weights_path = tmp_path / "weights.json"
         # looked up by tag, whatever the order
         weights_path.write_text(json.dumps({
@@ -525,6 +506,107 @@ class TestEnsembleCommands:
             "--weights", str(weights_path), "--out", str(tmp_path / "x.bin")])
         assert code == 2
         assert "lacks tags" in err
+
+    @pytest.mark.parametrize("command", ["train", "crossval"])
+    def test_repeated_tag_is_refused(self, ws, tmp_path, capsys, command):
+        # two files tagged tfidf would share one weight and one report entry
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = run(capsys, [
+            "ensemble", command, "--corpus", str(ws["corpus"]), "--scores",
+            str(ws["tfidf_scores"]), str(ws["tfidf_scores"]),
+            str(ws["lda_scores"]), "--out", str(out / "report.json")])
+        assert code == 2
+        assert "data error: score files: tags ['tfidf'] repeat" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"tags": ["tfidf", "lda", "tfidf"], "alpha": [1.0, 0.5, 2.0]},
+         "tags ['tfidf'] repeat"),
+        ({"tags": ["tfidf", "lda"], "alpha": [1.0]},
+         "2 tags need as many finite alpha >= 0, not [1.0]"),
+        ({"tags": ["tfidf", "lda"], "alpha": [1.0, 0.5, 0.25]},
+         "2 tags need as many finite alpha >= 0, not [1.0, 0.5, 0.25]"),
+        ({"tags": ["tfidf", "lda"], "alpha": [1.0, -0.5]},
+         "2 tags need as many finite alpha >= 0, not [1.0, -0.5]"),
+        ({"tags": ["tfidf", "lda"], "alpha": [1.0, float("inf")]},
+         "2 tags need as many finite alpha >= 0, not [1.0, inf]"),
+        ({"tags": ["tfidf", "lda"], "alpha": [float("nan"), 1.0]},
+         "2 tags need as many finite alpha >= 0, not [nan, 1.0]"),
+    ], ids=["repeated-tag", "short-alpha", "long-alpha", "negative",
+            "infinite", "nan"])
+    def test_apply_refuses_malformed_weights(self, ws, tmp_path, capsys, doc,
+                                             message):
+        weights_path = tmp_path / "w.json"
+        weights_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = run(capsys, [
+            "ensemble", "apply", "--scores", str(ws["tfidf_scores"]),
+            str(ws["lda_scores"]), "--weights", str(weights_path),
+            "--out", str(out / "fused.bin")])
+        assert code == 2
+        assert f"data error: weights file: {message}" in err
+        assert list(out.iterdir()) == []
+
+    def test_apply_uniform_takes_repeated_tags(self, ws, tmp_path, capsys):
+        out_path = tmp_path / "uniform.bin"
+        code, _, _ = run(capsys, [
+            "ensemble", "apply", "--scores", str(ws["tfidf_scores"]),
+            str(ws["tfidf_scores"]), "--uniform", "--out", str(out_path)])
+        assert code == 0
+        tfidf = load_scores(ws["tfidf_scores"]).scores
+        np.testing.assert_allclose(load_scores(out_path).scores, tfidf,
+                                   rtol=1e-12)
+
+
+# every score-file argument, with a .csv path in it
+CSV_SCORE_PATHS = {
+    "score-out": ["score", "--corpus", "{corpus}", "--model", "{model}",
+                  "--out", "{out}/tfidf.csv"],
+    "apply-out": ["ensemble", "apply", "--scores", "{scores}", "{scores}",
+                  "--uniform", "--out", "{out}/fused.csv"],
+    "eval-scores": ["eval", "--corpus", "{corpus}", "--scores", "{csv}",
+                    "--out", "{out}/report.json"],
+    "train-scores": ["ensemble", "train", "--corpus", "{corpus}",
+                     "--scores", "{scores}", "{csv}",
+                     "--out", "{out}/weights.json"],
+    "apply-scores": ["ensemble", "apply", "--scores", "{scores}", "{csv}",
+                     "--uniform", "--out", "{out}/fused.bin"],
+    "crossval-scores": ["ensemble", "crossval", "--corpus", "{corpus}",
+                        "--scores", "{scores}", "{csv}",
+                        "--out", "{out}/crossval.json"],
+}
+
+
+class TestScoreFilesAreBin:
+    """A score file is a .bin bundle.  A .csv path given to any score-file
+    argument is a usage error (exit 1), raised before any file is read."""
+
+    @pytest.mark.parametrize("inputs", ["absent", "present"])
+    @pytest.mark.parametrize("argument", list(CSV_SCORE_PATHS))
+    def test_csv_score_path_is_refused(self, ws, tmp_path, capsys, argument,
+                                       inputs):
+        if inputs == "absent":
+            # a data error (2) would mean an input was read first
+            absent = tmp_path / "absent"
+            paths = {"corpus": absent / "corpus", "model": absent / "model",
+                     "scores": absent / "tfidf.bin", "csv": absent / "lda.csv"}
+        else:
+            # a score bundle under a .csv name, which would load if read
+            csv = tmp_path / "in" / "lda.csv"
+            csv.parent.mkdir()
+            csv.write_bytes(ws["lda_scores"].read_bytes())
+            paths = {"corpus": ws["corpus"], "model": ws["tfidf_model"],
+                     "scores": ws["tfidf_scores"], "csv": csv}
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [a.format(out=out, **paths) for a in CSV_SCORE_PATHS[argument]]
+        code, _, err = run(capsys, argv)
+        assert code == 1 and "usage error" in err
+        assert "score files are .bin bundles, not .csv" in err
+        # no output and no temp sibling of one
+        assert list(out.iterdir()) == []
 
 
 def payload_spans(path):
@@ -674,14 +756,14 @@ class TestSweep:
         assert [r["k"] for r in rows] == [2, 3]
 
     @pytest.mark.parametrize("method", ["lsi", "plsi", "lda"])
-    @pytest.mark.parametrize("ks", ["0", "2,0", "2,-1"])
+    @pytest.mark.parametrize("ks", ["0", "2,0", "2,-1", ",", ""])
     def test_bad_topic_count_fails_before_reading(self, tmp_path, capsys,
                                                   method, ks):
         code, _, err = run(capsys, ["sweep", "--corpus", str(tmp_path / "absent"),
                                     "--method", method, "--ks", ks])
         assert code == 1 and "usage error" in err and "--ks" in err
 
-    @pytest.mark.parametrize("seeds", ["x", "0,y", "-1"])
+    @pytest.mark.parametrize("seeds", ["x", "0,y", "-1", ",", ""])
     def test_bad_seeds_fail_before_reading(self, tmp_path, capsys, seeds):
         code, _, err = run(capsys, ["sweep", "--corpus", str(tmp_path / "absent"),
                                     "--method", "lsi", "--ks", "2",
