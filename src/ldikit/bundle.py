@@ -112,11 +112,9 @@ def _stored(array) -> np.ndarray:
     raise TypeError(f"cannot persist array of dtype {array.dtype}")
 
 
-def save_model(path, kind: str, fields: dict, arrays: dict,
-               digests: bool = False) -> Path:
-    """Write one artifact file.  ``arrays`` values are dense arrays or CSR
-    matrices; everything else belongs in ``fields``.  With ``digests``,
-    each stored array's entry records the sha256 of its bytes."""
+def _stored_arrays(arrays: dict) -> tuple[dict, dict]:
+    """Each array's stored form by stored name (a CSR matrix as its three
+    parts), and each CSR matrix's shape."""
     stored, sparse = {}, {}
     for name, value in arrays.items():
         if sp.issparse(value):
@@ -126,11 +124,28 @@ def save_model(path, kind: str, fields: dict, arrays: dict,
                 stored[f"{name}.{part}"] = _stored(getattr(csr, part))
         else:
             stored[name] = _stored(value)
+    return stored, sparse
+
+
+def _digest(array: np.ndarray) -> str:
+    """The sha256 of a stored array's bytes, the one hash of array bytes."""
+    return hashlib.sha256(array).hexdigest()
+
+
+def stored_digests(arrays: dict) -> dict:
+    """{stored name: sha256} of ``arrays`` as `save_model` stores them."""
+    return {name: _digest(a) for name, a in _stored_arrays(arrays)[0].items()}
+
+
+def save_model(path, kind: str, fields: dict, arrays: dict,
+               digests: dict | None = None) -> Path:
+    """Write one artifact file.  ``arrays`` values are dense arrays or CSR
+    matrices; everything else belongs in ``fields``.  ``digests``, the
+    `stored_digests` of ``arrays``, go into their stored arrays' entries."""
+    stored, sparse = _stored_arrays(arrays)
     entries = {name: {"shape": list(a.shape), "dtype": a.dtype.str}
+               | ({"sha256": digests[name]} if digests else {})
                for name, a in stored.items()}
-    if digests:
-        for name, array in stored.items():
-            entries[name]["sha256"] = hashlib.sha256(array).hexdigest()
     header = {"bundle_version": BUNDLE_VERSION, "kind": kind, **fields,
               "sparse": sparse, "arrays": entries}
     with replacing(path) as fh:
@@ -146,9 +161,10 @@ def load_model(path, kind: str | None = None, names=None):
 
     With ``names``, only those arrays (a CSR matrix by its own name) are
     read, and each is checked against the sha256 its header records
-    before it is returned; the reader seeks past the others.  A whole
-    read hashes nothing: models and scores record no digests, and
-    ``corpus.load_corpus`` checks a whole corpus by its content hash.
+    before it is returned; the reader seeks past the others.  The
+    header's ``digests`` then maps each stored array read, in ``names``
+    order, to that sha256.  A whole read hashes nothing: models and
+    scores record no digests.
     """
     path = Path(path)
     remedy = f"rebuild it with `{_MAKERS.get(kind, 'ldikit train')}`"
@@ -194,6 +210,7 @@ def load_model(path, kind: str | None = None, names=None):
     if names is not None:
         for name, array in arrays.items():
             _check_digest(path, name, array, wanted[name])
+        header["digests"] = wanted
     for name, shape in sparse.items():
         arrays[name] = sp.csr_matrix(
             tuple(arrays.pop(f"{name}.{part}") for part in _CSR_PARTS),
@@ -205,7 +222,7 @@ def _check_digest(path: Path, name: str, array: np.ndarray,
                   digest: str) -> None:
     """Raise unless the bytes of ``array`` (stored as ``name``) have the
     sha256 ``digest``."""
-    if hashlib.sha256(array).hexdigest() != digest:
+    if _digest(array) != digest:
         raise ValueError(f"{path.name}: array {name!r} does not match its "
                          "sha256 checksum")
 

@@ -297,13 +297,19 @@ def _cmd_ensemble_apply(args) -> int:
         raise UsageError("pass exactly one of --weights or --uniform")
     if args.weights:
         doc = json.loads(Path(args.weights).read_text())
-        tags = _distinct(list(doc["tags"]), "weights file")
-        alpha = np.asarray(doc["alpha"], dtype=float)
-        if (alpha.shape != (len(tags),)
-                or not all(0 <= a < np.inf for a in alpha)):
+        tags, alpha = (doc.get("tags"), doc.get("alpha")) if isinstance(
+            doc, dict) else (None, None)
+        if not (isinstance(tags, list)
+                and all(isinstance(tag, str) for tag in tags)):
+            raise ValueError("weights file: needs an object whose tags are "
+                             "a list of strings")
+        _distinct(tags, "weights file")
+        if not (isinstance(alpha, list) and len(alpha) == len(tags)
+                and all(isinstance(a, (int, float)) and 0 <= a < np.inf
+                        for a in alpha)):
             raise ValueError(f"weights file: {len(tags)} tags need as many "
-                             f"finite alpha >= 0, not {alpha.tolist()}")
-        by_tag = dict(zip(tags, alpha.tolist()))
+                             f"finite alpha >= 0, not {alpha}")
+        by_tag = dict(zip(tags, map(float, alpha)))
     loaded = [bundle.load_scores(args.scores[0])]
     # the first file's tag and ids, which every file is checked against,
     # until the sum is done

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from . import bundle
 from .metrics import strictly_increasing
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 TOKENIZER_VERSION = 1
 
 
@@ -554,17 +554,15 @@ class Corpus:
                 "qrels": self.qrels}
 
     def checksum(self) -> str:
-        """Content hash covering vocabulary, ids, counts and judged pairs."""
-        h = hashlib.sha256()
-        h.update("\n".join(self.vocabulary.terms).encode())
-        arrays = [self.doc_ids, self.query_ids]
-        for m in (self.counts.matrix, self.query_counts):
-            m = m.tocsr()
-            arrays += [m.indptr, m.indices, np.asarray(m.data, dtype=np.int64)]
-        for a in arrays:
-            h.update(np.ascontiguousarray(a))   # the buffer, not a copy
-        h.update(np.ascontiguousarray(self.qrels, dtype="<i8"))
-        return h.hexdigest()
+        """Content hash: the sha256 of the vocabulary and of each stored
+        array's sha256, in `arrays` order, as the bundle records them."""
+        return _content_hash(self.vocabulary.terms,
+                             bundle.stored_digests(self.arrays()).values())
+
+
+def _content_hash(terms: list[str], digests) -> str:
+    """The sha256 of the terms, then the hex ``digests``, one per line."""
+    return hashlib.sha256("\n".join([*terms, *digests]).encode()).hexdigest()
 
 
 def judged_pairs(qrels: Mapping[int, set[int]]) -> np.ndarray:
@@ -638,42 +636,34 @@ def build_corpus(collection: Collection, stoplist: StopList | None = None) -> Co
 
 def save_corpus(corpus: Corpus, path) -> Path:
     """Write a corpus bundle: counts, ids and judged pairs as raw arrays,
-    each with its sha256.
-
-    The vocabulary, name and content checksum go into the header.
-    """
+    each with its sha256; the vocabulary, name and content checksum (of
+    the vocabulary and those digests) go into the header."""
+    digests = bundle.stored_digests(corpus.arrays())
     fields = {
         "format_version": FORMAT_VERSION,
         "tokenizer_version": TOKENIZER_VERSION,
         "name": corpus.name,
         "terms": corpus.vocabulary.terms,
         "dropped_judgments": corpus.dropped_judgments,
-        "checksum": corpus.checksum(),
+        "checksum": _content_hash(corpus.vocabulary.terms, digests.values()),
     }
     return bundle.save_model(path, "corpus", fields, corpus.arrays(),
-                             digests=True)
-
-
-def _check_format(header: dict) -> None:
-    version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported corpus format version {version}; "
-                         "rebuild the bundle with `ldikit corpus build`")
-
-
-def _judgments(pairs: np.ndarray) -> np.ndarray:
-    """The stored judged pairs as ``Corpus.qrels`` holds them."""
-    pairs = _sorted_pairs(pairs)
-    pairs.flags.writeable = False
-    return pairs
+                             digests)
 
 
 def load_corpus(path) -> Corpus:
-    """Load a corpus bundle written by save_corpus; verifies the checksum."""
-    header, arrays = bundle.load_model(path, "corpus")
-    _check_format(header)
+    """Load a whole corpus bundle written by save_corpus.  Each array is
+    checked against its sha256 as `load_corpus_arrays` checks it, then
+    the header's checksum against the content hash of its vocabulary and
+    those digests; no array is hashed twice."""
+    # every array `Corpus.arrays` names, in its order
+    header, arrays = load_corpus_arrays(
+        path, ("counts", "query_counts", "doc_ids", "query_ids", "qrels"))
+    if (_content_hash(header["terms"], header["digests"].values())
+            != header["checksum"]):
+        raise ValueError("corpus bundle checksum mismatch")
     matrix = arrays["counts"]
-    corpus = Corpus(
+    return Corpus(
         name=header["name"],
         doc_ids=arrays["doc_ids"],
         query_ids=arrays["query_ids"],
@@ -683,13 +673,10 @@ def load_corpus(path) -> Corpus:
             doc_lengths=np.asarray(matrix.sum(axis=1)).ravel().astype(np.int64),
         ),
         query_counts=arrays["query_counts"],
-        qrels=_judgments(arrays["qrels"]),
+        qrels=arrays["qrels"],
         dropped_judgments=header["dropped_judgments"],
+        loaded_checksum=header["checksum"],
     )
-    if corpus.checksum() != header["checksum"]:
-        raise ValueError("corpus bundle checksum mismatch")
-    corpus.loaded_checksum = header["checksum"]
-    return corpus
 
 
 def load_corpus_arrays(path, names) -> tuple[dict, dict]:
@@ -698,9 +685,13 @@ def load_corpus_arrays(path, names) -> tuple[dict, dict]:
     header records; the rest of the payload is not read.  The header's
     ``checksum`` is the content hash the bundle was saved with."""
     header, arrays = bundle.load_model(path, "corpus", names)
-    _check_format(header)
-    if "qrels" in arrays:
-        arrays["qrels"] = _judgments(arrays["qrels"])
+    if header.get("format_version") != FORMAT_VERSION:
+        raise ValueError("unsupported corpus format version "
+                         f"{header.get('format_version')}; rebuild the "
+                         "bundle with `ldikit corpus build`")
+    if "qrels" in arrays:     # as ``Corpus.qrels`` holds them
+        arrays["qrels"] = _sorted_pairs(arrays["qrels"])
+        arrays["qrels"].flags.writeable = False
     return header, arrays
 
 

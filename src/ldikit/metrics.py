@@ -351,9 +351,7 @@ def _fill_block(block: _Block, values: np.ndarray, out: np.ndarray) -> None:
     # columns, counted exactly.  One tie group is one (row, score); its
     # members hold consecutive places, and their ranks in column order are
     # the group's count so far plus the equal scores before each member's
-    # column: the stretches from the row's start to the first member and
-    # from each member to the next, summed in one ``reduceat`` and added
-    # up within the group.
+    # column, counted among the group's flat places in ``equal``.
     nan = np.isnan(neg)
     after = ordered.reshape(-1).take(block.row * n_docs
                                      + np.minimum(rank + 1, n_docs - 1))
@@ -375,21 +373,9 @@ def _fill_block(block: _Block, values: np.ndarray, out: np.ndarray) -> None:
         col = block.cells[cell] - rows[group] * n_docs
         member = equal[group, col]
         group, col = group[member], col[member]
-        # stretch bounds, flat in ``equal``: each group's row start at
-        # ``head``, then its members' columns at ``at``; every group holds
-        # its lead, so each has a first member (``first``)
-        first = np.flatnonzero(np.diff(group, prepend=-1))
-        head = first + np.arange(len(first))
-        at = np.arange(1, len(group) + 1) + group
-        bounds = np.empty(len(at) + len(head), dtype=np.int64)
-        bounds[head] = np.arange(len(head)) * n_docs
-        bounds[at] = group * n_docs + col
-        stretch = np.add.reduceat(equal.reshape(-1), bounds, dtype=np.int64)
-        # reduceat reads one cell for an empty stretch: a first member at
-        # column 0
-        stretch[head] -= col[first] == 0
-        total = np.cumsum(stretch)
-        before = total[at - 1] - (total[head] - stretch[head])[group]
+        places = np.flatnonzero(equal)
+        before = (places.searchsorted(group * n_docs + col)
+                  - places.searchsorted(np.arange(len(lead)) * n_docs)[group])
         rank[tied] = rank[lead][group] + before
     ranks = np.full(padded.shape, np.inf)       # a pad's precision is 0
     ranks.reshape(-1)[block.needle] = rank

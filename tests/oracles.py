@@ -190,21 +190,36 @@ def loop_judged_pairs(qrels):
                     dtype=np.int64).reshape(-1, 2)
 
 
-def loop_checksum(corpus, qrels, pairs_as_bytes=False):
-    """Corpus content hash of bundle format 2, which hashed each query's
-    judgments (the {query: docs} mapping ``qrels``) as text; with
-    ``pairs_as_bytes``, format 3's definition: the same fields, then the
-    `loop_judged_pairs` bytes."""
+def loop_checksum(corpus, qrels, format_version=6):
+    """Corpus content hash of bundle format ``format_version``, with the
+    judgments taken from the {query: docs} mapping ``qrels``.
+
+    Format 6 hashes the vocabulary, then the sha256 of each stored array,
+    one per line: each count matrix's data, indices and indptr as 64-bit
+    integers, the document and query ids, and the `loop_judged_pairs`.
+    Formats 3 to 5 hashed the vocabulary, then the ids, the matrices'
+    indptr, indices and data, and the judged pairs' bytes themselves;
+    format 2 hashed each query's judgments as text instead of the pairs.
+    """
+    matrices = [corpus.counts.matrix.tocsr(), corpus.query_counts.tocsr()]
+    if format_version == 6:
+        stored = [part for m in matrices
+                  for part in (m.data, m.indices, m.indptr)]
+        stored += [corpus.doc_ids, corpus.query_ids, loop_judged_pairs(qrels)]
+        lines = list(corpus.vocabulary.terms)
+        for array in stored:
+            lines.append(hashlib.sha256(
+                np.asarray(array, dtype="<i8").tobytes()).hexdigest())
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
     h = hashlib.sha256()
     h.update("\n".join(corpus.vocabulary.terms).encode())
     h.update(corpus.doc_ids.tobytes())
     h.update(corpus.query_ids.tobytes())
-    for m in (corpus.counts.matrix, corpus.query_counts):
-        m = m.tocsr()
+    for m in matrices:
         h.update(m.indptr.tobytes())
         h.update(m.indices.tobytes())
         h.update(np.asarray(m.data, dtype=np.int64).tobytes())
-    if pairs_as_bytes:
+    if format_version >= 3:
         h.update(loop_judged_pairs(qrels).tobytes())
     else:
         for qid in sorted(qrels):

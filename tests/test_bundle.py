@@ -18,7 +18,8 @@ import scipy.sparse as sp
 
 from conftest import edit_header
 from ldikit import bundle, cli
-from ldikit.bundle import load_model, load_scores, save_model, save_scores
+from ldikit.bundle import (load_model, load_scores, save_model, save_scores,
+                           stored_digests)
 from ldikit.corpus import load_corpus, save_corpus
 from ldikit.demo import demo_corpus
 from ldikit.ensemble import ScoreMatrix
@@ -108,9 +109,9 @@ class TestModelBundle:
 
     def test_digests_are_the_stored_bytes_sha256(self, tmp_path):
         counts = sp.csr_matrix(np.array([[0, 3], [4, 0]]))
-        out = save_model(tmp_path / "m", "x", {},
-                         {"a": np.arange(3.0), "counts": counts},
-                         digests=True)
+        arrays = {"a": np.arange(3.0), "counts": counts}
+        out = save_model(tmp_path / "m", "x", {}, arrays,
+                         stored_digests(arrays))
         header, payload = header_and_payload(out)
         offset = 0
         for entry in header["arrays"].values():
@@ -122,9 +123,10 @@ class TestModelBundle:
 
     def test_named_arrays_are_read_alone_and_verified(self, tmp_path):
         counts = sp.csr_matrix(np.array([[0, 3], [4, 0], [0, 5]]))
-        out = save_model(tmp_path / "m", "x", {"k": 2},
-                         {"a": np.arange(3.0), "counts": counts,
-                          "ids": np.array([5, 7, 9])}, digests=True)
+        arrays = {"a": np.arange(3.0), "counts": counts,
+                  "ids": np.array([5, 7, 9])}
+        out = save_model(tmp_path / "m", "x", {"k": 2}, arrays,
+                         stored_digests(arrays))
         whole = load_model(out)[1]
         header, some = load_model(out, names=("counts", "ids"))
         assert header["k"] == 2 and set(some) == {"counts", "ids"}
@@ -144,14 +146,16 @@ class TestModelBundle:
         plain = save_model(tmp_path / "m", "x", {}, {"v": np.zeros(2)})
         with pytest.raises(ValueError, match="records no sha256 of its 'v'"):
             load_model(plain, names=("v",))
-        hashed = save_model(tmp_path / "h", "x", {}, {"v": np.zeros(2)},
-                            digests=True)
+        arrays = {"v": np.zeros(2)}
+        hashed = save_model(tmp_path / "h", "x", {}, arrays,
+                            stored_digests(arrays))
         with pytest.raises(ValueError, match="holds no 'w' array"):
             load_model(hashed, names=("w",))
 
     def test_named_read_checks_the_payload_length(self, tmp_path):
-        path = save_model(tmp_path / "m", "x", {},
-                          {"v": np.zeros(2), "w": np.ones(3)}, digests=True)
+        arrays = {"v": np.zeros(2), "w": np.ones(3)}
+        path = save_model(tmp_path / "m", "x", {}, arrays,
+                          stored_digests(arrays))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="holds 32 payload bytes.*need 40"):
             load_model(path, names=("v",))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import edit_header, traced_peak
-from oracles import whole_weighted_sum
+from oracles import loop_checksum, whole_weighted_sum
 from ldikit import bundle, cli, metrics, pipeline
 from ldikit.bundle import load_model, load_scores, save_scores
 from ldikit.config import OUT_DIR_ENV
@@ -533,8 +533,18 @@ class TestEnsembleCommands:
          "2 tags need as many finite alpha >= 0, not [1.0, inf]"),
         ({"tags": ["tfidf", "lda"], "alpha": [float("nan"), 1.0]},
          "2 tags need as many finite alpha >= 0, not [nan, 1.0]"),
+        ([1, 2], "needs an object whose tags are a list of strings"),
+        ("fused", "needs an object whose tags are a list of strings"),
+        (None, "needs an object whose tags are a list of strings"),
+        ({"tags": 3, "alpha": [1.0]},
+         "needs an object whose tags are a list of strings"),
+        ({"tags": ["tfidf", 2], "alpha": [1.0, 1.0]},
+         "needs an object whose tags are a list of strings"),
+        ({"tags": ["tfidf", "lda"], "alpha": {"tfidf": 1.0}},
+         "2 tags need as many finite alpha >= 0, not {'tfidf': 1.0}"),
     ], ids=["repeated-tag", "short-alpha", "long-alpha", "negative",
-            "infinite", "nan"])
+            "infinite", "nan", "list", "string", "null", "number-tags",
+            "number-in-tags", "object-alpha"])
     def test_apply_refuses_malformed_weights(self, ws, tmp_path, capsys, doc,
                                              message):
         weights_path = tmp_path / "w.json"
@@ -734,14 +744,29 @@ class TestCorpusArraysPerCommand:
         if digests == "dropped":
             for entry in entries.values():
                 del entry["sha256"]
-        edit_header(old, format_version=4, arrays=entries)
-        for label, (argv, _) in [*runs.items(),
-                                 ("train", (["train", "--method", "tfidf"],
-                                            None))]:
-            code, err = self.run_on(capsys, argv, old, tmp_path / label)
-            assert code == 2, label
-            assert "ldikit corpus build" in err, label
-            assert not (tmp_path / label).exists()
+        commands = [*runs.items(),
+                    ("train", (["train", "--method", "tfidf"], None)),
+                    ("sweep", (["sweep", "--method", "lsi", "--ks", "2"],
+                               None))]
+        # formats 4 and 5 stored the same arrays under the content hash
+        # of the arrays' bytes, which the header then held
+        corpus = load_corpus(ws["corpus"])
+        judged = {}
+        for query, doc in corpus.qrels.tolist():
+            judged.setdefault(query, set()).add(doc)
+        checksum = loop_checksum(corpus, judged, format_version=5)
+        for version in (4, 5):
+            edit_header(old, format_version=version, arrays=entries,
+                        checksum=checksum)
+            for label, (argv, _) in commands:
+                code, err = self.run_on(capsys, argv, old, tmp_path / label)
+                assert code == 2, (version, label)
+                assert "ldikit corpus build" in err, (version, label)
+                assert not (tmp_path / label).exists()
+            code, _, err = run(capsys, [
+                "ldi", "inspect", "--corpus", str(old),
+                "--model", str(ws["lda_model"]), "--term", "enzyme"])
+            assert code == 2 and "ldikit corpus build" in err, version
 
 
 class TestSweep:

@@ -14,7 +14,7 @@ import ldikit
 import oracles
 from conftest import edit_header
 from ldikit import cli
-from ldikit.bundle import load_model, save_model
+from ldikit.bundle import load_model
 from ldikit import corpus as corpus_mod
 from ldikit.corpus import (Collection, ParseError, Query, RawDocument,
                            StopList, build_corpus, count_matrix, judged_pairs,
@@ -453,13 +453,15 @@ class TestCorpusBundle:
                                       corpus.query_counts.toarray())
         np.testing.assert_array_equal(loaded.qrels, corpus.qrels)
         assert loaded.checksum() == corpus.checksum()
+        # the content hash of the built corpus is the one its header
+        # records and the one load_corpus verified
+        header = load_model(tmp_path / "bundle")[0]
+        assert header["checksum"] == loaded.loaded_checksum == corpus.checksum()
         # judged pairs stored in any order, or repeated, load to the same
         # judgments
-        header, arrays = load_model(tmp_path / "bundle")
-        stored = arrays["qrels"]
+        stored = corpus.qrels
         for pairs in (stored[::-1], np.vstack([stored, stored[:1]])):
-            save_model(tmp_path / "bundle", "corpus", header,
-                       {**arrays, "qrels": pairs})
+            save_corpus(replace(corpus, qrels=pairs), tmp_path / "bundle")
             np.testing.assert_array_equal(
                 load_corpus(tmp_path / "bundle").qrels, corpus.qrels)
 
@@ -497,6 +499,13 @@ class TestDamagedCorpusBundle:
         out.write_bytes(bytes(blob))
         self.assert_rejected(out, tmp_path, "checksum")
 
+    def test_changed_term(self, tmp_path):
+        # every array matches its sha256; the content hash does not
+        out = save_corpus(build_corpus(tiny_collection()), tmp_path / "bundle")
+        terms = load_model(out)[0]["terms"]
+        edit_header(out, terms=["omega" if t == "alpha" else t for t in terms])
+        self.assert_rejected(out, tmp_path, "corpus bundle checksum mismatch")
+
     def test_truncated_payload(self, tmp_path):
         out = save_corpus(build_corpus(tiny_collection()), tmp_path / "bundle")
         out.write_bytes(out.read_bytes()[:-8])
@@ -518,7 +527,7 @@ class TestDamagedCorpusBundle:
         out = save_corpus(build_corpus(tiny_collection()), tmp_path / "bundle")
         corpus = load_corpus(out)
         edit_header(out, format_version=2, checksum=oracles.loop_checksum(
-            corpus, TINY_QRELS))
+            corpus, TINY_QRELS, format_version=2))
         self.assert_rejected(out, tmp_path, "rebuild .*ldikit corpus build")
 
     def test_csv_bundle_must_be_rebuilt(self, tmp_path):
@@ -718,8 +727,7 @@ class TestAgainstTheLoopOracles:
                     if q <= len(queries) and dids & set(range(1, len(docs) + 1))}
             assert corpus.qrels.tobytes() == oracles.loop_judged_pairs(
                 kept).tobytes(), seed
-            assert corpus.checksum() == oracles.loop_checksum(
-                corpus, kept, pairs_as_bytes=True)
+            assert corpus.checksum() == oracles.loop_checksum(corpus, kept)
             if seed % 10 == 0:
                 out = save_corpus(corpus, tmp_path / str(seed))
                 assert (load_model(out)[1]["qrels"].tobytes() ==

@@ -61,7 +61,7 @@ class TestCanonicalCounts:
     def test_checksum_is_pinned(self):
         # the judgments hash as sorted int64 (query id, doc id) pairs
         assert demo_corpus().checksum() == (
-            "af9f8130bd9f07bbab0e1bfe85ee6d6284067f179ed2f95fdd257ae4cb09fe20")
+            "3b5ea48efcb698c437462b57d03996199d873b7a4b31c27229658331582ccbfe")
 
     def test_checksum_is_stable(self):
         assert demo_corpus().checksum() == demo_corpus().checksum()

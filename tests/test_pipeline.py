@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import json
+import math
 import warnings
 from pathlib import Path
 
@@ -8,10 +11,10 @@ import scipy.sparse as sp
 
 from conftest import (DATA_DIR_ENV, data_root, edit_header,
                       find_collection_files)
-from ldikit import config, lda, pipeline
+from ldikit import bundle, config, lda, pipeline
 from ldikit.bundle import load_model
 from ldikit.config import default_topic_count, resolve_out_path
-from ldikit.corpus import Corpus, judged_pairs, load_corpus, save_corpus
+from ldikit.corpus import judged_pairs, load_corpus, save_corpus
 from ldikit.demo import RELEVANT, demo_corpus
 from ldikit.lsa import SVD_TOL
 from ldikit.pipeline import (FittedModel, evaluate_matrix, load_fitted,
@@ -167,6 +170,35 @@ class TestDispatch:
             assert set(calls) == expected, method
 
 
+def count_hashing(monkeypatch):
+    """Patch in two counters: the bytes of each array `bundle._digest`
+    hashes, and the sha256 objects made by any caller, each with ``n``,
+    the bytes it took in."""
+    digested, hashed = [], []
+    digest, sha256 = bundle._digest, hashlib.sha256
+
+    def counting_digest(array):
+        digested.append(array.nbytes)
+        return digest(array)
+
+    class Counting:
+        def __init__(self, data=b""):
+            self.inner, self.n = sha256(), 0
+            hashed.append(self)
+            self.update(data)
+
+        def update(self, data):
+            self.n += memoryview(data).nbytes
+            self.inner.update(data)
+
+        def hexdigest(self):
+            return self.inner.hexdigest()
+
+    monkeypatch.setattr(bundle, "_digest", counting_digest)
+    monkeypatch.setattr(hashlib, "sha256", Counting)
+    return digested, hashed
+
+
 class TestPersistence:
     @pytest.mark.parametrize("method", ["tfidf", "lsi", "plsi", "lda"])
     def test_saved_model_scores_identically(self, corpus, method, tmp_path):
@@ -225,23 +257,31 @@ class TestPersistence:
 
     def test_loaded_corpus_is_hashed_once(self, corpus, tmp_path,
                                           monkeypatch):
-        save_corpus(corpus, tmp_path / "c")
-        calls = []
-        hash_content = Corpus.checksum
+        digested, hashed = count_hashing(monkeypatch)
+        path = save_corpus(corpus, tmp_path / "c")
+        entries = json.loads(path.read_bytes().split(b"\n", 1)[0])["arrays"]
+        arrays = sorted(8 * math.prod(e["shape"]) for e in entries.values())
+        # the content hash's input: the vocabulary, then one hex digest
+        # per stored array, one per line
+        content = (len("\n".join(corpus.vocabulary.terms).encode())
+                   + 65 * len(arrays))
 
-        def counting(self):
-            calls.append(1)
-            return hash_content(self)
-        monkeypatch.setattr(Corpus, "checksum", counting)
-        loaded = load_corpus(tmp_path / "c")
-        assert len(calls) == 1
+        def hashed_each_array_once():
+            # each stored array once, and nothing else but the content hash
+            assert sorted(digested) == arrays
+            assert sorted(h.n for h in hashed) == sorted([*arrays, content])
+            digested.clear()
+            hashed.clear()
+        hashed_each_array_once()
+        # load_corpus verifies each array; train and score reuse the hash
+        loaded = load_corpus(path)
         fitted = train_model(loaded, "tfidf")
         score_corpus(fitted, loaded)
-        assert len(calls) == 1
-        assert fitted.corpus_checksum == hash_content(corpus)
+        hashed_each_array_once()
         # a corpus built in memory is hashed when it is used
         score_corpus(fitted, corpus)
-        assert len(calls) == 2
+        hashed_each_array_once()
+        assert fitted.corpus_checksum == corpus.checksum()
 
     def test_unknown_kind_rejected(self, corpus, tmp_path):
         fitted = FittedModel("mystery", object(), "x", "demo")
