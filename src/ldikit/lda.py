@@ -65,7 +65,6 @@ class LdaModel:
     k: int
     alpha: float
     beta: np.ndarray            # (k, vocabulary) rows sum to one
-    seed: int = 0
 
 
 @dataclass
@@ -456,7 +455,7 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
         warn_every_fit(f"the bound settled, but the sweep cap ({VAR_MAX_ITERS}) "
                        f"left {unsettled} documents unsettled in the last pass")
 
-    model = LdaModel(k=k, alpha=alpha, beta=beta, seed=seed)
+    model = LdaModel(k=k, alpha=alpha, beta=beta)
     return LdaTrainResult(model=model, gamma=gamma, elbo_trace=elbos,
                           alpha_trace=alphas, converged=converged,
                           stopped_by=stopped_by,

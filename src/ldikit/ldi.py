@@ -30,20 +30,14 @@ def word_topic_matrix(beta: np.ndarray) -> np.ndarray:
     return w
 
 
-def _average_rows(w: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+def _average_rows(w: np.ndarray, counts) -> np.ndarray:
     """Length-weighted mean of term topic rows for each count row.
 
-    Returns the vectors and a mask of rows that had any in-vocabulary term;
-    rows without evidence fall back to the uniform distribution.
+    A row sums to one, or is zero when it has no in-vocabulary term.
     """
-    k = w.shape[1]
     matrix = sp.csr_matrix(counts, dtype=float)
     lengths = np.asarray(matrix.sum(axis=1)).ravel()
-    raw = matrix @ w
-    has_evidence = lengths > 0
-    vectors = np.where(has_evidence[:, None], raw / np.maximum(lengths, 1.0)[:, None],
-                       1.0 / k)
-    return vectors, has_evidence
+    return (matrix @ w) / np.maximum(lengths, 1.0)[:, None]
 
 
 @dataclass
@@ -51,24 +45,23 @@ class LdiIndex:
     """Precomputed topic-space document vectors ready for query scoring."""
 
     w: np.ndarray               # (terms, topics) rows sum to one
-    doc_vectors: np.ndarray     # (docs, topics) rows sum to one
-    doc_evidence: np.ndarray    # docs with at least one in-vocabulary term
+    # (docs, topics) rows sum to one, or are zero for a document with no
+    # in-vocabulary term
+    doc_vectors: np.ndarray
 
 
 def build_index(model: LdaModel, doc_counts) -> LdiIndex:
     """Topic-space vectors of the (documents x terms) count matrix."""
     w = word_topic_matrix(model.beta)
-    vectors, evidence = _average_rows(w, doc_counts)
-    return LdiIndex(w=w, doc_vectors=vectors, doc_evidence=evidence)
+    return LdiIndex(w=w, doc_vectors=_average_rows(w, doc_counts))
 
 
 def score_ldi(index: LdiIndex, query_counts) -> np.ndarray:
     """(rows x docs) cosine in topic space of each (rows x terms) query
     count row against each document.
 
-    Queries or documents without topic evidence score zero against
-    everything rather than matching the uniform fallback vector.
+    A query or document with no in-vocabulary term is the zero vector and
+    scores zero against everything.
     """
-    q_vecs, q_evidence = _average_rows(index.w, query_counts)
-    return cosine_scores(q_vecs, index.doc_vectors, q_evidence,
-                         index.doc_evidence)
+    return cosine_scores(_average_rows(index.w, query_counts),
+                         index.doc_vectors)

@@ -88,7 +88,7 @@ RANKERS = {
                         {"p_dz": m.p_dz, "p_wz": m.p_wz}),
         unpack=lambda header, a: PlsaModel(
             k=int(header["k"]), p_dz=a["p_dz"], p_wz=a["p_wz"],
-            beta_temp=float(header["beta_temp"]), seed=header["seed"])),
+            beta_temp=float(header["beta_temp"]))),
     "lda": Ranker(
         fit=_fit_lda,
         score=lambda m, docs, queries: score_ldi(build_index(m, docs),
@@ -97,7 +97,7 @@ RANKERS = {
         pack=lambda m: ({"alpha": m.alpha}, {"beta": m.beta}),
         unpack=lambda header, a: LdaModel(
             k=int(header["k"]), alpha=float(header["alpha"]),
-            beta=a["beta"], seed=header["seed"])),
+            beta=a["beta"])),
 }
 
 METHODS = tuple(RANKERS)

@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from . import lda
 from .corpus import TermDocCounts
 from .lda import TokenCells, warn_every_fit
 from .vsm import cosine_scores
 
 _PERPLEXITY_FLOOR_MIX = 1e-6    # uniform mass mixed in for held-out scoring
-EM_CHUNK = 2048                 # documents per tempered E-step block
 IMPROVEMENT_TOL = 1e-6          # relative held-out perplexity gain that counts
 FOLD_IN_MAX_ITERS = 50
 FOLD_IN_TOL = 1e-6              # largest L1 change of a folded-in mixture
@@ -53,10 +53,10 @@ class PlsaModel:
     the temperature the fit ended at."""
 
     k: int
-    p_dz: np.ndarray            # (docs, k) rows sum to one
+    # (docs, k) rows sum to one, or are zero for a document with no count
+    p_dz: np.ndarray
     p_wz: np.ndarray            # (k, vocabulary) rows sum to one
     beta_temp: float
-    seed: int = 0
 
 
 @dataclass
@@ -88,9 +88,9 @@ def split_holdout(matrix: sp.csr_matrix, fraction: float, seed: int):
 
 def _em_pass(blocks, p_dz: np.ndarray, p_wz: np.ndarray, beta_temp: float):
     """One tempered EM sweep over the training matrix, cut into
-    ``TokenCells.blocks`` of ``EM_CHUNK`` documents.  Returns new tables and
-    the tempered objective value at the parameters the sweep started
-    from."""
+    ``TokenCells.blocks`` of ``lda.DOC_CHUNK`` documents.  Returns new
+    tables and the tempered objective value at the parameters the sweep
+    started from."""
     k, n_terms = p_wz.shape
     tempered_t = np.ascontiguousarray(p_wz.T) ** beta_temp     # (terms, k)
     new_dz = np.empty_like(p_dz)
@@ -180,7 +180,9 @@ def train_plsa(counts: TermDocCounts, k: int,
     The returned model is the snapshot with the best held-out perplexity
     seen anywhere during the anneal, tagged with the temperature it was
     taken at.  A corpus too small to hold tokens out runs one temperature
-    and returns its last pass.
+    and returns its last pass.  A document with no count in the corpus has
+    a zero row of ``p_dz``; one whose tokens were all held out keeps the
+    row EM gave it.
     """
     if k < 1:
         raise ValueError("topic count must be at least 1")
@@ -190,7 +192,7 @@ def train_plsa(counts: TermDocCounts, k: int,
         train, held = matrix, None
 
     p_dz, p_wz = _init_tables(matrix.shape[0], matrix.shape[1], k, seed)
-    blocks = TokenCells.blocks(train, EM_CHUNK)
+    blocks = TokenCells.blocks(train, lda.DOC_CHUNK)
     held_cells = None if held is None else TokenCells(held)
     beta_temp = BETA_START
     trace: list[tuple[float, float]] = []
@@ -214,7 +216,8 @@ def train_plsa(counts: TermDocCounts, k: int,
         beta_temp *= BETA_DECAY
 
     _, p_dz, p_wz, beta_final = best
-    model = PlsaModel(k=k, p_dz=p_dz, p_wz=p_wz, beta_temp=beta_final, seed=seed)
+    p_dz[np.diff(matrix.indptr) == 0] = 0.0
+    model = PlsaModel(k=k, p_dz=p_dz, p_wz=p_wz, beta_temp=beta_final)
     return PlsaTrainResult(model=model, objective_trace=trace,
                            perplexity_trace=perps, train_matrix=train,
                            held_matrix=held)
@@ -225,35 +228,31 @@ def fold_in(model: PlsaModel, query_counts):
     with the word tables frozen.
 
     EM over P(z|q) only, run at the model's final temperature.  Returns the
-    (rows x k) mixtures and a mask of rows that had any in-vocabulary term
-    (others are uniform).
+    (rows x k) mixtures and a mask of rows that had any in-vocabulary term.
+    A mixture sums to one, or is zero for a row with no such term: its
+    first update has nothing to divide among the topics.
     """
     rows = sp.csr_matrix(query_counts, dtype=float)
-    k = model.k
     cells = TokenCells(rows)
     lengths = np.asarray(rows.sum(axis=1)).ravel()
-    evidence = lengths > 0
+    tempered_t = np.ascontiguousarray(model.p_wz.T) ** model.beta_temp
 
-    p_qz = np.full((rows.shape[0], k), 1.0 / k)
-    if len(cells.counts):
-        tempered_t = np.ascontiguousarray(model.p_wz.T) ** model.beta_temp
-        for _ in range(FOLD_IN_MAX_ITERS):
-            scaled = cells.scaled(cells.norms(p_qz, tempered_t))
-            new = p_qz * (scaled @ tempered_t)
-            new = np.where(evidence[:, None],
-                           new / np.maximum(lengths, 1.0)[:, None], 1.0 / k)
-            change = np.abs(new - p_qz).sum(axis=1).max()
-            p_qz = new
-            if change < FOLD_IN_TOL:
-                break
-    return p_qz, evidence
+    p_qz = np.full((rows.shape[0], model.k), 1.0 / model.k)
+    for _ in range(FOLD_IN_MAX_ITERS):
+        scaled = cells.scaled(cells.norms(p_qz, tempered_t))
+        new = p_qz * (scaled @ tempered_t) / np.maximum(lengths, 1.0)[:, None]
+        change = np.abs(new - p_qz).sum(axis=1).max(initial=0.0)
+        p_qz = new
+        if change < FOLD_IN_TOL:
+            break
+    return p_qz, lengths > 0
 
 
 def score_plsa(model: PlsaModel, query_counts) -> np.ndarray:
     """(rows x docs) cosine between the folded-in mixtures of a (rows x
     terms) query count matrix and the document mixtures.
 
-    Rows (queries or documents) without topic evidence score zero.
+    A query or document with no in-vocabulary term has a zero mixture and
+    scores zero against everything.
     """
-    q_mix, q_evidence = fold_in(model, query_counts)
-    return cosine_scores(q_mix, model.p_dz, q_evidence)
+    return cosine_scores(fold_in(model, query_counts)[0], model.p_dz)

@@ -26,18 +26,16 @@ def _row_normalize(matrix: sp.csr_matrix) -> sp.csr_matrix:
     return sp.diags(inv) @ matrix
 
 
-def cosine_scores(queries: np.ndarray, docs: np.ndarray,
-                  query_mask: np.ndarray | None = None,
-                  doc_mask: np.ndarray | None = None) -> np.ndarray:
+def cosine_scores(queries: np.ndarray, docs: np.ndarray) -> np.ndarray:
     """Dense cosine of every query row against every document row.
 
-    Rows of zero norm score zero.  A row whose evidence mask is False scores
-    zero against everything, whatever its vector.
+    Rows of zero norm score zero against everything.  Every ranker makes a
+    text with no in-vocabulary term the zero vector, so under every method
+    such a query or document scores 0.
 
-    The product ``queries @ docs.T`` is the only whole matrix made: it is
-    divided by the norms, zeroed where their product is not positive and
-    multiplied by the masks in place, one block of rows at a time
-    (``metrics.row_blocks``).
+    The product ``queries @ docs.T`` is the only whole matrix made: in
+    place, one block of rows at a time (``metrics.row_blocks``), it is
+    divided by the norms and zeroed where their product is not positive.
     """
     scores = queries @ docs.T
     q_norms = np.linalg.norm(queries, axis=1)
@@ -48,10 +46,6 @@ def cosine_scores(queries: np.ndarray, docs: np.ndarray,
         positive = denom > 0
         np.divide(block, denom, out=block, where=positive)
         block[~positive] = 0.0
-        if query_mask is not None:
-            block *= query_mask[rows, None]
-        if doc_mask is not None:
-            block *= doc_mask[None, :]
         del denom, positive     # before the next block's are made
     return scores
 

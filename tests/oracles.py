@@ -22,18 +22,13 @@ from scipy.special import gammaln, logsumexp, psi
 # ---------------------------------------------------------------------------
 # Whole-matrix score formulas: every temporary as large as the output
 
-def whole_cosine_scores(queries, docs, query_mask=None, doc_mask=None):
+def whole_cosine_scores(queries, docs):
     """Cosine from the raw product, the outer product of the row norms and a
-    zero-filled output, then each evidence mask multiplied in."""
+    zero-filled output."""
     raw = queries @ docs.T
     denom = np.outer(np.linalg.norm(queries, axis=1),
                      np.linalg.norm(docs, axis=1))
-    scores = np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
-    if query_mask is not None:
-        scores = scores * query_mask[:, None]
-    if doc_mask is not None:
-        scores = scores * doc_mask[None, :]
-    return scores
+    return np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
 
 
 def whole_weighted_sum(weights, matrices):
@@ -723,7 +718,7 @@ def corpus_bound(model, counts) -> float:
 def tempered_objective(matrix, p_dz, p_wz, beta_temp) -> float:
     """sum over cells of n * log sum_z P(z|d) P(w|z)^beta, as plsa's EM
     pass from these tables computes it."""
-    from ldikit import plsa
+    from ldikit import lda, plsa
 
-    blocks = plsa.TokenCells.blocks(matrix.tocsr(), plsa.EM_CHUNK)
+    blocks = plsa.TokenCells.blocks(matrix.tocsr(), lda.DOC_CHUNK)
     return plsa._em_pass(blocks, p_dz, p_wz, beta_temp)[2]

@@ -41,21 +41,20 @@ class TestVectors:
     def test_document_vector_is_weighted_mean(self):
         w = word_topic_matrix(BETA)
         index = build_index(MODEL, make_counts([[2, 0, 1, 0]]).matrix)
-        vecs, evidence = index.doc_vectors, index.doc_evidence
         expected = (2 * w[0] + w[2]) / 3
-        np.testing.assert_allclose(vecs[0], expected)
-        assert evidence[0]
+        np.testing.assert_allclose(index.doc_vectors[0], expected)
+        np.testing.assert_allclose(index.doc_vectors.sum(axis=1), 1.0)
 
     def test_single_term_document_equals_term_row(self):
         w = word_topic_matrix(BETA)
         vecs = build_index(MODEL, make_counts([[0, 0, 0, 3]]).matrix).doc_vectors
         np.testing.assert_allclose(vecs[0], w[3])
 
-    def test_empty_document_gets_uniform_and_no_evidence(self):
+    def test_empty_document_is_the_zero_vector(self):
+        w = word_topic_matrix(BETA)
         index = build_index(MODEL, make_counts([[0, 0, 0, 0], [1, 0, 0, 0]]).matrix)
-        vecs, evidence = index.doc_vectors, index.doc_evidence
-        np.testing.assert_allclose(vecs[0], 0.5)
-        assert not evidence[0] and evidence[1]
+        np.testing.assert_array_equal(index.doc_vectors[0], 0.0)
+        np.testing.assert_allclose(index.doc_vectors[1], w[0])
 
     def test_query_vector(self):
         # a query is the length-weighted mean of its terms' topic rows

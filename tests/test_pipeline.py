@@ -14,8 +14,10 @@ from conftest import (DATA_DIR_ENV, data_root, edit_header,
 from ldikit import bundle, config, lda, pipeline
 from ldikit.bundle import load_model
 from ldikit.config import default_topic_count, resolve_out_path
-from ldikit.corpus import judged_pairs, load_corpus, save_corpus
-from ldikit.demo import RELEVANT, demo_corpus
+from ldikit.corpus import (Collection, Query, RawDocument, build_corpus,
+                           judged_pairs, load_corpus, save_corpus)
+from ldikit.demo import (DOC_TERM_COUNTS, QUERY_TERMS, RELEVANT, TERMS,
+                         demo_corpus)
 from ldikit.lsa import SVD_TOL
 from ldikit.pipeline import (FittedModel, evaluate_matrix, load_fitted,
                              resolve_method, save_fitted, score_corpus,
@@ -92,6 +94,26 @@ class TestTrainScoreEvaluate:
         assert matrix.scores.shape == (corpus.n_queries, corpus.n_docs)
         report = evaluate_matrix(matrix, corpus)
         assert 0.0 < report.map_score <= 1.0
+
+    def test_text_with_no_indexed_term_scores_zero(self):
+        # the demo collection as text, plus a document and a query whose
+        # words each occur once, so neither keeps an in-vocabulary term
+        documents = [RawDocument(i + 1, "", " ".join(
+                         term for term, n in zip(TERMS, row) for _ in range(n)))
+                     for i, row in enumerate(DOC_TERM_COUNTS)]
+        documents.append(RawDocument(len(documents) + 1, "", "xyzzy plugh"))
+        queries = [Query(i + 1, " ".join(terms))
+                   for i, terms in enumerate(QUERY_TERMS)]
+        queries.append(Query(len(queries) + 1, "frobnicate"))
+        corpus = build_corpus(Collection("empty-rows", documents, queries,
+                                         judged_pairs(RELEVANT)))
+        assert corpus.counts.matrix[-1].nnz == 0
+        assert corpus.query_counts[-1].nnz == 0
+        for method in ("tfidf", "lsi", "plsi", "lda"):
+            scores = score_corpus(fit(corpus, method), corpus).scores
+            np.testing.assert_array_equal(scores[:, -1], 0.0, err_msg=method)
+            np.testing.assert_array_equal(scores[-1], 0.0, err_msg=method)
+            assert scores[:-1, :-1].any(), method
 
     def test_tfidf_ignores_topic_count(self, corpus):
         assert fit(corpus, "tfidf").k is None

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import make_counts, random_counts
+import ldikit.lda as lda
 import ldikit.plsa as plsa
 from oracles import (dense_tempered_em_step, dense_tempered_objective,
                      tempered_objective)
@@ -79,7 +80,7 @@ class TestTemperedObjective:
                                                 p_dz, p_wz, beta_temp)
                 np.testing.assert_allclose(got, want, rtol=1e-10)
 
-    @pytest.mark.parametrize("em_chunk", [plsa.EM_CHUNK, 3],
+    @pytest.mark.parametrize("em_chunk", [lda.DOC_CHUNK, 3],
                              ids=["one-block", "three-blocks"])
     def test_em_pass_tables_match_dense_oracle(self, em_chunk):
         # the sparse product gives the tables of an EM step cell by cell,
@@ -169,6 +170,24 @@ class TestTraining:
         np.testing.assert_allclose(model.p_dz.sum(axis=1), 1.0, rtol=1e-9)
         np.testing.assert_allclose(model.p_wz.sum(axis=1), 1.0, rtol=1e-9)
 
+    def test_document_with_no_count_gets_a_zero_row(self):
+        # document 5 has no count; document 6's one token is held out at
+        # the first seed that holds it out, so EM saw no count of it either
+        rows = random_counts(20, 15, 16).matrix.toarray()
+        rows[5] = 0
+        rows[6] = 0
+        rows[6, 2] = 1
+        counts = make_counts(rows)
+        seed = next(s for s in range(100) if split_holdout(
+            counts.matrix, plsa.HOLDOUT_FRACTION, s)[1][6].nnz)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = train_plsa(counts, k=3, seed=seed).model
+        np.testing.assert_array_equal(model.p_dz[5], 0.0)
+        others = np.delete(model.p_dz, 5, axis=0)
+        np.testing.assert_allclose(others.sum(axis=1), 1.0, rtol=1e-9)
+        np.testing.assert_array_equal(score_plsa(model, rows)[:, 5], 0.0)
+
     def test_returns_best_holdout_snapshot(self):
         counts = random_counts(30, 20, 11)
         result = train_plsa(counts, k=3, seed=5)
@@ -220,7 +239,7 @@ class TestTraining:
                                            token_cells_built):
         # three training blocks of at most 8 documents and the held-out
         # cells, built once before the first pass of the anneal
-        monkeypatch.setattr(plsa, "EM_CHUNK", 8)
+        monkeypatch.setattr(lda, "DOC_CHUNK", 8)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = train_plsa(random_counts(20, 15, 16), k=3, seed=0)
@@ -308,11 +327,15 @@ class TestFoldIn:
         mix, _ = fold_in(self.model, np.array([[5.0, 0.0, 0.0]]))
         assert mix[0, 0] > 0.999
 
-    def test_no_evidence_row_is_uniform(self):
-        mix, evidence = fold_in(self.model, np.array([[0.0, 0.0, 0.0],
-                                                      [1.0, 0.0, 0.0]]))
+    def test_no_evidence_row_is_zero(self):
+        rows = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 0.0]])
+        mix, evidence = fold_in(self.model, rows)
         assert not evidence[0] and evidence[1]
-        np.testing.assert_allclose(mix[0], 0.5)
+        np.testing.assert_array_equal(mix[0], 0.0)
+        # the row with terms still reaches its stationary point
+        np.testing.assert_array_equal(mix[1], fold_in(self.model, rows[1:])[0][0])
+        np.testing.assert_allclose(mix[1, 0], 5.0 / 6.0, atol=1e-4)
+        assert fold_in(self.model, np.zeros((0, 3)))[0].shape == (0, 2)
 
     def test_fold_in_respects_model_temperature(self):
         cool = PlsaModel(k=2, p_dz=self.model.p_dz, p_wz=self.p_wz.copy(),

@@ -76,17 +76,17 @@ class TestScoring:
 
 
 class TestCosineScores:
-    def test_signed_vectors_and_masks(self):
-        queries = np.array([[1.0, -1.0], [2.0, 0.0]])
-        docs = np.array([[-1.0, 1.0], [1.0, 0.0], [3.0, 4.0]])
-        plain = cosine_scores(queries, docs)
-        np.testing.assert_allclose(plain[0, 0], -1.0)
-        np.testing.assert_allclose(plain[1], [-(2 ** -0.5), 1.0, 0.6])
-        masked = cosine_scores(queries, docs, np.array([True, False]),
-                               np.array([True, True, False]))
-        np.testing.assert_array_equal(masked[1], 0.0)
-        np.testing.assert_array_equal(masked[:, 2], 0.0)
-        np.testing.assert_array_equal(masked[0, :2], plain[0, :2])
+    def test_signed_and_zero_vectors(self):
+        queries = np.array([[1.0, -1.0], [2.0, 0.0], [0.0, 0.0]])
+        docs = np.array([[-1.0, 1.0], [1.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
+        scores = cosine_scores(queries, docs)
+        np.testing.assert_allclose(scores[0, 0], -1.0)
+        np.testing.assert_allclose(scores[1, :3], [-(2 ** -0.5), 1.0, 0.6])
+        # a zero vector (a text with no in-vocabulary term) scores +0.0
+        # against everything, on either side
+        zeros = np.concatenate([scores[2], scores[:, 3]])
+        np.testing.assert_array_equal(zeros, 0.0)
+        assert not np.signbit(zeros).any()
 
 
 # What a scorer may allocate besides its output: one block of rows of
@@ -119,17 +119,16 @@ class TestBlockedScores:
         docs[4] = 0.0
         queries[5] = np.nan                 # NaN norm
         docs[1, 3] = np.nan
-        query_mask = np.array([1, 1, 1, 0, 1, 1, 0, 1, 1], dtype=bool)
-        doc_mask = np.array([1, 0, 1, 1, 1, 1, 0], dtype=bool)
-        for masks in [(), (query_mask,), (None, doc_mask),
-                      (query_mask, doc_mask)]:
-            with np.errstate(invalid="ignore"):
-                want = whole_cosine_scores(queries, docs, *masks)
-            got = cosine_scores(queries, docs, *masks)
-            # bytes compare -0.0 and each NaN's bits, not just values
-            assert got.tobytes() == want.tobytes()
-        # masked-out negative cosines are -0.0
-        assert (np.signbit(got) & (got == 0)).any()
+        with np.errstate(invalid="ignore"):
+            want = whole_cosine_scores(queries, docs)
+        got = cosine_scores(queries, docs)
+        # bytes compare the sign of each zero, not just values
+        assert got.tobytes() == want.tobytes()
+        assert (got < 0).any()
+        # zero-norm and NaN-norm rows score +0.0
+        for zeros in (got[2], got[5], got[:, 4], got[:, 1]):
+            np.testing.assert_array_equal(zeros, 0.0)
+            assert not np.signbit(zeros).any()
 
     @pytest.mark.parametrize("block_cells", [90, 1])
     def test_tfidf_equals_the_whole_product(self, monkeypatch, block_cells):
@@ -146,8 +145,9 @@ class TestBlockedScores:
         rng = np.random.default_rng(6)
         queries = rng.normal(size=(300, 4))
         docs = rng.normal(size=(400, 4))
-        scores, peak = traced_peak(lambda: cosine_scores(
-            queries, docs, rng.random(300) > 0.2, rng.random(400) > 0.2))
+        queries[rng.random(300) > 0.8] = 0.0    # zero vectors
+        docs[rng.random(400) > 0.8] = 0.0
+        scores, peak = traced_peak(lambda: cosine_scores(queries, docs))
         # per cell of a block: the norm products (8 bytes), where they are
         # positive and where not (1 each)
         bound = (scores.nbytes + block_bytes(8 + 1 + 1)
