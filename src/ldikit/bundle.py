@@ -161,10 +161,10 @@ def load_model(path, kind: str | None = None, names=None):
 
     With ``names``, only those arrays (a CSR matrix by its own name) are
     read, and each is checked against the sha256 its header records
-    before it is returned; the reader seeks past the others.  The
-    header's ``digests`` then maps each stored array read, in ``names``
-    order, to that sha256.  A whole read hashes nothing: models and
-    scores record no digests.
+    before it is returned; the reader seeks past the others.  Every
+    stored array must then record one, and the header's ``digests`` maps
+    each stored array, in stored order, to its sha256.  A whole read
+    hashes nothing: models and scores record no digests.
     """
     path = Path(path)
     remedy = f"rebuild it with `{_MAKERS.get(kind, 'ldikit train')}`"
@@ -189,7 +189,8 @@ def load_model(path, kind: str | None = None, names=None):
             wanted = layout
         else:
             sparse = {name: sparse[name] for name in names if name in sparse}
-            wanted = _named_digests(path, names, sparse, entries, remedy)
+            wanted = _stored_parts(path, names, sparse, entries)
+            digests = _recorded_digests(path, entries, remedy)
         sizes = {name: dtype.itemsize * math.prod(shape)
                  for name, (dtype, shape) in layout.items()}
         expected = sum(sizes.values())
@@ -209,8 +210,8 @@ def load_model(path, kind: str | None = None, names=None):
                          f"header's arrays need {expected}")
     if names is not None:
         for name, array in arrays.items():
-            _check_digest(path, name, array, wanted[name])
-        header["digests"] = wanted
+            _check_digest(path, name, array, digests[name])
+        header["digests"] = digests
     for name, shape in sparse.items():
         arrays[name] = sp.csr_matrix(
             tuple(arrays.pop(f"{name}.{part}") for part in _CSR_PARTS),
@@ -227,22 +228,28 @@ def _check_digest(path: Path, name: str, array: np.ndarray,
                          "sha256 checksum")
 
 
-def _named_digests(path: Path, names, sparse: dict, entries: dict,
-              remedy: str) -> dict:
-    """{stored name: sha256} of the arrays ``names`` calls for (a CSR
-    matrix as its three parts); each must be stored with a digest."""
-    wanted = {}
+def _stored_parts(path: Path, names, sparse: dict, entries: dict) -> set:
+    """The stored names of the arrays ``names`` calls for (a CSR matrix as
+    its three parts); each must be stored."""
+    wanted = set()
     for name in names:
         parts = ([f"{name}.{part}" for part in _CSR_PARTS]
                  if name in sparse else [name])
         for part in parts:
             if part not in entries:
                 raise ValueError(f"{path.name} holds no {part!r} array")
-            if "sha256" not in entries[part]:
-                raise ValueError(f"{path.name} records no sha256 of its "
-                                 f"{part!r} array; {remedy}")
-            wanted[part] = entries[part]["sha256"]
+            wanted.add(part)
     return wanted
+
+
+def _recorded_digests(path: Path, entries: dict, remedy: str) -> dict:
+    """{stored name: sha256} of every stored array, in stored order; each
+    must be stored with a digest."""
+    for name, entry in entries.items():
+        if "sha256" not in entry:
+            raise ValueError(f"{path.name} records no sha256 of its "
+                             f"{name!r} array; {remedy}")
+    return {name: entry["sha256"] for name, entry in entries.items()}
 
 
 def save_scores(path, matrix: ScoreMatrix) -> Path:

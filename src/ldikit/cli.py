@@ -370,12 +370,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ldi_inspect(args) -> int:
-    built = corpus_mod.load_corpus(args.corpus)
+    terms = corpus_mod.load_corpus_arrays(args.corpus, ())[0]["terms"]
     fitted = pipeline.load_fitted(args.model)
     if fitted.kind != "lda":
         raise ValueError("ldi inspect needs an lda model bundle")
     w = word_topic_matrix(fitted.payload.beta)
-    vocab = built.vocabulary
+    vocab = corpus_mod.Vocabulary(terms=terms)
     for term in args.term:
         if term not in vocab:
             print(f"{term}: not in vocabulary")

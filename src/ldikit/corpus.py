@@ -652,16 +652,11 @@ def save_corpus(corpus: Corpus, path) -> Path:
 
 
 def load_corpus(path) -> Corpus:
-    """Load a whole corpus bundle written by save_corpus.  Each array is
-    checked against its sha256 as `load_corpus_arrays` checks it, then
-    the header's checksum against the content hash of its vocabulary and
-    those digests; no array is hashed twice."""
-    # every array `Corpus.arrays` names, in its order
+    """Load a whole corpus bundle written by save_corpus, verified as
+    `load_corpus_arrays` verifies it; no array is hashed twice."""
+    # every array `Corpus.arrays` names
     header, arrays = load_corpus_arrays(
         path, ("counts", "query_counts", "doc_ids", "query_ids", "qrels"))
-    if (_content_hash(header["terms"], header["digests"].values())
-            != header["checksum"]):
-        raise ValueError("corpus bundle checksum mismatch")
     matrix = arrays["counts"]
     return Corpus(
         name=header["name"],
@@ -683,12 +678,16 @@ def load_corpus_arrays(path, names) -> tuple[dict, dict]:
     """The header and the ``names`` arrays of a corpus bundle (named as
     `Corpus.arrays` names them), each checked against the sha256 its
     header records; the rest of the payload is not read.  The header's
-    ``checksum`` is the content hash the bundle was saved with."""
+    ``checksum`` is checked against the content hash of its vocabulary and
+    of every recorded sha256, on every read."""
     header, arrays = bundle.load_model(path, "corpus", names)
     if header.get("format_version") != FORMAT_VERSION:
         raise ValueError("unsupported corpus format version "
                          f"{header.get('format_version')}; rebuild the "
                          "bundle with `ldikit corpus build`")
+    if (_content_hash(header["terms"], header["digests"].values())
+            != header["checksum"]):
+        raise ValueError("corpus bundle checksum mismatch")
     if "qrels" in arrays:     # as ``Corpus.qrels`` holds them
         arrays["qrels"] = _sorted_pairs(arrays["qrels"])
         arrays["qrels"].flags.writeable = False

@@ -215,15 +215,6 @@ def train_ensemble(matrices: list[ScoreMatrix], qrels: np.ndarray,
     )
 
 
-def uniform_weights(matrices: list[ScoreMatrix]) -> EnsembleWeights:
-    """The no-training baseline: every constituent weighted equally."""
-    validate_alignment(matrices)
-    n = len(matrices)
-    return EnsembleWeights(tags=[m.tag for m in matrices],
-                           alpha=np.full(n, 1.0 / n), rounds=[],
-                           converged=True, best_round=0, train_map=0.0)
-
-
 def ensemble_loss(h_aps) -> float:
     """Total shortfall from perfect precision over the training queries."""
     return float(np.sum(1.0 - np.asarray(h_aps, dtype=float)))
@@ -272,6 +263,9 @@ def cross_validate(matrices: list[ScoreMatrix], qrels: np.ndarray,
     taken once for every judged query and sliced for each fold's training
     and test sides.  Fold matrices are cut straight into the judged layout
     (rows of the fold, columns by doc id), which training reads in place.
+    Each test fold is ranked as boosting ranks, block by block
+    (``Judgments.weighted_average_precisions``), under the boosted weights
+    and under equal weights (the no-training baseline).
     """
     if n_folds < 2:
         raise ValueError(f"n_folds must be at least 2, got {n_folds}")
@@ -285,6 +279,7 @@ def cross_validate(matrices: list[ScoreMatrix], qrels: np.ndarray,
                          matrices[0].doc_ids, qrels)
     # positions into judged.rows, in the seeded shuffle
     shuffled = np.random.default_rng(seed).permutation(len(judged.rows))
+    uniform = np.full(len(matrices), 1.0 / len(matrices))
 
     def fold(positions):
         return [ScoreMatrix(tag=m.tag, scores=judged.gather(m.scores, positions),
@@ -298,12 +293,11 @@ def cross_validate(matrices: list[ScoreMatrix], qrels: np.ndarray,
         weights = train_ensemble(fold(train_pos), qrels, eps=eps,
                                  max_rounds=max_rounds,
                                  ap_table=ap_table[:, train_pos])
-        test_mats = fold(test_pos)
-        uni = uniform_weights(matrices)
-        test_map, uniform_map = map(mean_average_precision, ap_matrix(
-            [combined_scores(weights.alpha, test_mats),
-             combined_scores(uni.alpha, test_mats)],
-            test_mats[0].query_ids, test_mats[0].doc_ids, qrels))
+        tested = Judgments(judged.query_ids[test_pos], judged.doc_ids, qrels)
+        test_scores = [judged.gather(m.scores, test_pos) for m in matrices]
+        test_map, uniform_map = (mean_average_precision(
+            tested.weighted_average_precisions(alpha, test_scores))
+            for alpha in (weights.alpha, uniform))
         results.append(FoldResult(
             train_rows=judged.rows[train_pos], test_rows=judged.rows[test_pos],
             weights=weights, test_map=test_map, uniform_test_map=uniform_map,

@@ -62,7 +62,6 @@ def warn_every_fit(message: str) -> None:
 class LdaModel:
     """Fitted topic model: symmetric prior weight and topic-term table."""
 
-    k: int
     alpha: float
     beta: np.ndarray            # (k, vocabulary) rows sum to one
 
@@ -455,7 +454,7 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
         warn_every_fit(f"the bound settled, but the sweep cap ({VAR_MAX_ITERS}) "
                        f"left {unsettled} documents unsettled in the last pass")
 
-    model = LdaModel(k=k, alpha=alpha, beta=beta)
+    model = LdaModel(alpha=alpha, beta=beta)
     return LdaTrainResult(model=model, gamma=gamma, elbo_trace=elbos,
                           alpha_trace=alphas, converged=converged,
                           stopped_by=stopped_by,

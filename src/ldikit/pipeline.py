@@ -87,7 +87,7 @@ RANKERS = {
         pack=lambda m: ({"beta_temp": m.beta_temp},
                         {"p_dz": m.p_dz, "p_wz": m.p_wz}),
         unpack=lambda header, a: PlsaModel(
-            k=int(header["k"]), p_dz=a["p_dz"], p_wz=a["p_wz"],
+            p_dz=a["p_dz"], p_wz=a["p_wz"],
             beta_temp=float(header["beta_temp"]))),
     "lda": Ranker(
         fit=_fit_lda,
@@ -95,9 +95,8 @@ RANKERS = {
                                                  queries),
         reads=("counts", "query_counts"),
         pack=lambda m: ({"alpha": m.alpha}, {"beta": m.beta}),
-        unpack=lambda header, a: LdaModel(
-            k=int(header["k"]), alpha=float(header["alpha"]),
-            beta=a["beta"])),
+        unpack=lambda header, a: LdaModel(alpha=float(header["alpha"]),
+                                          beta=a["beta"])),
 }
 
 METHODS = tuple(RANKERS)

@@ -52,7 +52,6 @@ class PlsaModel:
     """Fitted aspect model: topic mixtures per document, word tables, and
     the temperature the fit ended at."""
 
-    k: int
     # (docs, k) rows sum to one, or are zero for a document with no count
     p_dz: np.ndarray
     p_wz: np.ndarray            # (k, vocabulary) rows sum to one
@@ -64,8 +63,6 @@ class PlsaTrainResult:
     model: PlsaModel
     objective_trace: list[tuple[float, float]] = field(default_factory=list)
     perplexity_trace: list[float] = field(default_factory=list)
-    train_matrix: sp.csr_matrix | None = None
-    held_matrix: sp.csr_matrix | None = None
 
 
 def split_holdout(matrix: sp.csr_matrix, fraction: float, seed: int):
@@ -104,9 +101,8 @@ def _em_pass(blocks, p_dz: np.ndarray, p_wz: np.ndarray, beta_temp: float):
         new_dz[rows] = mix * (scaled @ tempered_t)
         stats_t += scaled.T @ mix
     stats_wz = (stats_t * tempered_t).T
-    doc_totals = new_dz.sum(axis=1, keepdims=True)
-    new_dz = np.where(doc_totals > 0, new_dz / np.maximum(doc_totals, 1.0),
-                      1.0 / k)
+    # a document with no training count gets a zero row
+    new_dz /= np.maximum(new_dz.sum(axis=1, keepdims=True), 1.0)
     topic_totals = stats_wz.sum(axis=1, keepdims=True)
     stats_wz = np.where(topic_totals > 0, stats_wz / np.maximum(topic_totals, 1.0),
                         1.0 / n_terms)
@@ -139,50 +135,18 @@ def _init_tables(n_docs: int, n_terms: int, k: int, seed: int):
     return p_dz, p_wz
 
 
-def _anneal_at(blocks, held, p_dz, p_wz, beta_temp: float, max_passes: int,
-               trace: list, perps: list):
-    """One temperature of ``train_plsa``'s anneal: EM passes until held-out
-    perplexity stops improving by ``IMPROVEMENT_TOL`` or
-    ``MAX_ITERS_PER_BETA`` passes have run, and never more than
-    ``max_passes``, what is left of the fit's ``MAX_TOTAL_ITERS``.
-    ``blocks`` are the training matrix's and ``held`` the held-out cells
-    (or None), both built once per fit.
-
-    Appends each pass's (temperature, objective) to ``trace`` and its
-    held-out perplexity to ``perps``.  Returns the tables after the last
-    pass (where the next temperature starts), the snapshot (perplexity,
-    p_dz, p_wz) with the lowest held-out perplexity (the last pass when
-    ``held`` is None), and whether this temperature ran its course: False
-    only when ``max_passes`` cut it short.
-    """
-    best = (np.inf, p_dz, p_wz)
-    n_passes = min(max_passes, MAX_ITERS_PER_BETA)
-    for _ in range(n_passes):
-        p_dz, p_wz, objective = _em_pass(blocks, p_dz, p_wz, beta_temp)
-        trace.append((beta_temp, objective))
-        if held is None:
-            best = (np.inf, p_dz, p_wz)
-            continue
-        perp = holdout_perplexity(held, p_dz, p_wz)
-        perps.append(perp)
-        improved = perp < best[0] * (1.0 - IMPROVEMENT_TOL)
-        if perp < best[0]:
-            best = (perp, p_dz, p_wz)
-        if not improved:
-            return p_dz, p_wz, best, True
-    return p_dz, p_wz, best, n_passes == MAX_ITERS_PER_BETA
-
-
 def train_plsa(counts: TermDocCounts, k: int,
                seed: int = 0) -> PlsaTrainResult:
     """Tempered EM with early stopping on held-out token perplexity.
 
-    The returned model is the snapshot with the best held-out perplexity
-    seen anywhere during the anneal, tagged with the temperature it was
-    taken at.  A corpus too small to hold tokens out runs one temperature
-    and returns its last pass.  A document with no count in the corpus has
-    a zero row of ``p_dz``; one whose tokens were all held out keeps the
-    row EM gave it.
+    A temperature ends when a pass fails to improve that temperature's
+    lowest held-out perplexity by ``IMPROVEMENT_TOL``, or after
+    ``MAX_ITERS_PER_BETA`` passes.  The returned model is the first pass
+    with the lowest held-out perplexity seen anywhere during the anneal,
+    tagged with the temperature it was taken at.  A corpus too small to
+    hold tokens out runs one temperature and returns its last pass.  A
+    document EM saw no count of is folded in (`fold_in`) with the kept
+    tables, so one with no count at all has a zero row of ``p_dz``.
     """
     if k < 1:
         raise ValueError("topic count must be at least 1")
@@ -197,30 +161,43 @@ def train_plsa(counts: TermDocCounts, k: int,
     beta_temp = BETA_START
     trace: list[tuple[float, float]] = []
     perps: list[float] = []
-    best = None                 # (perplexity, p_dz, p_wz, temperature)
-    prev_perp = np.inf          # best perplexity of the temperature before
+    best = (np.inf, p_dz, p_wz, beta_temp)  # (perplexity, p_dz, p_wz, beta)
+    # lowest held-out perplexity at this temperature and at the one before
+    lowest = prev_lowest = np.inf
+    passes = 0                      # at this temperature
     while True:
-        p_dz, p_wz, snapshot, finished = _anneal_at(
-            blocks, held_cells, p_dz, p_wz, beta_temp,
-            MAX_TOTAL_ITERS - len(trace), trace, perps)
-        if best is None or snapshot[0] < best[0]:
-            best = (*snapshot, beta_temp)
-        if not finished:
+        if len(trace) == MAX_TOTAL_ITERS:
             warn_every_fit("tempered EM hit the total iteration cap")
             break
-        if (held is None
-                or not snapshot[0] < prev_perp * (1.0 - IMPROVEMENT_TOL)
+        p_dz, p_wz, objective = _em_pass(blocks, p_dz, p_wz, beta_temp)
+        trace.append((beta_temp, objective))
+        passes += 1
+        if held_cells is None:
+            best = (np.inf, p_dz, p_wz, beta_temp)
+            improved = True
+        else:
+            perp = holdout_perplexity(held_cells, p_dz, p_wz)
+            perps.append(perp)
+            improved = perp < lowest * (1.0 - IMPROVEMENT_TOL)
+            lowest = min(lowest, perp)
+            if perp < best[0]:
+                best = (perp, p_dz, p_wz, beta_temp)
+        if improved and passes < MAX_ITERS_PER_BETA:
+            continue
+        if (held_cells is None
+                or not lowest < prev_lowest * (1.0 - IMPROVEMENT_TOL)
                 or beta_temp * BETA_DECAY < MIN_BETA):
             break
-        prev_perp = snapshot[0]
+        prev_lowest, lowest, passes = lowest, np.inf, 0
         beta_temp *= BETA_DECAY
 
-    _, p_dz, p_wz, beta_final = best
-    p_dz[np.diff(matrix.indptr) == 0] = 0.0
-    model = PlsaModel(k=k, p_dz=p_dz, p_wz=p_wz, beta_temp=beta_final)
+    _, p_dz, p_wz, beta_temp = best
+    model = PlsaModel(p_dz=p_dz, p_wz=p_wz, beta_temp=beta_temp)
+    unseen = np.flatnonzero(np.diff(train.indptr) == 0)
+    if len(unseen):
+        p_dz[unseen] = fold_in(model, matrix[unseen])[0]
     return PlsaTrainResult(model=model, objective_trace=trace,
-                           perplexity_trace=perps, train_matrix=train,
-                           held_matrix=held)
+                           perplexity_trace=perps)
 
 
 def fold_in(model: PlsaModel, query_counts):
@@ -237,7 +214,8 @@ def fold_in(model: PlsaModel, query_counts):
     lengths = np.asarray(rows.sum(axis=1)).ravel()
     tempered_t = np.ascontiguousarray(model.p_wz.T) ** model.beta_temp
 
-    p_qz = np.full((rows.shape[0], model.k), 1.0 / model.k)
+    k = model.p_wz.shape[0]
+    p_qz = np.full((rows.shape[0], k), 1.0 / k)
     for _ in range(FOLD_IN_MAX_ITERS):
         scaled = cells.scaled(cells.norms(p_qz, tempered_t))
         new = p_qz * (scaled @ tempered_t) / np.maximum(lengths, 1.0)[:, None]

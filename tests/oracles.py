@@ -710,7 +710,7 @@ def corpus_bound(model, counts) -> float:
     E-step at the fit's starting gamma."""
     from ldikit import lda
 
-    gamma = lda._start_gamma(model.alpha, counts, model.k)
+    gamma = lda._start_gamma(model.alpha, counts, model.beta.shape[0])
     blocks = lda.TokenCells.blocks(counts.matrix.tocsr(), lda.DOC_CHUNK)
     return lda._estep(blocks, gamma, model.beta, model.alpha)[2]
 

@@ -16,7 +16,7 @@ from oracles import loop_checksum, whole_weighted_sum
 from ldikit import bundle, cli, metrics, pipeline
 from ldikit.bundle import load_model, load_scores, save_scores
 from ldikit.config import OUT_DIR_ENV
-from ldikit.corpus import load_corpus
+from ldikit.corpus import load_corpus, save_corpus
 from ldikit.ensemble import ScoreMatrix
 
 DOCS = """\
@@ -733,6 +733,32 @@ class TestCorpusArraysPerCommand:
             assert sorted(verified) == sorted(
                 part for name in declared
                 for part in stored_names(name)), label
+
+    def test_forged_content_hash_fails_every_command(self, ws, runs,
+                                                      tmp_path, capsys):
+        # the header claims the content hash of a copy whose first count
+        # differs, while every array still matches its own sha256; a model
+        # fitted on the copy must not score the forged bundle
+        copy = load_corpus(ws["corpus"])
+        copy.counts.matrix.data[0] += 1
+        copy_path = save_corpus(copy, tmp_path / "copy")
+        model = tmp_path / "model-copy"
+        assert cli.main(["train", "--corpus", str(copy_path), "--method",
+                         "lda", "--k", "2", "--seed", "0",
+                         "--out", str(model)]) == 0
+        forged = tmp_path / "forged"
+        forged.write_bytes(ws["corpus"].read_bytes())
+        edit_header(forged, checksum=load_model(copy_path)[0]["checksum"])
+        commands = [("score-copy", (["score", "--model", str(model)], None)),
+                    *runs.items()]
+        for label, (argv, _) in commands:
+            code, err = self.run_on(capsys, argv, forged, tmp_path / label)
+            assert code == 2 and "checksum mismatch" in err, label
+            assert not (tmp_path / label).exists()
+        code, _, err = run(capsys, [
+            "ldi", "inspect", "--corpus", str(forged),
+            "--model", str(ws["lda_model"]), "--term", "enzyme"])
+        assert code == 2 and "checksum mismatch" in err
 
     @pytest.mark.parametrize("digests", ["dropped", "kept"])
     def test_format_4_bundle_is_refused(self, ws, runs, tmp_path, capsys,

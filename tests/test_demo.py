@@ -70,7 +70,7 @@ class TestCanonicalCounts:
 class TestDemoFit:
     def test_fit_converges(self, demo_fit):
         assert demo_fit.converged
-        assert demo_fit.model.k == 4
+        assert demo_fit.model.beta.shape[0] == 4
 
     def test_each_group_owns_one_topic(self, demo_fit):
         mix = demo_fit.gamma / demo_fit.gamma.sum(axis=1, keepdims=True)

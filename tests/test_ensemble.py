@@ -9,7 +9,7 @@ from ldikit.ensemble import (AP_CLIP, ScoreMatrix, combined_scores,
                              cross_validate, train_ensemble, ensemble_loss,
                              exp_loss_bound, normalize_weights,
                              reweight_queries, select_constituent, step_size,
-                             uniform_weights, validate_alignment)
+                             validate_alignment)
 from ldikit.metrics import ap_matrix, evaluate_scores
 
 DOC_IDS = np.array([1, 2, 3, 4])
@@ -279,14 +279,6 @@ class TestTraining:
         assert solo.rounds[0].pool_reset
 
 
-class TestUniformWeights:
-    def test_equal_weights(self):
-        uni = uniform_weights([lexical_matrix(), semantic_matrix()])
-        np.testing.assert_allclose(uni.alpha, 0.5)
-        assert uni.tags == ["lex", "sem"]
-        assert uni.rounds == []
-
-
 def halves_fixture():
     # six judged queries over three documents; one ranker nails the first
     # half, the other the second half
@@ -385,7 +377,7 @@ class TestCrossValidate:
             assert fold.test_map == fold_map(
                 combined_scores(fold.weights.alpha, test_mats))
             assert fold.uniform_test_map == fold_map(
-                combined_scores(uniform_weights(matrices).alpha, test_mats))
+                combined_scores(np.full(3, 1 / 3), test_mats))
             assert fold.constituent_test_maps == {
                 m.tag: fold_map(m.scores) for m in test_mats}
 

@@ -325,7 +325,7 @@ class TestKernelAgainstLogSpace:
                 warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             result = train_lda(counts, k=20, alpha=ALPHA_MIN, beta_init=beta)
-            bound = corpus_bound(LdaModel(k=20, alpha=ALPHA_MIN, beta=beta),
+            bound = corpus_bound(LdaModel(alpha=ALPHA_MIN, beta=beta),
                                  counts)
         assert np.all(np.isfinite(result.gamma))
         assert np.all(np.isfinite(result.elbo_trace)) and np.isfinite(bound)
@@ -364,7 +364,7 @@ class TestExactnessOracles:
         beta /= beta.sum(axis=1, keepdims=True)
         from ldikit.lda import LdaModel
 
-        model = LdaModel(k=3, alpha=0.7, beta=beta)
+        model = LdaModel(alpha=0.7, beta=beta)
         docs = [[0, 2], [1, 1, 4], [3], [4, 0, 2, 1]]
         for token_ids in docs:
             row = np.bincount(token_ids, minlength=5)
@@ -390,7 +390,7 @@ class TestExactnessOracles:
         rng = np.random.default_rng(6)
         beta = rng.random((2, 6)) + 0.05
         beta /= beta.sum(axis=1, keepdims=True)
-        model = LdaModel(k=2, alpha=0.4, beta=beta)
+        model = LdaModel(alpha=0.4, beta=beta)
         token_ids = [5, 0, 0, 2]
         counts = make_counts([np.bincount(token_ids, minlength=6)])
         exact = two_topic_log_likelihood_quadrature(token_ids, 0.4, beta)

@@ -12,7 +12,7 @@ BETA = np.array([
     [0.6, 0.3, 0.0, 0.1],
     [0.2, 0.1, 0.5, 0.2],
 ])
-MODEL = LdaModel(k=2, alpha=0.5, beta=BETA)
+MODEL = LdaModel(alpha=0.5, beta=BETA)
 
 
 class TestWordTopicMatrix:

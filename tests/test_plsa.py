@@ -172,7 +172,8 @@ class TestTraining:
 
     def test_document_with_no_count_gets_a_zero_row(self):
         # document 5 has no count; document 6's one token is held out at
-        # the first seed that holds it out, so EM saw no count of it either
+        # the first seed that holds it out, so EM saw no count of it
+        # either: it is folded in like a query
         rows = random_counts(20, 15, 16).matrix.toarray()
         rows[5] = 0
         rows[6] = 0
@@ -184,6 +185,8 @@ class TestTraining:
             warnings.simplefilter("ignore")
             model = train_plsa(counts, k=3, seed=seed).model
         np.testing.assert_array_equal(model.p_dz[5], 0.0)
+        np.testing.assert_array_equal(model.p_dz[6],
+                                      fold_in(model, rows[6:7])[0][0])
         others = np.delete(model.p_dz, 5, axis=0)
         np.testing.assert_allclose(others.sum(axis=1), 1.0, rtol=1e-9)
         np.testing.assert_array_equal(score_plsa(model, rows)[:, 5], 0.0)
@@ -191,17 +194,17 @@ class TestTraining:
     def test_returns_best_holdout_snapshot(self):
         counts = random_counts(30, 20, 11)
         result = train_plsa(counts, k=3, seed=5)
-        assert result.held_matrix is not None
-        refit_perp = holdout_perplexity(TokenCells(result.held_matrix),
+        held = split_holdout(counts.matrix, plsa.HOLDOUT_FRACTION, 5)[1]
+        refit_perp = holdout_perplexity(TokenCells(held),
                                         result.model.p_dz, result.model.p_wz)
         np.testing.assert_allclose(refit_perp, min(result.perplexity_trace),
                                    rtol=1e-12)
 
     def test_split_matrices_recompose_corpus(self):
         counts = random_counts(18, 14, 14)
-        result = train_plsa(counts, k=2, seed=6)
-        total = result.train_matrix + result.held_matrix
-        np.testing.assert_array_equal(total.toarray(),
+        train, held = split_holdout(counts.matrix, plsa.HOLDOUT_FRACTION, 6)
+        assert train.nnz and held.nnz
+        np.testing.assert_array_equal((train + held).toarray(),
                                       counts.matrix.toarray())
 
     def test_same_seed_reproduces_fit(self):
@@ -227,13 +230,12 @@ class TestTraining:
         monkeypatch.setattr(plsa, "HOLDOUT_FRACTION", 0.0)
         monkeypatch.setattr(plsa, "MAX_ITERS_PER_BETA", 25)
         counts = block_counts()
+        assert split_holdout(counts.matrix, plsa.HOLDOUT_FRACTION,
+                             0)[1].nnz == 0
         result = train_plsa(counts, k=2, seed=0)
-        assert result.held_matrix is None
         assert result.perplexity_trace == []
         assert len(result.objective_trace) == 25
         assert all(b == plsa.BETA_START for b, _ in result.objective_trace)
-        np.testing.assert_array_equal(result.train_matrix.toarray(),
-                                      counts.matrix.toarray())
 
     def test_each_block_built_once_per_fit(self, monkeypatch,
                                            token_cells_built):
@@ -301,7 +303,7 @@ def test_anneal_pins(case, monkeypatch):
 class TestFoldIn:
     def setup_method(self):
         self.p_wz = np.array([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2]])
-        self.model = PlsaModel(k=2, p_dz=np.full((4, 2), 0.5),
+        self.model = PlsaModel(p_dz=np.full((4, 2), 0.5),
                                p_wz=self.p_wz.copy(), beta_temp=1.0)
 
     def test_word_tables_stay_frozen(self):
@@ -338,7 +340,7 @@ class TestFoldIn:
         assert fold_in(self.model, np.zeros((0, 3)))[0].shape == (0, 2)
 
     def test_fold_in_respects_model_temperature(self):
-        cool = PlsaModel(k=2, p_dz=self.model.p_dz, p_wz=self.p_wz.copy(),
+        cool = PlsaModel(p_dz=self.model.p_dz, p_wz=self.p_wz.copy(),
                          beta_temp=0.3)
         hot_mix, _ = fold_in(self.model, np.array([[2.0, 1.0, 0.0]]))
         cool_mix, _ = fold_in(cool, np.array([[2.0, 1.0, 0.0]]))
