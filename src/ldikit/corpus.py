@@ -449,7 +449,7 @@ class Collection:
     name: str
     documents: list[RawDocument]
     queries: list[Query]
-    qrels: np.ndarray = field(default_factory=lambda: judged_pairs({}))
+    qrels: np.ndarray
 
 
 def merge_collections(collections: Sequence[Collection], name: str = "merged") -> Collection:
@@ -694,13 +694,12 @@ def load_corpus_arrays(path, names) -> tuple[dict, dict]:
     return header, arrays
 
 
-def load_collection(doc_path, query_path=None, qrels_path=None,
+def load_collection(doc_path, query_path, qrels_path,
                     name: str | None = None, qrels_dialect: str = "auto") -> Collection:
     """Read the three collection files from disk into a Collection."""
     doc_path = Path(doc_path)
     tag = name or doc_path.stem
     docs = parse_documents(doc_path, tag)
-    queries = parse_queries(Path(query_path), tag) if query_path else []
-    qrels = (parse_qrels(Path(qrels_path), qrels_dialect) if qrels_path
-             else judged_pairs({}))
+    queries = parse_queries(Path(query_path), tag)
+    qrels = parse_qrels(Path(qrels_path), qrels_dialect)
     return Collection(name=tag, documents=docs, queries=queries, qrels=qrels)

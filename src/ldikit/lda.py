@@ -68,25 +68,36 @@ class LdaModel:
 
 @dataclass
 class LdaTrainResult:
+    """An lda fit's whole state: each pass (``_em_pass``) advances it, and
+    the fit returns it."""
+
     model: LdaModel
     gamma: np.ndarray           # (docs, k) variational Dirichlet parameters
     elbo_trace: list[float] = field(default_factory=list)
     alpha_trace: list[float] = field(default_factory=list)
-    converged: bool = False
     # what ended the fit: "bound" (converged), "pass_cap" (MAX_EM_ITERS
     # passes before the bound settled) or "sweep_cap" (the bound settled,
     # but VAR_MAX_ITERS left documents unsettled in the last pass)
-    stopped_by: str = "bound"
+    stopped_by: str = ""
     # per pass: the most inner sweeps any block ran, and the documents
     # still unsettled when VAR_MAX_ITERS stopped their block
     sweeps_trace: list[int] = field(default_factory=list)
     unsettled_trace: list[int] = field(default_factory=list)
 
+    @property
+    def converged(self) -> bool:
+        return self.stopped_by == "bound"
 
-def _init_beta(k: int, n_terms: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    raw = rng.random((k, n_terms)) + 1.0 / n_terms
-    return raw / raw.sum(axis=1, keepdims=True)
+
+def run_passes(fit, step, max_passes: int) -> str:
+    """The pass loop of both topic fits: ``step(fit)`` advances the fit's
+    state ``fit`` by one pass and returns why the fit stops, or None.
+    Returns that reason, or ``"pass_cap"`` after ``max_passes`` passes."""
+    for _ in range(max_passes):
+        reason = step(fit)
+        if reason:
+            return reason
+    return "pass_cap"
 
 
 def seeded_topic_start(counts: TermDocCounts, k: int, seed: int = 0) -> np.ndarray:
@@ -300,29 +311,45 @@ def _chunk_estep(cells: TokenCells, gamma_chunk: np.ndarray,
     return gamma, stats, alpha_stat, bound, sweeps, unsettled
 
 
-def _estep(blocks, gamma: np.ndarray, beta: np.ndarray, alpha: float):
-    """One E-step over the corpus, cut into ``TokenCells.blocks`` of
-    ``DOC_CHUNK`` documents.
-
-    Updates ``gamma`` in place and returns the topic-term statistics, the
-    alpha statistic and the exact bound, each summed over the blocks, then
-    the most sweeps any block ran and the documents left unsettled in all.
-    """
-    beta_t = np.ascontiguousarray(beta.T)
-    stats = np.zeros(beta.shape)
+def _em_pass(fit: LdaTrainResult, blocks, estimate_alpha: bool) -> str | None:
+    """One EM pass of an lda fit over its ``TokenCells.blocks``: the E-step
+    updates ``fit.gamma`` in place and records the exact bound and sweeps,
+    the M-step re-fits ``beta`` and, if ``estimate_alpha``, ``alpha``.
+    Returns "bound" or "sweep_cap" once the bound settles, else None."""
+    model = fit.model
+    beta_t = np.ascontiguousarray(model.beta.T)
+    stats = np.zeros(model.beta.shape)
     alpha_stat = 0.0
     bound = 0.0
     sweeps = unsettled = 0
     for rows, cells in blocks:
         g, s, a_stat, b, n_sweeps, n_unsettled = _chunk_estep(
-            cells, gamma[rows], beta_t, alpha)
-        gamma[rows] = g
+            cells, fit.gamma[rows], beta_t, model.alpha)
+        fit.gamma[rows] = g
         stats += s
         alpha_stat += a_stat
         bound += b
         sweeps = max(sweeps, n_sweeps)
         unsettled += n_unsettled
-    return stats, alpha_stat, bound, sweeps, unsettled
+    if not np.isfinite(bound):
+        raise RuntimeError("variational bound became non-finite at "
+                           f"pass {len(fit.elbo_trace) + 1}")
+    fit.elbo_trace.append(bound)
+    fit.sweeps_trace.append(sweeps)
+    fit.unsettled_trace.append(unsettled)
+
+    model.beta = stats + TOPIC_SMOOTHING
+    model.beta /= model.beta.sum(axis=1, keepdims=True)
+    if estimate_alpha:
+        model.alpha = _update_alpha(model.alpha, len(fit.gamma),
+                                    len(model.beta), alpha_stat)
+    fit.alpha_trace.append(model.alpha)
+
+    if len(fit.elbo_trace) > 1:
+        prev = fit.elbo_trace[-2]
+        if abs(bound - prev) / max(abs(prev), 1e-12) < EM_TOL:
+            return "sweep_cap" if unsettled else "bound"
+    return None
 
 
 def _start_gamma(alpha: float, counts: TermDocCounts, k: int) -> np.ndarray:
@@ -383,7 +410,7 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
     The bound is recorded once per pass, evaluated at the fresh variational
     parameters under the model that produced them, so the recorded sequence
     is non-decreasing.  Stops on relative bound change below ``EM_TOL``, or
-    after ``MAX_EM_ITERS`` passes with a warning.  ``converged`` is set only
+    after ``MAX_EM_ITERS`` passes with a warning.  ``converged`` holds only
     when the bound settled and the last pass left no document unsettled by
     the ``VAR_MAX_ITERS`` sweep cap; a settled bound with unsettled
     documents warns with their count.  Each fit that stops at a cap warns
@@ -401,7 +428,9 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
     if n_docs == 0:
         raise ValueError("cannot fit a topic model on an empty corpus")
 
-    if beta_init is not None:
+    if beta_init is None:
+        beta = np.random.default_rng(seed).random((k, n_terms)) + 1.0 / n_terms
+    else:
         beta = np.asarray(beta_init, dtype=float)
         if beta.shape != (k, n_terms):
             raise ValueError(f"topic start must have shape {(k, n_terms)}, "
@@ -409,54 +438,19 @@ def train_lda(counts: TermDocCounts, k: int, seed: int = 0,
         if np.any(beta < 0) or np.any(beta.sum(axis=1) <= 0):
             raise ValueError("topic start rows must be non-negative with "
                              "positive sums")
-        beta = beta / beta.sum(axis=1, keepdims=True)
-    else:
-        beta = _init_beta(k, n_terms, seed)
     estimate_alpha = alpha is None and k > 1
     alpha = float(np.clip(50.0 / k if alpha is None else alpha,
                           ALPHA_MIN, ALPHA_MAX))
-    gamma = _start_gamma(alpha, counts, k)
+    fit = LdaTrainResult(LdaModel(alpha, beta / beta.sum(axis=1, keepdims=True)),
+                         _start_gamma(alpha, counts, k), alpha_trace=[alpha])
     blocks = TokenCells.blocks(matrix, DOC_CHUNK)
-
-    elbos: list[float] = []
-    alphas: list[float] = [alpha]
-    sweeps_trace: list[int] = []
-    unsettled_trace: list[int] = []
-    bound_settled = False
-    for em_iter in range(MAX_EM_ITERS):
-        stats, alpha_stat, bound, sweeps, unsettled = _estep(
-            blocks, gamma, beta, alpha)
-        if not np.isfinite(bound):
-            raise RuntimeError("variational bound became non-finite at "
-                               f"pass {em_iter + 1}")
-        elbos.append(bound)
-        sweeps_trace.append(sweeps)
-        unsettled_trace.append(unsettled)
-
-        beta = stats + TOPIC_SMOOTHING
-        beta /= beta.sum(axis=1, keepdims=True)
-        if estimate_alpha:
-            alpha = _update_alpha(alpha, n_docs, k, alpha_stat)
-        alphas.append(alpha)
-
-        if em_iter > 0:
-            prev, cur = elbos[-2], elbos[-1]
-            if abs(cur - prev) / max(abs(prev), 1e-12) < EM_TOL:
-                bound_settled = True
-                break
-    converged = bound_settled and unsettled == 0
-    stopped_by = ("pass_cap" if not bound_settled
-                  else "sweep_cap" if unsettled else "bound")
-    if not bound_settled:
+    fit.stopped_by = run_passes(
+        fit, lambda fit: _em_pass(fit, blocks, estimate_alpha), MAX_EM_ITERS)
+    if fit.stopped_by == "pass_cap":
         warn_every_fit(f"EM stopped at the pass limit ({MAX_EM_ITERS}) "
                        "before the bound settled")
-    elif unsettled:
+    elif fit.stopped_by == "sweep_cap":
         warn_every_fit(f"the bound settled, but the sweep cap ({VAR_MAX_ITERS}) "
-                       f"left {unsettled} documents unsettled in the last pass")
-
-    model = LdaModel(alpha=alpha, beta=beta)
-    return LdaTrainResult(model=model, gamma=gamma, elbo_trace=elbos,
-                          alpha_trace=alphas, converged=converged,
-                          stopped_by=stopped_by,
-                          sweeps_trace=sweeps_trace,
-                          unsettled_trace=unsettled_trace)
+                       f"left {fit.unsettled_trace[-1]} documents unsettled in "
+                       "the last pass")
+    return fit

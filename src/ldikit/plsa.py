@@ -60,9 +60,17 @@ class PlsaModel:
 
 @dataclass
 class PlsaTrainResult:
-    model: PlsaModel
+    """A plsi fit's whole state: each pass advances it, and the fit returns
+    it."""
+
+    model: PlsaModel            # the kept snapshot, the fit's result
+    current: PlsaModel          # the tables and temperature of the last pass
     objective_trace: list[tuple[float, float]] = field(default_factory=list)
     perplexity_trace: list[float] = field(default_factory=list)
+    # lowest held-out perplexity at this temperature and at the one before
+    lowest: float = np.inf
+    prev_lowest: float = np.inf
+    passes: int = 0             # at this temperature
 
 
 def split_holdout(matrix: sp.csr_matrix, fraction: float, seed: int):
@@ -126,15 +134,6 @@ def holdout_perplexity(cells: TokenCells, p_dz, p_wz) -> float:
     return float(np.exp(-log_lik / total))
 
 
-def _init_tables(n_docs: int, n_terms: int, k: int, seed: int):
-    rng = np.random.default_rng(seed)
-    p_dz = rng.random((n_docs, k)) + 1.0 / k
-    p_dz /= p_dz.sum(axis=1, keepdims=True)
-    p_wz = rng.random((k, n_terms)) + 1.0 / n_terms
-    p_wz /= p_wz.sum(axis=1, keepdims=True)
-    return p_dz, p_wz
-
-
 def train_plsa(counts: TermDocCounts, k: int,
                seed: int = 0) -> PlsaTrainResult:
     """Tempered EM with early stopping on held-out token perplexity.
@@ -143,8 +142,9 @@ def train_plsa(counts: TermDocCounts, k: int,
     lowest held-out perplexity by ``IMPROVEMENT_TOL``, or after
     ``MAX_ITERS_PER_BETA`` passes.  The returned model is the first pass
     with the lowest held-out perplexity seen anywhere during the anneal,
-    tagged with the temperature it was taken at.  A corpus too small to
-    hold tokens out runs one temperature and returns its last pass.  A
+    tagged with the temperature it was taken at.  The perplexity counts
+    only the held-out tokens of documents EM sees a count of; a corpus
+    with no such token runs one temperature and returns its last pass.  A
     document EM saw no count of is folded in (`fold_in`) with the kept
     tables, so one with no count at all has a zero row of ``p_dz``.
     """
@@ -152,52 +152,59 @@ def train_plsa(counts: TermDocCounts, k: int,
         raise ValueError("topic count must be at least 1")
     matrix = counts.matrix.tocsr()
     train, held = split_holdout(matrix, HOLDOUT_FRACTION, seed)
+    # a document EM sees no count of has a zero row of p_dz until the fit
+    # ends, so its held-out tokens are left out of the perplexity
+    held.data[np.repeat(np.diff(train.indptr) == 0, np.diff(held.indptr))] = 0
+    held.eliminate_zeros()
     if held.data.sum() == 0 or train.data.sum() == 0:
         train, held = matrix, None
 
-    p_dz, p_wz = _init_tables(matrix.shape[0], matrix.shape[1], k, seed)
+    rng = np.random.default_rng(seed)
+    p_dz = rng.random((matrix.shape[0], k)) + 1.0 / k
+    p_dz /= p_dz.sum(axis=1, keepdims=True)
+    p_wz = rng.random((k, matrix.shape[1])) + 1.0 / matrix.shape[1]
+    p_wz /= p_wz.sum(axis=1, keepdims=True)
+    start = PlsaModel(p_dz=p_dz, p_wz=p_wz, beta_temp=BETA_START)
+    fit = PlsaTrainResult(model=start, current=start)
     blocks = TokenCells.blocks(train, lda.DOC_CHUNK)
     held_cells = None if held is None else TokenCells(held)
-    beta_temp = BETA_START
-    trace: list[tuple[float, float]] = []
-    perps: list[float] = []
-    best = (np.inf, p_dz, p_wz, beta_temp)  # (perplexity, p_dz, p_wz, beta)
-    # lowest held-out perplexity at this temperature and at the one before
-    lowest = prev_lowest = np.inf
-    passes = 0                      # at this temperature
-    while True:
-        if len(trace) == MAX_TOTAL_ITERS:
-            warn_every_fit("tempered EM hit the total iteration cap")
-            break
-        p_dz, p_wz, objective = _em_pass(blocks, p_dz, p_wz, beta_temp)
-        trace.append((beta_temp, objective))
-        passes += 1
+
+    def step(fit: PlsaTrainResult) -> str | None:
+        beta_temp = fit.current.beta_temp
+        p_dz, p_wz, objective = _em_pass(blocks, fit.current.p_dz,
+                                         fit.current.p_wz, beta_temp)
+        fit.current = PlsaModel(p_dz=p_dz, p_wz=p_wz, beta_temp=beta_temp)
+        fit.objective_trace.append((beta_temp, objective))
+        fit.passes += 1
         if held_cells is None:
-            best = (np.inf, p_dz, p_wz, beta_temp)
+            fit.model = fit.current
             improved = True
         else:
             perp = holdout_perplexity(held_cells, p_dz, p_wz)
-            perps.append(perp)
-            improved = perp < lowest * (1.0 - IMPROVEMENT_TOL)
-            lowest = min(lowest, perp)
-            if perp < best[0]:
-                best = (perp, p_dz, p_wz, beta_temp)
-        if improved and passes < MAX_ITERS_PER_BETA:
-            continue
+            fit.perplexity_trace.append(perp)
+            # the fit's lowest yet: each temperature's lowest beat the last
+            if perp < min(fit.lowest, fit.prev_lowest):
+                fit.model = fit.current
+            improved = perp < fit.lowest * (1.0 - IMPROVEMENT_TOL)
+            fit.lowest = min(fit.lowest, perp)
+        if improved and fit.passes < MAX_ITERS_PER_BETA:
+            return None
         if (held_cells is None
-                or not lowest < prev_lowest * (1.0 - IMPROVEMENT_TOL)
+                or not fit.lowest < fit.prev_lowest * (1.0 - IMPROVEMENT_TOL)
                 or beta_temp * BETA_DECAY < MIN_BETA):
-            break
-        prev_lowest, lowest, passes = lowest, np.inf, 0
-        beta_temp *= BETA_DECAY
+            return "anneal_end"
+        fit.prev_lowest, fit.lowest, fit.passes = fit.lowest, np.inf, 0
+        # a new model: the kept snapshot may be the current one
+        fit.current = PlsaModel(p_dz=p_dz, p_wz=p_wz,
+                                beta_temp=beta_temp * BETA_DECAY)
+        return None
 
-    _, p_dz, p_wz, beta_temp = best
-    model = PlsaModel(p_dz=p_dz, p_wz=p_wz, beta_temp=beta_temp)
+    if lda.run_passes(fit, step, MAX_TOTAL_ITERS) == "pass_cap":
+        warn_every_fit("tempered EM hit the total iteration cap")
     unseen = np.flatnonzero(np.diff(train.indptr) == 0)
     if len(unseen):
-        p_dz[unseen] = fold_in(model, matrix[unseen])[0]
-    return PlsaTrainResult(model=model, objective_trace=trace,
-                           perplexity_trace=perps)
+        fit.model.p_dz[unseen] = fold_in(fit.model, matrix[unseen])[0]
+    return fit
 
 
 def fold_in(model: PlsaModel, query_counts):

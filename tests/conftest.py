@@ -6,6 +6,7 @@ Tests that need one look under LDIKIT_DATA_DIR (or ./data) and skip with
 an explicit message when the files are absent.
 """
 
+import copy
 import json
 import os
 import tracemalloc
@@ -93,6 +94,50 @@ def token_cells_built(monkeypatch):
 
     monkeypatch.setattr(TokenCells, "__init__", counting_init)
     return built
+
+
+def _poison(value):
+    """Fill the float arrays reachable from ``value`` with NaN and empty its
+    lists, through dataclass fields."""
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        value.fill(np.nan)
+    elif isinstance(value, list):
+        value.clear()
+    elif hasattr(value, "__dataclass_fields__"):
+        for field_value in vars(value).values():
+            _poison(field_value)
+
+
+@pytest.fixture
+def resumed_after(monkeypatch):
+    """``resumed_after(m)`` makes every topic fit stop after pass m and go
+    on from ``copy.deepcopy`` of its state: each field of the fit is
+    replaced by a deep copy, and the arrays and lists of the old fields are
+    poisoned, so a pass that read anything the state does not hold would
+    read NaN or nothing.  Returns the list of pass counts at which a fit
+    was cut."""
+    from ldikit import lda
+
+    run_passes = lda.run_passes
+    cuts = []
+
+    def install(m):
+        def cut_at(fit, step, max_passes):
+            for _ in range(min(m, max_passes)):
+                reason = step(fit)
+                if reason:
+                    return reason
+            old = dict(vars(fit))
+            vars(fit).update(copy.deepcopy(old))
+            for value in old.values():
+                _poison(value)
+            cuts.append(m)
+            return run_passes(fit, step, max_passes - m)
+
+        monkeypatch.setattr(lda, "run_passes", cut_at)
+        return cuts
+
+    return install
 
 
 def make_counts(rows):

@@ -707,12 +707,15 @@ def numeric_best_step(weights, aps, grid=20000, span=20.0):
 
 def corpus_bound(model, counts) -> float:
     """lda's evidence lower bound of a count matrix under a model, from one
-    E-step at the fit's starting gamma."""
+    pass on a fresh fit state: its E-step from the fit's starting gamma."""
     from ldikit import lda
 
-    gamma = lda._start_gamma(model.alpha, counts, model.beta.shape[0])
+    fit = lda.LdaTrainResult(
+        lda.LdaModel(model.alpha, model.beta),
+        lda._start_gamma(model.alpha, counts, model.beta.shape[0]))
     blocks = lda.TokenCells.blocks(counts.matrix.tocsr(), lda.DOC_CHUNK)
-    return lda._estep(blocks, gamma, model.beta, model.alpha)[2]
+    lda._em_pass(fit, blocks, estimate_alpha=False)
+    return fit.elbo_trace[0]
 
 
 def tempered_objective(matrix, p_dz, p_wz, beta_temp) -> float:

@@ -285,7 +285,8 @@ def vocabulary(docs, stoplist=None):
     """The vocabulary `build_corpus` makes of these documents or texts."""
     docs = [replace(d, doc_id=i) if isinstance(d, RawDocument)
             else RawDocument(i, "", d) for i, d in enumerate(docs, 1)]
-    return build_corpus(Collection("v", docs, []), stoplist).vocabulary
+    return build_corpus(Collection("v", docs, [], judged_pairs({})),
+                        stoplist).vocabulary
 
 
 class TestVocabulary:
@@ -553,11 +554,6 @@ class TestLoadCollection:
         assert coll.name == "mini"
         assert len(coll.documents) == 3 and len(coll.queries) == 2
         assert coll.qrels.tolist() == [[1, 1], [2, 2]]
-
-    def test_documents_only(self, tmp_path):
-        (tmp_path / "docs.all").write_text(DOC_FILE)
-        coll = load_collection(tmp_path / "docs.all")
-        assert coll.queries == [] and coll.qrels.shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -540,6 +540,25 @@ class TestBlocksPerFit:
         assert len(built) <= bound
 
 
+class TestPassLoop:
+    @pytest.mark.parametrize("doc_chunk", [lda.DOC_CHUNK, 8])
+    @pytest.mark.parametrize("m", [1, 4, 8])
+    def test_fit_resumed_from_copied_state_is_the_same_fit(
+            self, monkeypatch, resumed_after, m, doc_chunk):
+        # 9 passes, the prior weight re-estimated on each
+        monkeypatch.setattr(lda, "DOC_CHUNK", doc_chunk)
+        counts = random_counts(30, 20, 11)
+        whole = train_lda(counts, k=25, seed=0)
+        cuts = resumed_after(m)
+        resumed = train_lda(counts, k=25, seed=0)
+        assert cuts == [m]
+        assert resumed.model.alpha == whole.model.alpha
+        assert resumed.model.beta.tobytes() == whole.model.beta.tobytes()
+        assert resumed.gamma.tobytes() == whole.gamma.tobytes()
+        for name in ("elbo_trace", "alpha_trace", "sweeps_trace",
+                     "unsettled_trace", "stopped_by"):
+            assert getattr(resumed, name) == getattr(whole, name)
+
 
 class TestSweepRecord:
     def test_record_per_pass(self):

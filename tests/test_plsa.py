@@ -24,6 +24,19 @@ def random_tables(n_docs, n_terms, k, seed):
     return p_dz, p_wz
 
 
+def no_count_corpus():
+    """(rows, counts, fit seed): document 5 has no count, and document 6's
+    one token is held out at the fit seed, so EM sees no count of either."""
+    rows = random_counts(20, 15, 16).matrix.toarray()
+    rows[5] = 0
+    rows[6] = 0
+    rows[6, 2] = 1
+    counts = make_counts(rows)
+    seed = next(s for s in range(100) if split_holdout(
+        counts.matrix, plsa.HOLDOUT_FRACTION, s)[1][6].nnz)
+    return rows, counts, seed
+
+
 def block_counts(seed=7):
     # two groups of documents over disjoint halves of the vocabulary
     rng = np.random.default_rng(seed)
@@ -171,16 +184,8 @@ class TestTraining:
         np.testing.assert_allclose(model.p_wz.sum(axis=1), 1.0, rtol=1e-9)
 
     def test_document_with_no_count_gets_a_zero_row(self):
-        # document 5 has no count; document 6's one token is held out at
-        # the first seed that holds it out, so EM saw no count of it
-        # either: it is folded in like a query
-        rows = random_counts(20, 15, 16).matrix.toarray()
-        rows[5] = 0
-        rows[6] = 0
-        rows[6, 2] = 1
-        counts = make_counts(rows)
-        seed = next(s for s in range(100) if split_holdout(
-            counts.matrix, plsa.HOLDOUT_FRACTION, s)[1][6].nnz)
+        # document 6 is folded in like a query
+        rows, counts, seed = no_count_corpus()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             model = train_plsa(counts, k=3, seed=seed).model
@@ -190,6 +195,40 @@ class TestTraining:
         others = np.delete(model.p_dz, 5, axis=0)
         np.testing.assert_allclose(others.sum(axis=1), 1.0, rtol=1e-9)
         np.testing.assert_array_equal(score_plsa(model, rows)[:, 5], 0.0)
+
+    def test_perplexity_counts_only_tokens_the_fit_can_score(self):
+        # document 6's held-out token meets a zero row of p_dz on every
+        # pass; counted at the floor, it would lift the trace by about 40%
+        rows, counts, seed = no_count_corpus()
+        result = train_plsa(counts, k=3, seed=seed)
+        held = split_holdout(counts.matrix, plsa.HOLDOUT_FRACTION,
+                             seed)[1].toarray()
+        held[6] = 0
+        want = holdout_perplexity(TokenCells(sp.csr_matrix(held)),
+                                  result.model.p_dz, result.model.p_wz)
+        np.testing.assert_allclose(min(result.perplexity_trace), want,
+                                   rtol=1e-12)
+
+    def test_no_scorable_held_out_token_runs_without_holdout(self,
+                                                              monkeypatch):
+        # every held-out token belongs to a document EM sees no count of,
+        # so nothing is left to score: the fit trains on every count
+        monkeypatch.setattr(plsa, "MAX_ITERS_PER_BETA", 25)
+        counts = make_counts([[1, 0, 0], [0, 2, 1], [1, 1, 0], [0, 0, 3]])
+
+        def only_unseen_held(s):
+            train, held = split_holdout(counts.matrix,
+                                        plsa.HOLDOUT_FRACTION, s)
+            unseen = np.diff(train.indptr) == 0
+            return held.nnz and not held[~unseen].nnz
+
+        seed = next(s for s in range(1000) if only_unseen_held(s))
+        result = train_plsa(counts, k=2, seed=seed)
+        assert result.perplexity_trace == []
+        assert len(result.objective_trace) == 25
+        assert all(b == plsa.BETA_START for b, _ in result.objective_trace)
+        np.testing.assert_allclose(result.model.p_dz.sum(axis=1), 1.0,
+                                   rtol=1e-9)
 
     def test_returns_best_holdout_snapshot(self):
         counts = random_counts(30, 20, 11)
@@ -298,6 +337,28 @@ def test_anneal_pins(case, monkeypatch):
         assert min(result.perplexity_trace) == pytest.approx(best_perp,
                                                              rel=1e-12)
     assert any("iteration cap" in str(w.message) for w in caught) == capped
+
+
+@pytest.mark.parametrize("doc_chunk", [1024, 8])
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 7, 12])
+def test_fit_resumed_from_copied_state_is_the_same_fit(m, doc_chunk,
+                                                       monkeypatch,
+                                                       resumed_after):
+    # the "defaults" pin's anneal, [6, 5, 2, 2] passes: cuts inside a
+    # temperature and right after a temperature change
+    monkeypatch.setattr(lda, "DOC_CHUNK", doc_chunk)
+    counts = random_counts(30, 20, 11)
+    whole = train_plsa(counts, k=3, seed=5)
+    cuts = resumed_after(m)
+    resumed = train_plsa(counts, k=3, seed=5)
+    assert cuts == [m]
+    for name in ("model", "current"):
+        want, got = getattr(whole, name), getattr(resumed, name)
+        assert got.beta_temp == want.beta_temp
+        assert got.p_dz.tobytes() == want.p_dz.tobytes()
+        assert got.p_wz.tobytes() == want.p_wz.tobytes()
+    assert resumed.objective_trace == whole.objective_trace
+    assert resumed.perplexity_trace == whole.perplexity_trace
 
 
 class TestFoldIn:
